@@ -22,13 +22,11 @@ from .errors import (BudgetExceededError, CheckFailureError, ConfigError,
                      DomainViolationError, EigensolverError,
                      GeneratingFunctionZeroError, IOFormatError,
                      InvalidDomainError, NonpositiveMassError, PdmphError)
-from .grid import (Grid, GridFunction, cumint, cumulative_integral,
-                   diff_matrix, make_grid, observed_order)
-from .profiles import MassProfile, ProfileBundle, eval_profile
+from .grid import Grid, cumint, diff_matrix, make_grid, observed_order
+from .profiles import MassProfile, ProfileBundle
 from .pipeline import (CATALOG, FAMILIES, DressedSystem, GeneratingSpec,
-                       assemble_potential, catalog_rows, compute_f,
-                       compute_f_eq33, effective_potential, ground_state,
-                       make_family, printed_potential, to_csv)
+                       assemble_potential, catalog_rows, effective_potential,
+                       ground_state, make_family, printed_potential, to_csv)
 from .operators import (CoefficientSet, OperatorMatrix, build_d,
                         build_d_dagger, build_d_tilde, build_d_tilde_dagger,
                         build_eta_parity, build_eta_tilde,

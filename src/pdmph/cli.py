@@ -16,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .errors import (BudgetExceededError, CheckFailureError, ConfigError,
-                     PdmphError)
-from .pipeline import GeneratingSpec, catalog_rows, load_g_table, to_csv
+                     IOFormatError, PdmphError)
+from .pipeline import GeneratingSpec, catalog_rows, load_xy_table, to_csv
 from .profiles import MassProfile
 from .report import (SYSTEM_PRESETS, build_report, emit_json, resolve_config,
                      write_report)
@@ -52,7 +52,7 @@ def _profile_from(cfg):
         return MassProfile.constant(float(cfg["mass"]["scale"]))
     if kind == "rational":
         return MassProfile.rational(float(cfg["mass"]["scale"]))
-    return MassProfile.from_csv(cfg["mass"]["path"])
+    return MassProfile.from_table(*load_xy_table(cfg["mass"]["path"], "mass"))
 
 
 def _gauge_from(cfg):
@@ -61,8 +61,7 @@ def _gauge_from(cfg):
         return ("zero",)
     if g["mode"] == "scaled-g":
         return ("scaled-g", float(g["scale"]))
-    xs, vals = np.loadtxt(g["path"], delimiter=",", comments="#", ndmin=2).T
-    return ("table", xs, vals)
+    return ("table", *load_xy_table(g["path"], "gauge"))
 
 
 def _builder_from(cfg) -> SystemBuilder:
@@ -79,7 +78,7 @@ def _builder_from(cfg) -> SystemBuilder:
     elif fam == "custom-table":
         spec = GeneratingSpec("custom-table", delta=cfg["delta"],
                               gauge_a=_gauge_from(cfg),
-                              g_table=load_g_table(cfg["g_table"]))
+                              g_table=load_xy_table(cfg["g_table"], "generating-function"))
     else:
         spec = GeneratingSpec(fam, alpha=cfg["alpha"], delta=cfg["delta"],
                               gauge_a=_gauge_from(cfg))
@@ -116,11 +115,22 @@ def cmd_catalog(args):
     return 0
 
 
+def _parse_number(text, what, kind=float):
+    """One number from a command-line option; ConfigError if it does not parse."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{what} must be a number, got {text!r}") from None
+
+
 def _load_config(args):
     given = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            given = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                given = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise IOFormatError(f"could not read config file {args.config}: {exc}") from None
     overrides = {
         "family": getattr(args, "family", None),
         "alpha": getattr(args, "alpha", None),
@@ -135,17 +145,20 @@ def _load_config(args):
         "detune": getattr(args, "detune", None),
     }
     if getattr(args, "refine", None):
-        overrides["refine"] = [int(v) for v in args.refine.split(",")]
+        overrides["refine"] = [_parse_number(v, "--refine", int)
+                               for v in args.refine.split(",")]
     if getattr(args, "checks", None):
         overrides["checks"] = args.checks.split(",")
     if getattr(args, "mass", None):
         kind, params = _parse_kv(args.mass, "mass")
         overrides["mass"] = {"kind": kind,
-                             "scale": float(params.get("scale", params.get("beta", 1.0))),
+                             "scale": _parse_number(params.get("scale", params.get("beta", 1.0)),
+                                                    "mass scale"),
                              "path": params.get("path")}
     if getattr(args, "gauge", None):
         mode, params = _parse_kv(args.gauge, "gauge")
-        overrides["gauge"] = {"mode": mode, "scale": float(params.get("scale", 1.0)),
+        overrides["gauge"] = {"mode": mode,
+                              "scale": _parse_number(params.get("scale", 1.0), "gauge scale"),
                               "path": params.get("path")}
     return resolve_config(given, overrides)
 
@@ -186,12 +199,14 @@ def cmd_verify(args):
     payload = build_report(cfg, _conventions(builder, cfg), results, spectral, findings)
     out = cfg["out"] or "verify_report.json"
     write_report(payload, out)
-    if getattr(args, "trace_dir", None) and builder.kind == "family":
+    if getattr(args, "trace_dir", None):
         os.makedirs(args.trace_dir, exist_ok=True)
+        ran = {r.name for r in results}
         for name in cfg["checks"]:
-            if name in TRACEABLE:
-                residual_trace(builder, name, max(cfg["refine"]),
-                               os.path.join(args.trace_dir, f"{name}.csv"))
+            if name in TRACEABLE and name in ran:
+                residual_trace(builder, name, cfg["refine"],
+                               os.path.join(args.trace_dir, f"{name}.csv"),
+                               cfg["probes"], cfg["detune"])
     color = _use_color()
     for r in results:
         mark = {"pass": _color("PASS", "32", color),

@@ -57,54 +57,20 @@ class Grid:
 
 
 @dataclass
-class GridFunction:
-    """Samples of a function on a grid, one value per node."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if self.values.shape != (self.grid.n,):
-            raise InvalidDomainError(
-                f"grid function has {self.values.shape} values for an n={self.grid.n} grid")
-
-    @property
-    def is_real_sampled(self):
-        """True when the stored samples carry identically zero imaginary part."""
-        return not np.iscomplexobj(self.values) or not np.any(self.values.imag)
-
-
-@dataclass
 class OperatorMatrix:
-    """Dense operator with grid and stencil metadata.
+    """Dense operator on a grid; `kind` names the operator it realizes.
 
-    `boundary` is "one-sided" for full-grid matrices (identity checks),
-    "dirichlet-block" for interior-block matrices (eigenproblems) and
-    "exact" for permutation-type operators.  The interior window of a
-    one-sided matrix starts `pad` rows from each edge; checks involving
-    operator products or transposes pass a doubled pad.  Application to a
-    vector is plain matrix multiplication (`op @ v`).
+    Application to a vector is plain matrix multiplication (`op @ v`).
     """
 
     grid: Grid
     mat: np.ndarray = field(repr=False)
     kind: str = ""
-    order: int = 4
-    boundary: str = "one-sided"
-    pad: int = 4
 
     def apply(self, v):
         return self.mat @ v
 
     __matmul__ = apply
-
-    def interior_mask(self, pad=None, xmargin=0.0):
-        return self.grid.interior_mask(self.pad if pad is None else pad, xmargin)
-
-    @property
-    def n(self):
-        return self.mat.shape[0]
 
 
 def make_grid(xmin, xmax, n) -> Grid:
@@ -181,16 +147,17 @@ def _quad_weights(base_off):
     return _quad_cache[base_off]
 
 
-def cumulative_integral(fn: GridFunction, anchor: int) -> GridFunction:
-    """Antiderivative F with F(x[anchor]) = 0 and F' = fn.
+def cumint(values, grid: Grid, anchor: int):
+    """Antiderivative F of the sampled values with F(x[anchor]) = 0 and F' = values.
 
     Each interval is integrated with the degree-5 interpolatory rule on the
     six nearest nodes (clamped at the edges), so polynomials up to degree 5
     integrate exactly and smooth integrands converge at 6th order.
     """
-    y = fn.values
-    n = fn.grid.n
-    h = fn.grid.h
+    y = np.asarray(values)
+    n, h = grid.n, grid.h
+    if y.shape != (n,):
+        raise InvalidDomainError(f"grid function has {y.shape} values for an n={n} grid")
     if not (0 <= anchor < n):
         raise InvalidDomainError(f"anchor index {anchor} outside grid of {n} points")
     inc = np.empty(n - 1, dtype=y.dtype if np.iscomplexobj(y) else float)
@@ -203,13 +170,7 @@ def cumulative_integral(fn: GridFunction, anchor: int) -> GridFunction:
         wb = _quad_weights(base - i)
         inc[i] = h * (wb @ y[base:base + 6])
     F = np.concatenate(([0.0], np.cumsum(inc)))
-    F = F - F[anchor]
-    return GridFunction(fn.grid, F)
-
-
-def cumint(values, grid: Grid, anchor: int):
-    """Array-in/array-out convenience wrapper around :func:`cumulative_integral`."""
-    return cumulative_integral(GridFunction(grid, values), anchor).values
+    return F - F[anchor]
 
 
 def fd_floor(h, c2max=0.0, c1max=0.0, c0max=0.0, amp=1.0):

@@ -39,6 +39,20 @@ def _dscale(diag, M):
     return diag[:, None] * M
 
 
+def _second_order(c2, c1, c0, D1, D2):
+    """Matrix of -c2 d2 - 2 c1 d1 + c0 from derivative matrices D1 and D2.
+
+    c0 is a sequence of diagonal terms, added one after another so that
+    each caller's rounding is that of its own written sum.
+    """
+    mat = -_dscale(c2 + 0j, D2) - 2.0 * _dscale(c1, D1)
+    diag = mat.diagonal()
+    for term in c0:
+        diag = diag + term
+    np.fill_diagonal(mat, diag)
+    return mat
+
+
 @dataclass
 class CoefficientSet:
     """First/zeroth-order coefficients of the metric, the Hamiltonian and its adjoint.
@@ -112,10 +126,8 @@ def build_eta_tilde(coeffs: CoefficientSet, bundle: ProfileBundle, grid: Grid,
     stencil), so agreement is always measured through probe actions.
     """
     if mode == "direct":
-        D1 = diff_matrix(grid, 1)
-        D2 = diff_matrix(grid, 2)
-        mat = -_dscale(bundle.U**2 + 0j, D2.mat) - 2.0 * _dscale(coeffs.K, D1.mat)
-        np.fill_diagonal(mat, mat.diagonal() + coeffs.L)
+        mat = _second_order(bundle.U**2, coeffs.K, (coeffs.L,),
+                            diff_matrix(grid, 1).mat, diff_matrix(grid, 2).mat)
         return OperatorMatrix(grid, mat, kind="eta_tilde")
     if mode == "product":
         if phi is None or a is None:
@@ -132,10 +144,8 @@ def build_h_prime(V, a, ap, bundle: ProfileBundle, grid: Grid,
     if coeffs is None:
         z = np.zeros(grid.n)
         coeffs = CoefficientSet.build(z, z, z, z, a, ap, bundle)
-    D1 = diff_matrix(grid, 1)
-    D2 = diff_matrix(grid, 2)
-    mat = -_dscale(bundle.U**2 + 0j, D2.mat) - 2.0 * _dscale(coeffs.M1, D1.mat)
-    np.fill_diagonal(mat, mat.diagonal() + coeffs.N1 + V)
+    mat = _second_order(bundle.U**2, coeffs.M1, (coeffs.N1, V),
+                        diff_matrix(grid, 1).mat, diff_matrix(grid, 2).mat)
     return OperatorMatrix(grid, mat, kind="H_prime")
 
 
@@ -145,10 +155,8 @@ def build_h_prime_dagger(V, a, ap, bundle: ProfileBundle, grid: Grid,
     if coeffs is None:
         z = np.zeros(grid.n)
         coeffs = CoefficientSet.build(z, z, z, z, a, ap, bundle)
-    D1 = diff_matrix(grid, 1)
-    D2 = diff_matrix(grid, 2)
-    mat = -_dscale(bundle.U**2 + 0j, D2.mat) - 2.0 * _dscale(coeffs.M2, D1.mat)
-    np.fill_diagonal(mat, mat.diagonal() + coeffs.N2 + np.conj(V))
+    mat = _second_order(bundle.U**2, coeffs.M2, (coeffs.N2, np.conj(V)),
+                        diff_matrix(grid, 1).mat, diff_matrix(grid, 2).mat)
     return OperatorMatrix(grid, mat, kind="H_prime_dagger")
 
 
@@ -158,7 +166,7 @@ def build_parity(grid: Grid) -> OperatorMatrix:
         raise InvalidDomainError(
             "parity operator needs xmin = -xmax and odd n (a node exactly at 0)")
     mat = np.eye(grid.n)[::-1].copy()
-    return OperatorMatrix(grid, mat, kind="parity", boundary="exact", pad=0)
+    return OperatorMatrix(grid, mat, kind="parity")
 
 
 def build_eta_parity(a, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
@@ -171,7 +179,7 @@ def build_eta_parity(a, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     P = build_parity(grid)
     phase = 2.0 * cumint(a / bundle.U, grid, grid.index_nearest(0.0))
     mat = np.exp(1j * phase)[:, None] * P.mat
-    return OperatorMatrix(grid, mat, kind="eta_parity", boundary="exact", pad=0)
+    return OperatorMatrix(grid, mat, kind="eta_parity")
 
 
 def dirichlet_block(grid: Grid, order: int) -> np.ndarray:
@@ -206,23 +214,19 @@ def build_h_prime_block(V, a, ap, bundle: ProfileBundle, grid: Grid) -> Operator
     """Dirichlet interior-block Hamiltonian for dense eigendecomposition."""
     z = np.zeros(grid.n)
     coeffs = CoefficientSet.build(z, z, z, z, a, ap, bundle)
-    D1 = dirichlet_block(grid, 1)
-    D2 = dirichlet_block(grid, 2)
     s = slice(1, grid.n - 1)
-    mat = -_dscale(bundle.U[s]**2 + 0j, D2) - 2.0 * _dscale(coeffs.M1[s], D1)
-    np.fill_diagonal(mat, mat.diagonal() + coeffs.N1[s] + V[s])
-    return OperatorMatrix(grid, mat, kind="H_prime_block", boundary="dirichlet-block", pad=0)
+    mat = _second_order(bundle.U[s]**2, coeffs.M1[s], (coeffs.N1[s], V[s]),
+                        dirichlet_block(grid, 1), dirichlet_block(grid, 2))
+    return OperatorMatrix(grid, mat, kind="H_prime_block")
 
 
 def build_eta_tilde_block(coeffs: CoefficientSet, bundle: ProfileBundle,
                           grid: Grid) -> OperatorMatrix:
     """Dirichlet interior-block metric, for eta-weighted inner products."""
-    D1 = dirichlet_block(grid, 1)
-    D2 = dirichlet_block(grid, 2)
     s = slice(1, grid.n - 1)
-    mat = -_dscale(bundle.U[s]**2 + 0j, D2) - 2.0 * _dscale(coeffs.K[s], D1)
-    np.fill_diagonal(mat, mat.diagonal() + coeffs.L[s])
-    return OperatorMatrix(grid, mat, kind="eta_tilde_block", boundary="dirichlet-block", pad=0)
+    mat = _second_order(bundle.U[s]**2, coeffs.K[s], (coeffs.L[s],),
+                        dirichlet_block(grid, 1), dirichlet_block(grid, 2))
+    return OperatorMatrix(grid, mat, kind="eta_tilde_block")
 
 
 def default_probes(grid: Grid, count=8):
@@ -239,31 +243,38 @@ def default_probes(grid: Grid, count=8):
     return probes[:max(count, 8)]
 
 
+def tau_similarity_actions(h_prime: OperatorMatrix, h_prime_dagger: OperatorMatrix,
+                           tau_phase, probes):
+    """Pointwise maxima over the probes of |image v - H'^ v| and of |H'^ v|.
+
+    The antilinear map T e^{i alpha} conjugates matrix entries inside the
+    phase sandwich, so the similarity image of H' is conj(E H' E^{-1}) with
+    E = diag(e^{i alpha}); for a vanishing phase the image and the adjoint
+    matrix coincide entrywise and the first array is exactly zero.
+    """
+    E = np.exp(1j * tau_phase)
+    image = np.conj(E[:, None] * h_prime.mat * (1.0 / E)[None, :])
+    res = act = 0.0
+    for v in probes:
+        hv = h_prime_dagger.mat @ v
+        res = np.maximum(res, np.abs(image @ v - hv))
+        act = np.maximum(act, np.abs(hv))
+    return res, act
+
+
 def tau_similarity_residual(h_prime: OperatorMatrix, h_prime_dagger: OperatorMatrix,
                             tau_phase, probes=None, pad=8, xmargin=0.0):
     """Residual of the antilinear similarity between H' and its adjoint.
 
-    The antilinear map T e^{i alpha} conjugates matrix entries inside the
-    phase sandwich, so the similarity image is conj(E H' E^{-1}) with
-    E = diag(e^{i alpha}).  The residual is measured through probe actions
-    on the interior window, relative to the adjoint action scale; for a
-    vanishing phase the image and the adjoint matrix coincide entrywise and
-    the residual is exactly zero.
+    Measured through probe actions (:func:`tau_similarity_actions`) on the
+    interior window, relative to the adjoint action scale.
     """
     grid = h_prime.grid
-    E = np.exp(1j * tau_phase)
-    image = np.conj(E[:, None] * h_prime.mat * (1.0 / E)[None, :])
     if probes is None:
         probes = default_probes(grid)
+    res, act = tau_similarity_actions(h_prime, h_prime_dagger, tau_phase, probes)
     w = grid.interior_mask(pad, xmargin)
-    worst = 0.0
-    scale = 0.0
-    for v in probes:
-        rv = image @ v - h_prime_dagger.mat @ v
-        hv = h_prime_dagger.mat @ v
-        worst = max(worst, np.abs(rv[w]).max())
-        scale = max(scale, np.abs(hv[w]).max())
-    return worst / max(scale, 1e-300)
+    return res[w].max() / max(act[w].max(), 1e-300)
 
 
 MATRIX_MAGIC = b"PDMPHMAT"

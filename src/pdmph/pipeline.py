@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (DomainViolationError, GeneratingFunctionZeroError,
                      IOFormatError, InvalidDomainError)
-from .grid import Grid, GridFunction, cumint, diff_matrix
+from .grid import Grid, cumint, diff_matrix
 from .profiles import MassProfile, ProfileBundle
 
 G_ZERO_TOL = 1e-12
@@ -102,10 +102,6 @@ class DressedSystem:
     def phi(self):
         return self.f + 1j * self.g
 
-    @property
-    def A(self):
-        return self.a
-
 
 def _check_nonvanishing(g):
     if np.any(np.abs(g) < G_ZERO_TOL) or not np.all(np.isfinite(g)):
@@ -149,31 +145,6 @@ def _g_chain(family, alpha, mu):
     else:
         raise InvalidDomainError(f"no closed-form chain for family {family!r}")
     return G, G1, G2, G3
-
-
-def compute_f(g: GridFunction, bundle: ProfileBundle, gp=None) -> GridFunction:
-    """Companion function in mass-integral form: -g'/(2 mu' g) - mu''/(2 mu'^2)."""
-    gv = np.asarray(g.values, dtype=float)
-    _check_nonvanishing(gv)
-    if gp is None:
-        gp = diff_matrix(g.grid, 1) @ gv
-    f = -gp / (2.0 * bundle.mup * gv) - bundle.mupp / (2.0 * bundle.mup**2)
-    return GridFunction(g.grid, f)
-
-
-def compute_f_eq33(g: GridFunction, bundle: ProfileBundle, gp=None) -> GridFunction:
-    """Companion function in kinetic-weight form: (U' g - U g') / (2 g).
-
-    Algebraically identical to :func:`compute_f` since mu' = 1/U; both are
-    kept as independent routes and their pointwise agreement is a
-    standing self-test.
-    """
-    gv = np.asarray(g.values, dtype=float)
-    _check_nonvanishing(gv)
-    if gp is None:
-        gp = diff_matrix(g.grid, 1) @ gv
-    f = (bundle.Up * gv - bundle.U * gp) / (2.0 * gv)
-    return GridFunction(g.grid, f)
 
 
 def assemble_potential(f, fp, g, gp, bundle: ProfileBundle, delta=0.0):
@@ -275,18 +246,23 @@ def _gauge_arrays(spec: GeneratingSpec, grid: Grid, g, gp):
     raise InvalidDomainError(f"unknown gauge mode {spec.gauge_a[0]!r}")
 
 
-def load_g_table(path):
-    """Two-column CSV (x, g) -> (xs, values) for a custom-table generating function."""
+def load_xy_table(path, what):
+    """Read a two-column CSV table (x, y) with strictly increasing x.
+
+    Returns (xs, ys).  `what` names the table in error messages; every
+    failure to read or validate it raises IOFormatError.
+    """
     try:
         data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    except Exception as exc:
-        raise IOFormatError(f"could not read generating-function table {path}: {exc}") from None
-    if data.shape[1] != 2:
-        raise IOFormatError(f"generating-function table {path} must have two columns")
-    xs = data[:, 0]
-    if not np.all(np.diff(xs) > 0):
-        raise IOFormatError("generating-function table x column must be strictly increasing")
-    return xs, data[:, 1]
+    except (OSError, ValueError, TypeError) as exc:
+        raise IOFormatError(f"could not read {what} table {path}: {exc}") from None
+    if data.shape[1] != 2 or data.shape[0] < 2:
+        raise IOFormatError(f"{what} table {path} must have two columns and at least two rows")
+    if not np.all(np.isfinite(data)):
+        raise IOFormatError(f"{what} table {path} contains non-finite values")
+    if not np.all(np.diff(data[:, 0]) > 0):
+        raise IOFormatError(f"{what} table {path}: x column must be strictly increasing")
+    return data[:, 0], data[:, 1]
 
 
 def make_family(spec: GeneratingSpec, profile: MassProfile, grid: Grid) -> DressedSystem:

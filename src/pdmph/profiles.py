@@ -86,16 +86,6 @@ class MassProfile:
             raise NonpositiveMassError("mass table contains nonpositive masses")
         return cls("table", table=(xs, ms))
 
-    @classmethod
-    def from_csv(cls, path):
-        try:
-            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-        except Exception as exc:
-            raise IOFormatError(f"could not read mass table {path}: {exc}") from None
-        if data.shape[1] != 2:
-            raise IOFormatError(f"mass table {path} must have exactly two columns")
-        return cls.from_table(data[:, 0], data[:, 1])
-
     def sample(self, grid: Grid) -> ProfileBundle:
         """Evaluate the profile and all derived fields on a grid."""
         x = grid.x
@@ -142,7 +132,3 @@ class MassProfile:
         return ProfileBundle(grid, m, U, Up, Upp, mu, mup, mupp, muppp,
                              kind=self.kind, mu_anchor=anchor)
 
-
-def eval_profile(profile: MassProfile, grid: Grid) -> ProfileBundle:
-    """Sample a profile on a grid (free-function form of MassProfile.sample)."""
-    return profile.sample(grid)

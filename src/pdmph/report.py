@@ -83,7 +83,48 @@ def resolve_config(given=None, overrides=None):
     return cfg
 
 
+_NUMBERS = ("alpha", "delta", "g_const", "mass.scale", "gauge.scale",
+            *(f"tolerances.{key}" for key in DEFAULT_TOLERANCES))
+_NUMBERS_OR_NULL = ("grid.xmin", "grid.xmax", "detune")
+_INTEGERS = ("grid.n", "probes", "jobs")
+
+
+def _field(cfg, key):
+    for part in key.split("."):
+        cfg = cfg[part]
+    return cfg
+
+
+def _is_number(value, kind=(int, float)):
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _validate_types(cfg):
+    """Reject wrongly typed values (booleans count as wrong) before anything uses them.
+
+    Refinement and eigensolve levels are sorted, so that no verdict depends
+    on the order they were given in; a repeated level is rejected.
+    """
+    for key in _NUMBERS + _NUMBERS_OR_NULL:
+        value = _field(cfg, key)
+        if not (_is_number(value) or (value is None and key in _NUMBERS_OR_NULL)):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+    for key in _INTEGERS:
+        if not _is_number(_field(cfg, key), int):
+            raise ConfigError(f"{key} must be an integer, got {_field(cfg, key)!r}")
+    for key in ("refine", "eig_levels"):
+        levels = cfg[key]
+        if not isinstance(levels, list) or not all(_is_number(n, int) for n in levels):
+            raise ConfigError(f"{key} must be a list of integers, got {levels!r}")
+        if len(set(levels)) != len(levels):
+            raise ConfigError(f"{key} repeats a level: {levels}")
+        cfg[key] = sorted(levels)
+    if not isinstance(cfg["checks"], list) or not all(isinstance(c, str) for c in cfg["checks"]):
+        raise ConfigError(f"checks must be a list of check names, got {cfg['checks']!r}")
+
+
 def _validate(cfg):
+    _validate_types(cfg)
     fam = cfg["family"]
     if fam not in FAMILIES and fam not in ("custom-table",) + SYSTEM_PRESETS:
         raise ConfigError(f"unknown family {fam!r}")
@@ -98,13 +139,16 @@ def _validate(cfg):
         raise ConfigError(f"unknown checks {sorted(unknown)}")
     if len(cfg["refine"]) < 3:
         raise ConfigError("refine needs at least three levels for order fits")
+    if "spectrum" in cfg["checks"] and len(cfg["eig_levels"]) < 2:
+        raise ConfigError("the spectrum check compares two eig_levels")
     if cfg["grid"]["xmin"] is None or cfg["grid"]["xmax"] is None:
         domain = CATALOG.get(fam, (None, (-8.0, 8.0), None))[1]
         cfg["grid"]["xmin"], cfg["grid"]["xmax"] = domain
     if cfg["corruption"] is not None:
         cor = cfg["corruption"]
-        if not isinstance(cor, dict) or set(cor) - {"target", "amount"}:
-            raise ConfigError("corruption must be {target, amount}")
+        if (not isinstance(cor, dict) or set(cor) - {"target", "amount"}
+                or not _is_number(cor.get("amount", 0.1))):
+            raise ConfigError("corruption must be {target, amount} with a numeric amount")
 
 
 # ---------------------------------------------------------------------------

@@ -249,3 +249,99 @@ def test_no_color_env(tmp_path, monkeypatch, capsys):
     run(["verify", "--family", "morse", "--refine", "301,501,1001",
          "--checks", "eq25", "--out", str(out)])
     assert "\x1b[" not in capsys.readouterr().out
+
+
+def test_refine_order_does_not_change_checks(tmp_path):
+    payloads = []
+    for refine in ("801,401,201", "201,401,801"):
+        out = tmp_path / f"{refine}.json"
+        run(["verify", "--family", "morse", "--refine", refine,
+             "--checks", "intertwining,groundstate", "--out", str(out)])
+        payloads.append(json.loads(out.read_text())["payload"])
+    assert payloads[0]["config"]["refine"] == [201, 401, 801]
+    assert payloads[0]["checks"] == payloads[1]["checks"]
+
+
+def test_verify_free_preset_default_checks(tmp_path):
+    # checks that need a dressed system are skipped for the free preset
+    out = tmp_path / "rep.json"
+    assert run(["verify", "--family", "free", "--refine", "201,401,801",
+                "--out", str(out)]) == 0
+    names = [c["name"] for c in json.loads(out.read_text())["payload"]["checks"]]
+    assert names == ["eq28", "intertwining", "eta-hermiticity", "eta-dual"]
+
+
+@pytest.mark.parametrize("kind", ["mass", "g", "gauge"])
+@pytest.mark.parametrize("content", [None, "0\n1\n2\n3\n4\n", "0,1\n2,1\n1,1\n3,1\n4,1\n"],
+                         ids=["missing-file", "one-column", "non-increasing-x"])
+def test_table_input_errors_exit_10(tmp_path, kind, content):
+    path = tmp_path / "table.csv"
+    if content is not None:
+        path.write_text(content)
+    flags = {"mass": ["--mass", f"table:path={path}"],
+             "g": ["--family", "custom-table", "--g-table", str(path)],
+             "gauge": ["--gauge", f"table:path={path}"]}[kind]
+    assert run(["generate", *flags, "--xmin", "0.5", "--xmax", "3.5", "--n", "101",
+                "--out", str(tmp_path / "out.csv")]) == 10
+
+
+def _failing_eig(mat):
+    raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+
+# one case per row of the README exit-code table; each row's other tests
+# live with the feature they exercise
+@pytest.mark.parametrize("argv,config,code", [
+    (["generate", "--family", "scarf2", "--n", "101"], None, 0),
+    (["verify"], {"grid": {"n": "abc"}}, 2),
+    (["verify"], {"jobs": True}, 2),
+    (["verify"], {"tolerances": {"residual": "tight"}}, 2),
+    (["verify"], {"eig_levels": [501, 501]}, 2),
+    (["verify", "--checks", "spectrum"], {"eig_levels": [501]}, 2),
+    (["verify", "--refine", "401,401,401"], None, 2),
+    (["verify", "--refine", "201,x,801"], None, 2),
+    (["verify", "--mass", "constant:scale=heavy"], None, 2),
+    (["generate", "--n", "5"], None, 3),
+    (["generate", "--mass", "constant:scale=-1", "--n", "101"], None, 4),
+    (["verify", "--family", "hermitian-limit", "--g-const", "0",
+      "--refine", "101,201,401", "--checks", "eq25"], None, 5),
+    (["generate", "--family", "morse", "--xmin", "-800", "--xmax", "10", "--n", "101"], None, 6),
+    (["verify", "--refine", "101,201,401", "--checks", "eq25"],
+     {"tolerances": {"residual": 1e-300}}, 7),
+    (["spectrum", "--family", "free", "--xmin", "-8", "--xmax", "8", "--n", "4002"], None, 8),
+    (["spectrum", "--family", "morse", "--mass", "rational", "--xmin", "-3", "--xmax", "4",
+      "--n", "201"], "failing-eig", 9),
+    (["verify", "--config", "missing.json"], None, 10),
+], ids=["0-success", "2-string-n", "2-bool-jobs", "2-string-tolerance",
+        "2-repeated-eig-level", "2-one-eig-level-for-spectrum", "2-repeated-refine-level", "2-refine-not-int",
+        "2-mass-scale-not-number", "3-grid-too-small", "4-negative-mass",
+        "5-vanishing-g", "6-singularity", "7-check-fails", "8-budget",
+        "9-eigensolver-fails", "10-unreadable-config"])
+def test_exit_codes(tmp_path, monkeypatch, argv, config, code):
+    monkeypatch.chdir(tmp_path)
+    if config == "failing-eig":
+        monkeypatch.setattr(np.linalg, "eig", _failing_eig)
+    elif config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "c.json"]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == code
+
+
+def test_trace_window_max_is_payload_residual(tmp_path):
+    from pdmph import make_grid
+    from pdmph.verify import PAD, TRACEABLE
+    out, traces = tmp_path / "rep.json", tmp_path / "traces"
+    run(["verify", "--family", "morse", "--gauge", "scaled-g:scale=0.5",
+         "--refine", "201,401,801", "--checks", ",".join(TRACEABLE),
+         "--out", str(out), "--trace-dir", str(traces)])
+    checks = {c["name"]: c for c in json.loads(out.read_text())["payload"]["checks"]}
+    grid = make_grid(-2.0, 10.0, 801)
+    window = grid.interior_mask(PAD, PAD * 12.0 / 200)
+    for name in TRACEABLE:
+        with open(traces / f"{name}.csv") as fh:
+            header = fh.readline().strip().split(",")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        assert header[0] == "x" and np.array_equal(data[:, 0], grid.x)
+        for j, result in enumerate(header[1:], start=1):
+            expected = checks[result]["levels"][-1]["residual"]
+            assert f"{data[window, j].max():.16e}" == f"{expected:.16e}", result

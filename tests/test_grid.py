@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pdmph import InvalidDomainError, cumint, diff_matrix, make_grid, observed_order
-from pdmph.grid import GridFunction, cumulative_integral
 
 
 def test_make_grid_rejects_small_n():
@@ -86,10 +85,9 @@ def test_cumulative_integral_polynomial_exact():
 
 def test_cumulative_integral_anchor():
     g = make_grid(0.0, 6.0, 301)
-    gf = GridFunction(g, np.cos(g.x))
-    F = cumulative_integral(gf, 100)
-    assert F.values[100] == 0.0
-    assert abs(F.values[200] - (np.sin(g.x[200]) - np.sin(g.x[100]))) < 1e-10
+    F = cumint(np.cos(g.x), g, 100)
+    assert F[100] == 0.0
+    assert abs(F[200] - (np.sin(g.x[200]) - np.sin(g.x[100]))) < 1e-10
 
 
 def test_quadrature_differentiation_roundtrip():

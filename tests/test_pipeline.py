@@ -3,11 +3,34 @@ import pytest
 
 from pdmph import (CATALOG, FAMILIES, DomainViolationError,
                    GeneratingFunctionZeroError, GeneratingSpec, MassProfile,
-                   assemble_potential, compute_f, compute_f_eq33,
-                   effective_potential, make_family, make_grid,
-                   printed_potential, to_csv)
-from pdmph.grid import GridFunction
-from pdmph.pipeline import CSV_COLUMNS, ground_state
+                   assemble_potential, diff_matrix, effective_potential,
+                   make_family, make_grid, printed_potential, to_csv)
+from pdmph.pipeline import CSV_COLUMNS, _check_nonvanishing, ground_state
+
+
+# Two independent routes to the companion function, kept here as oracles:
+# make_family computes f inline, and their pointwise agreement is a
+# standing self-test.
+
+def compute_f(g, bundle, gp=None):
+    """Companion function in mass-integral form: -g'/(2 mu' g) - mu''/(2 mu'^2)."""
+    g = np.asarray(g, dtype=float)
+    _check_nonvanishing(g)
+    if gp is None:
+        gp = diff_matrix(bundle.grid, 1) @ g
+    return -gp / (2.0 * bundle.mup * g) - bundle.mupp / (2.0 * bundle.mup**2)
+
+
+def compute_f_eq33(g, bundle, gp=None):
+    """Companion function in kinetic-weight form: (U' g - U g') / (2 g).
+
+    Algebraically identical to compute_f since mu' = 1/U.
+    """
+    g = np.asarray(g, dtype=float)
+    _check_nonvanishing(g)
+    if gp is None:
+        gp = diff_matrix(bundle.grid, 1) @ g
+    return (bundle.Up * g - bundle.U * gp) / (2.0 * g)
 
 
 def dressed(family, alpha=1.0, profile=None, domain=None, n=801, **kw):
@@ -24,26 +47,26 @@ def dressed(family, alpha=1.0, profile=None, domain=None, n=801, **kw):
 def test_compute_f_harmonic_constant_mass():
     g = make_grid(0.1, 10, 991)          # node exactly at x = 2
     b = MassProfile.constant().sample(g)
-    f = compute_f(GridFunction(g, 1.0 * b.mu), b, gp=np.ones(g.n))
+    f = compute_f(1.0 * b.mu, b, gp=np.ones(g.n))
     i2 = g.index_nearest(2.0)
     assert g.x[i2] == pytest.approx(2.0, abs=1e-12)
-    assert f.values[i2] == pytest.approx(-0.25, abs=1e-12)
+    assert f[i2] == pytest.approx(-0.25, abs=1e-12)
 
 
 def test_compute_f_morse_constant_mass():
     g = make_grid(-2, 10, 801)
     b = MassProfile.constant().sample(g)
     gv = np.exp(-2.0 * b.mu)
-    f = compute_f(GridFunction(g, gv), b, gp=-2.0 * gv)
-    assert np.abs(f.values - 1.0).max() < 1e-12
+    f = compute_f(gv, b, gp=-2.0 * gv)
+    assert np.abs(f - 1.0).max() < 1e-12
 
 
 def test_compute_f_harmonic_rational_mass():
     g = make_grid(0.1, 10, 991)          # node exactly at x = 1
     b = MassProfile.rational().sample(g)
-    f = compute_f(GridFunction(g, 1.0 * b.mu), b, gp=1.0 * b.mup)
+    f = compute_f(1.0 * b.mu, b, gp=1.0 * b.mup)
     i1 = g.index_nearest(1.0)
-    assert f.values[i1] == pytest.approx(-2.0 / np.pi + 1.0, abs=1e-9)
+    assert f[i1] == pytest.approx(-2.0 / np.pi + 1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -52,23 +75,23 @@ def test_f_two_forms_agree(family, profile):
     ds = dressed(family, profile=profile,
                  domain=(0.25, 8.0) if CATALOG[family][2] else (-4.0, 4.0))
     b = ds.bundle
-    f33 = compute_f_eq33(GridFunction(ds.grid, ds.g), b, gp=ds.gp)
-    assert np.abs(f33.values - ds.f).max() < 1e-12
+    f33 = compute_f_eq33(ds.g, b, gp=ds.gp)
+    assert np.abs(f33 - ds.f).max() < 1e-12
 
 
 def test_constant_g_gives_f_half_uprime():
     g = make_grid(-4, 4, 801)
     b = MassProfile.rational().sample(g)
     c = np.full(g.n, 0.7)
-    f = compute_f_eq33(GridFunction(g, c), b, gp=np.zeros(g.n))
-    assert np.abs(f.values - b.Up / 2.0).max() < 1e-12
+    f = compute_f_eq33(c, b, gp=np.zeros(g.n))
+    assert np.abs(f - b.Up / 2.0).max() < 1e-12
 
 
 def test_vanishing_g_rejected():
     g = make_grid(-4, 4, 801)
     b = MassProfile.constant().sample(g)
     with pytest.raises(GeneratingFunctionZeroError):
-        compute_f(GridFunction(g, g.x.copy()), b)  # crosses zero
+        compute_f(g.x.copy(), b)  # crosses zero
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +159,7 @@ def test_closure_convergence_rational():
         gv = np.exp(-b.mu)
         D1 = diff_matrix(g, 1)
         gp, gpp = D1 @ gv, D1 @ (D1 @ gv)
-        f = compute_f(GridFunction(g, gv), b, gp=gp).values
+        f = compute_f(gv, b, gp=gp)
         fp = D1 @ f
         V = assemble_potential(f, fp, gv, gp, b)
         Veff, Vmu = effective_potential(gv, gp, gpp, b)

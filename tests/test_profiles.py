@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pdmph import (InvalidDomainError, MassProfile, NonpositiveMassError,
-                   diff_matrix, eval_profile, make_grid)
+                   diff_matrix, make_grid)
 from pdmph.errors import IOFormatError
 
 
@@ -84,7 +84,7 @@ def test_table_mu_convergence():
     errs, hs = [], []
     for n in (201, 401, 801):
         g = make_grid(-8, 8, n)
-        b = eval_profile(prof, g)
+        b = prof.sample(g)
         errs.append(np.abs(b.mu - np.arctan(g.x)).max())
         hs.append(g.h)
     assert errs[-1] < 1e-8

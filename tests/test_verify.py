@@ -267,7 +267,7 @@ def test_box_spectrum_oracle():
 
 def test_eigendecompose_budget():
     g = make_grid(-1, 1, 5001)
-    fake = OperatorMatrix(g, np.zeros((4999, 4999), complex), boundary="dirichlet-block")
+    fake = OperatorMatrix(g, np.zeros((4999, 4999), complex))
     with pytest.raises(BudgetExceededError):
         eigendecompose(fake)
 
