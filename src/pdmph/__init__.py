@@ -8,7 +8,7 @@ The package builds, on uniform grids with 4th-order finite differences:
   * catalog and custom generating-function systems: companion function f,
     complex potential V, mass-free effective potential, ground-state pair
     (psi, xi) and the unit-modulus gauge factor (``pipeline``),
-  * dense realizations of the first-order operators, the metric, the
+  * sparse (CSR) realizations of the first-order operators, the metric, the
     Hamiltonian and its adjoint, parity metrics and the antilinear
     similarity (``operators``),
   * residual checks with grid-refinement convergence orders, dense spectra

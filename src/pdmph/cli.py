@@ -90,10 +90,14 @@ def _builder_from(cfg) -> SystemBuilder:
                          spec=spec, corruption=corruption)
 
 
+def _mu_anchor(builder, n):
+    """The mass-integral anchor convention at resolution n (profile only)."""
+    return builder.profile.sample(builder.grid(n)).mu_anchor
+
+
 def _conventions(builder, cfg):
-    bundle = builder.inputs(min(cfg["refine"])).bundle
     return {
-        "mu_anchor": bundle.mu_anchor,
+        "mu_anchor": _mu_anchor(builder, min(cfg["refine"])),
         "boundary_policy": ("one-sided 4th-order closures on the full grid; "
                            "Dirichlet interior block with odd-reflection closure "
                            "for eigenproblems"),
@@ -232,7 +236,7 @@ def cmd_spectrum(args):
     payload = {
         "toolkit": {"name": "pdmph", "version": __version__},
         "config": cfg,
-        "mu_anchor": builder.inputs(n).bundle.mu_anchor,
+        "mu_anchor": _mu_anchor(builder, n),
         "spectral": spectral_payload(sp, cap=int(getattr(args, "list_cap", 64) or 64)),
     }
     out = cfg["out"]

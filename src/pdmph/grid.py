@@ -9,6 +9,8 @@ the central stencils apply.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,17 +60,29 @@ class Grid:
 
 @dataclass
 class OperatorMatrix:
-    """Dense operator on a grid; `kind` names the operator it realizes.
+    """Sparse operator on a grid; `kind` names the operator it realizes.
 
-    Application to a vector is plain matrix multiplication (`op @ v`).
+    The operator is held as a `scipy.sparse.csr_array` (a dense array
+    given to the constructor is converted), and application to a vector
+    is a sparse product (`op @ v`).  `mat` is a dense view that allocates
+    all n^2 entries: it serves matrix export, dense eigensolves and tests.
     """
 
     grid: Grid
-    mat: np.ndarray = field(repr=False)
+    csr: object = field(repr=False)
     kind: str = ""
 
+    def __post_init__(self):
+        from scipy.sparse import csr_array
+        self.csr = csr_array(self.csr)
+
+    @property
+    def mat(self):
+        """Dense copy of the operator (n^2 entries)."""
+        return self.csr.toarray()
+
     def apply(self, v):
-        return self.mat @ v
+        return self.csr @ v
 
     __matmul__ = apply
 
@@ -105,27 +119,66 @@ def _weights(offsets, order):
     return np.linalg.solve(A, b)
 
 
+def _banded_csr(counts, indices, data, n):
+    """Read-only n x n CSR matrix with counts[i] entries in row i."""
+    from scipy.sparse import csr_array
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    S = csr_array((data, indices, indptr), shape=(n, n))
+    for a in (S.data, S.indices, S.indptr):
+        a.flags.writeable = False
+    return S
+
+
+def _build_stencil(grid: Grid, order: int):
+    """The differentiation matrix of one order, as CSR.
+
+    Both orders share one sparsity pattern: 5 entries per interior row and
+    6 per edge row (the first-derivative closures store an explicit zero in
+    the sixth place), so operators combining them are assembled entry by
+    entry on the same positions.
+    """
+    n, h = grid.n, grid.h
+    nb = 6 if order == 2 else 5
+    near, far = np.zeros((2, 6)), np.zeros((2, 6))
+    for i in (0, 1):
+        near[i, :nb] = _weights(np.arange(nb) - i, order)
+    for k, i in enumerate((n - 2, n - 1)):
+        far[k, 6 - nb:] = _weights(np.arange(-nb + 1, 1) + (n - 1 - i), order)
+    interior = np.tile(_weights(np.arange(-2, 3), order), n - 4)
+    counts = np.full(n, 5)
+    counts[[0, 1, -2, -1]] = 6
+    cols = np.concatenate((np.tile(np.arange(6), 2),
+                           (np.arange(2, n - 2)[:, None] + np.arange(-2, 3)).ravel(),
+                           np.tile(np.arange(n - 6, n), 2)))
+    data = np.concatenate((near.ravel(), interior, far.ravel())) / h**order
+    return _banded_csr(counts, cols, data, n)
+
+
+_STENCIL_CACHE_SIZE = 8
+_stencils = OrderedDict()       # (xmin, xmax, n, order) -> read-only CSR
+_stencil_lock = threading.Lock()
+
+
 def diff_matrix(grid: Grid, order: int) -> OperatorMatrix:
-    """Dense differentiation matrix, 4th-order accurate.
+    """Sparse differentiation matrix, 4th-order accurate.
 
     Interior rows carry the 5-point central stencil; the two rows nearest
     each edge use one-sided stencils of the same order (6 points for the
     second derivative).  Central-stencil accuracy holds on the interior
-    window (pad 4).
+    window (pad 4).  Stencils are cached per (xmin, xmax, n, order), the
+    least recently used dropped first; the cached arrays are read-only.
     """
     if order not in (1, 2):
         raise InvalidDomainError(f"derivative order must be 1 or 2, got {order}")
-    n, h = grid.n, grid.h
-    nb = 6 if order == 2 else 5
-    D = np.zeros((n, n))
-    w_int = _weights(np.arange(-2, 3), order)
-    rows = np.arange(2, n - 2)
-    for off, wv in zip(range(-2, 3), w_int):
-        D[rows, rows + off] = wv
-    for i in (0, 1, n - 2, n - 1):
-        offs = (np.arange(nb) - i) if i < 2 else (np.arange(-nb + 1, 1) + (n - 1 - i))
-        D[i, i + offs.astype(int)] = _weights(offs, order)
-    return OperatorMatrix(grid, D / h**order, kind=f"derivative-{order}")
+    key = (grid.xmin, grid.xmax, grid.n, order)
+    with _stencil_lock:
+        S = _stencils.pop(key, None)
+        if S is None:
+            S = _build_stencil(grid, order)
+        _stencils[key] = S
+        if len(_stencils) > _STENCIL_CACHE_SIZE:
+            _stencils.popitem(last=False)
+    return OperatorMatrix(grid, S, kind=f"derivative-{order}")
 
 
 _quad_cache = {}

@@ -1,4 +1,4 @@
-"""Dense matrix realizations of the first- and second-order operators.
+"""Sparse (CSR) realizations of the first- and second-order operators.
 
 Conventions:
   D      = U d/dx + phi                 with phi = f + i g
@@ -20,6 +20,11 @@ For eigenproblems the operators are assembled on the interior block
 (Dirichlet walls) with an odd-reflection closure, which keeps the
 discretization 4th-order accurate for wall-vanishing modes and keeps real
 symmetric problems exactly symmetric.
+
+Every operator is banded (the product form of eta~ has 9 bands), so each is
+stored as CSR and assembled entry by entry from the cached stencils: a
+row-scaled stencil plus diagonal terms added in a fixed order.  Only
+eigensolves and matrix export take a dense copy.
 """
 
 from __future__ import annotations
@@ -30,27 +35,45 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDomainError
-from .grid import Grid, OperatorMatrix, cumint, diff_matrix
+from .grid import Grid, OperatorMatrix, _banded_csr, cumint, diff_matrix
 from .profiles import ProfileBundle
 
 
-def _dscale(diag, M):
-    """diag(diag) @ M without forming the diagonal matrix."""
-    return diag[:, None] * M
+def _rows(S):
+    """Row index of every stored entry of the CSR matrix S."""
+    return np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+
+
+def _on_pattern(S, data, diagonal_terms):
+    """CSR matrix with S's sparsity pattern holding `data`, plus diagonal terms.
+
+    The terms are added to the diagonal one after another, so that each
+    caller's rounding is that of its own written sum.
+    """
+    from scipy.sparse import csr_array
+    d = np.flatnonzero(S.indices == _rows(S))
+    diag = data[d]
+    for term in diagonal_terms:
+        diag = diag + term
+    data[d] = diag
+    return csr_array((data, S.indices, S.indptr), shape=S.shape)
 
 
 def _second_order(c2, c1, c0, D1, D2):
-    """Matrix of -c2 d2 - 2 c1 d1 + c0 from derivative matrices D1 and D2.
+    """CSR matrix of -c2 d2 - 2 c1 d1 + c0 from derivative matrices D1 and D2.
 
-    c0 is a sequence of diagonal terms, added one after another so that
-    each caller's rounding is that of its own written sum.
+    D1 and D2 share one sparsity pattern, so the row-scaled stencils
+    combine entry by entry; c0 is a sequence of diagonal terms.
     """
-    mat = -_dscale(c2 + 0j, D2) - 2.0 * _dscale(c1, D1)
-    diag = mat.diagonal()
-    for term in c0:
-        diag = diag + term
-    np.fill_diagonal(mat, diag)
-    return mat
+    rows = _rows(D2)
+    data = -((c2 + 0j)[rows] * D2.data) - 2.0 * (c1[rows] * D1.data)
+    return _on_pattern(D2, data, c0)
+
+
+def _first_order(U, sign, terms, grid):
+    """CSR matrix of sign * U d/dx plus the diagonal terms, added in turn."""
+    D1 = diff_matrix(grid, 1).csr
+    return _on_pattern(D1, sign * ((U + 0j)[_rows(D1)] * D1.data), terms)
 
 
 @dataclass
@@ -87,34 +110,25 @@ class CoefficientSet:
 
 def build_d(phi, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     """First-order operator U d/dx + phi."""
-    D1 = diff_matrix(grid, 1)
-    mat = _dscale(bundle.U + 0j, D1.mat)
-    np.fill_diagonal(mat, mat.diagonal() + phi)
-    return OperatorMatrix(grid, mat, kind="D")
+    return OperatorMatrix(grid, _first_order(bundle.U, 1.0, (phi,), grid), kind="D")
 
 
 def build_d_dagger(phi, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     """Formal adjoint -d/dx U + conj(phi), expanded as -U d/dx - U' + conj(phi)."""
-    D1 = diff_matrix(grid, 1)
-    mat = -_dscale(bundle.U + 0j, D1.mat)
-    np.fill_diagonal(mat, mat.diagonal() - bundle.Up + np.conj(phi))
+    mat = _first_order(bundle.U, -1.0, (-bundle.Up, np.conj(phi)), grid)
     return OperatorMatrix(grid, mat, kind="D_dagger")
 
 
 def build_d_tilde(phi, a, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     """Gauge-shifted operator D - i a; the shift is exact at matrix level."""
-    op = build_d(phi, bundle, grid)
-    np.fill_diagonal(op.mat, op.mat.diagonal() - 1j * a)
-    op.kind = "D_tilde"
-    return op
+    mat = _first_order(bundle.U, 1.0, (phi, -1j * a), grid)
+    return OperatorMatrix(grid, mat, kind="D_tilde")
 
 
 def build_d_tilde_dagger(phi, a, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     """Adjoint of the gauge-shifted operator: D^ + i conj(a)."""
-    op = build_d_dagger(phi, bundle, grid)
-    np.fill_diagonal(op.mat, op.mat.diagonal() + 1j * np.conj(a))
-    op.kind = "D_tilde_dagger"
-    return op
+    mat = _first_order(bundle.U, -1.0, (-bundle.Up, np.conj(phi), 1j * np.conj(a)), grid)
+    return OperatorMatrix(grid, mat, kind="D_tilde_dagger")
 
 
 def build_eta_tilde(coeffs: CoefficientSet, bundle: ProfileBundle, grid: Grid,
@@ -127,14 +141,14 @@ def build_eta_tilde(coeffs: CoefficientSet, bundle: ProfileBundle, grid: Grid,
     """
     if mode == "direct":
         mat = _second_order(bundle.U**2, coeffs.K, (coeffs.L,),
-                            diff_matrix(grid, 1).mat, diff_matrix(grid, 2).mat)
+                            diff_matrix(grid, 1).csr, diff_matrix(grid, 2).csr)
         return OperatorMatrix(grid, mat, kind="eta_tilde")
     if mode == "product":
         if phi is None or a is None:
             raise InvalidDomainError("product mode needs phi and a")
         dt = build_d_tilde(phi, a, bundle, grid)
         dtd = build_d_tilde_dagger(phi, a, bundle, grid)
-        return OperatorMatrix(grid, dtd.mat @ dt.mat, kind="eta_tilde_product")
+        return OperatorMatrix(grid, dtd.csr @ dt.csr, kind="eta_tilde_product")
     raise InvalidDomainError(f"unknown eta_tilde mode {mode!r}")
 
 
@@ -145,7 +159,7 @@ def build_h_prime(V, a, ap, bundle: ProfileBundle, grid: Grid,
         z = np.zeros(grid.n)
         coeffs = CoefficientSet.build(z, z, z, z, a, ap, bundle)
     mat = _second_order(bundle.U**2, coeffs.M1, (coeffs.N1, V),
-                        diff_matrix(grid, 1).mat, diff_matrix(grid, 2).mat)
+                        diff_matrix(grid, 1).csr, diff_matrix(grid, 2).csr)
     return OperatorMatrix(grid, mat, kind="H_prime")
 
 
@@ -156,7 +170,7 @@ def build_h_prime_dagger(V, a, ap, bundle: ProfileBundle, grid: Grid,
         z = np.zeros(grid.n)
         coeffs = CoefficientSet.build(z, z, z, z, a, ap, bundle)
     mat = _second_order(bundle.U**2, coeffs.M2, (coeffs.N2, np.conj(V)),
-                        diff_matrix(grid, 1).mat, diff_matrix(grid, 2).mat)
+                        diff_matrix(grid, 1).csr, diff_matrix(grid, 2).csr)
     return OperatorMatrix(grid, mat, kind="H_prime_dagger")
 
 
@@ -165,8 +179,9 @@ def build_parity(grid: Grid) -> OperatorMatrix:
     if not grid.parity_capable:
         raise InvalidDomainError(
             "parity operator needs xmin = -xmax and odd n (a node exactly at 0)")
-    mat = np.eye(grid.n)[::-1].copy()
-    return OperatorMatrix(grid, mat, kind="parity")
+    n = grid.n
+    return OperatorMatrix(grid, _banded_csr(np.ones(n, int), np.arange(n)[::-1],
+                                            np.ones(n), n), kind="parity")
 
 
 def build_eta_parity(a, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
@@ -176,38 +191,43 @@ def build_eta_parity(a, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     uneven inputs is measured entrywise (the matrix has one entry per row, no
     stencil is involved).
     """
-    P = build_parity(grid)
+    P = build_parity(grid).csr
     phase = 2.0 * cumint(a / bundle.U, grid, grid.index_nearest(0.0))
-    mat = np.exp(1j * phase)[:, None] * P.mat
-    return OperatorMatrix(grid, mat, kind="eta_parity")
+    return OperatorMatrix(grid, _on_pattern(P, np.exp(1j * phase) * P.data, ()),
+                          kind="eta_parity")
 
 
-def dirichlet_block(grid: Grid, order: int) -> np.ndarray:
-    """Interior-block derivative matrix with odd reflection through the walls.
+def _dirichlet_stencil(grid: Grid, order: int):
+    """Interior-block derivative matrix (CSR) with odd reflection through the walls.
 
-    Dirichlet eigenmodes vanish linearly at the walls, so the odd extension
-    is smooth to the order of the stencil; the closure keeps 4th-order
-    eigenvalue accuracy and keeps the pure second-derivative block exactly
-    symmetric.
+    Both orders store the same pentadiagonal pattern, the zero centre
+    weight of the first derivative included.
     """
-    n, h = grid.n, grid.h
-    m = n - 2
+    h, m = grid.h, grid.n - 2
     if order == 1:
         c = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
     elif order == 2:
         c = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
     else:
         raise InvalidDomainError(f"derivative order must be 1 or 2, got {order}")
-    D = np.zeros((m, m))
-    idx = np.arange(m)
-    for k, off in enumerate(range(-2, 3)):
-        j = idx + off
-        ok = (j >= 0) & (j < m)
-        D[idx[ok], j[ok]] += c[k]
+    band = np.tile(c, (m, 1))
     # odd images: node -1 mirrors interior node 0, node n mirrors node m-1
-    D[0, 0] -= c[0]
-    D[m - 1, m - 1] -= c[4]
-    return D
+    band[0, 2] -= c[0]
+    band[m - 1, 2] -= c[4]
+    cols = np.arange(m)[:, None] + np.arange(-2, 3)
+    inside = (cols >= 0) & (cols < m)
+    return _banded_csr(inside.sum(axis=1), cols[inside], band[inside], m)
+
+
+def dirichlet_block(grid: Grid, order: int) -> np.ndarray:
+    """Interior-block derivative matrix with odd reflection through the walls (dense).
+
+    Dirichlet eigenmodes vanish linearly at the walls, so the odd extension
+    is smooth to the order of the stencil; the closure keeps 4th-order
+    eigenvalue accuracy and keeps the pure second-derivative block exactly
+    symmetric.  The block operators use the sparse form of the same matrix.
+    """
+    return _dirichlet_stencil(grid, order).toarray()
 
 
 def build_h_prime_block(V, a, ap, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
@@ -216,7 +236,7 @@ def build_h_prime_block(V, a, ap, bundle: ProfileBundle, grid: Grid) -> Operator
     coeffs = CoefficientSet.build(z, z, z, z, a, ap, bundle)
     s = slice(1, grid.n - 1)
     mat = _second_order(bundle.U[s]**2, coeffs.M1[s], (coeffs.N1[s], V[s]),
-                        dirichlet_block(grid, 1), dirichlet_block(grid, 2))
+                        _dirichlet_stencil(grid, 1), _dirichlet_stencil(grid, 2))
     return OperatorMatrix(grid, mat, kind="H_prime_block")
 
 
@@ -225,12 +245,12 @@ def build_eta_tilde_block(coeffs: CoefficientSet, bundle: ProfileBundle,
     """Dirichlet interior-block metric, for eta-weighted inner products."""
     s = slice(1, grid.n - 1)
     mat = _second_order(bundle.U[s]**2, coeffs.K[s], (coeffs.L[s],),
-                        dirichlet_block(grid, 1), dirichlet_block(grid, 2))
+                        _dirichlet_stencil(grid, 1), _dirichlet_stencil(grid, 2))
     return OperatorMatrix(grid, mat, kind="eta_tilde_block")
 
 
 def default_probes(grid: Grid, count=8):
-    """Smooth probe vectors: low-frequency sine/cosine pairs and Gaussian bumps."""
+    """`count` smooth probe vectors: low-frequency sine/cosine pairs."""
     s = (grid.x - grid.xmin) / (grid.xmax - grid.xmin)
     probes = []
     k = 1
@@ -238,9 +258,7 @@ def default_probes(grid: Grid, count=8):
         probes.append(np.sin(2.0 * np.pi * k * s + 0.3 * k))
         probes.append(np.cos(2.0 * np.pi * k * s - 0.2 * k))
         k += 1
-    for c, wdt in ((0.35, 0.10), (0.62, 0.14)):
-        probes.append(np.exp(-((s - c) / wdt) ** 2))
-    return probes[:max(count, 8)]
+    return probes[:count]
 
 
 def tau_similarity_actions(h_prime: OperatorMatrix, h_prime_dagger: OperatorMatrix,
@@ -249,14 +267,16 @@ def tau_similarity_actions(h_prime: OperatorMatrix, h_prime_dagger: OperatorMatr
 
     The antilinear map T e^{i alpha} conjugates matrix entries inside the
     phase sandwich, so the similarity image of H' is conj(E H' E^{-1}) with
-    E = diag(e^{i alpha}); for a vanishing phase the image and the adjoint
-    matrix coincide entrywise and the first array is exactly zero.
+    E = diag(e^{i alpha}), built on the sparsity pattern of H'; for a
+    vanishing phase the image and the adjoint matrix coincide entrywise
+    and the first array is exactly zero.
     """
+    H = h_prime.csr
     E = np.exp(1j * tau_phase)
-    image = np.conj(E[:, None] * h_prime.mat * (1.0 / E)[None, :])
+    image = _on_pattern(H, np.conj(E[_rows(H)] * H.data * (1.0 / E)[H.indices]), ())
     res = act = 0.0
     for v in probes:
-        hv = h_prime_dagger.mat @ v
+        hv = h_prime_dagger @ v
         res = np.maximum(res, np.abs(image @ v - hv))
         act = np.maximum(act, np.abs(hv))
     return res, act

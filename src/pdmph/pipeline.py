@@ -80,7 +80,6 @@ class DressedSystem:
     g: np.ndarray
     gp: np.ndarray
     gpp: np.ndarray
-    gppp: np.ndarray
     f: np.ndarray
     fp: np.ndarray
     a: np.ndarray
@@ -110,22 +109,20 @@ def _check_nonvanishing(g):
 
 
 def _g_chain(family, alpha, mu):
-    """g and its first three mu-derivatives for a catalog family."""
+    """g and its first two mu-derivatives for a catalog family."""
     if family == "harmonic3d":
         G = alpha * mu
         G1 = np.full_like(mu, alpha)
         G2 = np.zeros_like(mu)
-        G3 = np.zeros_like(mu)
     elif family == "morse":
         G = np.exp(-alpha * mu)
-        G1, G2, G3 = -alpha * G, alpha**2 * G, -alpha**3 * G
+        G1, G2 = -alpha * G, alpha**2 * G
     elif family == "scarf2":
         s = 1.0 / np.cosh(alpha * mu)
         t = np.tanh(alpha * mu)
         G = s
         G1 = -alpha * s * t
         G2 = alpha**2 * s * (1.0 - 2.0 * s**2)
-        G3 = -alpha**3 * s * t * (1.0 - 6.0 * s**2)
     elif family == "gen-poschl-teller":
         sh = np.sinh(alpha * mu)
         c = 1.0 / sh
@@ -133,7 +130,6 @@ def _g_chain(family, alpha, mu):
         G = c
         G1 = -alpha * c * k
         G2 = alpha**2 * c * (1.0 + 2.0 * c**2)
-        G3 = -alpha**3 * c * k * (1.0 + 6.0 * c**2)
     elif family == "poschl-teller":
         sh = np.sinh(2.0 * alpha * mu)
         c = 1.0 / sh
@@ -141,10 +137,9 @@ def _g_chain(family, alpha, mu):
         G = 2.0 * c
         G1 = -4.0 * alpha * c * k
         G2 = 8.0 * alpha**2 * c * (1.0 + 2.0 * c**2)
-        G3 = -16.0 * alpha**3 * c * k * (1.0 + 6.0 * c**2)
     else:
         raise InvalidDomainError(f"no closed-form chain for family {family!r}")
-    return G, G1, G2, G3
+    return G, G1, G2
 
 
 def assemble_potential(f, fp, g, gp, bundle: ProfileBundle, delta=0.0):
@@ -280,7 +275,6 @@ def make_family(spec: GeneratingSpec, profile: MassProfile, grid: Grid) -> Dress
         D1 = diff_matrix(grid, 1)
         gp = D1 @ g
         gpp = D1 @ gp
-        gppp = D1 @ gpp
         analytic = False
         reference = None
     else:
@@ -291,15 +285,13 @@ def make_family(spec: GeneratingSpec, profile: MassProfile, grid: Grid) -> Dress
                 f"(min mu = {mu.min():.6g}); move xmin to the right of the zero of mu")
         with np.errstate(over="raise", divide="raise"):
             try:
-                G, G1, G2, G3 = _g_chain(spec.family, spec.alpha, mu)
+                G, G1, G2 = _g_chain(spec.family, spec.alpha, mu)
             except FloatingPointError:
                 raise DomainViolationError(
                     f"family {spec.family!r} hits a singularity on this grid") from None
         g = G
         gp = G1 * bundle.mup
         gpp = G2 * bundle.mup**2 + G1 * bundle.mupp
-        gppp = (G3 * bundle.mup**3 + 3.0 * G2 * bundle.mup * bundle.mupp
-                + G1 * bundle.muppp)
         analytic = True
         reference = printed_potential(spec.family, spec.alpha, mu)
     _check_nonvanishing(g)
@@ -325,7 +317,7 @@ def make_family(spec: GeneratingSpec, profile: MassProfile, grid: Grid) -> Dress
 
     return DressedSystem(
         grid=grid, bundle=bundle, spec=spec,
-        g=g, gp=gp, gpp=gpp, gppp=gppp, f=f, fp=fp, a=a, ap=ap,
+        g=g, gp=gp, gpp=gpp, f=f, fp=fp, a=a, ap=ap,
         V=V, V_eff=V_eff, V_mu=V_mu, psi=psi, xi=xi, Lambda=Lambda,
         tau_phase=tau_phase, energy=complex(spec.delta), anchor=anchor,
         analytic=analytic, printed_reference=reference,

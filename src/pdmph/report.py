@@ -139,6 +139,9 @@ def _validate(cfg):
         raise ConfigError(f"unknown checks {sorted(unknown)}")
     if len(cfg["refine"]) < 3:
         raise ConfigError("refine needs at least three levels for order fits")
+    if cfg["probes"] < 2:
+        raise ConfigError("probes must be at least 2: the intertwining symbol "
+                          "analysis compares probes in pairs")
     if "spectrum" in cfg["checks"] and len(cfg["eig_levels"]) < 2:
         raise ConfigError("the spectrum check compares two eig_levels")
     if cfg["grid"]["xmin"] is None or cfg["grid"]["xmax"] is None:

@@ -358,8 +358,8 @@ def _groundstate(builder, n, xm, state=None):
     fl_eig = fd_floor(grid.h, c2max=np.abs(b.U[w]**2).max(),
                       c1max=2.0 * np.abs(coeffs.M1[w]).max(),
                       c0max=np.abs(ds.V[w]).max(), amp=amax)
-    return grid, w, [(np.abs(dt.mat @ xi), nrm, fl_ann),
-                     (np.abs(hp.mat @ xi - ds.energy * xi), nrm, fl_eig)], None
+    return grid, w, [(np.abs(dt @ xi), nrm, fl_ann),
+                     (np.abs(hp @ xi - ds.energy * xi), nrm, fl_eig)], None
 
 
 def check_groundstate(builder: SystemBuilder, ns, tol=None, state=None):
@@ -384,8 +384,8 @@ def _gauge(builder, n, xm):
     grid, b = ds.grid, ds.bundle
     d = build_d(ds.phi, b, grid)
     dt = build_d_tilde(ds.phi, ds.a, b, grid)
-    lhs = dt.mat @ (ds.Lambda * ds.psi)
-    rhs = ds.Lambda * (d.mat @ ds.psi)
+    lhs = dt @ (ds.Lambda * ds.psi)
+    rhs = ds.Lambda * (d @ ds.psi)
     w = _window(grid, xm)
     nrm = np.abs((ds.Lambda * ds.psi)[w]).max()
     amax = np.abs(ds.psi).max() / nrm
@@ -436,14 +436,14 @@ def _eta(builder, n, xm, probes=8):
     coeffs = inp.coefficients()
     eta = build_eta_tilde(coeffs, b, grid, mode="direct")
     eta_p = build_eta_tilde(coeffs, b, grid, mode="product", phi=inp.phi, a=inp.a)
-    etaH = eta.mat.conj().T
+    etaH = eta.csr.conj().T
     w = _window(grid, xm)
     r_h = r_d = act = 0.0
     for v in default_probes(grid, probes):
-        ev = eta.mat @ v
+        ev = eta @ v
         act = np.maximum(act, np.abs(ev))
         r_h = np.maximum(r_h, np.abs(ev - etaH @ v))
-        r_d = np.maximum(r_d, np.abs(ev - eta_p.mat @ v))
+        r_d = np.maximum(r_d, np.abs(ev - eta_p @ v))
     scale = max(act[w].max(), 1e-300)
     fl = fd_floor(grid.h, c2max=np.abs(b.U[w]**2).max(),
                   c1max=2.0 * np.abs(coeffs.K[w]).max(),
@@ -476,10 +476,11 @@ def check_parity_eta(builder: SystemBuilder, n, tol=None):
     """
     ds = builder.dressed(n)
     grid, b = ds.grid, ds.bundle
-    P = build_parity(grid)
-    p2 = float(np.abs(P.mat @ P.mat - np.eye(grid.n)).max())
-    eta = build_eta_parity(ds.a, b, grid)
-    herm = float(np.abs(eta.mat - eta.mat.conj().T).max())
+    from scipy.sparse import eye_array
+    P = build_parity(grid).csr
+    p2 = float(abs(P @ P - eye_array(grid.n)).max())
+    eta = build_eta_parity(ds.a, b, grid).csr
+    herm = float(abs(eta - eta.conj().T).max())
     res = CheckResult("parity-eta", "parity metric Hermiticity",
                       [CheckLevel(n, grid.h, herm, 64.0 * EPS)])
     res.notes["parity_squared_defect"] = p2
@@ -512,10 +513,10 @@ def _intertwining(builder, n, xm, probes=8, detune=None):
     res = act = hv_max = ev_max = 0.0
     syms = []
     for v in default_probes(grid, probes):
-        hv = hp.mat @ v
-        ev = eta.mat @ v
-        ehv = eta.mat @ hv
-        dv = ehv - hpd.mat @ ev
+        hv = hp @ v
+        ev = eta @ v
+        ehv = eta @ hv
+        dv = ehv - hpd @ ev
         res = np.maximum(res, np.abs(dv))
         act = np.maximum(act, np.abs(ehv))
         hv_max = max(hv_max, np.abs(hv[w]).max())
@@ -659,13 +660,14 @@ def eigendecompose(h_block: OperatorMatrix, backward_tol=1e-10) -> SpectralResul
     Hermitian blocks (within rounding) go through the symmetric solver,
     which also guarantees exactly real eigenvalues; everything else through
     the general dense solver.  Solver failures and contract violations
-    surface as explicit errors.
+    surface as explicit errors.  The block is densified only after the
+    budget check.
     """
-    mat = h_block.mat
-    m = mat.shape[0]
+    m = h_block.csr.shape[0]
     if m > EIG_BUDGET:
         raise BudgetExceededError(
             f"dense eigensolve of size {m} exceeds the budget ({EIG_BUDGET})")
+    mat = h_block.mat
     scale = np.abs(mat).max()
     hermitian = np.abs(mat - mat.conj().T).max() <= 1e-12 * scale
     try:
@@ -764,7 +766,7 @@ def check_eq29(builder: SystemBuilder, n, tol=None):
     V = sp.eigenvectors
     E = sp.eigenvalues
     m = len(E)
-    weta = grid.h * eb.mat
+    weta = grid.h * eb.csr
     etaV = weta @ V
     G = V.conj().T @ etaV
     gram_herm = float(np.abs(G - G.conj().T).max() / max(np.abs(G).max(), 1e-300))
@@ -777,7 +779,7 @@ def check_eq29(builder: SystemBuilder, n, tol=None):
     # defect of the weighted intertwining on the eigenvectors; the exact
     # identity (conj(E_j) - E_k) G_jk = v_j^H C v_k makes |C v_k|/gscale the
     # quantity that bounds relative Gram structure violations
-    C = hb.mat.conj().T @ weta - weta @ hb.mat
+    C = hb.csr.conj().T @ weta - weta @ hb.csr
     CV = C @ V
     num = np.linalg.norm(CV, axis=0)
     defect = float(np.max(num / (gscale * scale_e)))
