@@ -8,9 +8,9 @@ The package builds, on uniform grids with 4th-order finite differences:
   * catalog and custom generating-function systems: companion function f,
     complex potential V, mass-free effective potential, ground-state pair
     (psi, xi) and the unit-modulus gauge factor (``pipeline``),
-  * sparse (CSR) realizations of the first-order operators, the metric, the
-    Hamiltonian and its adjoint, parity metrics and the antilinear
-    similarity (``operators``),
+  * banded (numpy-only) realizations of the first-order operators, the
+    metric, the Hamiltonian and its adjoint, parity metrics and the
+    antilinear similarity (``operators``),
   * residual checks with grid-refinement convergence orders, dense spectra
     and metric-weighted Gram structure (``verify``),
   * deterministic machine-readable reports and a CLI (``report``, ``cli``).

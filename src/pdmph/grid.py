@@ -58,31 +58,198 @@ class Grid:
         return m
 
 
+def _shifted(x, s):
+    """y[i] = x[i + s], zero where i + s falls outside x."""
+    y = np.zeros_like(x)
+    n = len(x)
+    if s >= 0:
+        y[:max(n - s, 0)] = x[s:]
+    else:
+        y[-s:] = x[:max(n + s, 0)]
+    return y
+
+
+def _hull(spans):
+    """Smallest row range covering the nonempty spans; (0, 0) if there are none."""
+    spans = [(lo, hi) for lo, hi in spans if lo < hi]
+    if not spans:
+        return (0, 0)
+    return (min(lo for lo, _ in spans), max(hi for _, hi in spans))
+
+
+class Banded:
+    """n x n matrix stored by diagonals, with numpy only.
+
+    Row-aligned storage: A[i, i + offsets[k]] = data[k, i].  Offsets
+    ascend, and every diagonal is zero outside its span, the row range
+    spans[k] = (lo, hi); when no spans are given they are read off the data.
+    A product sums each row's terms in column order, starting from zero, as
+    a CSR product does, and touches a diagonal only over its span: the
+    diagonals that only the one-sided edge rows reach cost a few entries,
+    not a sweep over the grid.
+    """
+
+    def __init__(self, offsets, data, spans=None):
+        self.offsets = tuple(int(o) for o in offsets)
+        if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
+            raise ValueError(f"diagonal offsets must ascend strictly, got {self.offsets}")
+        self.data = np.asarray(data)
+        self.n = n = self.data.shape[1]
+        if spans is None:
+            spans = []
+            for o, d in zip(self.offsets, self.data):
+                nz = np.flatnonzero(d)
+                spans.append((int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0))
+        self.spans = [tuple(sp) for sp in spans]
+        for o, (lo, hi) in zip(self.offsets, self.spans):
+            if lo < hi and (lo < -o or hi > n - o):
+                raise ValueError(f"diagonal {o} reaches outside the matrix")
+        # (offset, first row, end row, diagonal) of every nonempty diagonal
+        self._diagonals = [(o, lo, hi, d) for o, d, (lo, hi)
+                           in zip(self.offsets, self.data, self.spans) if lo < hi]
+
+    @property
+    def shape(self):
+        return (self.n, self.n)
+
+    def __matmul__(self, other):
+        """Product with a vector, an n x k block or another Banded matrix."""
+        if isinstance(other, Banded):
+            return self._times(other)
+        v = np.asarray(other)
+        dtype = np.result_type(self.data, v)
+        v = v.astype(dtype, copy=False)
+        y = np.zeros(v.shape, dtype)
+        for o, lo, hi, d in self._diagonals:
+            y[lo:hi] += (d[lo:hi] if v.ndim == 1 else d[lo:hi, None]) * v[lo + o:hi + o]
+        return y
+
+    def _times(self, other):
+        n = self.n
+        out, spans = {}, {}
+        # ascending offsets in the outer loop: each entry sums in column order
+        for a, lo_a, hi_a, da in self._diagonals:
+            for b, lo_b, hi_b, db in other._diagonals:
+                lo, hi = max(lo_a, lo_b - a), min(hi_a, hi_b - a)
+                if lo < hi:
+                    if a + b not in out:
+                        out[a + b] = np.zeros(n, np.result_type(da, db))
+                    out[a + b][lo:hi] += da[lo:hi] * db[lo + a:hi + a]
+                    spans[a + b] = _hull((spans.get(a + b, (0, 0)), (lo, hi)))
+        offsets = sorted(out)
+        return Banded(offsets, np.array([out[o] for o in offsets]).reshape(-1, n),
+                      [spans[o] for o in offsets])
+
+    def _combine(self, other, op):
+        mine = {o: (d, sp) for o, d, sp in zip(self.offsets, self.data, self.spans)}
+        theirs = {o: (d, sp) for o, d, sp in zip(other.offsets, other.data, other.spans)}
+        zero = (np.zeros(self.n), (0, 0))
+        offsets = sorted(mine.keys() | theirs.keys())
+        data = np.zeros((len(offsets), self.n), np.result_type(self.data, other.data))
+        spans = []
+        for k, o in enumerate(offsets):
+            (a, sa), (b, sb) = mine.get(o, zero), theirs.get(o, zero)
+            lo, hi = _hull((sa, sb))
+            data[k, lo:hi] = op(a[lo:hi], b[lo:hi])
+            spans.append((lo, hi))
+        return Banded(offsets, data, spans)
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
+
+    def __sub__(self, other):
+        return self._combine(other, np.subtract)
+
+    def __mul__(self, scalar):
+        return Banded(self.offsets, scalar * self.data, self.spans)
+
+    __rmul__ = __mul__
+
+    @property
+    def H(self):
+        """Conjugate transpose: A^H[i, i - o] = conj(A[i - o, i])."""
+        rev = list(zip(self.offsets, self.data, self.spans))[::-1]
+        return Banded([-o for o, _, _ in rev],
+                      np.array([np.conj(_shifted(d, -o)) for o, d, _ in rev]).reshape(-1, self.n),
+                      [(lo + o, hi + o) if lo < hi else (0, 0) for o, _, (lo, hi) in rev])
+
+    def column_values(self, x):
+        """x at the column of every stored entry: out[k, i] = x[i + offsets[k]]."""
+        return np.array([_shifted(x, o) for o in self.offsets]).reshape(-1, self.n)
+
+    def toarray(self):
+        M = np.zeros(self.shape, self.data.dtype)
+        for o, lo, hi, d in self._diagonals:
+            rows = np.arange(lo, hi)
+            M[rows, rows + o] = d[lo:hi]
+        return M
+
+
+class Permuted:
+    """n x n matrix with one entry per row: A[i, cols[i]] = vals[i].
+
+    `cols` is a permutation of 0..n-1, so A is a scaled permutation; the
+    parity operators are stored this way.
+    """
+
+    def __init__(self, cols, vals):
+        self.cols = np.asarray(cols)
+        self.vals = np.asarray(vals)
+        self.n = len(self.cols)
+        if not np.array_equal(np.bincount(self.cols, minlength=self.n), np.ones(self.n)):
+            raise ValueError("the columns of a Permuted matrix must be a permutation")
+
+    @property
+    def shape(self):
+        return (self.n, self.n)
+
+    def __matmul__(self, other):
+        if isinstance(other, Permuted):
+            return Permuted(other.cols[self.cols], self.vals * other.vals[self.cols])
+        v = np.asarray(other)
+        return (self.vals if v.ndim == 1 else self.vals[:, None]) * v[self.cols]
+
+    @property
+    def H(self):
+        inverse = np.empty_like(self.cols)
+        inverse[self.cols] = np.arange(self.n)
+        return Permuted(inverse, np.conj(self.vals)[inverse])
+
+    def distance(self, other):
+        """Largest entry of |self - other|, without densifying."""
+        same = self.cols == other.cols
+        d = np.where(same, np.abs(self.vals - other.vals),
+                     np.maximum(np.abs(self.vals), np.abs(other.vals)))
+        return float(d.max())
+
+    def toarray(self):
+        M = np.zeros(self.shape, self.vals.dtype)
+        M[np.arange(self.n), self.cols] = self.vals
+        return M
+
+
 @dataclass
 class OperatorMatrix:
-    """Sparse operator on a grid; `kind` names the operator it realizes.
+    """Banded operator on a grid; `kind` names the operator it realizes.
 
-    The operator is held as a `scipy.sparse.csr_array` (a dense array
-    given to the constructor is converted), and application to a vector
-    is a sparse product (`op @ v`).  `mat` is a dense view that allocates
-    all n^2 entries: it serves matrix export, dense eigensolves and tests.
+    `form` is the stored matrix: a :class:`Banded` for every differential
+    operator, a :class:`Permuted` for the parity operators.  Application
+    to a vector or an n x k block is `op @ v`.  `mat` is a dense copy that
+    allocates all n^2 entries: it serves matrix export, dense eigensolves
+    and tests.
     """
 
     grid: Grid
-    csr: object = field(repr=False)
+    form: object = field(repr=False)
     kind: str = ""
-
-    def __post_init__(self):
-        from scipy.sparse import csr_array
-        self.csr = csr_array(self.csr)
 
     @property
     def mat(self):
         """Dense copy of the operator (n^2 entries)."""
-        return self.csr.toarray()
+        return self.form.toarray()
 
     def apply(self, v):
-        return self.csr @ v
+        return self.form @ v
 
     __matmul__ = apply
 
@@ -119,48 +286,33 @@ def _weights(offsets, order):
     return np.linalg.solve(A, b)
 
 
-def _banded_csr(counts, indices, data, n):
-    """Read-only n x n CSR matrix with counts[i] entries in row i."""
-    from scipy.sparse import csr_array
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    S = csr_array((data, indices, indptr), shape=(n, n))
-    for a in (S.data, S.indices, S.indptr):
-        a.flags.writeable = False
-    return S
+def _build_stencil(grid: Grid, order: int) -> Banded:
+    """The differentiation matrix of one order, with read-only diagonals.
 
-
-def _build_stencil(grid: Grid, order: int):
-    """The differentiation matrix of one order, as CSR.
-
-    Both orders share one sparsity pattern: 5 entries per interior row and
-    6 per edge row (the first-derivative closures store an explicit zero in
-    the sixth place), so operators combining them are assembled entry by
-    entry on the same positions.
+    Interior rows hold the 5-point central stencil on offsets -2..2; the
+    two rows at each edge hold one-sided stencils of nb points (6 for the
+    second derivative, 5 for the first), which reach offsets up to nb - 1.
     """
     n, h = grid.n, grid.h
     nb = 6 if order == 2 else 5
-    near, far = np.zeros((2, 6)), np.zeros((2, 6))
-    for i in (0, 1):
-        near[i, :nb] = _weights(np.arange(nb) - i, order)
-    for k, i in enumerate((n - 2, n - 1)):
-        far[k, 6 - nb:] = _weights(np.arange(-nb + 1, 1) + (n - 1 - i), order)
-    interior = np.tile(_weights(np.arange(-2, 3), order), n - 4)
-    counts = np.full(n, 5)
-    counts[[0, 1, -2, -1]] = 6
-    cols = np.concatenate((np.tile(np.arange(6), 2),
-                           (np.arange(2, n - 2)[:, None] + np.arange(-2, 3)).ravel(),
-                           np.tile(np.arange(n - 6, n), 2)))
-    data = np.concatenate((near.ravel(), interior, far.ravel())) / h**order
-    return _banded_csr(counts, cols, data, n)
+    data = np.zeros((2 * nb - 1, n))
+    for o, w in zip(range(-2, 3), _weights(np.arange(-2, 3), order)):
+        data[o + nb - 1, 2:n - 2] = w
+    for i, cols in ((0, np.arange(nb)), (1, np.arange(nb)),
+                    (n - 2, np.arange(n - nb, n)), (n - 1, np.arange(n - nb, n))):
+        data[cols - i + nb - 1, i] = _weights(cols - i, order)
+    data /= h**order
+    data.flags.writeable = False
+    return Banded(range(1 - nb, nb), data)
 
 
 _STENCIL_CACHE_SIZE = 8
-_stencils = OrderedDict()       # (xmin, xmax, n, order) -> read-only CSR
+_stencils = OrderedDict()       # (xmin, xmax, n, order) -> read-only Banded
 _stencil_lock = threading.Lock()
 
 
 def diff_matrix(grid: Grid, order: int) -> OperatorMatrix:
-    """Sparse differentiation matrix, 4th-order accurate.
+    """Banded differentiation matrix, 4th-order accurate.
 
     Interior rows carry the 5-point central stencil; the two rows nearest
     each edge use one-sided stencils of the same order (6 points for the

@@ -1,4 +1,4 @@
-"""Sparse (CSR) realizations of the first- and second-order operators.
+"""Banded realizations of the first- and second-order operators.
 
 Conventions:
   D      = U d/dx + phi                 with phi = f + i g
@@ -21,10 +21,13 @@ For eigenproblems the operators are assembled on the interior block
 discretization 4th-order accurate for wall-vanishing modes and keeps real
 symmetric problems exactly symmetric.
 
-Every operator is banded (the product form of eta~ has 9 bands), so each is
-stored as CSR and assembled entry by entry from the cached stencils: a
-row-scaled stencil plus diagonal terms added in a fixed order.  Only
-eigensolves and matrix export take a dense copy.
+Every operator is banded, so each is stored by diagonals (grid.Banded) and
+assembled entry by entry from the cached stencils: a row-scaled stencil
+plus diagonal terms added in a fixed order, each entry rounded as in a
+dense assembly.  The product form of eta~ is a banded product (9 central
+diagonals).  The parity operators have one entry per row and are stored as
+scaled permutations (grid.Permuted).  Only eigensolves and matrix export
+take a dense copy.
 """
 
 from __future__ import annotations
@@ -35,45 +38,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDomainError
-from .grid import Grid, OperatorMatrix, _banded_csr, cumint, diff_matrix
+from .grid import (Banded, Grid, OperatorMatrix, Permuted, _hull, cumint,
+                   diff_matrix)
 from .profiles import ProfileBundle
 
 
-def _rows(S):
-    """Row index of every stored entry of the CSR matrix S."""
-    return np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+def _row_scaled_sum(terms, diagonal_terms):
+    """Banded matrix sum_j s_j (c_j D_j), then the diagonal terms added in turn.
 
-
-def _on_pattern(S, data, diagonal_terms):
-    """CSR matrix with S's sparsity pattern holding `data`, plus diagonal terms.
-
-    The terms are added to the diagonal one after another, so that each
-    caller's rounding is that of its own written sum.
+    `terms` holds (s, c, D) with a scalar s, a row scaling c and a Banded
+    matrix D.  Every entry is rounded as in a dense assembly of the written
+    sum (row-scaled matrices combined left to right, then one diagonal term
+    after another), so each caller keeps the rounding of its own formula.
     """
-    from scipy.sparse import csr_array
-    d = np.flatnonzero(S.indices == _rows(S))
-    diag = data[d]
+    n = terms[0][2].n
+    offsets = sorted(set().union(*(D.offsets for _, _, D in terms)))
+    data = np.zeros((len(offsets), n), complex)
+    spans = []
+    for k, o in enumerate(offsets):
+        parts = [(s, c, D.data[D.offsets.index(o)], D.spans[D.offsets.index(o)])
+                 for s, c, D in terms if o in D.offsets]
+        lo, hi = _hull([sp for *_, sp in parts])
+        for j, (s, c, d, _) in enumerate(parts):
+            t = s * ((c[lo:hi] + 0j) * d[lo:hi])
+            data[k, lo:hi] = t if j == 0 else data[k, lo:hi] + t
+        spans.append((lo, hi))
+    k = offsets.index(0)
     for term in diagonal_terms:
-        diag = diag + term
-    data[d] = diag
-    return csr_array((data, S.indices, S.indptr), shape=S.shape)
+        data[k] = data[k] + term
+        spans[k] = (0, n)
+    return Banded(offsets, data, spans)
 
 
 def _second_order(c2, c1, c0, D1, D2):
-    """CSR matrix of -c2 d2 - 2 c1 d1 + c0 from derivative matrices D1 and D2.
+    """Banded form of -c2 d2 - 2 c1 d1 + c0 from derivative matrices D1 and D2.
 
-    D1 and D2 share one sparsity pattern, so the row-scaled stencils
-    combine entry by entry; c0 is a sequence of diagonal terms.
+    c0 is a sequence of diagonal terms.
     """
-    rows = _rows(D2)
-    data = -((c2 + 0j)[rows] * D2.data) - 2.0 * (c1[rows] * D1.data)
-    return _on_pattern(D2, data, c0)
+    return _row_scaled_sum([(-1.0, c2, D2), (-2.0, c1, D1)], c0)
 
 
 def _first_order(U, sign, terms, grid):
-    """CSR matrix of sign * U d/dx plus the diagonal terms, added in turn."""
-    D1 = diff_matrix(grid, 1).csr
-    return _on_pattern(D1, sign * ((U + 0j)[_rows(D1)] * D1.data), terms)
+    """Banded form of sign * U d/dx plus the diagonal terms, added in turn."""
+    return _row_scaled_sum([(sign, U, diff_matrix(grid, 1).form)], terms)
 
 
 @dataclass
@@ -141,14 +148,14 @@ def build_eta_tilde(coeffs: CoefficientSet, bundle: ProfileBundle, grid: Grid,
     """
     if mode == "direct":
         mat = _second_order(bundle.U**2, coeffs.K, (coeffs.L,),
-                            diff_matrix(grid, 1).csr, diff_matrix(grid, 2).csr)
+                            diff_matrix(grid, 1).form, diff_matrix(grid, 2).form)
         return OperatorMatrix(grid, mat, kind="eta_tilde")
     if mode == "product":
         if phi is None or a is None:
             raise InvalidDomainError("product mode needs phi and a")
         dt = build_d_tilde(phi, a, bundle, grid)
         dtd = build_d_tilde_dagger(phi, a, bundle, grid)
-        return OperatorMatrix(grid, dtd.csr @ dt.csr, kind="eta_tilde_product")
+        return OperatorMatrix(grid, dtd.form @ dt.form, kind="eta_tilde_product")
     raise InvalidDomainError(f"unknown eta_tilde mode {mode!r}")
 
 
@@ -159,7 +166,7 @@ def build_h_prime(V, a, ap, bundle: ProfileBundle, grid: Grid,
         z = np.zeros(grid.n)
         coeffs = CoefficientSet.build(z, z, z, z, a, ap, bundle)
     mat = _second_order(bundle.U**2, coeffs.M1, (coeffs.N1, V),
-                        diff_matrix(grid, 1).csr, diff_matrix(grid, 2).csr)
+                        diff_matrix(grid, 1).form, diff_matrix(grid, 2).form)
     return OperatorMatrix(grid, mat, kind="H_prime")
 
 
@@ -170,7 +177,7 @@ def build_h_prime_dagger(V, a, ap, bundle: ProfileBundle, grid: Grid,
         z = np.zeros(grid.n)
         coeffs = CoefficientSet.build(z, z, z, z, a, ap, bundle)
     mat = _second_order(bundle.U**2, coeffs.M2, (coeffs.N2, np.conj(V)),
-                        diff_matrix(grid, 1).csr, diff_matrix(grid, 2).csr)
+                        diff_matrix(grid, 1).form, diff_matrix(grid, 2).form)
     return OperatorMatrix(grid, mat, kind="H_prime_dagger")
 
 
@@ -179,9 +186,8 @@ def build_parity(grid: Grid) -> OperatorMatrix:
     if not grid.parity_capable:
         raise InvalidDomainError(
             "parity operator needs xmin = -xmax and odd n (a node exactly at 0)")
-    n = grid.n
-    return OperatorMatrix(grid, _banded_csr(np.ones(n, int), np.arange(n)[::-1],
-                                            np.ones(n), n), kind="parity")
+    return OperatorMatrix(grid, Permuted(np.arange(grid.n)[::-1], np.ones(grid.n)),
+                          kind="parity")
 
 
 def build_eta_parity(a, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
@@ -191,17 +197,16 @@ def build_eta_parity(a, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     uneven inputs is measured entrywise (the matrix has one entry per row, no
     stencil is involved).
     """
-    P = build_parity(grid).csr
+    P = build_parity(grid).form
     phase = 2.0 * cumint(a / bundle.U, grid, grid.index_nearest(0.0))
-    return OperatorMatrix(grid, _on_pattern(P, np.exp(1j * phase) * P.data, ()),
+    return OperatorMatrix(grid, Permuted(P.cols, np.exp(1j * phase) * P.vals),
                           kind="eta_parity")
 
 
 def _dirichlet_stencil(grid: Grid, order: int):
-    """Interior-block derivative matrix (CSR) with odd reflection through the walls.
+    """Interior-block derivative matrix (banded) with odd reflection through the walls.
 
-    Both orders store the same pentadiagonal pattern, the zero centre
-    weight of the first derivative included.
+    Both orders are pentadiagonal on offsets -2..2.
     """
     h, m = grid.h, grid.n - 2
     if order == 1:
@@ -210,13 +215,13 @@ def _dirichlet_stencil(grid: Grid, order: int):
         c = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
     else:
         raise InvalidDomainError(f"derivative order must be 1 or 2, got {order}")
-    band = np.tile(c, (m, 1))
+    data = np.zeros((5, m))
+    for k, o in enumerate(range(-2, 3)):
+        data[k, max(0, -o):min(m, m - o)] = c[k]
     # odd images: node -1 mirrors interior node 0, node n mirrors node m-1
-    band[0, 2] -= c[0]
-    band[m - 1, 2] -= c[4]
-    cols = np.arange(m)[:, None] + np.arange(-2, 3)
-    inside = (cols >= 0) & (cols < m)
-    return _banded_csr(inside.sum(axis=1), cols[inside], band[inside], m)
+    data[2, 0] -= c[0]
+    data[2, m - 1] -= c[4]
+    return Banded(range(-2, 3), data)
 
 
 def dirichlet_block(grid: Grid, order: int) -> np.ndarray:
@@ -225,7 +230,7 @@ def dirichlet_block(grid: Grid, order: int) -> np.ndarray:
     Dirichlet eigenmodes vanish linearly at the walls, so the odd extension
     is smooth to the order of the stencil; the closure keeps 4th-order
     eigenvalue accuracy and keeps the pure second-derivative block exactly
-    symmetric.  The block operators use the sparse form of the same matrix.
+    symmetric.  The block operators use the banded form of the same matrix.
     """
     return _dirichlet_stencil(grid, order).toarray()
 
@@ -267,13 +272,13 @@ def tau_similarity_actions(h_prime: OperatorMatrix, h_prime_dagger: OperatorMatr
 
     The antilinear map T e^{i alpha} conjugates matrix entries inside the
     phase sandwich, so the similarity image of H' is conj(E H' E^{-1}) with
-    E = diag(e^{i alpha}), built on the sparsity pattern of H'; for a
-    vanishing phase the image and the adjoint matrix coincide entrywise
-    and the first array is exactly zero.
+    E = diag(e^{i alpha}), built on the diagonals of H'; for a vanishing
+    phase the image and the adjoint matrix coincide entrywise and the first
+    array is exactly zero.
     """
-    H = h_prime.csr
+    H = h_prime.form
     E = np.exp(1j * tau_phase)
-    image = _on_pattern(H, np.conj(E[_rows(H)] * H.data * (1.0 / E)[H.indices]), ())
+    image = Banded(H.offsets, np.conj(E * H.data * H.column_values(1.0 / E)), H.spans)
     res = act = 0.0
     for v in probes:
         hv = h_prime_dagger @ v

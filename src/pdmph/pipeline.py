@@ -346,13 +346,19 @@ CSV_COLUMNS = ("x", "m", "U", "mu", "g", "f", "a", "V_re", "V_im",
                "Veff_re", "Veff_im", "Vmu", "psi_re", "psi_im", "xi_re", "xi_im")
 
 
+def _write_columns(path, names, columns):
+    """CSV of real columns: a header of names, then one row per sample, each
+    value written as %.16e (17 significant digits)."""
+    row = ",".join(["%.16e"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        fh.writelines(row % values for values in zip(*(np.asarray(c).tolist() for c in columns)))
+
+
 def to_csv(ds: DressedSystem, path):
     """Write the dressed system as CSV with a fixed column order, 17 significant digits."""
     b = ds.bundle
-    cols = (ds.grid.x, b.m, b.U, b.mu, ds.g, ds.f, ds.a,
-            ds.V.real, ds.V.imag, ds.V_eff.real, ds.V_eff.imag, ds.V_mu,
-            ds.psi.real, ds.psi.imag, ds.xi.real, ds.xi.imag)
-    with open(path, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for i in range(ds.grid.n):
-            fh.write(",".join(f"{c[i]:.16e}" for c in cols) + "\n")
+    _write_columns(path, CSV_COLUMNS,
+                  (ds.grid.x, b.m, b.U, b.mu, ds.g, ds.f, ds.a,
+                   ds.V.real, ds.V.imag, ds.V_eff.real, ds.V_eff.imag, ds.V_mu,
+                   ds.psi.real, ds.psi.imag, ds.xi.real, ds.xi.imag))

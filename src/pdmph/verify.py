@@ -25,20 +25,22 @@ alone, with the floor recorded.
 
 from __future__ import annotations
 
+import copy
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BudgetExceededError, EigensolverError, InvalidDomainError
 from .grid import (EPS, STENCIL_ABS_D1, STENCIL_ABS_D2, FLOOR_SAFETY, Grid,
-                   diff_matrix, fd_floor, make_grid, observed_order)
+                   Permuted, diff_matrix, fd_floor, make_grid, observed_order)
 from .operators import (CoefficientSet, OperatorMatrix, build_d, build_d_tilde,
                         build_eta_parity, build_eta_tilde,
                         build_eta_tilde_block, build_h_prime,
                         build_h_prime_block, build_h_prime_dagger, build_parity,
                         default_probes, tau_similarity_actions)
 from .pipeline import (CATALOG, DressedSystem, GeneratingSpec,
-                       assemble_potential, make_family)
+                       assemble_potential, make_family, _write_columns)
 from .profiles import MassProfile
 
 PAD = 8                 # index pad for identity-check windows
@@ -181,7 +183,12 @@ class OperatorInputs:
 
 @dataclass
 class SystemBuilder:
-    """Rebuilds one configured system at any resolution (for refinement studies)."""
+    """Builds one configured system at any resolution (for refinement studies).
+
+    The dressed system of each resolution (and corruption) is built once and
+    kept with read-only arrays; `dressed` hands out shallow copies, so a
+    caller may rebind attributes but not edit the arrays.
+    """
 
     kind: str                      # "family", "free"
     profile: MassProfile
@@ -189,6 +196,9 @@ class SystemBuilder:
     xmax: float
     spec: GeneratingSpec = None
     corruption: tuple = None       # (target, amount) or None
+    _dressed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _lock: object = field(default_factory=threading.Lock, init=False, repr=False,
+                          compare=False)
 
     def grid(self, n):
         return make_grid(self.xmin, self.xmax, n)
@@ -196,10 +206,19 @@ class SystemBuilder:
     def dressed(self, n) -> DressedSystem:
         if self.kind != "family":
             raise InvalidDomainError("the free preset has no dressed system")
-        ds = make_family(self.spec, self.profile, self.grid(n))
-        if self.corruption is not None:
-            apply_corruption(ds, *self.corruption)
-        return ds
+        key = (n, self.corruption)
+        with self._lock:
+            ds = self._dressed.get(key)
+            if ds is None:
+                ds = make_family(self.spec, self.profile, self.grid(n))
+                if self.corruption is not None:
+                    apply_corruption(ds, *self.corruption)
+                for part in (ds, ds.bundle, ds.grid):
+                    for value in vars(part).values():
+                        if isinstance(value, np.ndarray):
+                            value.flags.writeable = False
+                self._dressed[key] = ds
+        return copy.copy(ds)
 
     def inputs(self, n) -> OperatorInputs:
         if self.kind == "free":
@@ -436,7 +455,7 @@ def _eta(builder, n, xm, probes=8):
     coeffs = inp.coefficients()
     eta = build_eta_tilde(coeffs, b, grid, mode="direct")
     eta_p = build_eta_tilde(coeffs, b, grid, mode="product", phi=inp.phi, a=inp.a)
-    etaH = eta.csr.conj().T
+    etaH = eta.form.H
     w = _window(grid, xm)
     r_h = r_d = act = 0.0
     for v in default_probes(grid, probes):
@@ -476,11 +495,10 @@ def check_parity_eta(builder: SystemBuilder, n, tol=None):
     """
     ds = builder.dressed(n)
     grid, b = ds.grid, ds.bundle
-    from scipy.sparse import eye_array
-    P = build_parity(grid).csr
-    p2 = float(abs(P @ P - eye_array(grid.n)).max())
-    eta = build_eta_parity(ds.a, b, grid).csr
-    herm = float(abs(eta - eta.conj().T).max())
+    P = build_parity(grid).form
+    p2 = (P @ P).distance(Permuted(np.arange(grid.n), np.ones(grid.n)))
+    eta = build_eta_parity(ds.a, b, grid).form
+    herm = eta.distance(eta.H)
     res = CheckResult("parity-eta", "parity metric Hermiticity",
                       [CheckLevel(n, grid.h, herm, 64.0 * EPS)])
     res.notes["parity_squared_defect"] = p2
@@ -663,7 +681,7 @@ def eigendecompose(h_block: OperatorMatrix, backward_tol=1e-10) -> SpectralResul
     surface as explicit errors.  The block is densified only after the
     budget check.
     """
-    m = h_block.csr.shape[0]
+    m = h_block.form.shape[0]
     if m > EIG_BUDGET:
         raise BudgetExceededError(
             f"dense eigensolve of size {m} exceeds the budget ({EIG_BUDGET})")
@@ -744,7 +762,7 @@ def spectral_for(builder: SystemBuilder, n, tol):
     return eigendecompose(hb, tol["eig_backward"])
 
 
-def check_eq29(builder: SystemBuilder, n, tol=None):
+def check_eq29(builder: SystemBuilder, n, tol=None, spectral=None):
     """Spectral structure of the metric-weighted Gram matrix.
 
     G_jk = <v_j | w eta | v_k> over the computed eigenbasis.  The exact
@@ -755,6 +773,9 @@ def check_eq29(builder: SystemBuilder, n, tol=None):
     action on v_k.  Below the exact-regime threshold the structure is
     asserted at the relative tolerance; above it the same numbers are
     emitted reported-only with defect-scaled tolerances.
+
+    `spectral` is the decomposition of the same block at n when the caller
+    already has it (the spectrum check's finest level); it is not repeated.
     """
     tol = _tolerances(tol)
     inp = builder.inputs(n)
@@ -762,11 +783,13 @@ def check_eq29(builder: SystemBuilder, n, tol=None):
     coeffs = inp.coefficients()
     hb = build_h_prime_block(inp.V, inp.a, inp.ap, b, grid)
     eb = build_eta_tilde_block(coeffs, b, grid)
-    sp = eigendecompose(hb, tol["eig_backward"])
+    if spectral is not None and spectral.grid.n != n:
+        raise InvalidDomainError(f"spectral result of n = {spectral.grid.n} given for n = {n}")
+    sp = spectral if spectral is not None else eigendecompose(hb, tol["eig_backward"])
     V = sp.eigenvectors
     E = sp.eigenvalues
     m = len(E)
-    weta = grid.h * eb.csr
+    weta = grid.h * eb.form
     etaV = weta @ V
     G = V.conj().T @ etaV
     gram_herm = float(np.abs(G - G.conj().T).max() / max(np.abs(G).max(), 1e-300))
@@ -779,7 +802,7 @@ def check_eq29(builder: SystemBuilder, n, tol=None):
     # defect of the weighted intertwining on the eigenvectors; the exact
     # identity (conj(E_j) - E_k) G_jk = v_j^H C v_k makes |C v_k|/gscale the
     # quantity that bounds relative Gram structure violations
-    C = hb.csr.conj().T @ weta - weta @ hb.csr
+    C = hb.form.H @ weta - weta @ hb.form
     CV = C @ V
     num = np.linalg.norm(CV, axis=0)
     defect = float(np.max(num / (gscale * scale_e)))
@@ -869,17 +892,18 @@ def run_suite(builder: SystemBuilder, checks, ns, tol=None, probes=8,
         outputs = [run() for run in runners]
     results = [r for out in outputs for r in out]
 
-    spectral_summary = None
+    spectral_summary = finest = None
     if "spectrum" in checks:
         try:
-            sres, sp = check_spectrum(builder, eig_levels, tol)
-            spectral_summary = spectral_payload(sp)
+            sres, finest = check_spectrum(builder, eig_levels, tol)
+            spectral_summary = spectral_payload(finest)
         except EigensolverError as exc:
             sres = _solver_failure("spectrum", exc)
         results.append(sres)
     if "eq29" in checks:
         try:
-            eres, sp = check_eq29(builder, eig_levels[-1], tol)
+            # the spectrum check's finest level is eig_levels[-1]: reuse it
+            eres, sp = check_eq29(builder, eig_levels[-1], tol, spectral=finest)
             if spectral_summary is None:
                 spectral_summary = spectral_payload(sp)
         except EigensolverError as exc:
@@ -973,11 +997,7 @@ def residual_trace(builder: SystemBuilder, check: str, ns, path, probes=8, detun
     given = {"probes": probes, "detune": detune}
     grid, _, outputs, _ = residual(builder, max(ns), _xmargin(builder, ns),
                                    **{k: given[k] for k in options})
-    columns = [res / scale for res, scale, _ in outputs]
-    with open(path, "w") as fh:
-        fh.write(",".join(("x",) + names) + "\n")
-        for i, x in enumerate(grid.x):
-            fh.write(",".join(f"{v:.16e}" for v in (x, *(c[i] for c in columns))) + "\n")
+    _write_columns(path, ("x",) + names, [grid.x] + [res / scale for res, scale, _ in outputs])
     return path
 
 

@@ -5,7 +5,8 @@ from pdmph import (CATALOG, FAMILIES, DomainViolationError,
                    GeneratingFunctionZeroError, GeneratingSpec, MassProfile,
                    assemble_potential, diff_matrix, effective_potential,
                    make_family, make_grid, printed_potential, to_csv)
-from pdmph.pipeline import CSV_COLUMNS, _check_nonvanishing, ground_state
+from pdmph.pipeline import (CSV_COLUMNS, _check_nonvanishing, _write_columns,
+                            ground_state)
 
 
 # Two independent routes to the companion function, kept here as oracles:
@@ -300,3 +301,32 @@ def test_csv_export_columns_and_roundtrip(tmp_path):
     assert data.shape == (601, 16)
     assert np.abs(data[:, 0] - ds.grid.x).max() == 0.0
     assert np.abs(data[:, 8] - ds.V.imag).max() == 0.0
+
+
+def test_csv_bytes_match_per_cell_writer(tmp_path):
+    # the row-template writer must give the bytes of the per-cell f-string
+    # writer it replaced
+    import hashlib
+    ds = dressed("morse", profile=MassProfile.rational(), domain=(-3.0, 4.0), n=101)
+    b = ds.bundle
+    cols = (ds.grid.x, b.m, b.U, b.mu, ds.g, ds.f, ds.a,
+            ds.V.real, ds.V.imag, ds.V_eff.real, ds.V_eff.imag, ds.V_mu,
+            ds.psi.real, ds.psi.imag, ds.xi.real, ds.xi.imag)
+    old = tmp_path / "old.csv"
+    with open(old, "w") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for i in range(ds.grid.n):
+            fh.write(",".join(f"{c[i]:.16e}" for c in cols) + "\n")
+    new = tmp_path / "new.csv"
+    to_csv(ds, new)
+    digest = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (old, new)]
+    assert digest[0] == digest[1]
+
+
+def test_csv_writer_special_values(tmp_path):
+    values = np.array([-0.0, 0.0, 5e-324, -1.7976931348623157e308, 1.0 / 3.0,
+                       np.nan, np.inf, -np.inf])
+    path = tmp_path / "special.csv"
+    _write_columns(path, ("v", "w"), (values, values[::-1]))
+    want = "v,w\n" + "".join(f"{a:.16e},{b:.16e}\n" for a, b in zip(values, values[::-1]))
+    assert path.read_text() == want

@@ -177,7 +177,7 @@ def test_parity_builders_match_dense_assembly():
 def test_cached_stencils_are_read_only():
     D = diff_matrix(make_grid(-1.0, 1.0, 41), 1)
     with pytest.raises(ValueError):
-        D.csr.data[0] = 1.0
+        D.form.data[0] = 1.0
     assert np.array_equal(diff_matrix(D.grid, 1).mat, dense_diff(D.grid, 1))
 
 
@@ -257,16 +257,50 @@ def test_checks_match_dense_route(name, recorded, current):
             assert abs(r - r0) <= allowed, (check, n, r, r0, fl0)
 
 
-def test_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse is imported on first use: a module-level import would
-    # add about 0.2 s to every `import pdmph`
-    code = "import sys, pdmph; print('scipy.sparse' in sys.modules)"
+def _scipy_modules_after(code, tmp_path):
+    """Sorted scipy modules loaded by `code` in a fresh interpreter, run in tmp_path.
+
+    `code` may call `run(argv)` (the CLI, exit code checked); it runs with
+    src/ on the path and its output is the JSON list of scipy modules.
+    """
+    prelude = ("import json, sys\n"
+               "from pdmph.cli import main\n"
+               "def run(argv):\n"
+               "    assert main(argv) in (0, 7), argv\n")
+    report = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
     env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", prelude + code + "\n" + report], env=env,
+                         cwd=tmp_path, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_runs_leave_scipy_unloaded(tmp_path):
+    # the operators are numpy-only: importing scipy costs more than a
+    # default verify's arithmetic
+    (tmp_path / "eig.json").write_text(json.dumps({"eig_levels": [101, 201]}))
+    code = ("import pdmph\n"
+            "run(['verify', '--family', 'morse', '--mass', 'rational',\n"
+            "     '--refine', '101,201,401', '--out', 'a.json'])\n"
+            "run(['verify', '--family', 'morse', '--mass', 'rational', '--checks',\n"
+            "     'spectrum,eq29', '--xmin', '-3', '--xmax', '4', '--refine', '101,201,401',\n"
+            "     '--config', 'eig.json', '--out', 'b.json'])\n"
+            "run(['generate', '--family', 'morse', '--mass', 'rational', '--n', '2001',\n"
+            "     '--out', 'c.csv'])")
+    assert _scipy_modules_after(code, tmp_path) == []
+
+
+def test_table_mass_run_loads_only_scipy_interpolate(tmp_path):
+    xs = np.linspace(-3.0, 11.0, 57)
+    np.savetxt(tmp_path / "mass.csv", np.column_stack((xs, 0.5 + 0.1 * np.tanh(xs))),
+               delimiter=",")
+    allowed = _scipy_modules_after("import scipy.interpolate", tmp_path)
+    loaded = _scipy_modules_after(
+        "run(['verify', '--family', 'morse', '--mass', 'table:path=mass.csv',\n"
+        "     '--refine', '101,201,401', '--out', 'a.json'])", tmp_path)
+    assert "scipy.interpolate" in loaded
+    assert set(loaded) <= set(allowed)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+
+import pdmph.verify as verify_module
 
 from pdmph import (BudgetExceededError, GeneratingSpec, MassProfile,
                    OperatorInputs, SystemBuilder, apply_corruption, build_d,
@@ -348,3 +353,92 @@ def test_run_suite_findings():
     assert "printed-ground-state" in ids
     mg = next(f for f in findings if f["id"] == "mass-gradient-term-form")
     assert mg["max_abs_difference"] > 0.1
+
+
+@pytest.fixture
+def family_builds(monkeypatch):
+    """Grid sizes of the make_family calls that SystemBuilder makes."""
+    calls = []
+    real = verify_module.make_family
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].n)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "make_family", counting)
+    return calls
+
+
+def test_dressed_built_once_per_level_and_read_only(family_builds):
+    calls = family_builds
+    b = builder("scarf2", domain=(-8.0, 8.0))
+    first, second = b.dressed(301), b.dressed(301)
+    assert calls == [301]
+    for name in ("V", "f", "xi", "tau_phase"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
+    with pytest.raises(ValueError):
+        first.V[0] = 0.0
+    with pytest.raises(ValueError):
+        first.bundle.U[0] = 1.0
+    # rebinding an attribute of a handed-out copy leaves the cache alone
+    apply_corruption(first, "v-imag-flip")
+    assert np.array_equal(b.dressed(301).V, second.V)
+    assert calls == [301]
+    run_suite(b, ["eq25", "eq26", "groundstate", "gauge", "tau"], NS)
+    assert sorted(calls) == NS
+
+
+def test_corrupted_builder_fails_on_every_call():
+    # v-imag-flip undone by a second application would pass eq25: the
+    # corrupted system is cached once, never corrupted again
+    b = builder("scarf2", domain=(-8.0, 8.0))
+    clean = check_eq25(b, NS)
+    b.corruption = ("v-imag-flip", 0.0)
+    for _ in range(2):
+        r = check_eq25(b, NS)
+        assert r.verdict == "fail" and r.residuals[-1] >= 1e-2
+    b.corruption = None
+    assert check_eq25(b, NS).residuals == clean.residuals
+
+
+def test_eq29_reuses_the_spectrum_decomposition(monkeypatch):
+    sizes = []
+    real = verify_module.eigendecompose
+
+    def counting(h_block, *args, **kwargs):
+        sizes.append(h_block.form.shape[0])
+        return real(h_block, *args, **kwargs)
+
+    b = builder("morse", profile=MassProfile.rational(), domain=(-3.0, 4.0))
+    alone, _ = check_eq29(b, 201)
+    monkeypatch.setattr(verify_module, "eigendecompose", counting)
+    results, _, _ = run_suite(b, ["spectrum", "eq29"], NS, eig_levels=[101, 201])
+    assert sizes == [99, 199]
+    assert results[-1].to_dict() == alone.to_dict()
+
+
+def test_dressed_cache_under_threads(family_builds):
+    # more threads than cores, switching often: each level is built once and
+    # every thread gets that level's arrays
+    b = builder("scarf2", domain=(-8.0, 8.0))
+    levels = [101, 151, 201, 251]
+    seen = {n: [] for n in levels}
+
+    def work(shift):
+        for n in levels[shift:] + levels[:shift]:
+            seen[n].append(b.dressed(n).V)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k % len(levels),)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(family_builds) == levels
+    for n in levels:
+        assert len(seen[n]) == 6 and all(v is seen[n][0] for v in seen[n])
