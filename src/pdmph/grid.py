@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDomainError
+from .errors import IOFormatError, InvalidDomainError
 
 EPS = float(np.finfo(float).eps)
 
@@ -376,6 +376,93 @@ def cumint(values, grid: Grid, anchor: int):
         inc[i] = h * (wb @ y[base:base + 6])
     F = np.concatenate(([0.0], np.cumsum(inc)))
     return F - F[anchor]
+
+
+def _tridiagonal_solve(dl, d, du, b):
+    """Solve a tridiagonal system in place, as LAPACK dgtsv does for one right side.
+
+    Gaussian elimination with partial pivoting: rows i and i+1 are
+    interchanged when |d[i]| < |dl[i]|, which fills a second superdiagonal
+    (kept in dl).  The arguments are lists of floats (sub-, main and
+    superdiagonal, right-hand side); the solution is returned in b.
+    """
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
+def cubic_spline(xs, ys, x):
+    """The not-a-knot cubic spline through (xs, ys), evaluated at x.
+
+    The end conditions make the third derivative continuous across the
+    second and the second-to-last node (de Boor, *A Practical Guide to
+    Splines*, ch. IV); two nodes give the line through them and three the
+    parabola.  The node slopes solve one tridiagonal system with the rows
+    and right-hand side of the standard `CubicSpline` formulation, by
+    dgtsv's elimination, so tables of four or more rows interpolate to the
+    same bits as there (three rows agree to rounding: that formulation
+    solves their 3 x 3 system by a general LU).  Each interval's cubic
+    c3 + c2 s + c1 s^2 + c0 s^3, s = x - xs[i], is summed in that order;
+    points outside the nodes use the first or last interval's cubic.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    n = len(xs)
+    if xs.ndim != 1 or ys.shape != xs.shape or n < 2:
+        raise IOFormatError("a spline table needs two equal-length columns with >= 2 rows")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise IOFormatError("a spline table contains non-finite values")
+    dx = np.diff(xs)
+    if not np.all(dx > 0):
+        raise IOFormatError("a spline table's x column must be strictly increasing")
+    slope = np.diff(ys) / dx
+    # interior rows i = 1..n-2: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
+    dl = dx[1:].tolist() + [0.0]
+    d = [0.0] + (2.0 * (dx[:-1] + dx[1:])).tolist() + [0.0]
+    du = [0.0] + dx[:-1].tolist()
+    b = [0.0] + (3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist() + [0.0]
+    h, m = dx.tolist(), slope.tolist()
+    if n == 2:
+        d[0] = d[1] = 1.0
+        b[0] = b[1] = m[0]
+    elif n == 3:
+        d[0], du[0], b[0] = 1.0, 1.0, 2.0 * m[0]
+        dl[1], d[2], b[2] = 1.0, 1.0, 2.0 * m[1]
+    else:
+        w = float(xs[2] - xs[0])
+        d[0], du[0] = h[1], w
+        # h ** 2 rounds through pow, which is not always h * h
+        b[0] = ((h[0] + 2.0 * w) * h[1] * m[0] + h[0] ** 2 * m[1]) / w
+        w = float(xs[-1] - xs[-3])
+        dl[-1], d[-1] = w, h[-2]
+        b[-1] = (h[-1] ** 2 * m[-2] + (2.0 * w + h[-1]) * h[-2] * m[-1]) / w
+    s = np.array(_tridiagonal_solve(dl, d, du, b))
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    c0 = t / dx
+    c1 = (slope - s[:-1]) / dx - t
+    x = np.asarray(x, dtype=float)
+    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, n - 2)
+    z = x - xs[i]
+    return ys[i] + s[i] * z + c1[i] * (z * z) + c0[i] * (z * z * z)
 
 
 def fd_floor(h, c2max=0.0, c1max=0.0, c0max=0.0, amp=1.0):

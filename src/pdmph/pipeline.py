@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (DomainViolationError, GeneratingFunctionZeroError,
                      IOFormatError, InvalidDomainError)
-from .grid import Grid, cumint, diff_matrix
+from .grid import Grid, cubic_spline, cumint, diff_matrix
 from .profiles import MassProfile, ProfileBundle
 
 G_ZERO_TOL = 1e-12
@@ -233,10 +233,9 @@ def _gauge_arrays(spec: GeneratingSpec, grid: Grid, g, gp):
     if mode == "table":
         xs = np.asarray(spec.gauge_a[1], dtype=float)
         vals = np.asarray(spec.gauge_a[2], dtype=float)
-        from scipy.interpolate import CubicSpline
         if grid.x[0] < xs[0] or grid.x[-1] > xs[-1]:
             raise InvalidDomainError("gauge table does not cover the grid")
-        a = CubicSpline(xs, vals)(grid.x)
+        a = cubic_spline(xs, vals, grid.x)
         return a, diff_matrix(grid, 1) @ a
     raise InvalidDomainError(f"unknown gauge mode {spec.gauge_a[0]!r}")
 
@@ -269,8 +268,7 @@ def make_family(spec: GeneratingSpec, profile: MassProfile, grid: Grid) -> Dress
         xs, vals = spec.g_table
         if grid.x[0] < xs[0] or grid.x[-1] > xs[-1]:
             raise InvalidDomainError("generating-function table does not cover the grid")
-        from scipy.interpolate import CubicSpline
-        g = CubicSpline(xs, vals)(grid.x)
+        g = cubic_spline(xs, vals, grid.x)
         _check_nonvanishing(g)
         D1 = diff_matrix(grid, 1)
         gp = D1 @ g

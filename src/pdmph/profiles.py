@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IOFormatError, InvalidDomainError, NonpositiveMassError
-from .grid import Grid, diff_matrix, cumint
+from .grid import Grid, cubic_spline, cumint, diff_matrix
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ class MassProfile:
     rational  m(x) = beta / (2 (1 + x^2)^2), so U = (1 + x^2)/sqrt(beta)
               and mu = sqrt(beta) arctan x.
     table     m sampled from a two-column CSV (x, m) with strictly
-              increasing x, cubic-interpolated onto the grid; derivatives
-              are taken by finite differences.
+              increasing x, interpolated onto the grid by a not-a-knot
+              cubic spline; derivatives are taken by finite differences.
 
     The mass integral of the analytic kinds is the closed form anchored at
     the coordinate x = 0 (whether or not 0 lies inside the grid); table
@@ -110,8 +110,7 @@ class MassProfile:
             if x[0] < xs[0] or x[-1] > xs[-1]:
                 raise InvalidDomainError(
                     f"grid [{x[0]}, {x[-1]}] exceeds mass table range [{xs[0]}, {xs[-1]}]")
-            from scipy.interpolate import CubicSpline
-            m = CubicSpline(xs, ms)(x)
+            m = cubic_spline(xs, ms, x)
             if not np.all(m > 0):
                 raise NonpositiveMassError("interpolated table mass is nonpositive on the grid")
             U = 1.0 / np.sqrt(2.0 * m)

@@ -23,6 +23,11 @@ from .verify import CHECK_NAMES, DEFAULT_TOLERANCES
 
 SYSTEM_PRESETS = ("hermitian-limit", "free")
 
+# largest grid of any level (refine, eig_levels, grid.n): a verify level
+# costs about 2 kB and 5 us per point, so a mistyped level that asks for
+# millions of points is refused before anything is allocated
+MAX_POINTS = 200_001
+
 CONFIG_DEFAULTS = {
     "family": "morse",
     "alpha": 1.0,
@@ -139,6 +144,11 @@ def _validate(cfg):
         raise ConfigError(f"unknown checks {sorted(unknown)}")
     if len(cfg["refine"]) < 3:
         raise ConfigError("refine needs at least three levels for order fits")
+    for key, levels in (("refine", cfg["refine"]), ("eig_levels", cfg["eig_levels"]),
+                        ("grid.n", [cfg["grid"]["n"]])):
+        if levels and levels[-1] > MAX_POINTS:
+            raise ConfigError(f"{key} asks for {levels[-1]} grid points; "
+                              f"the maximum is {MAX_POINTS}")
     if cfg["probes"] < 2:
         raise ConfigError("probes must be at least 2: the intertwining symbol "
                           "analysis compares probes in pairs")

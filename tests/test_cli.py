@@ -226,6 +226,23 @@ def test_custom_g_table_flag(tmp_path):
     assert data.shape == (401, 16)
 
 
+@pytest.mark.parametrize("xs", [[-5.0, 5.0], [-5.0, 1.0, 5.0]], ids=["2-rows", "3-rows"])
+def test_short_g_and_gauge_tables(tmp_path, xs):
+    # two rows interpolate to the line through them, three to the parabola
+    xs = np.array(xs)
+    poly = np.polynomial.Polynomial([1.5, 0.1, 0.02][:len(xs)])
+    np.savetxt(tmp_path / "t.csv", np.column_stack([xs, poly(xs)]), delimiter=",")
+    out = tmp_path / "sys.csv"
+    code = run(["generate", "--family", "custom-table", "--g-table", str(tmp_path / "t.csv"),
+                "--gauge", f"table:path={tmp_path / 't.csv'}",
+                "--xmin", "-4", "--xmax", "4", "--n", "401", "--out", str(out)])
+    assert code == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    x, g, a = data[:, 0], data[:, 4], data[:, 6]
+    assert np.abs(g - poly(x)).max() < 1e-14
+    assert np.abs(a - poly(x)).max() < 1e-14
+
+
 def test_trace_dir(tmp_path):
     out = tmp_path / "rep.json"
     tr = tmp_path / "traces"
@@ -325,6 +342,36 @@ def test_exit_codes(tmp_path, monkeypatch, argv, config, code):
         (tmp_path / "c.json").write_text(json.dumps(config))
         argv = argv + ["--config", "c.json"]
     assert run(argv + ["--out", str(tmp_path / "out")]) == code
+
+
+def test_max_points_is_the_largest_accepted_level():
+    from pdmph.report import MAX_POINTS
+    assert resolve_config(overrides={"refine": [1001, 2001, MAX_POINTS]})["refine"][-1] \
+        == MAX_POINTS
+    for key, value in (("refine", [1001, 2001, MAX_POINTS + 2]),
+                       ("eig_levels", [501, MAX_POINTS + 2]), ("grid.n", MAX_POINTS + 2)):
+        with pytest.raises(ConfigError, match="maximum"):
+            resolve_config(overrides={key: value})
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["verify", "--refine", "1001,2001,4000001"], None),
+    (["verify", "--checks", "spectrum"], {"eig_levels": [501, 4000001]}),
+    (["generate", "--n", "4000001"], None),
+    (["spectrum", "--n", "4000001"], None),
+], ids=["refine", "eig-levels", "generate-n", "spectrum-n"])
+def test_mistyped_level_exits_2_before_building(tmp_path, monkeypatch, argv, config):
+    from pdmph import pipeline, verify
+
+    def never(*args, **kwargs):
+        raise AssertionError("a system was built for a level above the maximum")
+    monkeypatch.setattr(verify, "make_family", never)
+    monkeypatch.setattr(pipeline, "make_family", never)
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "c.json"]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
 
 
 def test_trace_window_max_is_payload_residual(tmp_path):

@@ -291,16 +291,23 @@ def test_runs_leave_scipy_unloaded(tmp_path):
     assert _scipy_modules_after(code, tmp_path) == []
 
 
-def test_table_mass_run_loads_only_scipy_interpolate(tmp_path):
-    xs = np.linspace(-3.0, 11.0, 57)
-    np.savetxt(tmp_path / "mass.csv", np.column_stack((xs, 0.5 + 0.1 * np.tanh(xs))),
+TABLE_RUNS = {
+    "mass-table": ["--family", "morse", "--mass", "table:path=table.csv"],
+    "custom-table": ["--family", "custom-table", "--g-table", "table.csv"],
+    "gauge-table": ["--family", "morse", "--gauge", "table:path=table.csv"],
+    "hermitian-limit": ["--family", "hermitian-limit", "--g-const", "1.3"],
+}
+
+
+@pytest.mark.parametrize("route", sorted(TABLE_RUNS))
+def test_table_runs_leave_scipy_unloaded(route, tmp_path):
+    # tables are interpolated by grid.cubic_spline: a table input must not
+    # bring in scipy, whose import costs more than a default verify
+    xs = np.linspace(-9.0, 11.0, 57)
+    np.savetxt(tmp_path / "table.csv", np.column_stack((xs, 0.5 + 0.1 * np.tanh(xs))),
                delimiter=",")
-    allowed = _scipy_modules_after("import scipy.interpolate", tmp_path)
-    loaded = _scipy_modules_after(
-        "run(['verify', '--family', 'morse', '--mass', 'table:path=mass.csv',\n"
-        "     '--refine', '101,201,401', '--out', 'a.json'])", tmp_path)
-    assert "scipy.interpolate" in loaded
-    assert set(loaded) <= set(allowed)
+    argv = ["verify", *TABLE_RUNS[route], "--refine", "101,201,401", "--out", "a.json"]
+    assert _scipy_modules_after(f"run({argv!r})", tmp_path) == []
 
 
 if __name__ == "__main__":
