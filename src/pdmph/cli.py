@@ -19,8 +19,8 @@ from .errors import (BudgetExceededError, CheckFailureError, ConfigError,
                      IOFormatError, PdmphError)
 from .pipeline import GeneratingSpec, catalog_rows, load_xy_table, to_csv
 from .profiles import MassProfile
-from .report import (SYSTEM_PRESETS, build_report, emit_json, resolve_config,
-                     write_report)
+from .report import (SYSTEM_PRESETS, build_report, emit_json, payload_config,
+                     resolve_config, write_report)
 from .verify import (EIG_BUDGET, TRACEABLE, SystemBuilder, residual_trace,
                      run_suite, spectral_for, spectral_payload)
 
@@ -199,7 +199,7 @@ def cmd_verify(args):
     results, spectral, findings = run_suite(
         builder, cfg["checks"], cfg["refine"], tol=cfg["tolerances"],
         probes=cfg["probes"], eig_levels=cfg["eig_levels"],
-        detune=cfg["detune"], jobs=cfg["jobs"])
+        detune=cfg["detune"])
     payload = build_report(cfg, _conventions(builder, cfg), results, spectral, findings)
     out = cfg["out"] or "verify_report.json"
     write_report(payload, out)
@@ -228,6 +228,8 @@ def cmd_verify(args):
 
 def cmd_spectrum(args):
     cfg = _load_config(args)
+    if args.list_cap < 1:
+        raise ConfigError(f"--list-cap must be at least 1, got {args.list_cap}")
     n = cfg["grid"]["n"]
     if n > EIG_BUDGET:
         raise BudgetExceededError(f"n = {n} exceeds the dense eigensolve budget ({EIG_BUDGET})")
@@ -235,9 +237,9 @@ def cmd_spectrum(args):
     sp = spectral_for(builder, n, cfg["tolerances"])
     payload = {
         "toolkit": {"name": "pdmph", "version": __version__},
-        "config": cfg,
+        "config": payload_config(cfg),
         "mu_anchor": _mu_anchor(builder, n),
-        "spectral": spectral_payload(sp, cap=int(getattr(args, "list_cap", 64) or 64)),
+        "spectral": spectral_payload(sp, cap=args.list_cap),
     }
     out = cfg["out"]
     doc = emit_json(payload)
@@ -279,7 +281,8 @@ def make_parser():
         sp.add_argument("--g-table", dest="g_table", default=None)
         sp.add_argument("--detune", type=float, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--jobs", type=int, default=None)
+        sp.add_argument("--jobs", type=int, default=None,
+                        help="accepted and ignored: checks run one after another")
 
     gen = sub.add_parser("generate", help="sample a dressed system to CSV")
     common(gen)

@@ -8,9 +8,8 @@ the central stencils apply.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -286,14 +285,15 @@ def _weights(offsets, order):
     return np.linalg.solve(A, b)
 
 
-def _build_stencil(grid: Grid, order: int) -> Banded:
+@functools.lru_cache(maxsize=8)
+def _build_stencil(n: int, h: float, order: int) -> Banded:
     """The differentiation matrix of one order, with read-only diagonals.
 
     Interior rows hold the 5-point central stencil on offsets -2..2; the
     two rows at each edge hold one-sided stencils of nb points (6 for the
     second derivative, 5 for the first), which reach offsets up to nb - 1.
+    Only n and h enter, so they (with the order) are the cache key.
     """
-    n, h = grid.n, grid.h
     nb = 6 if order == 2 else 5
     data = np.zeros((2 * nb - 1, n))
     for o, w in zip(range(-2, 3), _weights(np.arange(-2, 3), order)):
@@ -306,30 +306,18 @@ def _build_stencil(grid: Grid, order: int) -> Banded:
     return Banded(range(1 - nb, nb), data)
 
 
-_STENCIL_CACHE_SIZE = 8
-_stencils = OrderedDict()       # (xmin, xmax, n, order) -> read-only Banded
-_stencil_lock = threading.Lock()
-
-
 def diff_matrix(grid: Grid, order: int) -> OperatorMatrix:
     """Banded differentiation matrix, 4th-order accurate.
 
     Interior rows carry the 5-point central stencil; the two rows nearest
     each edge use one-sided stencils of the same order (6 points for the
     second derivative).  Central-stencil accuracy holds on the interior
-    window (pad 4).  Stencils are cached per (xmin, xmax, n, order), the
-    least recently used dropped first; the cached arrays are read-only.
+    window (pad 4).  The 8 most recently used stencils are cached per
+    (n, h, order); the cached arrays are read-only.
     """
     if order not in (1, 2):
         raise InvalidDomainError(f"derivative order must be 1 or 2, got {order}")
-    key = (grid.xmin, grid.xmax, grid.n, order)
-    with _stencil_lock:
-        S = _stencils.pop(key, None)
-        if S is None:
-            S = _build_stencil(grid, order)
-        _stencils[key] = S
-        if len(_stencils) > _STENCIL_CACHE_SIZE:
-            _stencils.popitem(last=False)
+    S = _build_stencil(grid.n, grid.h, order)
     return OperatorMatrix(grid, S, kind=f"derivative-{order}")
 
 

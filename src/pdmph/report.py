@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 from .pipeline import CATALOG, FAMILIES
-from .verify import CHECK_NAMES, DEFAULT_TOLERANCES
+from .verify import CHECK_NAMES, CORRUPTION_TARGETS, DEFAULT_TOLERANCES
 
 SYSTEM_PRESETS = ("hermitian-limit", "free")
 
@@ -45,7 +45,7 @@ CONFIG_DEFAULTS = {
     "tolerances": dict(DEFAULT_TOLERANCES),
     "detune": None,
     "corruption": None,
-    "jobs": 1,
+    "jobs": 1,          # accepted and ignored: checks always run one after another
     "out": None,
 }
 
@@ -71,7 +71,8 @@ def resolve_config(given=None, overrides=None):
     """Merge a config dict and CLI overrides onto the defaults, strictly.
 
     Unknown keys are rejected at every nesting level; the fully resolved
-    configuration is echoed into every report so runs are self-describing.
+    configuration (see :func:`payload_config`) is echoed into every report
+    so runs are self-describing.
     """
     cfg = _merge_strict(CONFIG_DEFAULTS, given or {})
     for key, val in (overrides or {}).items():
@@ -160,8 +161,10 @@ def _validate(cfg):
     if cfg["corruption"] is not None:
         cor = cfg["corruption"]
         if (not isinstance(cor, dict) or set(cor) - {"target", "amount"}
+                or cor.get("target") not in CORRUPTION_TARGETS
                 or not _is_number(cor.get("amount", 0.1))):
-            raise ConfigError("corruption must be {target, amount} with a numeric amount")
+            raise ConfigError(f"corruption must be {{target, amount}} with a target in "
+                              f"{list(CORRUPTION_TARGETS)} and a numeric amount, got {cor!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +201,15 @@ def emit_json(obj):
     return _fmt(obj)
 
 
+def payload_config(config):
+    """The resolved configuration as payloads echo it, without `jobs` and `out`.
+
+    Those two say how a run is carried out, not what it measures, so runs
+    that differ only there give the same payload bytes.
+    """
+    return {k: v for k, v in config.items() if k not in ("jobs", "out")}
+
+
 def build_report(config, conventions, results, spectral, findings):
     """Assemble the verification report payload."""
     summary = {"pass": 0, "fail": 0, "reported-only": 0}
@@ -205,7 +217,7 @@ def build_report(config, conventions, results, spectral, findings):
         summary[r.verdict] += 1
     return {
         "toolkit": {"name": "pdmph", "version": __version__},
-        "config": config,
+        "config": payload_config(config),
         "conventions": conventions,
         "checks": [r.to_dict() for r in results],
         "spectral": spectral,

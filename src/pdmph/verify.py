@@ -26,7 +26,6 @@ alone, with the floor recorded.
 from __future__ import annotations
 
 import copy
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,8 +196,6 @@ class SystemBuilder:
     spec: GeneratingSpec = None
     corruption: tuple = None       # (target, amount) or None
     _dressed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _lock: object = field(default_factory=threading.Lock, init=False, repr=False,
-                          compare=False)
 
     def grid(self, n):
         return make_grid(self.xmin, self.xmax, n)
@@ -207,23 +204,25 @@ class SystemBuilder:
         if self.kind != "family":
             raise InvalidDomainError("the free preset has no dressed system")
         key = (n, self.corruption)
-        with self._lock:
-            ds = self._dressed.get(key)
-            if ds is None:
-                ds = make_family(self.spec, self.profile, self.grid(n))
-                if self.corruption is not None:
-                    apply_corruption(ds, *self.corruption)
-                for part in (ds, ds.bundle, ds.grid):
-                    for value in vars(part).values():
-                        if isinstance(value, np.ndarray):
-                            value.flags.writeable = False
-                self._dressed[key] = ds
+        ds = self._dressed.get(key)
+        if ds is None:
+            ds = make_family(self.spec, self.profile, self.grid(n))
+            if self.corruption is not None:
+                apply_corruption(ds, *self.corruption)
+            for part in (ds, ds.bundle, ds.grid):
+                for value in vars(part).values():
+                    if isinstance(value, np.ndarray):
+                        value.flags.writeable = False
+            self._dressed[key] = ds
         return copy.copy(ds)
 
     def inputs(self, n) -> OperatorInputs:
         if self.kind == "free":
             return OperatorInputs.free(self.profile, self.grid(n))
         return OperatorInputs.from_dressed(self.dressed(n))
+
+
+CORRUPTION_TARGETS = ("v-imag-flip", "v-add-linear", "f-perturb")
 
 
 def apply_corruption(ds: DressedSystem, target, amount=0.1):
@@ -853,11 +852,12 @@ CHECK_NAMES = ("eq25", "eq26", "eq28", "intertwining", "groundstate", "gauge",
 
 
 def run_suite(builder: SystemBuilder, checks, ns, tol=None, probes=8,
-              eig_levels=None, detune=None, jobs=1):
+              eig_levels=None, detune=None):
     """Run the requested checks; returns (results, spectral summary, findings).
 
-    Results come back in the canonical check order regardless of job count
-    and of the order of the levels, so report payloads are deterministic.
+    Checks run one after another and results come back in the canonical
+    check order whatever the order of the levels, so report payloads are
+    deterministic.
     """
     tol = _tolerances(tol)
     unknown = set(checks) - set(CHECK_NAMES)
@@ -884,13 +884,7 @@ def run_suite(builder: SystemBuilder, checks, ns, tol=None, probes=8,
     }
     runners = [run for name, (run, needs_dressed) in table.items()
                if name in checks and (builder.kind == "family" or not needs_dressed)]
-    if jobs > 1 and len(runners) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            outputs = list(ex.map(lambda run: run(), runners))
-    else:
-        outputs = [run() for run in runners]
-    results = [r for out in outputs for r in out]
+    results = [r for run in runners for r in run()]
 
     spectral_summary = finest = None
     if "spectrum" in checks:

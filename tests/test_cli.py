@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -126,15 +127,17 @@ def test_verify_corrupted_fixture_fails(tmp_path):
 
 
 def test_verify_jobs_flag_deterministic(tmp_path):
-    out = tmp_path / "rep.json"
+    # --jobs is accepted and ignored, and payloads echo neither it nor --out
     base = ["verify", "--family", "morse", "--refine", "301,501,1001",
-            "--checks", "eq25,eq26,eq28", "--out", str(out)]
-    assert run(base + ["--jobs", "1"]) == 0
-    b1 = payload_bytes(out)
-    assert run(base + ["--jobs", "3"]) == 0
-    b2 = payload_bytes(out)
-    # payloads differ only in the echoed jobs value
-    assert b1.replace(b'"jobs":1', b'"jobs":3') == b2
+            "--checks", "eq25,eq26,eq28"]
+    payloads = set()
+    for jobs, name in (("1", "a.json"), ("3", "b.json")):
+        out = tmp_path / name
+        assert run(base + ["--jobs", jobs, "--out", str(out)]) == 0
+        payloads.add(payload_bytes(out))
+    assert len(payloads) == 1
+    config = json.loads(payloads.pop())["config"]
+    assert "jobs" not in config and "out" not in config
 
 
 def test_verify_gauge_flag(tmp_path):
@@ -269,14 +272,25 @@ def test_no_color_env(tmp_path, monkeypatch, capsys):
 
 
 def test_refine_order_does_not_change_checks(tmp_path):
-    payloads = []
-    for refine in ("801,401,201", "201,401,801"):
-        out = tmp_path / f"{refine}.json"
-        run(["verify", "--family", "morse", "--refine", refine,
-             "--checks", "intertwining,groundstate", "--out", str(out)])
-        payloads.append(json.loads(out.read_text())["payload"])
-    assert payloads[0]["config"]["refine"] == [201, 401, 801]
-    assert payloads[0]["checks"] == payloads[1]["checks"]
+    # every ordering of the refine levels (default checks) and of the eig
+    # levels (spectrum, eq29) gives the same payload bytes
+    base = ["verify", "--family", "morse", "--mass", "rational"]
+    runs = [(["--refine", ",".join(map(str, refine))], None)
+            for refine in itertools.permutations((101, 201, 401))]
+    runs += [(["--refine", "101,201,401", "--checks", "spectrum,eq29",
+               "--xmin", "-3", "--xmax", "4"], {"eig_levels": levels})
+             for levels in ([101, 201], [201, 101])]
+    seen = {"refine": set(), "eig_levels": set()}
+    for k, (argv, config) in enumerate(runs):
+        if config is not None:
+            (tmp_path / f"{k}.cfg.json").write_text(json.dumps(config))
+            argv = argv + ["--config", str(tmp_path / f"{k}.cfg.json")]
+        out = tmp_path / f"{k}.json"
+        code = run(base + argv + ["--out", str(out)])
+        seen["refine" if config is None else "eig_levels"].add((code, payload_bytes(out)))
+    assert [len(outcomes) for outcomes in seen.values()] == [1, 1]
+    (_, payload), = seen["refine"]
+    assert json.loads(payload)["config"]["refine"] == [101, 201, 401]
 
 
 def test_verify_free_preset_default_checks(tmp_path):
@@ -318,6 +332,10 @@ def _failing_eig(mat):
     (["verify", "--refine", "401,401,401"], None, 2),
     (["verify", "--refine", "201,x,801"], None, 2),
     (["verify", "--mass", "constant:scale=heavy"], None, 2),
+    (["verify"], {"corruption": {"amount": 0.1}}, 2),
+    (["verify"], {"corruption": {"target": "v-imag-flp"}}, 2),
+    (["spectrum", "--family", "morse", "--n", "201", "--list-cap", "-3"], None, 2),
+    (["spectrum", "--family", "morse", "--n", "201", "--list-cap", "0"], None, 2),
     (["generate", "--n", "5"], None, 3),
     (["generate", "--mass", "constant:scale=-1", "--n", "101"], None, 4),
     (["verify", "--family", "hermitian-limit", "--g-const", "0",
@@ -331,7 +349,9 @@ def _failing_eig(mat):
     (["verify", "--config", "missing.json"], None, 10),
 ], ids=["0-success", "2-string-n", "2-bool-jobs", "2-string-tolerance",
         "2-repeated-eig-level", "2-one-eig-level-for-spectrum", "2-repeated-refine-level", "2-refine-not-int",
-        "2-mass-scale-not-number", "3-grid-too-small", "4-negative-mass",
+        "2-mass-scale-not-number", "2-corruption-without-target",
+        "2-unknown-corruption-target", "2-negative-list-cap", "2-zero-list-cap",
+        "3-grid-too-small", "4-negative-mass",
         "5-vanishing-g", "6-singularity", "7-check-fails", "8-budget",
         "9-eigensolver-fails", "10-unreadable-config"])
 def test_exit_codes(tmp_path, monkeypatch, argv, config, code):

@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 
@@ -335,15 +332,6 @@ def test_run_suite_vocabulary():
         run_suite(builder(), ["nope"], NS)
 
 
-def test_run_suite_deterministic_across_jobs():
-    checks = ["eq25", "eq26", "eta-hermiticity", "eq28"]
-    r1, _, _ = run_suite(builder(), checks, NS, jobs=1)
-    r2, _, _ = run_suite(builder(), checks, NS, jobs=3)
-    assert [r.name for r in r1] == [r.name for r in r2]
-    for a, b in zip(r1, r2):
-        assert a.residuals == b.residuals
-
-
 def test_run_suite_findings():
     results, spectral, findings = run_suite(
         builder(profile=MassProfile.rational(), domain=(-3.0, 4.0)),
@@ -415,30 +403,3 @@ def test_eq29_reuses_the_spectrum_decomposition(monkeypatch):
     results, _, _ = run_suite(b, ["spectrum", "eq29"], NS, eig_levels=[101, 201])
     assert sizes == [99, 199]
     assert results[-1].to_dict() == alone.to_dict()
-
-
-def test_dressed_cache_under_threads(family_builds):
-    # more threads than cores, switching often: each level is built once and
-    # every thread gets that level's arrays
-    b = builder("scarf2", domain=(-8.0, 8.0))
-    levels = [101, 151, 201, 251]
-    seen = {n: [] for n in levels}
-
-    def work(shift):
-        for n in levels[shift:] + levels[:shift]:
-            seen[n].append(b.dressed(n).V)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k % len(levels),)) for k in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert sorted(family_builds) == levels
-    for n in levels:
-        assert len(seen[n]) == 6 and all(v is seen[n][0] for v in seen[n])
