@@ -15,14 +15,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (BudgetExceededError, CheckFailureError, ConfigError,
-                     IOFormatError, PdmphError)
+from .errors import CheckFailureError, ConfigError, IOFormatError, PdmphError
 from .pipeline import GeneratingSpec, catalog_rows, load_xy_table, to_csv
 from .profiles import MassProfile
 from .report import (SYSTEM_PRESETS, build_report, emit_json, payload_config,
                      resolve_config, write_report)
-from .verify import (EIG_BUDGET, TRACEABLE, SystemBuilder, residual_trace,
-                     run_suite, spectral_for, spectral_payload)
+from .verify import (TRACEABLE, SystemBuilder, residual_trace, run_suite,
+                     spectral_for, spectral_payload)
 
 
 def _color(text, code, enabled):
@@ -33,15 +32,24 @@ def _use_color():
     return sys.stdout.isatty() and not os.environ.get("PDMPH_NO_COLOR")
 
 
-def _parse_kv(spec, what):
-    """Parse 'kind:k=v,k=v' option syntax for --mass and --gauge."""
+def _parse_kv(spec, what, keys):
+    """Parse 'kind:k=v,k=v' option syntax for --mass and --gauge.
+
+    Each k must be one of `keys` and appear once, so a misspelt parameter
+    is refused instead of silently falling back to its default.
+    """
     kind, _, rest = spec.partition(":")
     params = {}
     if rest:
         for item in rest.split(","):
-            k, _, v = item.partition("=")
-            if not _:
+            k, eq, v = item.partition("=")
+            if not eq:
                 raise ConfigError(f"bad {what} parameter {item!r} (expected k=v)")
+            if k not in keys:
+                raise ConfigError(f"unknown {what} parameter {k!r} "
+                                  f"(allowed: {', '.join(keys)})")
+            if k in params:
+                raise ConfigError(f"{what} parameter {k!r} given twice")
             params[k] = v
     return kind, params
 
@@ -143,7 +151,6 @@ def _load_config(args):
         "grid.xmax": getattr(args, "xmax", None),
         "grid.n": getattr(args, "n", None),
         "out": getattr(args, "out", None),
-        "jobs": getattr(args, "jobs", None),
         "g_const": getattr(args, "g_const", None),
         "g_table": getattr(args, "g_table", None),
         "detune": getattr(args, "detune", None),
@@ -154,13 +161,15 @@ def _load_config(args):
     if getattr(args, "checks", None):
         overrides["checks"] = args.checks.split(",")
     if getattr(args, "mass", None):
-        kind, params = _parse_kv(args.mass, "mass")
+        kind, params = _parse_kv(args.mass, "mass", ("scale", "beta", "path"))
+        if "scale" in params and "beta" in params:
+            raise ConfigError("mass takes scale or its alias beta, not both")
         overrides["mass"] = {"kind": kind,
                              "scale": _parse_number(params.get("scale", params.get("beta", 1.0)),
                                                     "mass scale"),
                              "path": params.get("path")}
     if getattr(args, "gauge", None):
-        mode, params = _parse_kv(args.gauge, "gauge")
+        mode, params = _parse_kv(args.gauge, "gauge", ("scale", "path"))
         overrides["gauge"] = {"mode": mode,
                               "scale": _parse_number(params.get("scale", 1.0), "gauge scale"),
                               "path": params.get("path")}
@@ -231,8 +240,6 @@ def cmd_spectrum(args):
     if args.list_cap < 1:
         raise ConfigError(f"--list-cap must be at least 1, got {args.list_cap}")
     n = cfg["grid"]["n"]
-    if n > EIG_BUDGET:
-        raise BudgetExceededError(f"n = {n} exceeds the dense eigensolve budget ({EIG_BUDGET})")
     builder = _builder_from(cfg)
     sp = spectral_for(builder, n, cfg["tolerances"])
     payload = {
@@ -281,8 +288,6 @@ def make_parser():
         sp.add_argument("--g-table", dest="g_table", default=None)
         sp.add_argument("--detune", type=float, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--jobs", type=int, default=None,
-                        help="accepted and ignored: checks run one after another")
 
     gen = sub.add_parser("generate", help="sample a dressed system to CSV")
     common(gen)

@@ -139,7 +139,7 @@ class Banded:
         return Banded(offsets, np.array([out[o] for o in offsets]).reshape(-1, n),
                       [spans[o] for o in offsets])
 
-    def _combine(self, other, op):
+    def __sub__(self, other):
         mine = {o: (d, sp) for o, d, sp in zip(self.offsets, self.data, self.spans)}
         theirs = {o: (d, sp) for o, d, sp in zip(other.offsets, other.data, other.spans)}
         zero = (np.zeros(self.n), (0, 0))
@@ -149,15 +149,9 @@ class Banded:
         for k, o in enumerate(offsets):
             (a, sa), (b, sb) = mine.get(o, zero), theirs.get(o, zero)
             lo, hi = _hull((sa, sb))
-            data[k, lo:hi] = op(a[lo:hi], b[lo:hi])
+            data[k, lo:hi] = a[lo:hi] - b[lo:hi]
             spans.append((lo, hi))
         return Banded(offsets, data, spans)
-
-    def __add__(self, other):
-        return self._combine(other, np.add)
-
-    def __sub__(self, other):
-        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar):
         return Banded(self.offsets, scalar * self.data, self.spans)

@@ -9,7 +9,9 @@ Conventions:
   eta~   = -U^2 d2 - 2 K d1 + L         (metric; also available as the
                                          literal product D~^ D~)
   H'     = -U^2 d2 - 2 M1 d1 + N1 + V
-  H'^    = -U^2 d2 - 2 M2 d1 + N2 + conj(V)
+  H'^    = -U^2 d2 - 2 M1 d1 + N1 + conj(V)
+           (a is real, so the adjoint's own first- and zeroth-order
+           coefficients coincide with those of H')
 
 Adjoint matrices built this way agree with conjugate transposes only on the
 interior window and only when applied to smooth vectors; that agreement is
@@ -83,21 +85,25 @@ def _first_order(U, sign, terms, grid):
     return _row_scaled_sum([(sign, U, diff_matrix(grid, 1).form)], terms)
 
 
+def _gauge_coefficients(a, ap, U, Up):
+    """M1 = U U' - i U a and N1 = i (U' a + U a') + a^2, elementwise."""
+    A = a + 0j
+    return U * Up - 1j * U * A, 1j * (Up * A + U * ap) + A * A
+
+
 @dataclass
 class CoefficientSet:
-    """First/zeroth-order coefficients of the metric, the Hamiltonian and its adjoint.
+    """First/zeroth-order coefficients of the metric and of the Hamiltonian.
 
-    With a real gauge the Hamiltonian coefficients and their adjoint
-    counterparts coincide (M2 = M1, N2 = N1); the non-Hermiticity then lives
-    entirely in the potential.
+    The gauge is real, so the adjoint Hamiltonian has the same coefficients
+    M1 and N1 as H' (its own expression, built from conj(a), reduces to
+    them); the non-Hermiticity then lives entirely in the potential.
     """
 
     K: np.ndarray
     L: np.ndarray
     M1: np.ndarray
     N1: np.ndarray
-    M2: np.ndarray
-    N2: np.ndarray
 
     @classmethod
     def build(cls, f, fp, g, gp, a, ap, bundle: ProfileBundle):
@@ -106,13 +112,7 @@ class CoefficientSet:
         Gp = gp - ap
         K = U * Up + 1j * U * G
         L = (f**2 + G**2 - (Up * f + U * fp) - 1j * (Up * G + U * Gp))
-        A = a + 0j
-        M1 = U * Up - 1j * U * A
-        N1 = 1j * (Up * A + U * ap) + A * A
-        Ac = np.conj(A)
-        M2 = U * Up - 1j * U * Ac
-        N2 = 1j * (Up * Ac + U * ap) + Ac * Ac
-        return cls(K, L, M1, N1, M2, N2)
+        return cls(K, L, *_gauge_coefficients(a, ap, U, Up))
 
 
 def build_d(phi, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
@@ -159,24 +159,18 @@ def build_eta_tilde(coeffs: CoefficientSet, bundle: ProfileBundle, grid: Grid,
     raise InvalidDomainError(f"unknown eta_tilde mode {mode!r}")
 
 
-def build_h_prime(V, a, ap, bundle: ProfileBundle, grid: Grid,
-                  coeffs: CoefficientSet = None) -> OperatorMatrix:
+def build_h_prime(V, a, ap, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     """Gauged Hamiltonian -U^2 d2 - 2 M1 d1 + N1 + V."""
-    if coeffs is None:
-        z = np.zeros(grid.n)
-        coeffs = CoefficientSet.build(z, z, z, z, a, ap, bundle)
-    mat = _second_order(bundle.U**2, coeffs.M1, (coeffs.N1, V),
+    M1, N1 = _gauge_coefficients(a, ap, bundle.U, bundle.Up)
+    mat = _second_order(bundle.U**2, M1, (N1, V),
                         diff_matrix(grid, 1).form, diff_matrix(grid, 2).form)
     return OperatorMatrix(grid, mat, kind="H_prime")
 
 
-def build_h_prime_dagger(V, a, ap, bundle: ProfileBundle, grid: Grid,
-                         coeffs: CoefficientSet = None) -> OperatorMatrix:
-    """Adjoint Hamiltonian -U^2 d2 - 2 M2 d1 + N2 + conj(V)."""
-    if coeffs is None:
-        z = np.zeros(grid.n)
-        coeffs = CoefficientSet.build(z, z, z, z, a, ap, bundle)
-    mat = _second_order(bundle.U**2, coeffs.M2, (coeffs.N2, np.conj(V)),
+def build_h_prime_dagger(V, a, ap, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
+    """Adjoint Hamiltonian -U^2 d2 - 2 M1 d1 + N1 + conj(V) (the gauge is real)."""
+    M1, N1 = _gauge_coefficients(a, ap, bundle.U, bundle.Up)
+    mat = _second_order(bundle.U**2, M1, (N1, np.conj(V)),
                         diff_matrix(grid, 1).form, diff_matrix(grid, 2).form)
     return OperatorMatrix(grid, mat, kind="H_prime_dagger")
 
@@ -237,10 +231,9 @@ def dirichlet_block(grid: Grid, order: int) -> np.ndarray:
 
 def build_h_prime_block(V, a, ap, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     """Dirichlet interior-block Hamiltonian for dense eigendecomposition."""
-    z = np.zeros(grid.n)
-    coeffs = CoefficientSet.build(z, z, z, z, a, ap, bundle)
     s = slice(1, grid.n - 1)
-    mat = _second_order(bundle.U[s]**2, coeffs.M1[s], (coeffs.N1[s], V[s]),
+    M1, N1 = _gauge_coefficients(a[s], ap[s], bundle.U[s], bundle.Up[s])
+    mat = _second_order(bundle.U[s]**2, M1, (N1, V[s]),
                         _dirichlet_stencil(grid, 1), _dirichlet_stencil(grid, 2))
     return OperatorMatrix(grid, mat, kind="H_prime_block")
 
@@ -285,21 +278,6 @@ def tau_similarity_actions(h_prime: OperatorMatrix, h_prime_dagger: OperatorMatr
         res = np.maximum(res, np.abs(image @ v - hv))
         act = np.maximum(act, np.abs(hv))
     return res, act
-
-
-def tau_similarity_residual(h_prime: OperatorMatrix, h_prime_dagger: OperatorMatrix,
-                            tau_phase, probes=None, pad=8, xmargin=0.0):
-    """Residual of the antilinear similarity between H' and its adjoint.
-
-    Measured through probe actions (:func:`tau_similarity_actions`) on the
-    interior window, relative to the adjoint action scale.
-    """
-    grid = h_prime.grid
-    if probes is None:
-        probes = default_probes(grid)
-    res, act = tau_similarity_actions(h_prime, h_prime_dagger, tau_phase, probes)
-    w = grid.interior_mask(pad, xmargin)
-    return res[w].max() / max(act[w].max(), 1e-300)
 
 
 MATRIX_MAGIC = b"PDMPHMAT"

@@ -27,6 +27,9 @@ SYSTEM_PRESETS = ("hermitian-limit", "free")
 # costs about 2 kB and 5 us per point, so a mistyped level that asks for
 # millions of points is refused before anything is allocated
 MAX_POINTS = 200_001
+# most probes (8x the default): the intertwining check keeps every level's
+# per-probe symbol arrays, about 0.29 MB per probe at the default levels
+MAX_PROBES = 64
 
 CONFIG_DEFAULTS = {
     "family": "morse",
@@ -45,7 +48,6 @@ CONFIG_DEFAULTS = {
     "tolerances": dict(DEFAULT_TOLERANCES),
     "detune": None,
     "corruption": None,
-    "jobs": 1,          # accepted and ignored: checks always run one after another
     "out": None,
 }
 
@@ -92,7 +94,7 @@ def resolve_config(given=None, overrides=None):
 _NUMBERS = ("alpha", "delta", "g_const", "mass.scale", "gauge.scale",
             *(f"tolerances.{key}" for key in DEFAULT_TOLERANCES))
 _NUMBERS_OR_NULL = ("grid.xmin", "grid.xmax", "detune")
-_INTEGERS = ("grid.n", "probes", "jobs")
+_INTEGERS = ("grid.n", "probes")
 
 
 def _field(cfg, key):
@@ -153,6 +155,9 @@ def _validate(cfg):
     if cfg["probes"] < 2:
         raise ConfigError("probes must be at least 2: the intertwining symbol "
                           "analysis compares probes in pairs")
+    if cfg["probes"] > MAX_PROBES:
+        raise ConfigError(f"probes asks for {cfg['probes']} probe vectors; "
+                          f"the maximum is {MAX_PROBES}")
     if "spectrum" in cfg["checks"] and len(cfg["eig_levels"]) < 2:
         raise ConfigError("the spectrum check compares two eig_levels")
     if cfg["grid"]["xmin"] is None or cfg["grid"]["xmax"] is None:
@@ -202,12 +207,12 @@ def emit_json(obj):
 
 
 def payload_config(config):
-    """The resolved configuration as payloads echo it, without `jobs` and `out`.
+    """The resolved configuration as payloads echo it, without `out`.
 
-    Those two say how a run is carried out, not what it measures, so runs
+    The output path says where a run writes, not what it measures, so runs
     that differ only there give the same payload bytes.
     """
-    return {k: v for k, v in config.items() if k not in ("jobs", "out")}
+    return {k: v for k, v in config.items() if k != "out"}
 
 
 def build_report(config, conventions, results, spectral, findings):

@@ -62,13 +62,12 @@ def test_vector_block_and_adjoint_products(A, seed):
 @settings(max_examples=150, deadline=None)
 @given(banded_pair(), st.complex_numbers(max_magnitude=1e3, allow_nan=False,
                                          allow_infinity=False))
-def test_product_sum_difference_and_scalar_multiple(pair, c):
+def test_product_difference_and_scalar_multiple(pair, c):
     A, B = pair
     MA, MB = A.toarray(), B.toarray()
     assert close((A @ B).toarray(), MA @ MB, np.abs(MA) @ np.abs(MB))
     assert close((A.H @ B).toarray(), MA.conj().T @ MB, np.abs(MA).T @ np.abs(MB))
     assert close((A - B).toarray(), MA - MB, np.abs(MA) + np.abs(MB))
-    assert close((A + B).toarray(), MA + MB, np.abs(MA) + np.abs(MB))
     assert close((c * A).toarray(), c * MA, abs(c) * np.abs(MA))
     assert close((A * c).toarray(), MA * c, abs(c) * np.abs(MA))
 

@@ -127,17 +127,16 @@ def test_verify_corrupted_fixture_fails(tmp_path):
 
 
 def test_verify_jobs_flag_deterministic(tmp_path):
-    # --jobs is accepted and ignored, and payloads echo neither it nor --out
+    # payloads do not echo --out, so two output paths give the same bytes
     base = ["verify", "--family", "morse", "--refine", "301,501,1001",
             "--checks", "eq25,eq26,eq28"]
     payloads = set()
-    for jobs, name in (("1", "a.json"), ("3", "b.json")):
+    for name in ("a.json", "b.json"):
         out = tmp_path / name
-        assert run(base + ["--jobs", jobs, "--out", str(out)]) == 0
+        assert run(base + ["--out", str(out)]) == 0
         payloads.add(payload_bytes(out))
     assert len(payloads) == 1
-    config = json.loads(payloads.pop())["config"]
-    assert "jobs" not in config and "out" not in config
+    assert "out" not in json.loads(payloads.pop())["config"]
 
 
 def test_verify_gauge_flag(tmp_path):
@@ -325,13 +324,21 @@ def _failing_eig(mat):
 @pytest.mark.parametrize("argv,config,code", [
     (["generate", "--family", "scarf2", "--n", "101"], None, 0),
     (["verify"], {"grid": {"n": "abc"}}, 2),
-    (["verify"], {"jobs": True}, 2),
+    (["verify"], {"probes": True}, 2),
+    (["verify"], {"jobs": 1}, 2),
+    (["verify"], {"tolerances": {"neg_control": 0.01}}, 2),
+    (["verify"], {"probes": 65}, 2),
     (["verify"], {"tolerances": {"residual": "tight"}}, 2),
     (["verify"], {"eig_levels": [501, 501]}, 2),
     (["verify", "--checks", "spectrum"], {"eig_levels": [501]}, 2),
     (["verify", "--refine", "401,401,401"], None, 2),
     (["verify", "--refine", "201,x,801"], None, 2),
     (["verify", "--mass", "constant:scale=heavy"], None, 2),
+    (["verify", "--mass", "rational:bta=4", "--refine", "101,201,401"], None, 2),
+    (["verify", "--mass", "constant:sclae=3", "--refine", "101,201,401"], None, 2),
+    (["verify", "--gauge", "scaled-g:scal=0.5", "--refine", "101,201,401"], None, 2),
+    (["verify", "--mass", "rational:beta=4,scale=9", "--refine", "101,201,401"], None, 2),
+    (["verify", "--gauge", "scaled-g:scale=0.5,scale=2", "--refine", "101,201,401"], None, 2),
     (["verify"], {"corruption": {"amount": 0.1}}, 2),
     (["verify"], {"corruption": {"target": "v-imag-flp"}}, 2),
     (["spectrum", "--family", "morse", "--n", "201", "--list-cap", "-3"], None, 2),
@@ -344,15 +351,19 @@ def _failing_eig(mat):
     (["verify", "--refine", "101,201,401", "--checks", "eq25"],
      {"tolerances": {"residual": 1e-300}}, 7),
     (["spectrum", "--family", "free", "--xmin", "-8", "--xmax", "8", "--n", "4002"], None, 8),
+    (["verify", "--family", "free", "--checks", "spectrum"], {"eig_levels": [201, 4003]}, 8),
     (["spectrum", "--family", "morse", "--mass", "rational", "--xmin", "-3", "--xmax", "4",
       "--n", "201"], "failing-eig", 9),
     (["verify", "--config", "missing.json"], None, 10),
-], ids=["0-success", "2-string-n", "2-bool-jobs", "2-string-tolerance",
+], ids=["0-success", "2-string-n", "2-bool-probes", "2-removed-jobs-key",
+        "2-removed-neg-control-key", "2-too-many-probes", "2-string-tolerance",
         "2-repeated-eig-level", "2-one-eig-level-for-spectrum", "2-repeated-refine-level", "2-refine-not-int",
-        "2-mass-scale-not-number", "2-corruption-without-target",
+        "2-mass-scale-not-number", "2-misspelt-mass-beta", "2-misspelt-mass-scale",
+        "2-misspelt-gauge-scale", "2-mass-beta-and-scale", "2-repeated-gauge-parameter",
+        "2-corruption-without-target",
         "2-unknown-corruption-target", "2-negative-list-cap", "2-zero-list-cap",
         "3-grid-too-small", "4-negative-mass",
-        "5-vanishing-g", "6-singularity", "7-check-fails", "8-budget",
+        "5-vanishing-g", "6-singularity", "7-check-fails", "8-budget", "8-budget-eig-level",
         "9-eigensolver-fails", "10-unreadable-config"])
 def test_exit_codes(tmp_path, monkeypatch, argv, config, code):
     monkeypatch.chdir(tmp_path)

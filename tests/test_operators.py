@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from pdmph import (CoefficientSet, GeneratingSpec, InvalidDomainError,
-                   MassProfile, build_d, build_d_dagger, build_d_tilde,
-                   build_eta_parity, build_eta_tilde, build_h_prime,
-                   build_h_prime_dagger, build_parity, default_probes,
-                   dirichlet_block, export_matrix, import_matrix, make_family,
-                   make_grid, observed_order, tau_similarity_residual)
+                   MassProfile, SystemBuilder, build_d, build_d_dagger,
+                   build_d_tilde, build_eta_parity, build_eta_tilde,
+                   build_h_prime, build_h_prime_dagger, build_parity,
+                   check_tau, default_probes, dirichlet_block, export_matrix,
+                   import_matrix, make_family, make_grid, observed_order)
 from pdmph.grid import cumint
 
 
@@ -91,11 +91,15 @@ def test_coefficient_values_harmonic():
 def test_adjoint_coefficients_for_real_gauge():
     ds = dressed("scarf2", gauge_a=("scaled-g", 1.0), domain=(-8.0, 8.0))
     c = CoefficientSet.build(ds.f, ds.fp, ds.g, ds.gp, ds.a, ds.ap, ds.bundle)
-    # with a real gauge the adjoint coefficients coincide with the direct ones
-    assert np.abs(c.M2 - c.M1).max() == 0.0
-    assert np.abs(c.N2 - c.N1).max() == 0.0
+    # the formal adjoint's own coefficients, built from conj(a), coincide
+    # with the direct ones for a real gauge
+    U, Up, ac = ds.bundle.U, ds.bundle.Up, np.conj(ds.a + 0j)
+    M2 = U * Up - 1j * U * ac
+    N2 = 1j * (Up * ac + U * ds.ap) + ac * ac
+    assert np.abs(M2 - c.M1).max() == 0.0
+    assert np.abs(N2 - c.N1).max() == 0.0
     # and N1 is genuinely complex, so conjugation would NOT reproduce N2
-    assert np.abs(c.N2 - np.conj(c.N1)).max() > 1e-3
+    assert np.abs(N2 - np.conj(c.N1)).max() > 1e-3
 
 
 def test_k_formula():
@@ -206,20 +210,15 @@ def test_tau_residual_exact_for_zero_phase():
     hp = build_h_prime(ds.V, ds.a, ds.ap, ds.bundle, ds.grid)
     hpd = build_h_prime_dagger(ds.V, ds.a, ds.ap, ds.bundle, ds.grid)
     assert np.abs(np.conj(hp.mat) - hpd.mat).max() == 0.0
-    r = tau_similarity_residual(hp, hpd, ds.tau_phase)
-    assert r == 0.0
+    b = SystemBuilder("family", MassProfile.constant(), -8.0, 8.0,
+                      spec=GeneratingSpec("scarf2"))
+    assert check_tau(b, [201, 401, 801]).residuals == [0.0, 0.0, 0.0]
 
 
 def test_tau_residual_converges_for_gauged_system():
-    errs, hs = [], []
-    for n in (201, 401, 801):
-        ds = dressed("morse", gauge_a=("scaled-g", 1.0), n=n)
-        hp = build_h_prime(ds.V, ds.a, ds.ap, ds.bundle, ds.grid)
-        hpd = build_h_prime_dagger(ds.V, ds.a, ds.ap, ds.bundle, ds.grid)
-        errs.append(tau_similarity_residual(hp, hpd, ds.tau_phase,
-                                            xmargin=8 * 12.0 / 200))
-        hs.append(ds.grid.h)
-    assert observed_order(hs, errs) >= 3.5
+    b = SystemBuilder("family", MassProfile.constant(), -2.0, 10.0,
+                      spec=GeneratingSpec("morse", gauge_a=("scaled-g", 1.0)))
+    assert check_tau(b, [201, 401, 801]).observed_order >= 3.5
 
 
 def test_tau_phase_definition():

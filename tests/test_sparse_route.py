@@ -114,6 +114,10 @@ def dense_builders(ds):
     D1, D2 = dense_diff(grid, 1), dense_diff(grid, 2)
     B1, B2 = dense_dirichlet(grid, 1), dense_dirichlet(grid, 2)
     c = CoefficientSet.build(ds.f, ds.fp, ds.g, ds.gp, ds.a, ds.ap, b)
+    # the adjoint's own first- and zeroth-order coefficients, from conj(a)
+    ac = np.conj(ds.a + 0j)
+    M2 = U * b.Up - 1j * U * ac
+    N2 = 1j * (b.Up * ac + U * ds.ap) + ac * ac
     s = slice(1, grid.n - 1)
     d = add_diagonal(dscale(U + 0j, D1), ds.phi)
     dd = add_diagonal(-dscale(U + 0j, D1), -b.Up, np.conj(ds.phi))
@@ -124,7 +128,7 @@ def dense_builders(ds):
         "D_tilde_dagger": add_diagonal(dd.copy(), 1j * np.conj(ds.a)),
         "eta_tilde": second_order(U**2, c.K, (c.L,), D1, D2),
         "H_prime": second_order(U**2, c.M1, (c.N1, ds.V), D1, D2),
-        "H_prime_dagger": second_order(U**2, c.M2, (c.N2, np.conj(ds.V)), D1, D2),
+        "H_prime_dagger": second_order(U**2, M2, (N2, np.conj(ds.V)), D1, D2),
         "H_prime_block": second_order(U[s]**2, c.M1[s], (c.N1[s], ds.V[s]), B1, B2),
         "eta_tilde_block": second_order(U[s]**2, c.K[s], (c.L[s],), B1, B2),
     }
@@ -139,8 +143,8 @@ def sparse_builders(ds, c):
         "D_tilde": build_d_tilde(ds.phi, ds.a, b, grid),
         "D_tilde_dagger": build_d_tilde_dagger(ds.phi, ds.a, b, grid),
         "eta_tilde": build_eta_tilde(c, b, grid, mode="direct"),
-        "H_prime": build_h_prime(ds.V, ds.a, ds.ap, b, grid, c),
-        "H_prime_dagger": build_h_prime_dagger(ds.V, ds.a, ds.ap, b, grid, c),
+        "H_prime": build_h_prime(ds.V, ds.a, ds.ap, b, grid),
+        "H_prime_dagger": build_h_prime_dagger(ds.V, ds.a, ds.ap, b, grid),
         "H_prime_block": build_h_prime_block(ds.V, ds.a, ds.ap, b, grid),
         "eta_tilde_block": build_eta_tilde_block(c, b, grid),
     }

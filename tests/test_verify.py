@@ -4,8 +4,8 @@ import pytest
 import pdmph.verify as verify_module
 
 from pdmph import (BudgetExceededError, GeneratingSpec, MassProfile,
-                   OperatorInputs, SystemBuilder, apply_corruption, build_d,
-                   build_d_tilde, build_h_prime_block, check_eq25, check_eq26,
+                   SystemBuilder, apply_corruption, build_d, build_d_tilde,
+                   build_h_prime_block, check_eq25, check_eq26,
                    check_eq29, check_eta, check_gauge_equivalence,
                    check_groundstate, check_intertwining, check_parity_eta,
                    check_spectrum, check_tau, eigendecompose, make_grid,
@@ -80,7 +80,7 @@ def test_corruption_unknown_target():
 # ---------------------------------------------------------------------------
 
 def test_eq28_constant_g_is_zero():
-    inp = OperatorInputs.from_dressed(hermitian_builder().dressed(801))
+    inp = hermitian_builder().dressed(801)
     r = residual_eq28(inp)
     assert r["max_printed"] < 1e-10 * max(1.0, np.abs(inp.f).max())
 
@@ -89,7 +89,7 @@ def test_eq28_harmonic_frozen_value():
     # constant mass, g = x, f = -1/(2x): surviving printed terms evaluate to
     # alpha (1 - x)/x^3, i.e. -0.125 at x = 2 (direct substitution oracle)
     b = builder("harmonic3d", domain=(0.1, 10.0))
-    inp = OperatorInputs.from_dressed(b.dressed(1981))  # node exactly at x = 2
+    inp = b.dressed(1981)  # node exactly at x = 2
     r = residual_eq28(inp)
     i2 = inp.grid.index_nearest(2.0)
     assert inp.grid.x[i2] == pytest.approx(2.0, abs=1e-12)
@@ -102,9 +102,9 @@ def test_eq28_harmonic_frozen_value():
 def test_eq28_sensitive_to_f():
     b = builder("harmonic3d", domain=(0.1, 10.0))
     ds = b.dressed(801)
-    base = residual_eq28(OperatorInputs.from_dressed(ds))
+    base = residual_eq28(ds)
     apply_corruption(ds, "f-perturb", 0.1)
-    pert = residual_eq28(OperatorInputs.from_dressed(ds))
+    pert = residual_eq28(ds)
     w = base["window"]
     assert np.abs(base["printed"][w] - pert["printed"][w]).max() > 1e-3
 
