@@ -18,10 +18,10 @@ from . import __version__
 from .errors import CheckFailureError, ConfigError, IOFormatError, PdmphError
 from .pipeline import GeneratingSpec, catalog_rows, load_xy_table, to_csv
 from .profiles import MassProfile
-from .report import (SYSTEM_PRESETS, build_report, emit_json, payload_config,
-                     resolve_config, write_report)
-from .verify import (TRACEABLE, SystemBuilder, residual_trace, run_suite,
-                     spectral_for, spectral_payload)
+from .report import (GAUGE_PARAMS, MASS_PARAMS, SYSTEM_PRESETS, build_report,
+                     emit_json, payload_config, resolve_config, write_report)
+from .verify import (PROBES, TOLERANCES, TRACEABLE, SystemBuilder, residual_trace,
+                     run_suite, spectral_for, spectral_payload)
 
 
 def _color(text, code, enabled):
@@ -32,13 +32,16 @@ def _use_color():
     return sys.stdout.isatty() and not os.environ.get("PDMPH_NO_COLOR")
 
 
-def _parse_kv(spec, what, keys):
+def _parse_kv(spec, what, kinds):
     """Parse 'kind:k=v,k=v' option syntax for --mass and --gauge.
 
-    Each k must be one of `keys` and appear once, so a misspelt parameter
-    is refused instead of silently falling back to its default.
+    Each k must be a parameter the kind reads (`kinds[kind]`) and appear
+    once, so a misspelt or unread parameter is refused, not ignored.
     """
     kind, _, rest = spec.partition(":")
+    if kind not in kinds:
+        raise ConfigError(f"unknown {what} kind {kind!r} (known: {', '.join(kinds)})")
+    keys = kinds[kind]
     params = {}
     if rest:
         for item in rest.split(","):
@@ -46,8 +49,8 @@ def _parse_kv(spec, what, keys):
             if not eq:
                 raise ConfigError(f"bad {what} parameter {item!r} (expected k=v)")
             if k not in keys:
-                raise ConfigError(f"unknown {what} parameter {k!r} "
-                                  f"(allowed: {', '.join(keys)})")
+                raise ConfigError(f"{what} {kind} takes no parameter {k!r} "
+                                  f"(allowed: {', '.join(keys) or 'none'})")
             if k in params:
                 raise ConfigError(f"{what} parameter {k!r} given twice")
             params[k] = v
@@ -112,6 +115,8 @@ def _conventions(builder, cfg):
         "interior_window": ("index pad 8 plus a fixed margin of 8 coarse spacings "
                             "from each edge for refinement studies"),
         "groundstate_normalization": "value 1 at the quadrature anchor node",
+        "tolerances": dict(TOLERANCES),
+        "probes": PROBES,
     }
 
 
@@ -161,7 +166,7 @@ def _load_config(args):
     if getattr(args, "checks", None):
         overrides["checks"] = args.checks.split(",")
     if getattr(args, "mass", None):
-        kind, params = _parse_kv(args.mass, "mass", ("scale", "beta", "path"))
+        kind, params = _parse_kv(args.mass, "mass", MASS_PARAMS)
         if "scale" in params and "beta" in params:
             raise ConfigError("mass takes scale or its alias beta, not both")
         overrides["mass"] = {"kind": kind,
@@ -169,7 +174,7 @@ def _load_config(args):
                                                     "mass scale"),
                              "path": params.get("path")}
     if getattr(args, "gauge", None):
-        mode, params = _parse_kv(args.gauge, "gauge", ("scale", "path"))
+        mode, params = _parse_kv(args.gauge, "gauge", GAUGE_PARAMS)
         overrides["gauge"] = {"mode": mode,
                               "scale": _parse_number(params.get("scale", 1.0), "gauge scale"),
                               "path": params.get("path")}
@@ -206,8 +211,7 @@ def cmd_verify(args):
     cfg = _load_config(args)
     builder = _builder_from(cfg)
     results, spectral, findings = run_suite(
-        builder, cfg["checks"], cfg["refine"], tol=cfg["tolerances"],
-        probes=cfg["probes"], eig_levels=cfg["eig_levels"],
+        builder, cfg["checks"], cfg["refine"], eig_levels=cfg["eig_levels"],
         detune=cfg["detune"])
     payload = build_report(cfg, _conventions(builder, cfg), results, spectral, findings)
     out = cfg["out"] or "verify_report.json"
@@ -219,7 +223,7 @@ def cmd_verify(args):
             if name in TRACEABLE and name in ran:
                 residual_trace(builder, name, cfg["refine"],
                                os.path.join(args.trace_dir, f"{name}.csv"),
-                               cfg["probes"], cfg["detune"])
+                               detune=cfg["detune"])
     color = _use_color()
     for r in results:
         mark = {"pass": _color("PASS", "32", color),
@@ -241,7 +245,7 @@ def cmd_spectrum(args):
         raise ConfigError(f"--list-cap must be at least 1, got {args.list_cap}")
     n = cfg["grid"]["n"]
     builder = _builder_from(cfg)
-    sp = spectral_for(builder, n, cfg["tolerances"])
+    sp = spectral_for(builder, n)
     payload = {
         "toolkit": {"name": "pdmph", "version": __version__},
         "config": payload_config(cfg),

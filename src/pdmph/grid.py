@@ -447,6 +447,12 @@ def cubic_spline(xs, ys, x):
     return ys[i] + s[i] * z + c1[i] * (z * z) + c0[i] * (z * z * z)
 
 
+def amplification(h, c2max=0.0, c1max=0.0, c0max=0.0):
+    """Bound on the factor by which ``c2 d2 + c1 d1 + c0`` (coefficient maxima
+    given) magnifies the rounding noise of its input, plus one for the input."""
+    return STENCIL_ABS_D2 * c2max / h**2 + 2.0 * STENCIL_ABS_D1 * c1max / h + c0max + 1.0
+
+
 def fd_floor(h, c2max=0.0, c1max=0.0, c0max=0.0, amp=1.0):
     """Conservative roundoff ceiling for one application of a discretized
     operator ``c2 d2 + c1 d1 + c0`` to a state of unit sup norm.
@@ -455,8 +461,7 @@ def fd_floor(h, c2max=0.0, c1max=0.0, c0max=0.0, amp=1.0):
     convergence-order fits are meaningless; the verify layer records those
     levels as floor-dominated instead of fitting through them.
     """
-    return FLOOR_SAFETY * EPS * amp * (
-        STENCIL_ABS_D2 * c2max / h**2 + 2.0 * STENCIL_ABS_D1 * c1max / h + c0max + 1.0)
+    return FLOOR_SAFETY * EPS * amp * amplification(h, c2max, c1max, c0max)
 
 
 def observed_order(hs, residuals, floors=None):

@@ -247,7 +247,10 @@ def build_eta_tilde_block(coeffs: CoefficientSet, bundle: ProfileBundle,
     return OperatorMatrix(grid, mat, kind="eta_tilde_block")
 
 
-def default_probes(grid: Grid, count=8):
+PROBES = 8   # probe vectors of the probe-action checks (intertwining, tau, eta)
+
+
+def default_probes(grid: Grid, count=PROBES):
     """`count` smooth probe vectors: low-frequency sine/cosine pairs."""
     s = (grid.x - grid.xmin) / (grid.xmax - grid.xmin)
     probes = []
@@ -260,8 +263,8 @@ def default_probes(grid: Grid, count=8):
 
 
 def tau_similarity_actions(h_prime: OperatorMatrix, h_prime_dagger: OperatorMatrix,
-                           tau_phase, probes):
-    """Pointwise maxima over the probes of |image v - H'^ v| and of |H'^ v|.
+                           tau_phase, vectors):
+    """Pointwise maxima over the probe `vectors` of |image v - H'^ v| and of |H'^ v|.
 
     The antilinear map T e^{i alpha} conjugates matrix entries inside the
     phase sandwich, so the similarity image of H' is conj(E H' E^{-1}) with
@@ -273,7 +276,7 @@ def tau_similarity_actions(h_prime: OperatorMatrix, h_prime_dagger: OperatorMatr
     E = np.exp(1j * tau_phase)
     image = Banded(H.offsets, np.conj(E * H.data * H.column_values(1.0 / E)), H.spans)
     res = act = 0.0
-    for v in probes:
+    for v in vectors:
         hv = h_prime_dagger @ v
         res = np.maximum(res, np.abs(image @ v - hv))
         act = np.maximum(act, np.abs(hv))

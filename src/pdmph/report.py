@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 from .pipeline import CATALOG, FAMILIES
-from .verify import CHECK_NAMES, CORRUPTION_TARGETS, DEFAULT_TOLERANCES
+from .verify import CHECK_NAMES, CORRUPTION_TARGETS, EIG_LEVELS
 
 SYSTEM_PRESETS = ("hermitian-limit", "free")
 
@@ -27,9 +27,10 @@ SYSTEM_PRESETS = ("hermitian-limit", "free")
 # costs about 2 kB and 5 us per point, so a mistyped level that asks for
 # millions of points is refused before anything is allocated
 MAX_POINTS = 200_001
-# most probes (8x the default): the intertwining check keeps every level's
-# per-probe symbol arrays, about 0.29 MB per probe at the default levels
-MAX_PROBES = 64
+# the parameters each mass kind and gauge mode reads (beta is an alias of scale)
+MASS_PARAMS = {"constant": ("scale", "beta"), "rational": ("scale", "beta"),
+               "table": ("path",)}
+GAUGE_PARAMS = {"zero": (), "scaled-g": ("scale",), "table": ("path",)}
 
 CONFIG_DEFAULTS = {
     "family": "morse",
@@ -41,11 +42,9 @@ CONFIG_DEFAULTS = {
     "mass": {"kind": "constant", "scale": 1.0, "path": None},
     "grid": {"xmin": None, "xmax": None, "n": 2001},
     "refine": [1001, 2001, 4001],
-    "eig_levels": [501, 1001],
+    "eig_levels": list(EIG_LEVELS),
     "checks": ["eq25", "eq26", "groundstate", "gauge", "tau", "eta-hermiticity",
                "intertwining", "eq28"],
-    "probes": 8,
-    "tolerances": dict(DEFAULT_TOLERANCES),
     "detune": None,
     "corruption": None,
     "out": None,
@@ -91,10 +90,9 @@ def resolve_config(given=None, overrides=None):
     return cfg
 
 
-_NUMBERS = ("alpha", "delta", "g_const", "mass.scale", "gauge.scale",
-            *(f"tolerances.{key}" for key in DEFAULT_TOLERANCES))
+_NUMBERS = ("alpha", "delta", "g_const", "mass.scale", "gauge.scale")
 _NUMBERS_OR_NULL = ("grid.xmin", "grid.xmax", "detune")
-_INTEGERS = ("grid.n", "probes")
+_INTEGERS = ("grid.n",)
 
 
 def _field(cfg, key):
@@ -138,10 +136,16 @@ def _validate(cfg):
         raise ConfigError(f"unknown family {fam!r}")
     if fam == "custom-table" and not cfg["g_table"]:
         raise ConfigError("family custom-table needs g_table (CSV path)")
-    if cfg["mass"]["kind"] not in ("constant", "rational", "table"):
-        raise ConfigError(f"unknown mass kind {cfg['mass']['kind']!r}")
-    if cfg["gauge"]["mode"] not in ("zero", "scaled-g", "table"):
-        raise ConfigError(f"unknown gauge mode {cfg['gauge']['mode']!r}")
+    if fam != "custom-table" and cfg["g_table"] is not None:
+        raise ConfigError(f"g_table is read by family custom-table only, not {fam!r}")
+    for key, kind, params in (("mass", "kind", MASS_PARAMS), ("gauge", "mode", GAUGE_PARAMS)):
+        value = cfg[key][kind]
+        if value not in params:
+            raise ConfigError(f"unknown {key} {kind} {value!r}")
+        if "path" in params[value] and not cfg[key]["path"]:
+            raise ConfigError(f"{key} {kind} {value!r} needs a path (CSV table)")
+        if "path" not in params[value] and cfg[key]["path"] is not None:
+            raise ConfigError(f"{key} {kind} {value!r} reads no path")
     unknown = set(cfg["checks"]) - set(CHECK_NAMES)
     if unknown:
         raise ConfigError(f"unknown checks {sorted(unknown)}")
@@ -152,12 +156,6 @@ def _validate(cfg):
         if levels and levels[-1] > MAX_POINTS:
             raise ConfigError(f"{key} asks for {levels[-1]} grid points; "
                               f"the maximum is {MAX_POINTS}")
-    if cfg["probes"] < 2:
-        raise ConfigError("probes must be at least 2: the intertwining symbol "
-                          "analysis compares probes in pairs")
-    if cfg["probes"] > MAX_PROBES:
-        raise ConfigError(f"probes asks for {cfg['probes']} probe vectors; "
-                          f"the maximum is {MAX_PROBES}")
     if "spectrum" in cfg["checks"] and len(cfg["eig_levels"]) < 2:
         raise ConfigError("the spectrum check compares two eig_levels")
     if cfg["grid"]["xmin"] is None or cfg["grid"]["xmax"] is None:

@@ -31,10 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, EigensolverError, InvalidDomainError
-from .grid import (EPS, STENCIL_ABS_D1, STENCIL_ABS_D2, FLOOR_SAFETY, Grid,
-                   Permuted, diff_matrix, fd_floor, make_grid, observed_order)
-from .operators import (CoefficientSet, OperatorMatrix, build_d, build_d_tilde,
-                        build_eta_parity, build_eta_tilde,
+from .grid import (EPS, STENCIL_ABS_D1, FLOOR_SAFETY, Grid, Permuted,
+                   amplification, diff_matrix, fd_floor, make_grid,
+                   observed_order)
+from .operators import (PROBES, CoefficientSet, OperatorMatrix, build_d,
+                        build_d_tilde, build_eta_parity, build_eta_tilde,
                         build_eta_tilde_block, build_h_prime,
                         build_h_prime_block, build_h_prime_dagger, build_parity,
                         default_probes, tau_similarity_actions)
@@ -43,24 +44,21 @@ from .pipeline import (CATALOG, DressedSystem, GeneratingSpec,
 from .profiles import MassProfile
 
 PAD = 8                 # index pad for identity-check windows
-ORDER_MIN = 3.5
 EIG_BUDGET = 4001
+EIG_LEVELS = (501, 1001)   # default eigensolve levels (the spectrum check compares two)
 
-DEFAULT_TOLERANCES = {
+# The verdict thresholds: part of the measurement protocol, not of a run's
+# configuration; verify payloads record them (and PROBES) under `conventions`.
+TOLERANCES = {
     "residual": 1e-6,          # finest-level residual for pass verdicts
-    "order_min": ORDER_MIN,
+    "order_min": 3.5,
     "symbol_dev_rel": 1e-6,    # probe-to-probe symbol agreement
     "c_stability": 1e-3,       # defect/zeroth-order constant across finest grids
     "exact_regime_defect": 1e-8,
     "gram_rel": 1e-6,
-    "eig_backward": 1e-10,
-    "eig_rel": 1e-6,
+    "eig_backward": 1e-10,     # backward-error contract of every eigensolve
+    "eig_rel": 1e-6,           # relative imaginary part below which an eigenvalue is real
 }
-
-
-def _tolerances(tol):
-    """The default tolerances with the given overrides applied."""
-    return {**DEFAULT_TOLERANCES, **(tol or {})}
 
 
 @dataclass
@@ -100,10 +98,8 @@ class CheckResult:
         }
 
 
-def _finish(result: CheckResult, tol, threshold=None):
+def _finish(result: CheckResult, threshold=TOLERANCES["residual"]):
     """Deterministic verdict from the recorded numbers (levels coarsest first)."""
-    tol = _tolerances(tol)
-    threshold = tol["residual"] if threshold is None else threshold
     hs = [lv.h for lv in result.levels]
     rs = [lv.residual for lv in result.levels]
     fls = [lv.floor for lv in result.levels]
@@ -111,7 +107,7 @@ def _finish(result: CheckResult, tol, threshold=None):
     result.observed_order = order
     result.threshold = threshold
     floor_dominated = all(r <= 10.0 * f for r, f in zip(rs, fls))
-    if rs[-1] <= threshold and (order is None or order >= tol["order_min"]):
+    if rs[-1] <= threshold and (order is None or order >= TOLERANCES["order_min"]):
         result.verdict = "pass"
         if order is None:
             result.notes["order"] = ("unobservable: residuals at or below the "
@@ -279,7 +275,7 @@ def _eq25(builder, n, xm):
     return grid, w, [(res, scale, floor)], None
 
 
-def check_eq25(builder: SystemBuilder, ns, tol=None):
+def check_eq25(builder: SystemBuilder, ns):
     """Potential-conjugation balance: V - conj(V) + 4i U g' must vanish.
 
     g' is taken by finite differences, independently of the analytic
@@ -287,7 +283,7 @@ def check_eq25(builder: SystemBuilder, ns, tol=None):
     order rather than cancelling identically.
     """
     (levels,), _ = _refine(builder, ns, _eq25)
-    return _finish(CheckResult("eq25", "conjugation balance", levels), tol)
+    return _finish(CheckResult("eq25", "conjugation balance", levels))
 
 
 def _eq26(builder, n, xm):
@@ -304,11 +300,11 @@ def _eq26(builder, n, xm):
     return grid, w, [(np.abs(lhs - rhs), scale, floor)], None
 
 
-def check_eq26(builder: SystemBuilder, ns, tol=None):
+def check_eq26(builder: SystemBuilder, ns):
     """Potential-gradient balance:
     conj(V)' = 2 f f' - 2 g g' - (U f)'' + 2i (U g')', all derivatives FD."""
     (levels,), _ = _refine(builder, ns, _eq26)
-    return _finish(CheckResult("eq26", "gradient balance", levels), tol)
+    return _finish(CheckResult("eq26", "gradient balance", levels))
 
 
 def residual_eq28(inputs, xmargin=0.0):
@@ -377,7 +373,7 @@ def _groundstate(builder, n, xm, state=None):
                      (np.abs(hp @ xi - ds.energy * xi), nrm, fl_eig)], None
 
 
-def check_groundstate(builder: SystemBuilder, ns, tol=None, state=None):
+def check_groundstate(builder: SystemBuilder, ns, state=None):
     """Annihilation and eigen-residuals of the constructed ground state.
 
     Returns two results: max |D~ xi| / max |xi| and max |(H' - delta) xi|
@@ -387,8 +383,8 @@ def check_groundstate(builder: SystemBuilder, ns, tol=None, state=None):
     """
     (lv_ann, lv_eig), _ = _refine(builder, ns, _groundstate, state=state)
     suffix = "" if state is None else "-supplied-state"
-    r1 = _finish(CheckResult("groundstate" + suffix, "first-order annihilation", lv_ann), tol)
-    r2 = _finish(CheckResult("groundstate-eigen" + suffix, "eigen-residual", lv_eig), tol)
+    r1 = _finish(CheckResult("groundstate" + suffix, "first-order annihilation", lv_ann))
+    r2 = _finish(CheckResult("groundstate-eigen" + suffix, "eigen-residual", lv_eig))
     if state is not None:
         r1.verdict = r2.verdict = "reported-only"
     return r1, r2
@@ -411,21 +407,20 @@ def _gauge(builder, n, xm):
     return grid, w, [(np.abs(lhs - rhs), nrm, floor)], unit_mod
 
 
-def check_gauge_equivalence(builder: SystemBuilder, ns, tol=None):
+def check_gauge_equivalence(builder: SystemBuilder, ns):
     """Gauge identity: D~(Lambda psi) = Lambda (D psi), measured on the window."""
     (levels,), unit_mods = _refine(builder, ns, _gauge)
-    res = _finish(CheckResult("gauge", "gauge equivalence", levels), tol)
+    res = _finish(CheckResult("gauge", "gauge equivalence", levels))
     res.notes["max_unit_modulus_defect"] = max(unit_mods)
     return res
 
 
-def _tau(builder, n, xm, probes=8):
+def _tau(builder, n, xm):
     ds = builder.dressed(n)
     grid, b = ds.grid, ds.bundle
     hp = build_h_prime(ds.V, ds.a, ds.ap, b, grid)
     hpd = build_h_prime_dagger(ds.V, ds.a, ds.ap, b, grid)
-    res, act = tau_similarity_actions(hp, hpd, ds.tau_phase,
-                                      default_probes(grid, probes))
+    res, act = tau_similarity_actions(hp, hpd, ds.tau_phase, default_probes(grid))
     w = _window(grid, xm)
     floor = FLOOR_SAFETY * EPS * (
         1.0 + np.abs(ds.tau_phase[w]).max()) * (
@@ -434,17 +429,17 @@ def _tau(builder, n, xm, probes=8):
     return grid, w, [(res, max(act[w].max(), 1e-300), floor)], None
 
 
-def check_tau(builder: SystemBuilder, ns, tol=None, probes=8):
+def check_tau(builder: SystemBuilder, ns):
     """Antilinear similarity between H' and its adjoint through the tau phase."""
-    (levels,), _ = _refine(builder, ns, _tau, probes=probes)
-    return _finish(CheckResult("tau", "antilinear similarity", levels), tol)
+    (levels,), _ = _refine(builder, ns, _tau)
+    return _finish(CheckResult("tau", "antilinear similarity", levels))
 
 
 # ---------------------------------------------------------------------------
 # metric operator checks
 # ---------------------------------------------------------------------------
 
-def _eta(builder, n, xm, probes=8):
+def _eta(builder, n, xm):
     inp = builder.inputs(n)
     grid, b = inp.grid, inp.bundle
     coeffs = _coefficients(inp)
@@ -453,7 +448,7 @@ def _eta(builder, n, xm, probes=8):
     etaH = eta.form.H
     w = _window(grid, xm)
     r_h = r_d = act = 0.0
-    for v in default_probes(grid, probes):
+    for v in default_probes(grid):
         ev = eta @ v
         act = np.maximum(act, np.abs(ev))
         r_h = np.maximum(r_h, np.abs(ev - etaH @ v))
@@ -465,7 +460,7 @@ def _eta(builder, n, xm, probes=8):
     return grid, w, [(r_h, scale, fl), (r_d, scale, fl)], None
 
 
-def check_eta(builder: SystemBuilder, ns, tol=None, probes=8):
+def check_eta(builder: SystemBuilder, ns):
     """Metric Hermiticity and the dual construction, by probe actions.
 
     Both residuals are relative to the metric action scale.  Entrywise
@@ -474,13 +469,13 @@ def check_eta(builder: SystemBuilder, ns, tol=None, probes=8):
     formal adjoint at O(1/h) while their actions on smooth vectors agree at
     the stencil order.
     """
-    (lv_h, lv_d), _ = _refine(builder, ns, _eta, probes=probes)
-    r1 = _finish(CheckResult("eta-hermiticity", "metric Hermiticity", lv_h), tol)
-    r2 = _finish(CheckResult("eta-dual", "metric dual construction", lv_d), tol)
+    (lv_h, lv_d), _ = _refine(builder, ns, _eta)
+    r1 = _finish(CheckResult("eta-hermiticity", "metric Hermiticity", lv_h))
+    r2 = _finish(CheckResult("eta-dual", "metric dual construction", lv_d))
     return r1, r2
 
 
-def check_parity_eta(builder: SystemBuilder, n, tol=None):
+def check_parity_eta(builder: SystemBuilder, n):
     """Parity-based metric on a symmetric grid: P^2 = 1 and Hermiticity.
 
     This matrix has a single entry per row, so Hermiticity is measured
@@ -506,13 +501,7 @@ def check_parity_eta(builder: SystemBuilder, n, tol=None):
 # intertwining defect
 # ---------------------------------------------------------------------------
 
-def _operator_amplification(grid, c2, c1, c0, w):
-    return (STENCIL_ABS_D2 * np.abs(c2[w]).max() / grid.h**2
-            + 2.0 * STENCIL_ABS_D1 * np.abs(c1[w]).max() / grid.h
-            + np.abs(c0[w]).max() + 1.0)
-
-
-def _intertwining(builder, n, xm, probes=8, detune=None):
+def _intertwining(builder, n, xm, detune=None):
     if detune is None:
         inp = builder.inputs(n)
     else:
@@ -525,7 +514,7 @@ def _intertwining(builder, n, xm, probes=8, detune=None):
     w = _window(grid, xm)
     res = act = hv_max = ev_max = 0.0
     syms = []
-    for v in default_probes(grid, probes):
+    for v in default_probes(grid):
         hv = hp @ v
         ev = eta @ v
         ehv = eta @ hv
@@ -541,14 +530,15 @@ def _intertwining(builder, n, xm, probes=8, detune=None):
     scale = max(act[w].max(), 1e-300)
     # roundoff model: noise of the inner matvec (amplification times its
     # input) is rough, so the outer stencil re-amplifies it fully
-    a_eta = _operator_amplification(grid, b.U**2, 2.0 * coeffs.K, coeffs.L, w)
-    a_h = _operator_amplification(grid, b.U**2, 2.0 * coeffs.M1,
-                                  coeffs.N1 + inp.V, w)
+    u2 = np.abs(b.U[w]**2).max()
+    a_eta = amplification(grid.h, u2, np.abs(2.0 * coeffs.K[w]).max(), np.abs(coeffs.L[w]).max())
+    a_h = amplification(grid.h, u2, np.abs(2.0 * coeffs.M1[w]).max(),
+                        np.abs((coeffs.N1 + inp.V)[w]).max())
     floor = FLOOR_SAFETY * EPS * (a_eta * a_h + a_eta * hv_max + a_h * ev_max) / scale
     return grid, w, [(res, scale, floor)], (w, syms, inp)
 
 
-def check_intertwining(builder: SystemBuilder, ns, tol=None, probes=8, detune=None):
+def check_intertwining(builder: SystemBuilder, ns, detune=None):
     """Defect of the metric intertwining relation, with zeroth-order analysis.
 
     Per level the defect Delta = eta H' - H'^ eta is applied to smooth
@@ -566,9 +556,8 @@ def check_intertwining(builder: SystemBuilder, ns, tol=None, probes=8, detune=No
     only the convergence of the residual toward the rounding floor is
     asserted.
     """
-    tol = _tolerances(tol)
-    (levels,), per_level = _refine(builder, ns, _intertwining,
-                                   probes=probes, detune=detune)
+    tol = TOLERANCES
+    (levels,), per_level = _refine(builder, ns, _intertwining, detune=detune)
     res = CheckResult("intertwining", "metric intertwining", levels)
     res.notes["detune"] = detune if detune is None or np.isscalar(detune) else "callable"
 
@@ -631,7 +620,7 @@ def check_intertwining(builder: SystemBuilder, ns, tol=None, probes=8, detune=No
         res.threshold = tol["symbol_dev_rel"]
         res.verdict = "pass" if ok else "fail"
     else:
-        _finish(res, tol, threshold=max(tol["residual"], 20.0 * levels[-1].floor))
+        _finish(res, threshold=max(tol["residual"], 20.0 * levels[-1].floor))
     return res
 
 
@@ -651,7 +640,8 @@ class SpectralResult:
     pairing: list = None
     counts: dict = None
 
-    def classify(self, tol_rel=1e-6):
+    def classify(self):
+        tol_rel = TOLERANCES["eig_rel"]
         E = self.eigenvalues
         labels = np.empty(len(E), dtype=object)
         scale = np.maximum(1.0, np.abs(E))
@@ -667,7 +657,7 @@ class SpectralResult:
         return self.counts
 
 
-def eigendecompose(h_block: OperatorMatrix, backward_tol=1e-10) -> SpectralResult:
+def eigendecompose(h_block: OperatorMatrix) -> SpectralResult:
     """All eigenpairs of the Dirichlet interior block, with a backward-error contract.
 
     Hermitian blocks (within rounding) go through the symmetric solver,
@@ -703,9 +693,9 @@ def eigendecompose(h_block: OperatorMatrix, backward_tol=1e-10) -> SpectralResul
         raise EigensolverError("eigensolver returned non-finite eigenvalues")
     hfro = np.linalg.norm(mat, "fro")
     resid = np.linalg.norm(mat @ v - v * w[None, :], "fro") / (hfro * np.sqrt(m))
-    if resid > backward_tol:
-        raise EigensolverError(
-            f"eigensolver backward error {resid:.3e} exceeds contract {backward_tol:.1e}")
+    if resid > TOLERANCES["eig_backward"]:
+        raise EigensolverError(f"eigensolver backward error {resid:.3e} exceeds "
+                               f"contract {TOLERANCES['eig_backward']:.1e}")
     sr = SpectralResult(h_block.grid, w, v, float(resid), solver)
     sr.classify()
     return sr
@@ -718,19 +708,20 @@ def _spectral_window_counts(spectral: SpectralResult, cap):
     return {k: int(np.sum(labels == k)) for k in ("real", "paired", "unpaired")}
 
 
-def check_spectrum(builder: SystemBuilder, eig_levels, tol=None):
+def check_spectrum(builder: SystemBuilder, eig_levels):
     """Dense spectra at the two finest eig levels with pairing bookkeeping.
 
     The pairing counts are compared inside a fixed spectral window where the
     coarser grid resolves modes with sub-percent dispersion; counts may shift
     by at most 2 per class near the truncation edge.
     """
-    tol = _tolerances(tol)
-    eig_levels = sorted(eig_levels)[-2:]
+    eig_levels = sorted(set(eig_levels))[-2:]
+    if len(eig_levels) < 2:
+        raise InvalidDomainError(f"spectrum needs two distinct eig levels, got {eig_levels}")
     spectra = []
     levels = []
     for n in eig_levels:
-        sp = spectral_for(builder, n, tol)
+        sp = spectral_for(builder, n)
         spectra.append(sp)
         levels.append(CheckLevel(n, sp.grid.h, sp.backward_error, EPS))
     res = CheckResult("spectrum", "dense spectrum bookkeeping", levels)
@@ -743,22 +734,21 @@ def check_spectrum(builder: SystemBuilder, eig_levels, tol=None):
     res.notes["counts"] = counts
     res.notes["solver"] = [sp.solver for sp in spectra]
     stable = all(abs(counts[0][k] - counts[1][k]) <= 2 for k in counts[0])
-    ok = stable and all(lv.residual <= tol["eig_backward"] for lv in levels)
-    res.threshold = tol["eig_backward"]
+    ok = stable and all(lv.residual <= TOLERANCES["eig_backward"] for lv in levels)
+    res.threshold = TOLERANCES["eig_backward"]
     res.verdict = "pass" if ok else "fail"
     res.observed_order = None
     res.notes["order"] = "not applicable to spectral bookkeeping"
     return res, spectra[-1]
 
 
-def spectral_for(builder: SystemBuilder, n, tol):
+def spectral_for(builder: SystemBuilder, n):
     """Eigendecompose the configured system's Dirichlet block at resolution n."""
     inp = builder.inputs(n)
-    hb = build_h_prime_block(inp.V, inp.a, inp.ap, inp.bundle, inp.grid)
-    return eigendecompose(hb, tol["eig_backward"])
+    return eigendecompose(build_h_prime_block(inp.V, inp.a, inp.ap, inp.bundle, inp.grid))
 
 
-def check_eq29(builder: SystemBuilder, n, tol=None, spectral=None):
+def check_eq29(builder: SystemBuilder, n, spectral=None):
     """Spectral structure of the metric-weighted Gram matrix.
 
     G_jk = <v_j | w eta | v_k> over the computed eigenbasis.  The exact
@@ -773,7 +763,7 @@ def check_eq29(builder: SystemBuilder, n, tol=None, spectral=None):
     `spectral` is the decomposition of the same block at n when the caller
     already has it (the spectrum check's finest level); it is not repeated.
     """
-    tol = _tolerances(tol)
+    tol = TOLERANCES
     inp = builder.inputs(n)
     grid, b = inp.grid, inp.bundle
     coeffs = _coefficients(inp)
@@ -781,7 +771,7 @@ def check_eq29(builder: SystemBuilder, n, tol=None, spectral=None):
     eb = build_eta_tilde_block(coeffs, b, grid)
     if spectral is not None and spectral.grid.n != n:
         raise InvalidDomainError(f"spectral result of n = {spectral.grid.n} given for n = {n}")
-    sp = spectral if spectral is not None else eigendecompose(hb, tol["eig_backward"])
+    sp = spectral if spectral is not None else eigendecompose(hb)
     V = sp.eigenvectors
     E = sp.eigenvalues
     m = len(E)
@@ -848,35 +838,32 @@ CHECK_NAMES = ("eq25", "eq26", "eq28", "intertwining", "groundstate", "gauge",
                "tau", "eta-hermiticity", "parity-eta", "spectrum", "eq29")
 
 
-def run_suite(builder: SystemBuilder, checks, ns, tol=None, probes=8,
-              eig_levels=None, detune=None):
+def run_suite(builder: SystemBuilder, checks, ns, eig_levels=EIG_LEVELS, detune=None):
     """Run the requested checks; returns (results, spectral summary, findings).
 
     Checks run one after another and results come back in the canonical
     check order whatever the order of the levels, so report payloads are
     deterministic.
     """
-    tol = _tolerances(tol)
     unknown = set(checks) - set(CHECK_NAMES)
     if unknown:
         raise InvalidDomainError(f"unknown checks: {sorted(unknown)}")
     ns = sorted(ns)
-    eig_levels = sorted(eig_levels or [max(201, ns[0] // 2), ns[0]])
+    eig_levels = sorted(eig_levels)
 
     # identity check -> (runner, needs a dressed system); the runners look
     # the check functions up when called, so wrappers rebound on this
     # module (the benchmark's tracer) see every call
     table = {
-        "eq25": (lambda: [check_eq25(builder, ns, tol)], True),
-        "eq26": (lambda: [check_eq26(builder, ns, tol)], True),
+        "eq25": (lambda: [check_eq25(builder, ns)], True),
+        "eq26": (lambda: [check_eq26(builder, ns)], True),
         "eq28": (lambda: [_check_eq28(builder, ns)], False),
-        "intertwining": (lambda: [check_intertwining(builder, ns, tol, probes, detune)],
-                         False),
-        "groundstate": (lambda: list(check_groundstate(builder, ns, tol)), True),
-        "gauge": (lambda: [check_gauge_equivalence(builder, ns, tol)], True),
-        "tau": (lambda: [check_tau(builder, ns, tol, probes)], True),
-        "eta-hermiticity": (lambda: list(check_eta(builder, ns, tol, probes)), False),
-        "parity-eta": (lambda: [check_parity_eta(builder, ns[0], tol)]
+        "intertwining": (lambda: [check_intertwining(builder, ns, detune)], False),
+        "groundstate": (lambda: list(check_groundstate(builder, ns)), True),
+        "gauge": (lambda: [check_gauge_equivalence(builder, ns)], True),
+        "tau": (lambda: [check_tau(builder, ns)], True),
+        "eta-hermiticity": (lambda: list(check_eta(builder, ns)), False),
+        "parity-eta": (lambda: [check_parity_eta(builder, ns[0])]
                        if builder.grid(ns[0]).parity_capable else [], True),
     }
     runners = [run for name, (run, needs_dressed) in table.items()
@@ -886,7 +873,7 @@ def run_suite(builder: SystemBuilder, checks, ns, tol=None, probes=8,
     spectral_summary = finest = None
     if "spectrum" in checks:
         try:
-            sres, finest = check_spectrum(builder, eig_levels, tol)
+            sres, finest = check_spectrum(builder, eig_levels)
             spectral_summary = spectral_payload(finest)
         except EigensolverError as exc:
             sres = _solver_failure("spectrum", exc)
@@ -894,7 +881,7 @@ def run_suite(builder: SystemBuilder, checks, ns, tol=None, probes=8,
     if "eq29" in checks:
         try:
             # the spectrum check's finest level is eig_levels[-1]: reuse it
-            eres, sp = check_eq29(builder, eig_levels[-1], tol, spectral=finest)
+            eres, sp = check_eq29(builder, eig_levels[-1], spectral=finest)
             if spectral_summary is None:
                 spectral_summary = spectral_payload(sp)
         except EigensolverError as exc:
@@ -963,16 +950,16 @@ _RESIDUALS = {
     "eq25": (_eq25, ("eq25",), ()),
     "eq26": (_eq26, ("eq26",), ()),
     "eq28": (_eq28, ("eq28",), ()),
-    "intertwining": (_intertwining, ("intertwining",), ("probes", "detune")),
+    "intertwining": (_intertwining, ("intertwining",), ("detune",)),
     "groundstate": (_groundstate, ("groundstate", "groundstate-eigen"), ()),
     "gauge": (_gauge, ("gauge",), ()),
-    "tau": (_tau, ("tau",), ("probes",)),
-    "eta-hermiticity": (_eta, ("eta-hermiticity", "eta-dual"), ("probes",)),
+    "tau": (_tau, ("tau",), ()),
+    "eta-hermiticity": (_eta, ("eta-hermiticity", "eta-dual"), ()),
 }
 TRACEABLE = tuple(_RESIDUALS)
 
 
-def residual_trace(builder: SystemBuilder, check: str, ns, path, probes=8, detune=None):
+def residual_trace(builder: SystemBuilder, check: str, ns, path, detune=None):
     """Write the pointwise residual of one check at the finest of `ns` as CSV.
 
     The columns are x and, for each result of the check, the pointwise
@@ -985,7 +972,7 @@ def residual_trace(builder: SystemBuilder, check: str, ns, path, probes=8, detun
         raise InvalidDomainError(
             f"check {check!r} has no pointwise trace (traceable: {TRACEABLE})")
     residual, names, options = _RESIDUALS[check]
-    given = {"probes": probes, "detune": detune}
+    given = {"detune": detune}
     grid, _, outputs, _ = residual(builder, max(ns), _xmargin(builder, ns),
                                    **{k: given[k] for k in options})
     _write_columns(path, ("x",) + names, [grid.x] + [res / scale for res, scale, _ in outputs])

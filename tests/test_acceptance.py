@@ -23,6 +23,7 @@ from pdmph import (FAMILIES, GeneratingSpec, MassProfile, SystemBuilder,
                    make_grid)
 from pdmph.cli import main
 from pdmph.report import payload_bytes
+from pdmph.verify import PROBES
 
 # family -> {profile kind -> domain}
 DOMAINS = {
@@ -175,10 +176,11 @@ def test_criterion_06_intertwining_defect_structure():
     detail = []
     # genuine defect: constant detuned companion over two distinct g shapes,
     # >= 8 probes, symbol proportional to the sampled zeroth-order balance
+    assert PROBES >= 8
     for family in ("morse", "scarf2"):
         t0 = time.perf_counter()
         r = check_intertwining(sys_builder(family, "constant"), NS_OPERATOR,
-                               probes=8, detune=0.7)
+                               detune=0.7)
         dt = time.perf_counter() - t0
         c = complex(*r.notes["c_printed"][-1])
         good = (r.verdict == "pass"

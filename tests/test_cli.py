@@ -7,6 +7,7 @@ import pytest
 from pdmph.cli import main
 from pdmph.report import payload_bytes, resolve_config
 from pdmph.errors import ConfigError
+from pdmph.verify import TOLERANCES
 
 
 def run(argv):
@@ -90,7 +91,9 @@ def test_config_defaults_written_back():
     cfg = resolve_config({"family": "scarf2"})
     assert cfg["grid"]["xmin"] == -8.0
     assert cfg["checks"]
-    assert cfg["tolerances"]["residual"] == 1e-6
+    # the thresholds are constants of the verify layer, not config values
+    assert TOLERANCES["residual"] == 1e-6
+    assert "tolerances" not in cfg
 
 
 def test_verify_small_run_and_determinism(tmp_path):
@@ -324,11 +327,10 @@ def _failing_eig(mat):
 @pytest.mark.parametrize("argv,config,code", [
     (["generate", "--family", "scarf2", "--n", "101"], None, 0),
     (["verify"], {"grid": {"n": "abc"}}, 2),
-    (["verify"], {"probes": True}, 2),
     (["verify"], {"jobs": 1}, 2),
     (["verify"], {"tolerances": {"neg_control": 0.01}}, 2),
-    (["verify"], {"probes": 65}, 2),
-    (["verify"], {"tolerances": {"residual": "tight"}}, 2),
+    (["verify"], {"tolerances": {"residual": 1.0}}, 2),
+    (["verify"], {"probes": 8}, 2),
     (["verify"], {"eig_levels": [501, 501]}, 2),
     (["verify", "--checks", "spectrum"], {"eig_levels": [501]}, 2),
     (["verify", "--refine", "401,401,401"], None, 2),
@@ -339,6 +341,14 @@ def _failing_eig(mat):
     (["verify", "--gauge", "scaled-g:scal=0.5", "--refine", "101,201,401"], None, 2),
     (["verify", "--mass", "rational:beta=4,scale=9", "--refine", "101,201,401"], None, 2),
     (["verify", "--gauge", "scaled-g:scale=0.5,scale=2", "--refine", "101,201,401"], None, 2),
+    (["generate", "--mass", "table:path=m.csv,scale=3", "--n", "201"], None, 2),
+    (["generate", "--mass", "constant:path=m.csv", "--n", "201"], None, 2),
+    (["generate", "--gauge", "zero:scale=2", "--n", "201"], None, 2),
+    (["generate", "--gauge", "scaled-g:path=m.csv", "--n", "201"], None, 2),
+    (["generate", "--mass", "table", "--n", "201"], None, 2),
+    (["generate", "--gauge", "table", "--n", "201"], None, 2),
+    (["generate", "--g-table", "m.csv", "--n", "201"], None, 2),
+    (["generate", "--n", "201"], {"mass": {"kind": "rational", "path": "m.csv"}}, 2),
     (["verify"], {"corruption": {"amount": 0.1}}, 2),
     (["verify"], {"corruption": {"target": "v-imag-flp"}}, 2),
     (["spectrum", "--family", "morse", "--n", "201", "--list-cap", "-3"], None, 2),
@@ -349,17 +359,21 @@ def _failing_eig(mat):
       "--refine", "101,201,401", "--checks", "eq25"], None, 5),
     (["generate", "--family", "morse", "--xmin", "-800", "--xmax", "10", "--n", "101"], None, 6),
     (["verify", "--refine", "101,201,401", "--checks", "eq25"],
-     {"tolerances": {"residual": 1e-300}}, 7),
+     {"corruption": {"target": "v-imag-flip", "amount": 0.0}}, 7),
     (["spectrum", "--family", "free", "--xmin", "-8", "--xmax", "8", "--n", "4002"], None, 8),
     (["verify", "--family", "free", "--checks", "spectrum"], {"eig_levels": [201, 4003]}, 8),
     (["spectrum", "--family", "morse", "--mass", "rational", "--xmin", "-3", "--xmax", "4",
       "--n", "201"], "failing-eig", 9),
     (["verify", "--config", "missing.json"], None, 10),
-], ids=["0-success", "2-string-n", "2-bool-probes", "2-removed-jobs-key",
-        "2-removed-neg-control-key", "2-too-many-probes", "2-string-tolerance",
+], ids=["0-success", "2-string-n", "2-removed-jobs-key",
+        "2-removed-neg-control-key", "2-removed-tolerances-key", "2-removed-probes-key",
         "2-repeated-eig-level", "2-one-eig-level-for-spectrum", "2-repeated-refine-level", "2-refine-not-int",
         "2-mass-scale-not-number", "2-misspelt-mass-beta", "2-misspelt-mass-scale",
         "2-misspelt-gauge-scale", "2-mass-beta-and-scale", "2-repeated-gauge-parameter",
+        "2-scale-on-mass-table", "2-path-on-constant-mass", "2-scale-on-zero-gauge",
+        "2-path-on-scaled-g-gauge", "2-mass-table-without-path",
+        "2-gauge-table-without-path", "2-g-table-on-catalog-family",
+        "2-path-on-rational-mass-config",
         "2-corruption-without-target",
         "2-unknown-corruption-target", "2-negative-list-cap", "2-zero-list-cap",
         "3-grid-too-small", "4-negative-mass",
@@ -423,3 +437,36 @@ def test_trace_window_max_is_payload_residual(tmp_path):
         for j, result in enumerate(header[1:], start=1):
             expected = checks[result]["levels"][-1]["residual"]
             assert f"{data[window, j].max():.16e}" == f"{expected:.16e}", result
+
+
+def test_verify_eigensolver_failure_is_a_failed_check(tmp_path, monkeypatch):
+    # a failing dense eigensolve fails spectrum and eq29 with the solver's
+    # message and no levels; the other checks still run and pass
+    monkeypatch.setattr(np.linalg, "eig", _failing_eig)
+    (tmp_path / "c.json").write_text(json.dumps({"eig_levels": [101, 201]}))
+    out = tmp_path / "rep.json"
+    assert run(["verify", "--family", "morse", "--mass", "rational", "--xmin", "-3",
+                "--xmax", "4", "--checks", "eq25,spectrum,eq29", "--refine", "101,201,401",
+                "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 7
+    payload = json.loads(out.read_text())["payload"]
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert list(checks) == ["eq25", "spectrum", "eq29"]
+    assert checks["eq25"]["verdict"] == "pass"
+    for name in ("spectrum", "eq29"):
+        assert checks[name]["verdict"] == "fail"
+        assert checks[name]["levels"] == []
+        assert checks[name]["notes"]["error"].startswith("dense eigensolver failed: ")
+    assert payload["spectral"] is None
+
+
+def test_spectrum_out_writes_the_printed_payload(tmp_path, capsys):
+    argv = ["spectrum", "--family", "morse", "--mass", "rational", "--xmin", "-3",
+            "--xmax", "4", "--n", "201"]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out.strip()
+    out = tmp_path / "s.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert set(doc) == {"payload", "sidecar"}
+    assert payload_bytes(out) == printed.encode()
+    assert "tolerances" not in doc["payload"]["config"]

@@ -403,3 +403,24 @@ def test_eq29_reuses_the_spectrum_decomposition(monkeypatch):
     results, _, _ = run_suite(b, ["spectrum", "eq29"], NS, eig_levels=[101, 201])
     assert sizes == [99, 199]
     assert results[-1].to_dict() == alone.to_dict()
+
+
+def test_run_suite_default_eig_levels_are_the_config_default(monkeypatch):
+    # one default for the library and the config: at refine 201/401/801 the
+    # spectrum check compares n = 501 with n = 1001, never a level with itself
+    from pdmph.report import CONFIG_DEFAULTS
+    assert CONFIG_DEFAULTS["eig_levels"] == list(verify_module.EIG_LEVELS) == [501, 1001]
+    sizes, real = [], verify_module.spectral_for
+    monkeypatch.setattr(verify_module, "spectral_for",
+                        lambda b, n: sizes.append(n) or real(b, n))
+    free = SystemBuilder("free", MassProfile.constant(), -8.0, 8.0)
+    results, _, _ = run_suite(free, ["spectrum"], [201, 401, 801])
+    assert sizes == [501, 1001]
+    assert [lv.n for lv in results[0].levels] == [501, 1001]
+
+
+@pytest.mark.parametrize("levels", [[201], [201, 201]])
+def test_spectrum_needs_two_distinct_levels(levels):
+    free = SystemBuilder("free", MassProfile.constant(), -8.0, 8.0)
+    with pytest.raises(InvalidDomainError, match="two distinct eig levels"):
+        check_spectrum(free, levels)
