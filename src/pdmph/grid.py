@@ -153,6 +153,13 @@ class Banded:
             spans.append((lo, hi))
         return Banded(offsets, data, spans)
 
+    def distance(self, other):
+        """Largest entry of |self - other|, without densifying.
+
+        Exact: every entry off the stored diagonals is zero in both matrices.
+        """
+        return float(np.abs((self - other).data).max(initial=0.0))
+
     def __mul__(self, scalar):
         return Banded(self.offsets, scalar * self.data, self.spans)
 

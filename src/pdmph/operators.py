@@ -19,9 +19,14 @@ itself one of the verified identities, so the two routes are kept strictly
 separate.
 
 For eigenproblems the operators are assembled on the interior block
-(Dirichlet walls) with an odd-reflection closure, which keeps the
-discretization 4th-order accurate for wall-vanishing modes and keeps real
-symmetric problems exactly symmetric.
+(Dirichlet walls) with an odd-reflection closure, which keeps real
+symmetric problems exactly symmetric.  It is 4th-order accurate for
+wall-vanishing modes only when the first-order coefficient M1 vanishes at
+the walls (U' = 0 and a = 0 there, as for a constant mass in the zero
+gauge): a Dirichlet mode then has psi'' = 0 at the wall, so its odd
+extension is smooth.  Otherwise psi'' = -2 M1 psi' / U^2 there, and the
+measured eigenvalue order is about 2 (2.0 for free/rational, 2.0-2.5 for
+scarf2/rational).
 
 Every operator is banded, so each is stored by diagonals (grid.Banded) and
 assembled entry by entry from the cached stencils: a row-scaled stencil
@@ -221,10 +226,10 @@ def _dirichlet_stencil(grid: Grid, order: int):
 def dirichlet_block(grid: Grid, order: int) -> np.ndarray:
     """Interior-block derivative matrix with odd reflection through the walls (dense).
 
-    Dirichlet eigenmodes vanish linearly at the walls, so the odd extension
-    is smooth to the order of the stencil; the closure keeps 4th-order
-    eigenvalue accuracy and keeps the pure second-derivative block exactly
-    symmetric.  The block operators use the banded form of the same matrix.
+    The closure keeps the pure second-derivative block exactly symmetric.
+    Eigenvalues converge at 4th order only when M1 vanishes at the walls
+    (see the module docstring); with U' != 0 there the observed order is
+    about 2.  The block operators use the banded form of the same matrix.
     """
     return _dirichlet_stencil(grid, order).toarray()
 
@@ -288,15 +293,17 @@ MATRIX_MAGIC = b"PDMPHMAT"
 
 def export_matrix(op: OperatorMatrix, path):
     """Dense binary export: 8-byte magic, little-endian int64 n, then row-major
-    complex entries as (real, imag) float64 pairs."""
-    mat = np.ascontiguousarray(op.mat, dtype=complex)
+    complex entries as (real, imag) float64 pairs.
+
+    That layout is the memory of a C-ordered little-endian complex128
+    array, so the dense copy is written from its own buffer; no second n^2
+    copy is made (on a big-endian host `astype` makes one).
+    """
+    mat = op.mat.astype("<c16", copy=False)
     with open(path, "wb") as fh:
         fh.write(MATRIX_MAGIC)
         fh.write(struct.pack("<q", mat.shape[0]))
-        interleaved = np.empty((mat.shape[0], mat.shape[1], 2))
-        interleaved[..., 0] = mat.real
-        interleaved[..., 1] = mat.imag
-        fh.write(interleaved.astype("<f8").tobytes())
+        fh.write(mat.data)
 
 
 def import_matrix(path):

@@ -344,13 +344,23 @@ CSV_COLUMNS = ("x", "m", "U", "mu", "g", "f", "a", "V_re", "V_im",
                "Veff_re", "Veff_im", "Vmu", "psi_re", "psi_im", "xi_re", "xi_im")
 
 
+CSV_BLOCK = 1024   # rows converted to Python floats at a time
+
+
 def _write_columns(path, names, columns):
     """CSV of real columns: a header of names, then one row per sample, each
-    value written as %.16e (17 significant digits)."""
+    value written as %.16e (17 significant digits).
+
+    Rows are formatted CSV_BLOCK at a time, so the Python floats alive at
+    once do not grow with the number of samples.
+    """
+    columns = [np.asarray(c) for c in columns]
     row = ",".join(["%.16e"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        fh.writelines(row % values for values in zip(*(np.asarray(c).tolist() for c in columns)))
+        for i in range(0, len(columns[0]), CSV_BLOCK):
+            block = (c[i:i + CSV_BLOCK].tolist() for c in columns)
+            fh.writelines(row % values for values in zip(*block))
 
 
 def to_csv(ds: DressedSystem, path):

@@ -93,6 +93,7 @@ def resolve_config(given=None, overrides=None):
 _NUMBERS = ("alpha", "delta", "g_const", "mass.scale", "gauge.scale")
 _NUMBERS_OR_NULL = ("grid.xmin", "grid.xmax", "detune")
 _INTEGERS = ("grid.n",)
+_PATHS = ("g_table", "mass.path", "gauge.path")
 
 
 def _field(cfg, key):
@@ -118,6 +119,10 @@ def _validate_types(cfg):
     for key in _INTEGERS:
         if not _is_number(_field(cfg, key), int):
             raise ConfigError(f"{key} must be an integer, got {_field(cfg, key)!r}")
+    for key in _PATHS:
+        value = _field(cfg, key)
+        if not (value is None or isinstance(value, str)):
+            raise ConfigError(f"{key} must be a path (string) or null, got {value!r}")
     for key in ("refine", "eig_levels"):
         levels = cfg[key]
         if not isinstance(levels, list) or not all(_is_number(n, int) for n in levels):
@@ -149,6 +154,9 @@ def _validate(cfg):
     unknown = set(cfg["checks"]) - set(CHECK_NAMES)
     if unknown:
         raise ConfigError(f"unknown checks {sorted(unknown)}")
+    if cfg["detune"] is not None and "intertwining" not in cfg["checks"]:
+        raise ConfigError("detune is read only by the intertwining check, "
+                          "which is not in checks")
     if len(cfg["refine"]) < 3:
         raise ConfigError("refine needs at least three levels for order fits")
     for key, levels in (("refine", cfg["refine"]), ("eig_levels", cfg["eig_levels"]),

@@ -663,20 +663,27 @@ def eigendecompose(h_block: OperatorMatrix) -> SpectralResult:
     Hermitian blocks (within rounding) go through the symmetric solver,
     which also guarantees exactly real eigenvalues; everything else through
     the general dense solver.  Solver failures and contract violations
-    surface as explicit errors.  The block is densified only after the
-    budget check.
+    surface as explicit errors.  The Hermiticity test, the scale and the
+    realness test read the stored diagonals (exact: every other entry is
+    zero in the block and in its adjoint); the block is densified only
+    after the budget check.  During the solve the working set is about four
+    complex m x m arrays (16 m^2 bytes each): the dense block, the solver's
+    copy of it, its eigenvector buffer and the returned eigenvectors.  The
+    backward-error residual is formed after the block is freed.
     """
     n = h_block.grid.n
     if n > EIG_BUDGET:
         raise BudgetExceededError(
             f"dense eigensolve at n = {n} exceeds the budget ({EIG_BUDGET} grid points)")
-    m = h_block.form.shape[0]
+    A = h_block.form
+    m = A.shape[0]
+    scale = np.abs(A.data).max()
+    hermitian = A.distance(A.H) <= 1e-12 * scale
     mat = h_block.mat
-    scale = np.abs(mat).max()
-    hermitian = np.abs(mat - mat.conj().T).max() <= 1e-12 * scale
+    hfro = np.linalg.norm(mat, "fro")
     try:
         if hermitian:
-            if np.abs(mat.imag).max() == 0.0:
+            if not A.data.imag.any():
                 w, v = np.linalg.eigh(mat.real)
             else:
                 w, v = np.linalg.eigh(mat)
@@ -691,8 +698,10 @@ def eigendecompose(h_block: OperatorMatrix) -> SpectralResult:
         raise EigensolverError(f"dense eigensolver failed: {exc}") from None
     if not np.all(np.isfinite(w)):
         raise EigensolverError("eigensolver returned non-finite eigenvalues")
-    hfro = np.linalg.norm(mat, "fro")
-    resid = np.linalg.norm(mat @ v - v * w[None, :], "fro") / (hfro * np.sqrt(m))
+    r = mat @ v
+    del mat
+    r -= v * w[None, :]
+    resid = np.linalg.norm(r, "fro") / (hfro * np.sqrt(m))
     if resid > TOLERANCES["eig_backward"]:
         raise EigensolverError(f"eigensolver backward error {resid:.3e} exceeds "
                                f"contract {TOLERANCES['eig_backward']:.1e}")
@@ -721,6 +730,9 @@ def check_spectrum(builder: SystemBuilder, eig_levels):
     spectra = []
     levels = []
     for n in eig_levels:
+        if spectra:
+            # only the finest level's eigenvectors are used again (by eq29)
+            spectra[-1].eigenvectors = None
         sp = spectral_for(builder, n)
         spectra.append(sp)
         levels.append(CheckLevel(n, sp.grid.h, sp.backward_error, EPS))
@@ -748,6 +760,21 @@ def spectral_for(builder: SystemBuilder, n):
     return eigendecompose(build_h_prime_block(inp.V, inp.a, inp.ap, inp.bundle, inp.grid))
 
 
+# rows or columns per block of eq29's dense reductions
+BLOCK = 32
+
+
+def _blocks(m):
+    """Slices covering 0..m in runs of BLOCK to 2 BLOCK - 1 (one run if m < 2 BLOCK).
+
+    No run is one column wide unless m is: numpy sums a one-column reduction
+    pairwise, not row by row as it sums a wider one, so the bits would change.
+    """
+    k = max(1, m // BLOCK)
+    edges = [m * i // k for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 def check_eq29(builder: SystemBuilder, n, spectral=None):
     """Spectral structure of the metric-weighted Gram matrix.
 
@@ -762,6 +789,10 @@ def check_eq29(builder: SystemBuilder, n, spectral=None):
 
     `spectral` is the decomposition of the same block at n when the caller
     already has it (the spectrum check's finest level); it is not repeated.
+    Besides the eigenvectors, the working set peaks at three complex m x m
+    arrays while G is formed (the metric action, the conjugated eigenvectors
+    and G); the reductions over G and over C V run in blocks of rows or
+    columns.
     """
     tol = TOLERANCES
     inp = builder.inputs(n)
@@ -778,7 +809,10 @@ def check_eq29(builder: SystemBuilder, n, spectral=None):
     weta = grid.h * eb.form
     etaV = weta @ V
     G = V.conj().T @ etaV
-    gram_herm = float(np.abs(G - G.conj().T).max() / max(np.abs(G).max(), 1e-300))
+    del etaV
+    blocks = _blocks(m)
+    gram_herm = float(max(np.abs(G[r] - G[:, r].conj().T).max() for r in blocks)
+                      / max(max(np.abs(G[r]).max() for r in blocks), 1e-300))
 
     scale_e = np.maximum(1.0, np.abs(E))
     nonreal = np.abs(E.imag) > tol["eig_rel"] * scale_e
@@ -789,8 +823,7 @@ def check_eq29(builder: SystemBuilder, n, spectral=None):
     # identity (conj(E_j) - E_k) G_jk = v_j^H C v_k makes |C v_k|/gscale the
     # quantity that bounds relative Gram structure violations
     C = hb.form.H @ weta - weta @ hb.form
-    CV = C @ V
-    num = np.linalg.norm(CV, axis=0)
+    num = np.concatenate([np.linalg.norm(C @ V[:, c], axis=0) for c in blocks])
     defect = float(np.max(num / (gscale * scale_e)))
 
     # property (i): nonreal eigenvalues have vanishing metric norm
@@ -800,6 +833,7 @@ def check_eq29(builder: SystemBuilder, n, spectral=None):
     offstruct = (conj_gap > tol["eig_rel"] * np.maximum(1.0, np.abs(E))[None, :])
     np.fill_diagonal(offstruct, False)
     viol_ii = float((np.abs(G)[offstruct] / gscale).max()) if offstruct.any() else 0.0
+    del G
 
     gaps = conj_gap[offstruct]
     gap = float(gaps.min()) if gaps.size else 1.0

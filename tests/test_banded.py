@@ -68,6 +68,7 @@ def test_product_difference_and_scalar_multiple(pair, c):
     assert close((A @ B).toarray(), MA @ MB, np.abs(MA) @ np.abs(MB))
     assert close((A.H @ B).toarray(), MA.conj().T @ MB, np.abs(MA).T @ np.abs(MB))
     assert close((A - B).toarray(), MA - MB, np.abs(MA) + np.abs(MB))
+    assert A.distance(B) == np.abs(MA - MB).max()
     assert close((c * A).toarray(), c * MA, abs(c) * np.abs(MA))
     assert close((A * c).toarray(), MA * c, abs(c) * np.abs(MA))
 

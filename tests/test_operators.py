@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ from pdmph import (CoefficientSet, GeneratingSpec, InvalidDomainError,
                    MassProfile, SystemBuilder, build_d, build_d_dagger,
                    build_d_tilde, build_eta_parity, build_eta_tilde,
                    build_h_prime, build_h_prime_dagger, build_parity,
-                   check_tau, default_probes, dirichlet_block, export_matrix,
-                   import_matrix, make_family, make_grid, observed_order)
+                   check_tau, default_probes, diff_matrix, dirichlet_block,
+                   export_matrix, import_matrix, make_family, make_grid,
+                   observed_order)
 from pdmph.grid import cumint
 
 
@@ -253,6 +256,30 @@ def test_matrix_export_roundtrip(tmp_path):
         raw = fh.read()
     assert raw[:8] == b"PDMPHMAT"
     assert len(raw) == 8 + 8 + 101 * 101 * 16
+
+
+def _export_interleaved(op, path):
+    """The export writer export_matrix replaced: (re, im) planes interleaved
+    into a float copy, then a bytes copy of that."""
+    mat = np.ascontiguousarray(op.mat, dtype=complex)
+    with open(path, "wb") as fh:
+        fh.write(b"PDMPHMAT")
+        fh.write(struct.pack("<q", mat.shape[0]))
+        interleaved = np.empty((mat.shape[0], mat.shape[1], 2))
+        interleaved[..., 0] = mat.real
+        interleaved[..., 1] = mat.imag
+        fh.write(interleaved.astype("<f8").tobytes())
+
+
+def test_matrix_export_bytes_match_interleaved_writer(tmp_path):
+    # complex banded, real banded and permuted operators
+    ds = dressed(n=101)
+    ops = (build_h_prime(ds.V, ds.a, ds.ap, ds.bundle, ds.grid),
+           diff_matrix(ds.grid, 2), build_parity(make_grid(-5.0, 5.0, 101)))
+    for op in ops:
+        export_matrix(op, tmp_path / "new.mat")
+        _export_interleaved(op, tmp_path / "old.mat")
+        assert (tmp_path / "new.mat").read_bytes() == (tmp_path / "old.mat").read_bytes()
 
 
 def test_import_rejects_bad_magic(tmp_path):

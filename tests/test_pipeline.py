@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -321,6 +323,32 @@ def test_csv_bytes_match_per_cell_writer(tmp_path):
     to_csv(ds, new)
     digest = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (old, new)]
     assert digest[0] == digest[1]
+
+
+@pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049])
+def test_csv_blocks_match_per_cell_writer(tmp_path, rows):
+    # rows are formatted in blocks of CSV_BLOCK (1024); the bytes must be
+    # those of one row at a time, on both sides of every block edge
+    rng = np.random.default_rng(rows)
+    cols = [rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+            for _ in range(3)]
+    path = tmp_path / "blocks.csv"
+    _write_columns(path, ("a", "b", "c"), cols)
+    want = "a,b,c\n" + "".join(",".join(f"{c[i]:.16e}" for c in cols) + "\n"
+                               for i in range(rows))
+    assert path.read_text() == want
+
+
+def test_csv_writer_memory_does_not_grow_with_rows(tmp_path):
+    # the whole table as Python floats would be ~10 MB at n = 20001
+    ds = dressed("morse", profile=MassProfile.rational(), domain=(-3.0, 4.0), n=20001)
+    tracemalloc.start()
+    try:
+        to_csv(ds, tmp_path / "big.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
 
 
 def test_csv_writer_special_values(tmp_path):

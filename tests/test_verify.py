@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import pdmph.verify as verify_module
 
-from pdmph import (BudgetExceededError, GeneratingSpec, MassProfile,
-                   SystemBuilder, apply_corruption, build_d, build_d_tilde,
-                   build_h_prime_block, check_eq25, check_eq26,
+from pdmph import (CATALOG, FAMILIES, BudgetExceededError, GeneratingSpec,
+                   MassProfile, SystemBuilder, apply_corruption, build_d,
+                   build_d_tilde, build_h_prime_block, check_eq25, check_eq26,
                    check_eq29, check_eta, check_gauge_equivalence,
                    check_groundstate, check_intertwining, check_parity_eta,
                    check_spectrum, check_tau, eigendecompose, make_grid,
@@ -272,6 +274,61 @@ def test_eigendecompose_budget():
     fake = OperatorMatrix(g, np.zeros((4999, 4999), complex))
     with pytest.raises(BudgetExceededError):
         eigendecompose(fake)
+
+
+@pytest.mark.parametrize("family,mass", [(f, k) for f in ("free",) + FAMILIES
+                                         for k in ("constant", "rational")])
+def test_block_hermiticity_scale_and_realness_from_diagonals(family, mass):
+    # eigendecompose reads these from the stored diagonals instead of the
+    # dense block; every entry off the diagonals is zero in the block and
+    # its adjoint, so the values must be exactly the dense ones
+    profile = getattr(MassProfile, mass)()
+    if family == "free":
+        b = SystemBuilder("free", profile, -8.0, 8.0)
+    else:
+        b = builder(family, profile=profile, domain=CATALOG[family][1])
+    inp = b.inputs(101)
+    A = build_h_prime_block(inp.V, inp.a, inp.ap, inp.bundle, inp.grid).form
+    M = A.toarray()
+    assert A.distance(A.H) == np.abs(M - M.conj().T).max()
+    assert np.abs(A.data).max() == np.abs(M).max()
+    assert A.data.imag.any() == (np.abs(M.imag).max() != 0.0)
+
+
+def _peak_in_units(run, m):
+    """Peak memory traced while `run()` runs, in complex m x m arrays."""
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16.0 * m * m)
+
+
+def test_spectral_working_set():
+    # the dense block, the solver's output and the residual of the
+    # backward-error test (formed after the block is freed); then eq29 on
+    # the given eigenvectors: the metric action, the conjugated eigenvectors
+    # and G, with the reductions over G and C V in blocks
+    b = builder("morse", profile=MassProfile.rational(), domain=(-3.0, 4.0))
+    inp = b.inputs(501)
+    hb = build_h_prime_block(inp.V, inp.a, inp.ap, inp.bundle, inp.grid)
+    spectra = []
+    assert _peak_in_units(lambda: spectra.append(eigendecompose(hb)), 499) <= 3.25
+    sp = spectra[0]
+    assert sp.solver == "eig"
+    assert _peak_in_units(lambda: check_eq29(b, 501, spectral=sp), 499) <= 3.25
+
+
+def test_spectrum_keeps_only_the_finest_eigenvectors(monkeypatch):
+    spectra, real = [], verify_module.spectral_for
+    monkeypatch.setattr(verify_module, "spectral_for",
+                        lambda b, n: spectra.append(real(b, n)) or spectra[-1])
+    b = builder("morse", profile=MassProfile.rational(), domain=(-3.0, 4.0))
+    _, finest = check_spectrum(b, [101, 201])
+    assert spectra[0].eigenvectors is None
+    assert finest is spectra[1] and finest.eigenvectors.shape == (199, 199)
 
 
 def test_eq29_free_particle_exact_regime():
