@@ -181,8 +181,15 @@ def _load_config(args):
     return resolve_config(given, overrides)
 
 
+def _unread_detune(cfg, command):
+    """detune configures verify's intertwining check; the other commands read no check."""
+    if cfg["detune"] is not None:
+        raise ConfigError(f"detune is read only by verify's intertwining check, not by {command}")
+
+
 def cmd_generate(args):
     cfg = _load_config(args)
+    _unread_detune(cfg, "generate")
     if cfg["family"] in SYSTEM_PRESETS:
         raise ConfigError("generate needs a catalog or custom-table family")
     builder = _builder_from(cfg)
@@ -241,6 +248,7 @@ def cmd_verify(args):
 
 def cmd_spectrum(args):
     cfg = _load_config(args)
+    _unread_detune(cfg, "spectrum")
     if args.list_cap < 1:
         raise ConfigError(f"--list-cap must be at least 1, got {args.list_cap}")
     n = cfg["grid"]["n"]

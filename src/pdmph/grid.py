@@ -57,17 +57,6 @@ class Grid:
         return m
 
 
-def _shifted(x, s):
-    """y[i] = x[i + s], zero where i + s falls outside x."""
-    y = np.zeros_like(x)
-    n = len(x)
-    if s >= 0:
-        y[:max(n - s, 0)] = x[s:]
-    else:
-        y[-s:] = x[:max(n + s, 0)]
-    return y
-
-
 def _hull(spans):
     """Smallest row range covering the nonempty spans; (0, 0) if there are none."""
     spans = [(lo, hi) for lo, hi in spans if lo < hi]
@@ -76,36 +65,54 @@ def _hull(spans):
     return (min(lo for lo, _ in spans), max(hi for _, hi in spans))
 
 
-class Banded:
-    """n x n matrix stored by diagonals, with numpy only.
+def _padded(span, d, hull):
+    """Diagonal d, stored over `span`, over the rows of `hull` with zeros elsewhere."""
+    if span == hull:
+        return d
+    (lo, hi), (first, end) = span, hull
+    out = np.zeros(end - first, d.dtype)
+    out[lo - first:hi - first] = d
+    return out
 
-    Row-aligned storage: A[i, i + offsets[k]] = data[k, i].  Offsets
-    ascend, and every diagonal is zero outside its span, the row range
-    spans[k] = (lo, hi); when no spans are given they are read off the data.
-    A product sums each row's terms in column order, starting from zero, as
-    a CSR product does, and touches a diagonal only over its span: the
-    diagonals that only the one-sided edge rows reach cost a few entries,
-    not a sweep over the grid.
+
+class Banded:
+    """n x n matrix stored by diagonals, each over its span only, with numpy only.
+
+    Diagonal k has offset offsets[k] and covers the row range spans[k] =
+    (lo, hi): A[i, i + offsets[k]] = diagonals[k][i - lo] for lo <= i < hi,
+    and the diagonal holds no other entry (an empty one has span (0, 0)).
+    Offsets ascend.  The diagonals are consecutive views of one 1-D array,
+    `data`, so the diagonals that only the one-sided edge rows reach store
+    a few entries, not n.  A product sums each row's terms in column order,
+    starting from zero, as a CSR product does.
     """
 
-    def __init__(self, offsets, data, spans=None):
+    def __init__(self, n, offsets, spans, data):
+        self.n = n = int(n)
         self.offsets = tuple(int(o) for o in offsets)
         if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
             raise ValueError(f"diagonal offsets must ascend strictly, got {self.offsets}")
-        self.data = np.asarray(data)
-        self.n = n = self.data.shape[1]
-        if spans is None:
-            spans = []
-            for o, d in zip(self.offsets, self.data):
-                nz = np.flatnonzero(d)
-                spans.append((int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0))
-        self.spans = [tuple(sp) for sp in spans]
+        self.spans = [(int(lo), int(hi)) if lo < hi else (0, 0) for lo, hi in spans]
+        if len(self.spans) != len(self.offsets):
+            raise ValueError("need one span per diagonal")
         for o, (lo, hi) in zip(self.offsets, self.spans):
-            if lo < hi and (lo < -o or hi > n - o):
+            if lo < hi and (lo < max(0, -o) or hi > min(n, n - o)):
                 raise ValueError(f"diagonal {o} reaches outside the matrix")
+        self.data = np.asarray(data)
+        ends = [0]
+        for lo, hi in self.spans:
+            ends.append(ends[-1] + hi - lo)
+        if self.data.shape != (ends[-1],):
+            raise ValueError(f"the spans hold {ends[-1]} entries, data has shape {self.data.shape}")
+        self.diagonals = [self.data[a:b] for a, b in zip(ends, ends[1:])]
         # (offset, first row, end row, diagonal) of every nonempty diagonal
-        self._diagonals = [(o, lo, hi, d) for o, d, (lo, hi)
-                           in zip(self.offsets, self.data, self.spans) if lo < hi]
+        self._diagonals = [(o, lo, hi, d) for o, (lo, hi), d
+                           in zip(self.offsets, self.spans, self.diagonals) if lo < hi]
+
+    @classmethod
+    def zeros(cls, n, offsets, spans, dtype=float):
+        """All-zero matrix with the given diagonals, to be filled through `diagonals`."""
+        return cls(n, offsets, spans, np.zeros(sum(max(hi - lo, 0) for lo, hi in spans), dtype))
 
     @property
     def shape(self):
@@ -120,38 +127,39 @@ class Banded:
         v = v.astype(dtype, copy=False)
         y = np.zeros(v.shape, dtype)
         for o, lo, hi, d in self._diagonals:
-            y[lo:hi] += (d[lo:hi] if v.ndim == 1 else d[lo:hi, None]) * v[lo + o:hi + o]
+            y[lo:hi] += (d if v.ndim == 1 else d[:, None]) * v[lo + o:hi + o]
         return y
 
     def _times(self, other):
-        n = self.n
-        out, spans = {}, {}
+        terms, spans = [], {}
         # ascending offsets in the outer loop: each entry sums in column order
         for a, lo_a, hi_a, da in self._diagonals:
             for b, lo_b, hi_b, db in other._diagonals:
                 lo, hi = max(lo_a, lo_b - a), min(hi_a, hi_b - a)
                 if lo < hi:
-                    if a + b not in out:
-                        out[a + b] = np.zeros(n, np.result_type(da, db))
-                    out[a + b][lo:hi] += da[lo:hi] * db[lo + a:hi + a]
+                    terms.append((a + b, lo, da[lo - lo_a:hi - lo_a],
+                                  db[lo + a - lo_b:hi + a - lo_b]))
                     spans[a + b] = _hull((spans.get(a + b, (0, 0)), (lo, hi)))
-        offsets = sorted(out)
-        return Banded(offsets, np.array([out[o] for o in offsets]).reshape(-1, n),
-                      [spans[o] for o in offsets])
+        offsets = sorted(spans)
+        P = Banded.zeros(self.n, offsets, [spans[o] for o in offsets],
+                         np.result_type(self.data, other.data))
+        out = {o: (lo, d) for o, (lo, _), d in zip(P.offsets, P.spans, P.diagonals)}
+        for c, lo, x, y in terms:
+            first, d = out[c]
+            d[lo - first:lo - first + len(x)] += x * y
+        return P
 
     def __sub__(self, other):
-        mine = {o: (d, sp) for o, d, sp in zip(self.offsets, self.data, self.spans)}
-        theirs = {o: (d, sp) for o, d, sp in zip(other.offsets, other.data, other.spans)}
-        zero = (np.zeros(self.n), (0, 0))
+        empty = ((0, 0), np.zeros(0))
+        mine = dict(zip(self.offsets, zip(self.spans, self.diagonals)))
+        theirs = dict(zip(other.offsets, zip(other.spans, other.diagonals)))
         offsets = sorted(mine.keys() | theirs.keys())
-        data = np.zeros((len(offsets), self.n), np.result_type(self.data, other.data))
-        spans = []
-        for k, o in enumerate(offsets):
-            (a, sa), (b, sb) = mine.get(o, zero), theirs.get(o, zero)
-            lo, hi = _hull((sa, sb))
-            data[k, lo:hi] = a[lo:hi] - b[lo:hi]
-            spans.append((lo, hi))
-        return Banded(offsets, data, spans)
+        spans = [_hull((mine.get(o, empty)[0], theirs.get(o, empty)[0])) for o in offsets]
+        D = Banded.zeros(self.n, offsets, spans, np.result_type(self.data, other.data))
+        for o, hull, d in zip(offsets, D.spans, D.diagonals):
+            np.subtract(_padded(*mine.get(o, empty), hull),
+                        _padded(*theirs.get(o, empty), hull), out=d)
+        return D
 
     def distance(self, other):
         """Largest entry of |self - other|, without densifying.
@@ -161,27 +169,38 @@ class Banded:
         return float(np.abs((self - other).data).max(initial=0.0))
 
     def __mul__(self, scalar):
-        return Banded(self.offsets, scalar * self.data, self.spans)
+        return Banded(self.n, self.offsets, self.spans, scalar * self.data)
 
     __rmul__ = __mul__
 
     @property
     def H(self):
-        """Conjugate transpose: A^H[i, i - o] = conj(A[i - o, i])."""
-        rev = list(zip(self.offsets, self.data, self.spans))[::-1]
-        return Banded([-o for o, _, _ in rev],
-                      np.array([np.conj(_shifted(d, -o)) for o, d, _ in rev]).reshape(-1, self.n),
-                      [(lo + o, hi + o) if lo < hi else (0, 0) for o, _, (lo, hi) in rev])
+        """Conjugate transpose: A^H[i, i - o] = conj(A[i - o, i]).
+
+        Diagonal -o of A^H holds the conjugates of diagonal o in the same
+        order, over the span shifted by o.
+        """
+        rev = list(zip(self.offsets, self.spans, self.diagonals))[::-1]
+        A = Banded.zeros(self.n, [-o for o, _, _ in rev],
+                         [(lo + o, hi + o) for o, (lo, hi), _ in rev], self.data.dtype)
+        for (_, _, d), out in zip(rev, A.diagonals):
+            np.conjugate(d, out=out)
+        return A
+
+    def row_values(self, x):
+        """x at the row of every stored entry, laid out as `data`."""
+        return np.concatenate([x[:0]] + [x[lo:hi] for lo, hi in self.spans])
 
     def column_values(self, x):
-        """x at the column of every stored entry: out[k, i] = x[i + offsets[k]]."""
-        return np.array([_shifted(x, o) for o in self.offsets]).reshape(-1, self.n)
+        """x at the column of every stored entry, laid out as `data`."""
+        return np.concatenate([x[:0]] + [x[lo + o:hi + o]
+                                         for o, (lo, hi) in zip(self.offsets, self.spans)])
 
     def toarray(self):
         M = np.zeros(self.shape, self.data.dtype)
         for o, lo, hi, d in self._diagonals:
             rows = np.arange(lo, hi)
-            M[rows, rows + o] = d[lo:hi]
+            M[rows, rows + o] = d
         return M
 
 
@@ -293,18 +312,34 @@ def _build_stencil(n: int, h: float, order: int) -> Banded:
     Interior rows hold the 5-point central stencil on offsets -2..2; the
     two rows at each edge hold one-sided stencils of nb points (6 for the
     second derivative, 5 for the first), which reach offsets up to nb - 1.
-    Only n and h enter, so they (with the order) are the cache key.
+    Each diagonal is stored from its first to its last nonzero row, so the
+    offsets beyond 2 hold two entries each.  Only n and h enter, so they
+    (with the order) are the cache key.
     """
     nb = 6 if order == 2 else 5
-    data = np.zeros((2 * nb - 1, n))
-    for o, w in zip(range(-2, 3), _weights(np.arange(-2, 3), order)):
-        data[o + nb - 1, 2:n - 2] = w
-    for i, cols in ((0, np.arange(nb)), (1, np.arange(nb)),
-                    (n - 2, np.arange(n - nb, n)), (n - 1, np.arange(n - nb, n))):
-        data[cols - i + nb - 1, i] = _weights(cols - i, order)
-    data /= h**order
+    central = _weights(np.arange(-2, 3), order)
+    edges = [(i, cols[0], _weights(cols - i, order))
+             for i, cols in ((0, np.arange(nb)), (1, np.arange(nb)),
+                             (n - 2, np.arange(n - nb, n)), (n - 1, np.arange(n - nb, n)))]
+    hp = h**order
+    offsets = range(1 - nb, nb)
+    spans, diagonals = [], []
+    for o in offsets:
+        entries = [(i, w[i + o - c0]) for i, c0, w in edges if 0 <= i + o - c0 < nb]
+        rows = [i for i, _ in entries] + ([2, n - 3] if abs(o) <= 2 else [])
+        lo = min(rows)
+        d = np.zeros(max(rows) + 1 - lo)
+        if abs(o) <= 2:
+            d[2 - lo:n - 2 - lo] = central[o + 2]
+        for i, w in entries:
+            d[i - lo] = w
+        nz = np.flatnonzero(d)
+        first, end = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+        spans.append((lo + first, lo + end))
+        diagonals.append(d[first:end] / hp)
+    data = np.concatenate(diagonals)
     data.flags.writeable = False
-    return Banded(range(1 - nb, nb), data)
+    return Banded(n, offsets, spans, data)
 
 
 def diff_matrix(grid: Grid, order: int) -> OperatorMatrix:
@@ -399,8 +434,8 @@ def _tridiagonal_solve(dl, d, du, b):
     return b
 
 
-def cubic_spline(xs, ys, x):
-    """The not-a-knot cubic spline through (xs, ys), evaluated at x.
+class Spline:
+    """The not-a-knot cubic spline through (xs, ys), solved once; call it at x.
 
     The end conditions make the third derivative continuous across the
     second and the second-to-last node (de Boor, *A Practical Guide to
@@ -413,45 +448,55 @@ def cubic_spline(xs, ys, x):
     c3 + c2 s + c1 s^2 + c0 s^3, s = x - xs[i], is summed in that order;
     points outside the nodes use the first or last interval's cubic.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    n = len(xs)
-    if xs.ndim != 1 or ys.shape != xs.shape or n < 2:
-        raise IOFormatError("a spline table needs two equal-length columns with >= 2 rows")
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise IOFormatError("a spline table contains non-finite values")
-    dx = np.diff(xs)
-    if not np.all(dx > 0):
-        raise IOFormatError("a spline table's x column must be strictly increasing")
-    slope = np.diff(ys) / dx
-    # interior rows i = 1..n-2: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
-    dl = dx[1:].tolist() + [0.0]
-    d = [0.0] + (2.0 * (dx[:-1] + dx[1:])).tolist() + [0.0]
-    du = [0.0] + dx[:-1].tolist()
-    b = [0.0] + (3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist() + [0.0]
-    h, m = dx.tolist(), slope.tolist()
-    if n == 2:
-        d[0] = d[1] = 1.0
-        b[0] = b[1] = m[0]
-    elif n == 3:
-        d[0], du[0], b[0] = 1.0, 1.0, 2.0 * m[0]
-        dl[1], d[2], b[2] = 1.0, 1.0, 2.0 * m[1]
-    else:
-        w = float(xs[2] - xs[0])
-        d[0], du[0] = h[1], w
-        # h ** 2 rounds through pow, which is not always h * h
-        b[0] = ((h[0] + 2.0 * w) * h[1] * m[0] + h[0] ** 2 * m[1]) / w
-        w = float(xs[-1] - xs[-3])
-        dl[-1], d[-1] = w, h[-2]
-        b[-1] = (h[-1] ** 2 * m[-2] + (2.0 * w + h[-1]) * h[-2] * m[-1]) / w
-    s = np.array(_tridiagonal_solve(dl, d, du, b))
-    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
-    c0 = t / dx
-    c1 = (slope - s[:-1]) / dx - t
-    x = np.asarray(x, dtype=float)
-    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, n - 2)
-    z = x - xs[i]
-    return ys[i] + s[i] * z + c1[i] * (z * z) + c0[i] * (z * z * z)
+
+    def __init__(self, xs, ys):
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        n = len(xs)
+        if xs.ndim != 1 or ys.shape != xs.shape or n < 2:
+            raise IOFormatError("a spline table needs two equal-length columns with >= 2 rows")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise IOFormatError("a spline table contains non-finite values")
+        dx = np.diff(xs)
+        if not np.all(dx > 0):
+            raise IOFormatError("a spline table's x column must be strictly increasing")
+        slope = np.diff(ys) / dx
+        # interior rows i = 1..n-2: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
+        dl = dx[1:].tolist() + [0.0]
+        d = [0.0] + (2.0 * (dx[:-1] + dx[1:])).tolist() + [0.0]
+        du = [0.0] + dx[:-1].tolist()
+        b = [0.0] + (3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist() + [0.0]
+        h, m = dx.tolist(), slope.tolist()
+        if n == 2:
+            d[0] = d[1] = 1.0
+            b[0] = b[1] = m[0]
+        elif n == 3:
+            d[0], du[0], b[0] = 1.0, 1.0, 2.0 * m[0]
+            dl[1], d[2], b[2] = 1.0, 1.0, 2.0 * m[1]
+        else:
+            w = float(xs[2] - xs[0])
+            d[0], du[0] = h[1], w
+            # h ** 2 rounds through pow, which is not always h * h
+            b[0] = ((h[0] + 2.0 * w) * h[1] * m[0] + h[0] ** 2 * m[1]) / w
+            w = float(xs[-1] - xs[-3])
+            dl[-1], d[-1] = w, h[-2]
+            b[-1] = (h[-1] ** 2 * m[-2] + (2.0 * w + h[-1]) * h[-2] * m[-1]) / w
+        s = np.array(_tridiagonal_solve(dl, d, du, b))
+        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        self.xs, self.ys, self.s = xs, ys, s
+        self.c0 = t / dx
+        self.c1 = (slope - s[:-1]) / dx - t
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, len(self.xs) - 2)
+        z = x - self.xs[i]
+        return self.ys[i] + self.s[i] * z + self.c1[i] * (z * z) + self.c0[i] * (z * z * z)
+
+
+def cubic_spline(xs, ys, x):
+    """The not-a-knot cubic spline through (xs, ys), evaluated at x (see Spline)."""
+    return Spline(xs, ys)(x)
 
 
 def amplification(h, c2max=0.0, c1max=0.0, c0max=0.0):

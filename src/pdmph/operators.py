@@ -28,13 +28,15 @@ extension is smooth.  Otherwise psi'' = -2 M1 psi' / U^2 there, and the
 measured eigenvalue order is about 2 (2.0 for free/rational, 2.0-2.5 for
 scarf2/rational).
 
-Every operator is banded, so each is stored by diagonals (grid.Banded) and
-assembled entry by entry from the cached stencils: a row-scaled stencil
-plus diagonal terms added in a fixed order, each entry rounded as in a
-dense assembly.  The product form of eta~ is a banded product (9 central
-diagonals).  The parity operators have one entry per row and are stored as
-scaled permutations (grid.Permuted).  Only eigensolves and matrix export
-take a dense copy.
+Every operator is banded, so each is stored by diagonals (grid.Banded),
+each diagonal over its span of rows only, and assembled entry by entry from
+the cached stencils: a row-scaled stencil plus diagonal terms added in a
+fixed order, each entry rounded as in a dense assembly.  An assembled
+second-order operator stores about 5n entries; the main diagonal, which
+takes the diagonal terms, is the only one that spans all n rows.  The
+product form of eta~ is a banded product (9 central diagonals).  The parity
+operators have one entry per row and are stored as scaled permutations
+(grid.Permuted).  Only eigensolves and matrix export take a dense copy.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDomainError
-from .grid import (Banded, Grid, OperatorMatrix, Permuted, _hull, cumint,
+from .grid import (Banded, Grid, OperatorMatrix, Permuted, _hull, _padded, cumint,
                    diff_matrix)
 from .profiles import ProfileBundle
 
@@ -54,27 +56,35 @@ def _row_scaled_sum(terms, diagonal_terms):
     """Banded matrix sum_j s_j (c_j D_j), then the diagonal terms added in turn.
 
     `terms` holds (s, c, D) with a scalar s, a row scaling c and a Banded
-    matrix D.  Every entry is rounded as in a dense assembly of the written
+    matrix D.  Each output diagonal is built over the hull of its parts'
+    spans only; the main diagonal spans every row when there are diagonal
+    terms.  Every entry is rounded as in a dense assembly of the written
     sum (row-scaled matrices combined left to right, then one diagonal term
     after another), so each caller keeps the rounding of its own formula.
     """
     n = terms[0][2].n
-    offsets = sorted(set().union(*(D.offsets for _, _, D in terms)))
-    data = np.zeros((len(offsets), n), complex)
-    spans = []
-    for k, o in enumerate(offsets):
-        parts = [(s, c, D.data[D.offsets.index(o)], D.spans[D.offsets.index(o)])
-                 for s, c, D in terms if o in D.offsets]
-        lo, hi = _hull([sp for *_, sp in parts])
-        for j, (s, c, d, _) in enumerate(parts):
-            t = s * ((c[lo:hi] + 0j) * d[lo:hi])
-            data[k, lo:hi] = t if j == 0 else data[k, lo:hi] + t
-        spans.append((lo, hi))
+    parts = {}
+    for s, c, D in terms:
+        for o, span, d in zip(D.offsets, D.spans, D.diagonals):
+            parts.setdefault(o, []).append((s, c, span, d))
+    offsets = sorted(parts)
+    hulls = [_hull([span for *_, span, _ in parts[o]]) for o in offsets]
     k = offsets.index(0)
-    for term in diagonal_terms:
-        data[k] = data[k] + term
+    spans = list(hulls)
+    if diagonal_terms:
         spans[k] = (0, n)
-    return Banded(offsets, data, spans)
+    A = Banded.zeros(n, offsets, spans, complex)
+    for o, (first, _), (lo, hi), out in zip(offsets, A.spans, hulls, A.diagonals):
+        seg = out[lo - first:hi - first]
+        for j, (s, c, span, d) in enumerate(parts[o]):
+            t = s * ((c[lo:hi] + 0j) * _padded(span, d, (lo, hi)))
+            if j == 0:
+                seg[...] = t
+            else:
+                seg += t
+    for term in diagonal_terms:
+        A.diagonals[k] += term
+    return A
 
 
 def _second_order(c2, c1, c0, D1, D2):
@@ -214,13 +224,12 @@ def _dirichlet_stencil(grid: Grid, order: int):
         c = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
     else:
         raise InvalidDomainError(f"derivative order must be 1 or 2, got {order}")
-    data = np.zeros((5, m))
-    for k, o in enumerate(range(-2, 3)):
-        data[k, max(0, -o):min(m, m - o)] = c[k]
+    spans = [(max(0, -o), min(m, m - o)) for o in range(-2, 3)]
+    diagonals = [np.full(hi - lo, ck) for (lo, hi), ck in zip(spans, c)]
     # odd images: node -1 mirrors interior node 0, node n mirrors node m-1
-    data[2, 0] -= c[0]
-    data[2, m - 1] -= c[4]
-    return Banded(range(-2, 3), data)
+    diagonals[2][0] -= c[0]
+    diagonals[2][m - 1] -= c[4]
+    return Banded(m, range(-2, 3), spans, np.concatenate(diagonals))
 
 
 def dirichlet_block(grid: Grid, order: int) -> np.ndarray:
@@ -279,7 +288,8 @@ def tau_similarity_actions(h_prime: OperatorMatrix, h_prime_dagger: OperatorMatr
     """
     H = h_prime.form
     E = np.exp(1j * tau_phase)
-    image = Banded(H.offsets, np.conj(E * H.data * H.column_values(1.0 / E)), H.spans)
+    image = Banded(H.n, H.offsets, H.spans,
+                   np.conj(H.row_values(E) * H.data * H.column_values(1.0 / E)))
     res = act = 0.0
     for v in vectors:
         hv = h_prime_dagger @ v

@@ -15,13 +15,14 @@ of the mass integral mu, so one shape serves every mass profile.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DomainViolationError, GeneratingFunctionZeroError,
                      IOFormatError, InvalidDomainError)
-from .grid import Grid, cubic_spline, cumint, diff_matrix
+from .grid import Grid, Spline, cumint, diff_matrix
 from .profiles import MassProfile, ProfileBundle
 
 G_ZERO_TOL = 1e-12
@@ -62,6 +63,15 @@ class GeneratingSpec:
             raise InvalidDomainError(f"family parameter alpha must be > 0, got {self.alpha}")
         if self.family == "custom-table" and self.g_table is None:
             raise InvalidDomainError("custom-table family needs g_table samples")
+
+    # each table's spline is solved on first use and kept for every grid
+    @functools.cached_property
+    def g_spline(self):
+        return Spline(*self.g_table)
+
+    @functools.cached_property
+    def gauge_spline(self):
+        return Spline(*self.gauge_a[1:])
 
 
 @dataclass
@@ -232,10 +242,9 @@ def _gauge_arrays(spec: GeneratingSpec, grid: Grid, g, gp):
         return c * g, c * gp
     if mode == "table":
         xs = np.asarray(spec.gauge_a[1], dtype=float)
-        vals = np.asarray(spec.gauge_a[2], dtype=float)
         if grid.x[0] < xs[0] or grid.x[-1] > xs[-1]:
             raise InvalidDomainError("gauge table does not cover the grid")
-        a = cubic_spline(xs, vals, grid.x)
+        a = spec.gauge_spline(grid.x)
         return a, diff_matrix(grid, 1) @ a
     raise InvalidDomainError(f"unknown gauge mode {spec.gauge_a[0]!r}")
 
@@ -265,10 +274,10 @@ def make_family(spec: GeneratingSpec, profile: MassProfile, grid: Grid) -> Dress
     mu = bundle.mu
 
     if spec.family == "custom-table":
-        xs, vals = spec.g_table
+        xs = spec.g_table[0]
         if grid.x[0] < xs[0] or grid.x[-1] > xs[-1]:
             raise InvalidDomainError("generating-function table does not cover the grid")
-        g = cubic_spline(xs, vals, grid.x)
+        g = spec.g_spline(grid.x)
         _check_nonvanishing(g)
         D1 = diff_matrix(grid, 1)
         gp = D1 @ g

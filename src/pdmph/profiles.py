@@ -13,12 +13,13 @@ finite-difference noise into third-derivative quantities.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import IOFormatError, InvalidDomainError, NonpositiveMassError
-from .grid import Grid, cubic_spline, cumint, diff_matrix
+from .grid import Grid, Spline, cumint, diff_matrix
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,11 @@ class MassProfile:
             raise NonpositiveMassError("mass table contains nonpositive masses")
         return cls("table", table=(xs, ms))
 
+    @functools.cached_property
+    def spline(self):
+        """The table's spline, solved on first use and kept for every grid."""
+        return Spline(*self.table)
+
     def sample(self, grid: Grid) -> ProfileBundle:
         """Evaluate the profile and all derived fields on a grid."""
         x = grid.x
@@ -106,11 +112,11 @@ class MassProfile:
             mu = np.sqrt(b) * np.arctan(x)
             anchor = "mu(0) = 0 (closed form)"
         else:
-            xs, ms = self.table
+            xs = self.table[0]
             if x[0] < xs[0] or x[-1] > xs[-1]:
                 raise InvalidDomainError(
                     f"grid [{x[0]}, {x[-1]}] exceeds mass table range [{xs[0]}, {xs[-1]}]")
-            m = cubic_spline(xs, ms, x)
+            m = self.spline(x)
             if not np.all(m > 0):
                 raise NonpositiveMassError("interpolated table mass is nonpositive on the grid")
             U = 1.0 / np.sqrt(2.0 * m)

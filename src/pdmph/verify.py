@@ -501,6 +501,34 @@ def check_parity_eta(builder: SystemBuilder, n):
 # intertwining defect
 # ---------------------------------------------------------------------------
 
+def _symbol_summary(syms):
+    """Reduce the per-probe symbols (Delta v)/v of one level to (S, have, dev).
+
+    S is the mean symbol over the probes defined at each node (NaN where
+    none is), `have` marks the nodes where some probe is, and dev is the
+    largest disagreement between two probes at a node where both are.  The
+    running sums add the probes in turn from zero, in the order of numpy's
+    axis-0 sum over the stacked symbols, so S has the same bits.
+    """
+    n = len(syms[0])
+    total = np.zeros(n, complex)
+    cnt = np.zeros(n, int)
+    filled = [~np.isnan(sym) for sym in syms]
+    for sym, f in zip(syms, filled):
+        total += np.where(f, sym, 0.0)
+        cnt += f
+    have = cnt > 0
+    S = np.full(n, np.nan + 0j)
+    S[have] = total[have] / cnt[have]
+    dev = 0.0
+    for i in range(len(syms)):
+        for j in range(i + 1, len(syms)):
+            both = filled[i] & filled[j]
+            if both.any():
+                dev = max(dev, float(np.abs(syms[i][both] - syms[j][both]).max()))
+    return S, have, dev
+
+
 def _intertwining(builder, n, xm, detune=None):
     if detune is None:
         inp = builder.inputs(n)
@@ -527,6 +555,9 @@ def _intertwining(builder, n, xm, detune=None):
         sym = np.full(grid.n, np.nan + 0j)
         sym[m] = dv[m] / v[m]
         syms.append(sym)
+    del eta, hp, hpd, hv, ev, ehv, dv
+    S, have, dev = _symbol_summary(syms)
+    del syms
     scale = max(act[w].max(), 1e-300)
     # roundoff model: noise of the inner matvec (amplification times its
     # input) is rough, so the outer stencil re-amplifies it fully
@@ -535,7 +566,7 @@ def _intertwining(builder, n, xm, detune=None):
     a_h = amplification(grid.h, u2, np.abs(2.0 * coeffs.M1[w]).max(),
                         np.abs((coeffs.N1 + inp.V)[w]).max())
     floor = FLOOR_SAFETY * EPS * (a_eta * a_h + a_eta * hv_max + a_h * ev_max) / scale
-    return grid, w, [(res, scale, floor)], (w, syms, inp)
+    return grid, w, [(res, scale, floor)], (w, S, have, dev, inp)
 
 
 def check_intertwining(builder: SystemBuilder, ns, detune=None):
@@ -565,22 +596,9 @@ def check_intertwining(builder: SystemBuilder, ns, detune=None):
     cs = {"printed": [], "corrected": []}
     devs, fits = [], {"printed": [], "corrected": []}
     symbol_scales = []
-    for w, syms, inp in per_level[-2:]:
-        grid = inp.grid
-        arr = np.array(syms)
-        filled = ~np.isnan(arr)
-        cnt = filled.sum(axis=0)
-        have = cnt > 0
-        S = np.full(grid.n, np.nan + 0j)
-        S[have] = np.nansum(np.where(filled, arr, 0.0), axis=0)[have] / cnt[have]
+    for w, S, have, dev, inp in per_level[-2:]:
         symbol_scale = np.abs(S[have]).max() if have.any() else 0.0
         symbol_scales.append(float(symbol_scale))
-        dev = 0.0
-        for i in range(len(syms)):
-            for j in range(i + 1, len(syms)):
-                both = ~np.isnan(syms[i]) & ~np.isnan(syms[j])
-                if both.any():
-                    dev = max(dev, float(np.abs(syms[i][both] - syms[j][both]).max()))
         devs.append(dev / max(symbol_scale, 1e-300))
         r28 = residual_eq28(inp, xmargin=0.0)
         for form in ("printed", "corrected"):

@@ -353,6 +353,10 @@ def _failing_eig(mat):
     (["generate", "--n", "201"], {"gauge": {"mode": "table", "path": 5}}, 2),
     (["generate", "--n", "201"], {"family": "custom-table", "g_table": 5}, 2),
     (["verify", "--checks", "eq25", "--detune", "0.5"], None, 2),
+    (["generate", "--family", "morse", "--n", "201", "--detune", "0.5"], None, 2),
+    (["generate", "--family", "morse", "--n", "201"], {"detune": 0.5}, 2),
+    (["spectrum", "--family", "morse", "--n", "201", "--detune", "0.5"], None, 2),
+    (["spectrum", "--family", "morse", "--n", "201"], {"detune": 0.5}, 2),
     (["verify"], {"corruption": {"amount": 0.1}}, 2),
     (["verify"], {"corruption": {"target": "v-imag-flp"}}, 2),
     (["spectrum", "--family", "morse", "--n", "201", "--list-cap", "-3"], None, 2),
@@ -379,6 +383,8 @@ def _failing_eig(mat):
         "2-gauge-table-without-path", "2-g-table-on-catalog-family",
         "2-path-on-rational-mass-config", "2-mass-path-not-string",
         "2-gauge-path-not-string", "2-g-table-not-string", "2-detune-without-intertwining",
+        "2-detune-flag-on-generate", "2-detune-config-on-generate",
+        "2-detune-flag-on-spectrum", "2-detune-config-on-spectrum",
         "2-corruption-without-target",
         "2-unknown-corruption-target", "2-negative-list-cap", "2-zero-list-cap",
         "3-grid-too-small", "4-negative-mass",

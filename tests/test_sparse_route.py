@@ -184,6 +184,16 @@ def test_cached_stencils_are_read_only():
     assert np.array_equal(diff_matrix(D.grid, 1).mat, dense_diff(D.grid, 1))
 
 
+def test_cached_stencil_diagonals_are_read_only():
+    for order in (1, 2):
+        D = diff_matrix(make_grid(-1.0, 1.0, 41), order).form
+        assert not D.data.flags.writeable
+        for d in D.diagonals:
+            assert not d.flags.writeable
+            with pytest.raises(ValueError):
+                d[...] = 1.0
+
+
 def test_stencil_cache_stays_bounded():
     # more grids than cache slots, visited twice in turn so every visit
     # misses: every stencil must still be the right one and the cache bounded

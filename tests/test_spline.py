@@ -6,6 +6,7 @@ import pytest
 
 from pdmph import (GeneratingSpec, IOFormatError, MassProfile, SystemBuilder,
                    check_intertwining)
+import pdmph.grid as grid_module
 from pdmph.grid import cubic_spline
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -105,3 +106,33 @@ def test_table_route_intertwining_vanishes(rows, am, pm, ag, pg, sign, scale):
     above_floor = [lv.residual > 20.0 * lv.floor for lv in result.levels]
     assert above_floor == sorted(above_floor, reverse=True)
     assert result.observed_order is None or result.observed_order >= 3.5
+
+
+def _table_builder(rows=2201):
+    xs = np.linspace(-9.0, 13.0, rows)
+    ms = 0.5 * _smooth([0.3, -0.1, 0.05], [0.2, 1.0, 2.0], xs)
+    gs = _smooth([0.2, 0.1, -0.1], [0.5, 1.5, 0.3], xs)
+    gauge = ("table", xs, 0.3 * np.sin(0.4 * xs))
+    spec = GeneratingSpec("custom-table", g_table=(xs, gs), gauge_a=gauge)
+    return SystemBuilder("family", MassProfile.from_table(xs, ms), -8.0, 12.0, spec=spec)
+
+
+def test_each_table_is_solved_once_across_levels(monkeypatch):
+    calls = []
+    solve = grid_module._tridiagonal_solve
+    monkeypatch.setattr(grid_module, "_tridiagonal_solve",
+                        lambda *args: calls.append(len(args[1])) or solve(*args))
+    builder = _table_builder()
+    for n in (201, 401, 801):
+        builder.dressed(n)
+    assert calls == [2201, 2201, 2201]   # mass, g and gauge tables, once each
+
+
+def test_kept_splines_match_a_fresh_solve():
+    builder = _table_builder()
+    spec, (xs, ms) = builder.spec, builder.profile.table
+    for n in (801, 201, 401, 801):
+        ds = builder.dressed(n)
+        x = ds.grid.x
+        for got, ys in ((ds.bundle.m, ms), (ds.g, spec.g_table[1]), (ds.a, spec.gauge_a[2])):
+            assert got.tobytes() == cubic_spline(xs, ys, x).tobytes()

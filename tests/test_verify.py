@@ -10,7 +10,7 @@ from pdmph import (CATALOG, FAMILIES, BudgetExceededError, GeneratingSpec,
                    build_d_tilde, build_h_prime_block, check_eq25, check_eq26,
                    check_eq29, check_eta, check_gauge_equivalence,
                    check_groundstate, check_intertwining, check_parity_eta,
-                   check_spectrum, check_tau, eigendecompose, make_grid,
+                   check_spectrum, check_tau, diff_matrix, eigendecompose, make_grid,
                    residual_eq28, run_suite)
 from pdmph.errors import InvalidDomainError
 from pdmph.operators import OperatorMatrix
@@ -182,6 +182,62 @@ def test_intertwining_free_particle_exact():
     assert all(v == 0.0 for v in r.residuals)
 
 
+def _stacked_symbol_summary(syms):
+    """The symbol analysis over all probes at once, as an (8, n) array."""
+    arr = np.array(syms)
+    filled = ~np.isnan(arr)
+    cnt = filled.sum(axis=0)
+    have = cnt > 0
+    S = np.full(arr.shape[1], np.nan + 0j)
+    S[have] = np.nansum(np.where(filled, arr, 0.0), axis=0)[have] / cnt[have]
+    symbol_scale = np.abs(S[have]).max() if have.any() else 0.0
+    dev = 0.0
+    for i in range(len(syms)):
+        for j in range(i + 1, len(syms)):
+            both = ~np.isnan(syms[i]) & ~np.isnan(syms[j])
+            if both.any():
+                dev = max(dev, float(np.abs(syms[i][both] - syms[j][both]).max()))
+    return S, have, dev, float(symbol_scale)
+
+
+@pytest.mark.parametrize("mass,detune,regime", [("rational", None, "vanishing"),
+                                               ("rational", 0.3, "vanishing"),
+                                               ("constant", 0.3, "genuine")])
+def test_streamed_symbol_summary_matches_stacked_formula(monkeypatch, mass, detune, regime):
+    # morse at the default levels, in both regimes (a rational mass keeps
+    # the detuned defect under its rounding floor): the per-level summary
+    # is bit for bit the one of the stacked symbols
+    seen = []
+    summary = verify_module._symbol_summary
+
+    def spy(syms):
+        seen.append((_stacked_symbol_summary(syms), summary(syms)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(verify_module, "_symbol_summary", spy)
+    r = check_intertwining(builder(profile=getattr(MassProfile, mass)()), [1001, 2001, 4001],
+                           detune=detune)
+    assert r.notes["defect_regime"] == regime
+    assert len(seen) == 3
+    for (S0, have0, dev0, _), (S, have, dev) in seen:
+        assert S.tobytes() == S0.tobytes()
+        assert np.array_equal(have, have0)
+        assert dev == dev0
+    assert r.notes["symbol_scale"] == [scale for (*_, scale), _ in seen[-2:]]
+    assert r.notes["probe_symbol_deviation_rel"] == [
+        dev / max(scale, 1e-300) for (_, _, dev, scale), _ in seen[-2:]]
+
+
+def test_symbol_summary_adds_from_zero():
+    # the stacked sum starts from +0, so a node where every probe gives -0
+    # sums to +0; probes undefined at a node leave NaN there
+    syms = [np.array([-0.0 - 0.0j, np.nan, 1.0]), np.array([-0.0 - 0.0j, np.nan, 3.0])]
+    S, have, dev = verify_module._symbol_summary(syms)
+    S0, have0, dev0, _ = _stacked_symbol_summary(syms)
+    assert S.tobytes() == S0.tobytes() and list(have) == [True, False, True]
+    assert dev == dev0 == 2.0
+
+
 # ---------------------------------------------------------------------------
 # ground state, gauge, tau
 # ---------------------------------------------------------------------------
@@ -319,6 +375,29 @@ def test_spectral_working_set():
     sp = spectra[0]
     assert sp.solver == "eig"
     assert _peak_in_units(lambda: check_eq29(b, 501, spectral=sp), 499) <= 3.25
+
+
+@pytest.mark.parametrize("check,bound_mb", [(check_intertwining, 3.0), (check_tau, 2.0),
+                                            (check_eta, 2.5)])
+def test_probe_check_working_set(check, bound_mb):
+    # morse/rational at 1001/2001/4001, with the dressed systems and the
+    # stencils made first, so that the traced peak is the check's own
+    # working set: measured 2.58, 1.69 and 2.14 MB (4.07, 3.93 and 3.89 MB
+    # with every diagonal padded to n entries and all eight probe symbols
+    # of every level kept to the end)
+    ns = [1001, 2001, 4001]
+    b = builder(profile=MassProfile.rational())
+    for n in ns:
+        b.dressed(n)
+        for order in (1, 2):
+            diff_matrix(b.grid(n), order)
+    tracemalloc.start()
+    try:
+        check(b, ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 1e6
 
 
 def test_spectrum_keeps_only_the_finest_eigenvectors(monkeypatch):
