@@ -34,10 +34,10 @@ from .operators import (CoefficientSet, OperatorMatrix, build_d,
                         build_h_prime_block, build_h_prime_dagger,
                         build_parity, default_probes, dirichlet_block,
                         export_matrix, import_matrix)
-from .verify import (CheckResult, OperatorInputs, SpectralResult,
-                     SystemBuilder, apply_corruption, check_eq25, check_eq26,
-                     check_eq29, check_eta, check_gauge_equivalence,
-                     check_groundstate, check_intertwining, check_parity_eta,
-                     check_spectrum, check_tau, eigendecompose, residual_eq28,
-                     residual_trace, run_suite)
+from .verify import (CheckResult, SpectralResult, SystemBuilder,
+                     apply_corruption, check_eq25, check_eq26, check_eq29,
+                     check_eta, check_gauge_equivalence, check_groundstate,
+                     check_intertwining, check_parity_eta, check_spectrum,
+                     check_tau, eigendecompose, residual_eq28, residual_trace,
+                     run_suite)
 from .report import emit_json, payload_bytes, resolve_config, write_report

@@ -494,11 +494,6 @@ class Spline:
         return self.ys[i] + self.s[i] * z + self.c1[i] * (z * z) + self.c0[i] * (z * z * z)
 
 
-def cubic_spline(xs, ys, x):
-    """The not-a-knot cubic spline through (xs, ys), evaluated at x (see Spline)."""
-    return Spline(xs, ys)(x)
-
-
 def amplification(h, c2max=0.0, c1max=0.0, c0max=0.0):
     """Bound on the factor by which ``c2 d2 + c1 d1 + c0`` (coefficient maxima
     given) magnifies the rounding noise of its input, plus one for the input."""

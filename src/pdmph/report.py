@@ -76,6 +76,7 @@ def resolve_config(given=None, overrides=None):
     so runs are self-describing.
     """
     cfg = _merge_strict(CONFIG_DEFAULTS, given or {})
+    setby = _set_keys(given or {}, overrides or {})
     for key, val in (overrides or {}).items():
         if val is None:
             continue
@@ -86,8 +87,20 @@ def resolve_config(given=None, overrides=None):
         if parts[-1] not in node:
             raise ConfigError(f"unknown override {key!r}")
         node[parts[-1]] = val
-    _validate(cfg)
+    _validate(cfg, setby)
     return cfg
+
+
+def _set_keys(given, overrides):
+    """Dotted names of the non-null values a run sets, as against defaults filled
+    in; a flag that sets a whole section (--mass, --gauge) replaces the file's."""
+    keys = {k for k, v in overrides.items() if v is not None}
+    for key, val in given.items():
+        if isinstance(val, dict) and key not in keys:
+            keys |= {f"{key}.{k}" for k, v in val.items() if v is not None}
+        if val not in (None, {}):
+            keys.add(key)
+    return keys
 
 
 _NUMBERS = ("alpha", "delta", "g_const", "mass.scale", "gauge.scale")
@@ -134,15 +147,20 @@ def _validate_types(cfg):
         raise ConfigError(f"checks must be a list of check names, got {cfg['checks']!r}")
 
 
-def _validate(cfg):
+def _validate(cfg, setby):
     _validate_types(cfg)
     fam = cfg["family"]
     if fam not in FAMILIES and fam not in ("custom-table",) + SYSTEM_PRESETS:
         raise ConfigError(f"unknown family {fam!r}")
     if fam == "custom-table" and not cfg["g_table"]:
         raise ConfigError("family custom-table needs g_table (CSV path)")
-    if fam != "custom-table" and cfg["g_table"] is not None:
-        raise ConfigError(f"g_table is read by family custom-table only, not {fam!r}")
+    # a value the configured family never reads is refused, not ignored
+    unread = {"g_table": fam != "custom-table", "g_const": fam != "hermitian-limit",
+              "alpha": fam not in FAMILIES, "delta": fam == "free", "gauge": fam == "free",
+              "corruption": fam == "free"}
+    refused = sorted(k for k in setby if unread.get(k))
+    if refused:
+        raise ConfigError(f"{', '.join(refused)}: not read by family {fam!r}")
     for key, kind, params in (("mass", "kind", MASS_PARAMS), ("gauge", "mode", GAUGE_PARAMS)):
         value = cfg[key][kind]
         if value not in params:
@@ -151,6 +169,8 @@ def _validate(cfg):
             raise ConfigError(f"{key} {kind} {value!r} needs a path (CSV table)")
         if "path" not in params[value] and cfg[key]["path"] is not None:
             raise ConfigError(f"{key} {kind} {value!r} reads no path")
+        if "scale" not in params[value] and f"{key}.scale" in setby:
+            raise ConfigError(f"{key} {kind} {value!r} reads no scale")
     unknown = set(cfg["checks"]) - set(CHECK_NAMES)
     if unknown:
         raise ConfigError(f"unknown checks {sorted(unknown)}")

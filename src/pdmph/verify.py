@@ -8,9 +8,10 @@ window, at several grid resolutions, and reports
     log h, excluding floor-dominated levels),
   * a deterministic verdict: pass, fail, or reported-only.
 
-Each identity has one pointwise-residual function, shared by its check and
-by :func:`residual_trace`; one refinement driver evaluates it at every
-level, coarsest first.
+An identity is its pointwise-residual function plus one `CHECKS` row that
+declares its result names and laws; `run_suite`, :func:`residual_trace`
+and the check vocabulary read the row, and one refinement driver evaluates
+the function at every level, coarsest first.
 
 Residuals in a refinement study are always measured over one fixed
 coordinate window derived from the coarsest level (index pad plus
@@ -26,7 +27,8 @@ alone, with the floor recorded.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -86,16 +88,7 @@ class CheckResult:
         return [lv.residual for lv in self.levels]
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "law": self.law,
-            "levels": [{"n": lv.n, "h": lv.h, "residual": lv.residual,
-                        "floor": lv.floor} for lv in self.levels],
-            "observed_order": self.observed_order,
-            "threshold": self.threshold,
-            "verdict": self.verdict,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _finish(result: CheckResult, threshold=TOLERANCES["residual"]):
@@ -116,55 +109,6 @@ def _finish(result: CheckResult, threshold=TOLERANCES["residual"]):
     else:
         result.verdict = "fail"
     return result
-
-
-@dataclass
-class OperatorInputs:
-    """The arrays the operator-level checks read, for inputs that are no dressed system.
-
-    Built for the free preset (everything zero) or from a detuned companion
-    function that deliberately breaks the first-order balance while the
-    potential is still assembled from the same integrated relation.  A
-    family's dressed system has the same fields and serves as its own input.
-    """
-
-    grid: Grid
-    bundle: object
-    f: np.ndarray
-    fp: np.ndarray
-    g: np.ndarray
-    gp: np.ndarray
-    a: np.ndarray
-    ap: np.ndarray
-    V: np.ndarray
-
-    @classmethod
-    def free(cls, profile: MassProfile, grid: Grid):
-        b = profile.sample(grid)
-        z = np.zeros(grid.n)
-        return cls(grid, b, z, z, z, z, z, z, np.zeros(grid.n, complex))
-
-    @classmethod
-    def detuned(cls, ds: DressedSystem, f0):
-        """Replace f by a function that does not solve the first-order balance.
-
-        f0 is a constant or a callable of the coordinate array; the potential
-        is re-assembled from the detuned f so that all balances except the
-        zeroth-order one still hold, which isolates a genuine
-        multiplication-operator defect.
-        """
-        if callable(f0):
-            f = np.asarray(f0(ds.grid.x), dtype=float)
-            fp = diff_matrix(ds.grid, 1) @ f
-        else:
-            f = np.full(ds.grid.n, float(f0))
-            fp = np.zeros(ds.grid.n)
-        V = assemble_potential(f, fp, ds.g, ds.gp, ds.bundle, ds.spec.delta)
-        return cls(ds.grid, ds.bundle, f, fp, ds.g, ds.gp, ds.a, ds.ap, V)
-
-    @property
-    def phi(self):
-        return self.f + 1j * self.g
 
 
 @dataclass
@@ -204,16 +148,38 @@ class SystemBuilder:
         return copy.copy(ds)
 
     def inputs(self, n):
-        """Operator-check input at n: the dressed system of a family, or the
-        all-zero OperatorInputs of the free preset."""
-        if self.kind == "free":
-            return OperatorInputs.free(self.profile, self.grid(n))
-        return self.dressed(n)
+        """Operator-check input at n: the dressed system of a family, or for
+        the free preset the sampled mass with every coefficient function zero."""
+        if self.kind != "free":
+            return self.dressed(n)
+        grid = self.grid(n)
+        z, zc = np.zeros(grid.n), np.zeros(grid.n, complex)
+        return SimpleNamespace(grid=grid, bundle=self.profile.sample(grid), f=z, fp=z,
+                               g=z, gp=z, a=z, ap=z, V=zc, phi=zc)
 
 
 def _coefficients(inp):
-    """Metric and Hamiltonian coefficients of a dressed system or OperatorInputs."""
+    """Metric and Hamiltonian coefficients of an operator-check input."""
     return CoefficientSet.build(inp.f, inp.fp, inp.g, inp.gp, inp.a, inp.ap, inp.bundle)
+
+
+def detuned(ds: DressedSystem, f0):
+    """Replace f in a dressed copy by a function that does not solve the first-order balance.
+
+    f0 is a constant or a callable of the coordinate array; the potential
+    is re-assembled from the detuned f so that all balances except the
+    zeroth-order one still hold, which isolates a genuine
+    multiplication-operator defect.  `ds` is a copy handed out by
+    `SystemBuilder.dressed`; only its attributes are rebound.
+    """
+    if callable(f0):
+        ds.f = np.asarray(f0(ds.grid.x), dtype=float)
+        ds.fp = diff_matrix(ds.grid, 1) @ ds.f
+    else:
+        ds.f = np.full(ds.grid.n, float(f0))
+        ds.fp = np.zeros(ds.grid.n)
+    ds.V = assemble_potential(ds.f, ds.fp, ds.g, ds.gp, ds.bundle, ds.spec.delta)
+    return ds
 
 
 CORRUPTION_TARGETS = ("v-imag-flip", "v-add-linear", "f-perturb")
@@ -260,6 +226,17 @@ def _refine(builder: SystemBuilder, ns, residual, **options):
     return [list(levels) for levels in zip(*rows)], extras
 
 
+def _identity(key, builder: SystemBuilder, ns, **options):
+    """Refine the residual of row `key` of CHECKS and judge each declared result.
+
+    Returns the results, in the row's order, and the per-level extras.
+    """
+    row = CHECKS[key]
+    per_result, extras = _refine(builder, ns, row.residual, **options)
+    return tuple(_finish(CheckResult(name, law, levels))
+                 for (name, law), levels in zip(row.results, per_result)), extras
+
+
 # ---------------------------------------------------------------------------
 # coefficient-matching checks
 # ---------------------------------------------------------------------------
@@ -282,8 +259,8 @@ def check_eq25(builder: SystemBuilder, ns):
     derivative used to assemble V, so the residual converges at the stencil
     order rather than cancelling identically.
     """
-    (levels,), _ = _refine(builder, ns, _eq25)
-    return _finish(CheckResult("eq25", "conjugation balance", levels))
+    (res,), _ = _identity("eq25", builder, ns)
+    return res
 
 
 def _eq26(builder, n, xm):
@@ -303,8 +280,8 @@ def _eq26(builder, n, xm):
 def check_eq26(builder: SystemBuilder, ns):
     """Potential-gradient balance:
     conj(V)' = 2 f f' - 2 g g' - (U f)'' + 2i (U g')', all derivatives FD."""
-    (levels,), _ = _refine(builder, ns, _eq26)
-    return _finish(CheckResult("eq26", "gradient balance", levels))
+    (res,), _ = _identity("eq26", builder, ns)
+    return res
 
 
 def residual_eq28(inputs, xmargin=0.0):
@@ -344,10 +321,9 @@ def _check_eq28(builder: SystemBuilder, ns):
     """The printed zeroth-order balance at the finest level; reported only."""
     n = max(ns)
     grid, _, _, r = _eq28(builder, n, _xmargin(builder, ns))
-    res = CheckResult("eq28", "zeroth-order balance (sampled)",
+    res = CheckResult(*CHECKS["eq28"].results[0],
                       [CheckLevel(n, grid.h, r["max_printed"], 0.0)])
-    res.notes["max_printed"] = r["max_printed"]
-    res.notes["max_corrected"] = r["max_corrected"]
+    res.notes.update(max_printed=r["max_printed"], max_corrected=r["max_corrected"])
     return res
 
 
@@ -381,13 +357,12 @@ def check_groundstate(builder: SystemBuilder, ns, state=None):
     externally supplied wavefunction sampler (used to measure the catalog's
     printed states, reported-only).
     """
-    (lv_ann, lv_eig), _ = _refine(builder, ns, _groundstate, state=state)
-    suffix = "" if state is None else "-supplied-state"
-    r1 = _finish(CheckResult("groundstate" + suffix, "first-order annihilation", lv_ann))
-    r2 = _finish(CheckResult("groundstate-eigen" + suffix, "eigen-residual", lv_eig))
+    results, _ = _identity("groundstate", builder, ns, state=state)
     if state is not None:
-        r1.verdict = r2.verdict = "reported-only"
-    return r1, r2
+        for r in results:
+            r.name += "-supplied-state"
+            r.verdict = "reported-only"
+    return results
 
 
 def _gauge(builder, n, xm):
@@ -409,8 +384,7 @@ def _gauge(builder, n, xm):
 
 def check_gauge_equivalence(builder: SystemBuilder, ns):
     """Gauge identity: D~(Lambda psi) = Lambda (D psi), measured on the window."""
-    (levels,), unit_mods = _refine(builder, ns, _gauge)
-    res = _finish(CheckResult("gauge", "gauge equivalence", levels))
+    (res,), unit_mods = _identity("gauge", builder, ns)
     res.notes["max_unit_modulus_defect"] = max(unit_mods)
     return res
 
@@ -431,8 +405,8 @@ def _tau(builder, n, xm):
 
 def check_tau(builder: SystemBuilder, ns):
     """Antilinear similarity between H' and its adjoint through the tau phase."""
-    (levels,), _ = _refine(builder, ns, _tau)
-    return _finish(CheckResult("tau", "antilinear similarity", levels))
+    (res,), _ = _identity("tau", builder, ns)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +443,7 @@ def check_eta(builder: SystemBuilder, ns):
     formal adjoint at O(1/h) while their actions on smooth vectors agree at
     the stencil order.
     """
-    (lv_h, lv_d), _ = _refine(builder, ns, _eta)
-    r1 = _finish(CheckResult("eta-hermiticity", "metric Hermiticity", lv_h))
-    r2 = _finish(CheckResult("eta-dual", "metric dual construction", lv_d))
-    return r1, r2
+    return _identity("eta-hermiticity", builder, ns)[0]
 
 
 def check_parity_eta(builder: SystemBuilder, n):
@@ -489,7 +460,7 @@ def check_parity_eta(builder: SystemBuilder, n):
     p2 = (P @ P).distance(Permuted(np.arange(grid.n), np.ones(grid.n)))
     eta = build_eta_parity(ds.a, b, grid).form
     herm = eta.distance(eta.H)
-    res = CheckResult("parity-eta", "parity metric Hermiticity",
+    res = CheckResult(*CHECKS["parity-eta"].results[0],
                       [CheckLevel(n, grid.h, herm, 64.0 * EPS)])
     res.notes["parity_squared_defect"] = p2
     res.threshold = 1e-12
@@ -530,10 +501,7 @@ def _symbol_summary(syms):
 
 
 def _intertwining(builder, n, xm, detune=None):
-    if detune is None:
-        inp = builder.inputs(n)
-    else:
-        inp = OperatorInputs.detuned(builder.dressed(n), detune)
+    inp = builder.inputs(n) if detune is None else detuned(builder.dressed(n), detune)
     grid, b = inp.grid, inp.bundle
     coeffs = _coefficients(inp)
     eta = build_eta_tilde(coeffs, b, grid, mode="direct")
@@ -582,14 +550,14 @@ def check_intertwining(builder: SystemBuilder, ns, detune=None):
     stability.
 
     With `detune` set, the companion function is replaced (see
-    OperatorInputs.detuned) so the defect is genuinely nonzero; for
+    `detuned`) so the defect is genuinely nonzero; for
     consistently constructed systems the defect vanishes identically and
     only the convergence of the residual toward the rounding floor is
     asserted.
     """
     tol = TOLERANCES
     (levels,), per_level = _refine(builder, ns, _intertwining, detune=detune)
-    res = CheckResult("intertwining", "metric intertwining", levels)
+    res = CheckResult(*CHECKS["intertwining"].results[0], levels)
     res.notes["detune"] = detune if detune is None or np.isscalar(detune) else "callable"
 
     # zeroth-order structure at the two finest levels
@@ -886,8 +854,40 @@ def check_eq29(builder: SystemBuilder, n, spectral=None):
 # suite orchestration
 # ---------------------------------------------------------------------------
 
-CHECK_NAMES = ("eq25", "eq26", "eq28", "intertwining", "groundstate", "gauge",
-               "tau", "eta-hermiticity", "parity-eta", "spectrum", "eq29")
+@dataclass(frozen=True)
+class Check:
+    """An identity check declared once: the name of the module function
+    `run_suite` calls, one (name, law) pair per result in payload order,
+    the pointwise-residual function (None: no trace), whether it needs a
+    dressed system, and the run options it reads."""
+
+    run: str
+    results: tuple
+    residual: object = None
+    dressed: bool = True
+    options: tuple = ()
+
+
+# the identity checks, in canonical payload order
+CHECKS = {
+    "eq25": Check("check_eq25", (("eq25", "conjugation balance"),), _eq25),
+    "eq26": Check("check_eq26", (("eq26", "gradient balance"),), _eq26),
+    "eq28": Check("_check_eq28", (("eq28", "zeroth-order balance (sampled)"),), _eq28,
+                  dressed=False),
+    "intertwining": Check("check_intertwining", (("intertwining", "metric intertwining"),),
+                          _intertwining, dressed=False, options=("detune",)),
+    "groundstate": Check("check_groundstate", (("groundstate", "first-order annihilation"),
+                                               ("groundstate-eigen", "eigen-residual")),
+                         _groundstate),
+    "gauge": Check("check_gauge_equivalence", (("gauge", "gauge equivalence"),), _gauge),
+    "tau": Check("check_tau", (("tau", "antilinear similarity"),), _tau),
+    "eta-hermiticity": Check("check_eta", (("eta-hermiticity", "metric Hermiticity"),
+                                           ("eta-dual", "metric dual construction")),
+                             _eta, dressed=False),
+    "parity-eta": Check("check_parity_eta", (("parity-eta", "parity metric Hermiticity"),)),
+}
+CHECK_NAMES = (*CHECKS, "spectrum", "eq29")
+TRACEABLE = tuple(key for key, row in CHECKS.items() if row.residual is not None)
 
 
 def run_suite(builder: SystemBuilder, checks, ns, eig_levels=EIG_LEVELS, detune=None):
@@ -903,24 +903,19 @@ def run_suite(builder: SystemBuilder, checks, ns, eig_levels=EIG_LEVELS, detune=
     ns = sorted(ns)
     eig_levels = sorted(eig_levels)
 
-    # identity check -> (runner, needs a dressed system); the runners look
-    # the check functions up when called, so wrappers rebound on this
-    # module (the benchmark's tracer) see every call
-    table = {
-        "eq25": (lambda: [check_eq25(builder, ns)], True),
-        "eq26": (lambda: [check_eq26(builder, ns)], True),
-        "eq28": (lambda: [_check_eq28(builder, ns)], False),
-        "intertwining": (lambda: [check_intertwining(builder, ns, detune)], False),
-        "groundstate": (lambda: list(check_groundstate(builder, ns)), True),
-        "gauge": (lambda: [check_gauge_equivalence(builder, ns)], True),
-        "tau": (lambda: [check_tau(builder, ns)], True),
-        "eta-hermiticity": (lambda: list(check_eta(builder, ns)), False),
-        "parity-eta": (lambda: [check_parity_eta(builder, ns[0])]
-                       if builder.grid(ns[0]).parity_capable else [], True),
-    }
-    runners = [run for name, (run, needs_dressed) in table.items()
-               if name in checks and (builder.kind == "family" or not needs_dressed)]
-    results = [r for run in runners for r in run()]
+    given = {"detune": detune}
+    results = []
+    for key, row in CHECKS.items():
+        if key not in checks or (row.dressed and builder.kind != "family"):
+            continue
+        run = globals()[row.run]   # per call, so wrappers rebound here see it
+        if row.residual is None:
+            # parity-eta: one level, on a grid symmetric about zero only
+            if builder.grid(ns[0]).parity_capable:
+                results.append(run(builder, ns[0]))
+            continue
+        out = run(builder, ns, **{k: given[k] for k in row.options})
+        results += [out] if isinstance(out, CheckResult) else out
 
     spectral_summary = finest = None
     if "spectrum" in checks:
@@ -994,23 +989,6 @@ def _standing_findings(builder: SystemBuilder, ns):
     return findings
 
 
-
-
-# traceable check -> (pointwise-residual function, its result names, the
-# residual_trace options it takes)
-_RESIDUALS = {
-    "eq25": (_eq25, ("eq25",), ()),
-    "eq26": (_eq26, ("eq26",), ()),
-    "eq28": (_eq28, ("eq28",), ()),
-    "intertwining": (_intertwining, ("intertwining",), ("detune",)),
-    "groundstate": (_groundstate, ("groundstate", "groundstate-eigen"), ()),
-    "gauge": (_gauge, ("gauge",), ()),
-    "tau": (_tau, ("tau",), ()),
-    "eta-hermiticity": (_eta, ("eta-hermiticity", "eta-dual"), ()),
-}
-TRACEABLE = tuple(_RESIDUALS)
-
-
 def residual_trace(builder: SystemBuilder, check: str, ns, path, detune=None):
     """Write the pointwise residual of one check at the finest of `ns` as CSV.
 
@@ -1020,14 +998,15 @@ def residual_trace(builder: SystemBuilder, check: str, ns, path, detune=None):
     residual.  Traces are diagnostic sidecars; thresholds and verdicts
     always come from the checks.
     """
-    if check not in _RESIDUALS:
+    if check not in TRACEABLE:
         raise InvalidDomainError(
             f"check {check!r} has no pointwise trace (traceable: {TRACEABLE})")
-    residual, names, options = _RESIDUALS[check]
+    row = CHECKS[check]
     given = {"detune": detune}
-    grid, _, outputs, _ = residual(builder, max(ns), _xmargin(builder, ns),
-                                   **{k: given[k] for k in options})
-    _write_columns(path, ("x",) + names, [grid.x] + [res / scale for res, scale, _ in outputs])
+    grid, _, outputs, _ = row.residual(builder, max(ns), _xmargin(builder, ns),
+                                       **{k: given[k] for k in row.options})
+    _write_columns(path, ("x",) + tuple(name for name, _ in row.results),
+                   [grid.x] + [res / scale for res, scale, _ in outputs])
     return path
 
 

@@ -357,6 +357,16 @@ def _failing_eig(mat):
     (["generate", "--family", "morse", "--n", "201"], {"detune": 0.5}, 2),
     (["spectrum", "--family", "morse", "--n", "201", "--detune", "0.5"], None, 2),
     (["spectrum", "--family", "morse", "--n", "201"], {"detune": 0.5}, 2),
+    (["verify", "--family", "morse", "--g-const", "7"], None, 2),
+    (["verify", "--family", "hermitian-limit", "--alpha", "7"], None, 2),
+    (["verify"], {"family": "custom-table", "g_table": "g.csv", "alpha": 2.0}, 2),
+    (["verify", "--family", "free", "--delta", "3"], None, 2),
+    (["verify", "--family", "free", "--alpha", "3"], None, 2),
+    (["verify", "--family", "free", "--gauge", "scaled-g:scale=2"], None, 2),
+    (["verify"], {"family": "free", "corruption": {"target": "v-imag-flip"}}, 2),
+    (["verify"], {"mass": {"kind": "table", "path": "m.csv", "scale": 2.0}}, 2),
+    (["verify"], {"gauge": {"mode": "zero", "scale": 2.0}}, 2),
+    (["verify"], {"gauge": {"mode": "table", "path": "a.csv", "scale": 2.0}}, 2),
     (["verify"], {"corruption": {"amount": 0.1}}, 2),
     (["verify"], {"corruption": {"target": "v-imag-flp"}}, 2),
     (["spectrum", "--family", "morse", "--n", "201", "--list-cap", "-3"], None, 2),
@@ -385,6 +395,10 @@ def _failing_eig(mat):
         "2-gauge-path-not-string", "2-g-table-not-string", "2-detune-without-intertwining",
         "2-detune-flag-on-generate", "2-detune-config-on-generate",
         "2-detune-flag-on-spectrum", "2-detune-config-on-spectrum",
+        "2-g-const-on-catalog-family", "2-alpha-on-hermitian-limit",
+        "2-alpha-config-on-custom-table", "2-delta-on-free", "2-alpha-on-free",
+        "2-gauge-on-free", "2-corruption-on-free", "2-mass-scale-config-on-table",
+        "2-gauge-scale-config-on-zero", "2-gauge-scale-config-on-table",
         "2-corruption-without-target",
         "2-unknown-corruption-target", "2-negative-list-cap", "2-zero-list-cap",
         "3-grid-too-small", "4-negative-mass",
@@ -432,22 +446,28 @@ def test_mistyped_level_exits_2_before_building(tmp_path, monkeypatch, argv, con
 
 def test_trace_window_max_is_payload_residual(tmp_path):
     from pdmph import make_grid
-    from pdmph.verify import PAD, TRACEABLE
-    out, traces = tmp_path / "rep.json", tmp_path / "traces"
-    run(["verify", "--family", "morse", "--gauge", "scaled-g:scale=0.5",
-         "--refine", "201,401,801", "--checks", ",".join(TRACEABLE),
-         "--out", str(out), "--trace-dir", str(traces)])
-    checks = {c["name"]: c for c in json.loads(out.read_text())["payload"]["checks"]}
-    grid = make_grid(-2.0, 10.0, 801)
-    window = grid.interior_mask(PAD, PAD * 12.0 / 200)
-    for name in TRACEABLE:
-        with open(traces / f"{name}.csv") as fh:
-            header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        assert header[0] == "x" and np.array_equal(data[:, 0], grid.x)
-        for j, result in enumerate(header[1:], start=1):
-            expected = checks[result]["levels"][-1]["residual"]
-            assert f"{data[window, j].max():.16e}" == f"{expected:.16e}", result
+    from pdmph.verify import CHECKS, PAD, TRACEABLE
+    for system, domain in ((["--family", "morse", "--gauge", "scaled-g:scale=0.5"], (-2.0, 10.0)),
+                           (["--family", "free"], (-8.0, 8.0))):
+        out, traces = tmp_path / f"{system[1]}.json", tmp_path / system[1]
+        assert run(["verify", *system, "--refine", "201,401,801",
+                    "--checks", ",".join(TRACEABLE), "--out", str(out),
+                    "--trace-dir", str(traces)]) in (0, 7)
+        checks = {c["name"]: c for c in json.loads(out.read_text())["payload"]["checks"]}
+        grid = make_grid(*domain, 801)
+        window = grid.interior_mask(PAD, PAD * (domain[1] - domain[0]) / 200)
+        # the free preset skips (and traces none of) the checks that need a dressed system
+        traced = [k for k in TRACEABLE if system[1] != "free" or not CHECKS[k].dressed]
+        assert sorted(p.stem for p in traces.iterdir()) == sorted(traced)
+        for name in traced:
+            with open(traces / f"{name}.csv") as fh:
+                header = fh.readline().strip().split(",")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            assert header == ["x"] + [result for result, _ in CHECKS[name].results]
+            assert np.array_equal(data[:, 0], grid.x)
+            for j, result in enumerate(header[1:], start=1):
+                expected = checks[result]["levels"][-1]["residual"]
+                assert f"{data[window, j].max():.16e}" == f"{expected:.16e}", result
 
 
 def test_verify_eigensolver_failure_is_a_failed_check(tmp_path, monkeypatch):

@@ -298,7 +298,7 @@ TABLE_RUNS = {
 
 @pytest.mark.parametrize("route", sorted(TABLE_RUNS))
 def test_table_runs_leave_scipy_unloaded(route, tmp_path):
-    # tables are interpolated by grid.cubic_spline: a table input must not
+    # tables are interpolated by grid.Spline: a table input must not
     # bring in scipy, whose import costs more than a default verify
     xs = np.linspace(-9.0, 11.0, 57)
     np.savetxt(tmp_path / "table.csv", np.column_stack((xs, 0.5 + 0.1 * np.tanh(xs))),

@@ -7,7 +7,7 @@ import pytest
 from pdmph import (GeneratingSpec, IOFormatError, MassProfile, SystemBuilder,
                    check_intertwining)
 import pdmph.grid as grid_module
-from pdmph.grid import cubic_spline
+from pdmph.grid import Spline
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -34,7 +34,7 @@ def tables(draw, min_rows=2):
 def test_matches_reference_cubic_spline(table):
     interpolate = pytest.importorskip("scipy.interpolate")
     xs, ys, x = table
-    got = cubic_spline(xs, ys, x)
+    got = Spline(xs, ys)(x)
     want = interpolate.CubicSpline(xs, ys)(x)
     assert np.abs(got - want).max() <= 1e-14 * max(np.abs(ys).max(), 1e-300)
 
@@ -45,7 +45,7 @@ def test_constant_table_is_exact(n):
     xs = np.linspace(-3.0, 5.0, n) ** 3
     x = np.linspace(xs[0], xs[-1], 1001)
     for c in (1.3, -0.7, 1e-12, 4.0 / 3.0):
-        assert np.array_equal(cubic_spline(xs, np.full(n, c), x), np.full(x.shape, c))
+        assert np.array_equal(Spline(xs, np.full(n, c))(x), np.full(x.shape, c))
 
 
 @settings(max_examples=100, deadline=None)
@@ -58,7 +58,7 @@ def test_reproduces_polynomials(table, coeffs):
     centre = 0.5 * (xs[0] + xs[-1])
     p = np.polynomial.Polynomial(coeffs, domain=[xs[0] - centre, xs[-1] - centre],
                                  window=[-1.0, 1.0])
-    got = cubic_spline(xs, p(xs - centre), x)
+    got = Spline(xs, p(xs - centre))(x)
     want = p(x - centre)
     assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
 
@@ -73,7 +73,7 @@ def test_reproduces_polynomials(table, coeffs):
 ])
 def test_rejects_bad_tables(xs, ys):
     with pytest.raises(IOFormatError):
-        cubic_spline(xs, ys, [0.5])
+        Spline(xs, ys)([0.5])
 
 
 def _smooth(amplitudes, phases, x):
@@ -135,4 +135,4 @@ def test_kept_splines_match_a_fresh_solve():
         ds = builder.dressed(n)
         x = ds.grid.x
         for got, ys in ((ds.bundle.m, ms), (ds.g, spec.g_table[1]), (ds.a, spec.gauge_a[2])):
-            assert got.tobytes() == cubic_spline(xs, ys, x).tobytes()
+            assert got.tobytes() == Spline(xs, ys)(x).tobytes()

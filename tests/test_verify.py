@@ -14,7 +14,9 @@ from pdmph import (CATALOG, FAMILIES, BudgetExceededError, GeneratingSpec,
                    residual_eq28, run_suite)
 from pdmph.errors import InvalidDomainError
 from pdmph.operators import OperatorMatrix
-from pdmph.verify import printed_state_sampler
+from pdmph.pipeline import assemble_potential
+from pdmph.verify import (CHECK_NAMES, CHECKS, TRACEABLE, detuned, printed_state_sampler,
+                          residual_trace)
 
 NS = [301, 501, 1001]
 NS_FINE = [501, 1001, 2001]
@@ -523,6 +525,94 @@ def test_corrupted_builder_fails_on_every_call():
         assert r.verdict == "fail" and r.residuals[-1] >= 1e-2
     b.corruption = None
     assert check_eq25(b, NS).residuals == clean.residuals
+
+
+def test_run_suite_order_of_checks_changes_nothing():
+    # results come back in CHECKS order, with the same bits and verdicts,
+    # whatever the order of the requested checks
+    b = builder("scarf2", domain=(-8.0, 8.0), gauge_a=("scaled-g", 1.0))
+    names = list(CHECK_NAMES)
+    runs = []
+    for k in range(len(names)):
+        results, _, _ = run_suite(b, names[k:] + names[:k], [101, 201, 401],
+                                  eig_levels=[101, 201])
+        runs.append([(r.name, r.verdict, np.array(r.residuals).tobytes()) for r in results])
+    assert [name for name, _, _ in runs[0]] == [
+        name for key in CHECKS for name, _ in CHECKS[key].results] + ["spectrum", "eq29"]
+    assert all(run == runs[0] for run in runs[1:])
+
+
+@pytest.mark.parametrize("check", ["parity-eta", "spectrum", "eq29"])
+def test_residual_trace_refuses_checks_without_a_pointwise_residual(check, tmp_path):
+    assert check not in TRACEABLE
+    with pytest.raises(InvalidDomainError, match="no pointwise trace"):
+        residual_trace(builder(), check, NS, tmp_path / "t.csv")
+    assert not (tmp_path / "t.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# operator inputs: the detuned control and the free preset, against the
+# formulas of the OperatorInputs class they replace
+# ---------------------------------------------------------------------------
+
+def _reference_detuned(ds, f0):
+    """(f, fp, V, phi) as OperatorInputs.detuned built them."""
+    if callable(f0):
+        f = np.asarray(f0(ds.grid.x), dtype=float)
+        fp = diff_matrix(ds.grid, 1) @ f
+    else:
+        f = np.full(ds.grid.n, float(f0))
+        fp = np.zeros(ds.grid.n)
+    V = assemble_potential(f, fp, ds.g, ds.gp, ds.bundle, ds.spec.delta)
+    return f, fp, V, f + 1j * ds.g
+
+
+@pytest.mark.parametrize("make", [
+    lambda: builder(profile=MassProfile.rational(), domain=(-3.0, 4.0)), hermitian_builder],
+    ids=["morse-rational", "hermitian-limit"])
+@pytest.mark.parametrize("f0", [0.7, lambda x: 0.4 + 0.05 * x], ids=["constant", "callable"])
+def test_detuned_matches_operator_inputs_detuned(make, f0):
+    b = make()
+    cached = b.dressed(401)
+    f_cached, V_cached = cached.f.tobytes(), cached.V.tobytes()
+    want = _reference_detuned(cached, f0)
+    got = detuned(b.dressed(401), f0)
+    for name, w in zip(("f", "fp", "V", "phi"), want):
+        g = getattr(got, name)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+    again = b.dressed(401)
+    assert again.f.tobytes() == f_cached and again.V.tobytes() == V_cached
+
+
+def test_free_input_matches_operator_inputs_free():
+    profile = MassProfile.rational()
+    inp = SystemBuilder("free", profile, -8.0, 8.0).inputs(301)
+    grid = make_grid(-8.0, 8.0, 301)
+    z = np.zeros(grid.n)
+    want = {"f": z, "fp": z, "g": z, "gp": z, "a": z, "ap": z,
+            "V": np.zeros(grid.n, complex), "phi": z + 1j * z}
+    for name, w in want.items():
+        g = getattr(inp, name)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+    assert (inp.grid.xmin, inp.grid.xmax, inp.grid.n, inp.grid.h) == (
+        grid.xmin, grid.xmax, grid.n, grid.h)
+    assert inp.grid.x.tobytes() == grid.x.tobytes()
+    for name, w in vars(profile.sample(grid)).items():
+        g = getattr(inp.bundle, name)
+        if name == "grid":
+            assert g.x.tobytes() == w.x.tobytes()
+        elif isinstance(w, np.ndarray):
+            assert g.tobytes() == w.tobytes(), name
+        else:
+            assert g == w, name
+
+
+def test_detuned_intertwining_leaves_the_cached_system_alone():
+    b = builder()
+    check_intertwining(b, NS, detune=0.7)
+    fresh = builder()
+    assert check_eq25(b, NS).residuals == check_eq25(fresh, NS).residuals
+    assert check_eq26(b, NS).residuals == check_eq26(fresh, NS).residuals
 
 
 def test_eq29_reuses_the_spectrum_decomposition(monkeypatch):
