@@ -8,6 +8,7 @@ Set PDMPH_NO_COLOR to disable ANSI styling.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -270,7 +271,10 @@ def cmd_spectrum(args):
     return 0
 
 
+@functools.cache
 def make_parser():
+    # built once per process: parse_args returns a fresh Namespace, and no
+    # option has a mutable or appending default
     p = argparse.ArgumentParser(
         prog="pdmph",
         description=("Position-dependent-mass non-Hermitian Hamiltonian toolkit: "

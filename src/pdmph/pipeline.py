@@ -353,23 +353,165 @@ CSV_COLUMNS = ("x", "m", "U", "mu", "g", "f", "a", "V_re", "V_im",
                "Veff_re", "Veff_im", "Vmu", "psi_re", "psi_im", "xi_re", "xi_im")
 
 
-CSV_BLOCK = 1024   # rows converted to Python floats at a time
+CSV_BLOCK = 4096   # values formatted at a time, in whole rows
+
+_E_MIN = -1073    # frexp exponent of the smallest subnormal, 2**-1074
+_D_MIN = -324     # decimal exponent of the smallest subnormal
+_SPLIT = 134217729.0   # 2**27 + 1, Veltkamp's splitter for doubles
+_TIE_MARGIN = 1e-6     # a scaled value this close to a rounding tie is undecided
+
+
+@functools.cache
+def _words():
+    """Four-byte pieces of formatted values, as uint32 lookup tables.
+
+    A value with its separator is six words: head (sign or NUL, leading
+    digit, '.', digit), three groups of four digits, tail (three digits,
+    'e') and exponent (sign, two digits, ',' or newline).  The NUL of a
+    positive value is dropped when the block is written.
+    """
+    def table(parts):
+        return np.frombuffer(b"".join(parts), np.uint32)
+    head = table(b"%c%d.%d" % (sign, t // 10, t % 10) for sign in b"\0-" for t in range(100))
+    digits = table(b"%04d" % i for i in range(10000))
+    tail = table(b"%03de" % i for i in range(1000))
+    exponent = table(b"%c%02d%c" % (b"-+"[d >= 0], abs(d) % 100, sep)
+                     for d in range(_D_MIN, 309) for sep in b",\n")
+    return head, digits, tail, exponent
+
+
+class _Scales:
+    """Decimal scales per binary exponent, built the first time one is seen.
+
+    For the exponent e of x = m 2**e (m in [1/2, 1)) take k with
+    2**(e-1) 10**k in [1e16, 1e17), so that y = m 2**e 10**k lies in
+    [1e16, 2e17).  Values with m below `cut` have y < 1e17 - 1/2 and take
+    the row of S = 2**e 10**k (17 digits round(y), decimal exponent 16 - k);
+    the others round into the next decade and take the row of S / 10.  Each
+    scale is a double-double hi + lo (hi correctly rounded, lo the correctly
+    rounded rest), with hi also split into Veltkamp halves for Dekker's
+    product.
+    """
+
+    def __init__(self):
+        n = 1024 - _E_MIN + 1
+        self.known = np.zeros(n, bool)
+        self.cut = np.zeros(n)
+        self.hi, self.hi1, self.hi2, self.lo = np.zeros((4, 2 * n))
+        self.exp10 = np.zeros(2 * n, np.int64)
+
+    def rows(self, m, e):
+        """hi, its halves, lo and the decimal exponent for each m 2**e."""
+        j = e - _E_MIN
+        known = self.known[j]
+        if not known.all():
+            for e_new in np.unique(e[~known]).tolist():
+                self._build(e_new)
+        row = 2 * j + (m >= np.take(self.cut, j))
+        return [np.take(t, row) for t in (self.hi, self.hi1, self.hi2, self.lo, self.exp10)]
+
+    def _build(self, e):
+        k = 16 - int((e - 1) * 0.30102999566398120 // 1)   # checked below
+        while True:   # S = 2**e 10**k = num / den, and 2**(e-1) 10**k = num / (2 den)
+            num = (1 << max(e, 0)) * 10 ** max(k, 0)
+            den = (1 << max(-e, 0)) * 10 ** max(-k, 0)
+            if num < 2 * 10 ** 16 * den:
+                k += 1
+            elif num >= 2 * 10 ** 17 * den:
+                k -= 1
+            else:
+                break
+        j = e - _E_MIN
+        for d in (0, 1):   # S, then S / 10
+            scaled_den = den * 10 ** d
+            hi = num / scaled_den
+            hn, hd = hi.as_integer_ratio()
+            t = hi * _SPLIT
+            hi1 = t - (t - hi)
+            r = 2 * j + d
+            self.hi[r], self.hi1[r], self.hi2[r] = hi, hi1, hi - hi1
+            self.lo[r] = (num * hd - hn * scaled_den) / (scaled_den * hd)
+            self.exp10[r] = 16 - k + d
+        # the smallest double m with m num / den >= 1e17 - 1/2
+        cut = (2 * 10 ** 17 - 1) * den / (2 * num)
+        cn, cd = cut.as_integer_ratio()
+        if 2 * cn * num < (2 * 10 ** 17 - 1) * den * cd:
+            cut = float(np.nextafter(cut, np.inf))
+        self.cut[j] = cut
+        self.known[j] = True
+
+
+_scales = functools.cache(_Scales)
+
+
+def _decide(x):
+    """17 significant digits and decimal exponent of each x, as numpy decides them.
+
+    Returns (q, exp10, decided): where decided, '%.16e' % x has the digits
+    of the int64 q (0 for a zero) and the two-digit exponent exp10.  A
+    finite x is scaled to y = |x| 10**k as a double-double p + c, with
+    Dekker's exact product since numpy has no fused multiply-add; p is an
+    integer, so q = p + round(c).  Undecided are values within _TIE_MARGIN
+    of a rounding tie (exact decimal ties among them, which Python rounds
+    half to even), three-digit exponents and non-finite x.
+    """
+    finite = np.isfinite(x)
+    a = np.abs(x) if finite.all() else np.where(finite, np.abs(x), 1.0)
+    m, e = np.frexp(a)
+    hi, hi1, hi2, lo, exp10 = _scales().rows(m, e)
+    t = m * _SPLIT
+    m1 = t - (t - m)
+    m2 = m - m1
+    p = m * hi   # >= 1e16 - 1/20 > 2**53, an integer
+    c = ((m1 * hi1 - p) + m1 * hi2 + m2 * hi1) + m2 * hi2 + m * lo
+    r = np.rint(c)
+    q = p.astype(np.int64) + r.astype(np.int64)
+    exp10 = np.where(a == 0.0, 0, exp10)
+    decided = (np.abs(c - r) < 0.5 - _TIE_MARGIN) & finite & (np.abs(exp10) < 100)
+    return q, exp10, decided
+
+
+def _format_block(x, newline):
+    """The bytes of '%.16e' % v and then ',' or (where newline) '\\n', for each v of x."""
+    q, exp10, decided = _decide(x)
+    head, digits, tail, exponent = _words()
+    words = np.empty((x.size, 6), np.uint32)
+    top = q // 10 ** 15   # 100 for an undecided value just below a tie at 1e17
+    words[:, 0] = np.take(head, top + 100 * np.signbit(x), mode="clip")
+    q -= top * 10 ** 15
+    for col, scale in enumerate((10 ** 11, 10 ** 7, 10 ** 3), start=1):
+        group = q // scale
+        words[:, col] = np.take(digits, group)
+        q -= group * scale
+    words[:, 4] = np.take(tail, q)
+    words[:, 5] = np.take(exponent, 2 * (exp10 - _D_MIN) + newline)
+    pieces, start = [], 0
+    for i in np.flatnonzero(~decided).tolist():
+        pieces += [words[start:i].tobytes(), b"%.16e%c" % (x[i], b",\n"[newline[i]])]
+        start = i + 1
+    pieces.append(words[start:].tobytes())
+    return b"".join(pieces).replace(b"\0", b"")
 
 
 def _write_columns(path, names, columns):
-    """CSV of real columns: a header of names, then one row per sample, each
-    value written as %.16e (17 significant digits).
+    """CSV of real columns: a header of names, then one row per sample.
 
-    Rows are formatted CSV_BLOCK at a time, so the Python floats alive at
-    once do not grow with the number of samples.
+    Each value is written with exactly the bytes of Python's '%.16e' % v
+    (17 significant digits).  The digits are decided in numpy (_decide);
+    Python's formatter writes only the values numpy leaves undecided
+    (near-ties and three-digit exponents) and the non-finite ones.  Rows
+    are formatted in blocks of about CSV_BLOCK values, so the memory in use
+    does not grow with the number of samples.
     """
-    columns = [np.asarray(c) for c in columns]
-    row = ",".join(["%.16e"] * len(columns)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for i in range(0, len(columns[0]), CSV_BLOCK):
-            block = (c[i:i + CSV_BLOCK].tolist() for c in columns)
-            fh.writelines(row % values for values in zip(*block))
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    rows = max(1, CSV_BLOCK // len(columns))
+    newline = np.zeros((rows, len(columns)), np.intp)
+    newline[:, -1] = 1
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
+        for i in range(0, len(columns[0]), rows):
+            block = np.stack([c[i:i + rows] for c in columns], axis=1)
+            fh.write(_format_block(block.ravel(), newline[:len(block)].ravel()))
 
 
 def to_csv(ds: DressedSystem, path):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from pdmph.cli import main
+from pdmph.cli import main, make_parser
 from pdmph.report import payload_bytes, resolve_config
 from pdmph.errors import ConfigError
 from pdmph.verify import TOLERANCES
@@ -263,6 +263,28 @@ def test_trace_dir(tmp_path):
                       spec=GeneratingSpec("morse"))
     with pytest.raises(InvalidDomainError):
         residual_trace(b, "spectrum", 301, tmp_path / "x.csv")
+
+
+@pytest.mark.parametrize("option", [["--detune", "0.3"], ["--trace-dir", "traces"]])
+def test_reused_parser_keeps_no_option(tmp_path, option):
+    # the parser is built once per process: a run with an option must leave
+    # the next run without it as a fresh call would run it
+    base = ["verify", "--family", "morse", "--mass", "rational",
+            "--refine", "101,201,401", "--checks", "intertwining"]
+    make_parser.cache_clear()
+    fresh = tmp_path / "fresh.json"
+    want = run(base + ["--out", str(fresh)])
+    assert make_parser() is make_parser()
+    option = [str(tmp_path / o) if o == "traces" else o for o in option]
+    run(base + option + ["--out", str(tmp_path / "with.json")])
+    again = tmp_path / "again.json"
+    assert run(base + ["--out", str(again)]) == want
+    assert payload_bytes(again) == payload_bytes(fresh)
+    if "--trace-dir" in option:
+        assert [p.name for p in (tmp_path / "traces").iterdir()] == ["intertwining.csv"]
+        (tmp_path / "traces" / "intertwining.csv").unlink()
+        run(base + ["--out", str(again)])
+        assert not any((tmp_path / "traces").iterdir())
 
 
 def test_no_color_env(tmp_path, monkeypatch, capsys):

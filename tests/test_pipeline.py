@@ -2,13 +2,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmph import (CATALOG, FAMILIES, DomainViolationError,
                    GeneratingFunctionZeroError, GeneratingSpec, MassProfile,
                    assemble_potential, diff_matrix, effective_potential,
                    make_family, make_grid, printed_potential, to_csv)
-from pdmph.pipeline import (CSV_COLUMNS, _check_nonvanishing, _write_columns,
-                            ground_state)
+from pdmph import pipeline
+from pdmph.pipeline import (CSV_COLUMNS, _check_nonvanishing, _decide as decide,
+                            _write_columns, ground_state)
 
 
 # Two independent routes to the companion function, kept here as oracles:
@@ -306,8 +309,7 @@ def test_csv_export_columns_and_roundtrip(tmp_path):
 
 
 def test_csv_bytes_match_per_cell_writer(tmp_path):
-    # the row-template writer must give the bytes of the per-cell f-string
-    # writer it replaced
+    # the writer must give the bytes of the per-cell f-string writer
     import hashlib
     ds = dressed("morse", profile=MassProfile.rational(), domain=(-3.0, 4.0), n=101)
     b = ds.bundle
@@ -325,10 +327,10 @@ def test_csv_bytes_match_per_cell_writer(tmp_path):
     assert digest[0] == digest[1]
 
 
-@pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049])
+@pytest.mark.parametrize("rows", [1023, 1024, 1025, 1364, 1365, 1366, 2049, 2731])
 def test_csv_blocks_match_per_cell_writer(tmp_path, rows):
-    # rows are formatted in blocks of CSV_BLOCK (1024); the bytes must be
-    # those of one row at a time, on both sides of every block edge
+    # three columns are formatted in blocks of CSV_BLOCK // 3 = 1365 rows; the
+    # bytes must be those of one row at a time, on both sides of every block edge
     rng = np.random.default_rng(rows)
     cols = [rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
             for _ in range(3)]
@@ -352,9 +354,64 @@ def test_csv_writer_memory_does_not_grow_with_rows(tmp_path):
 
 
 def test_csv_writer_special_values(tmp_path):
-    values = np.array([-0.0, 0.0, 5e-324, -1.7976931348623157e308, 1.0 / 3.0,
-                       np.nan, np.inf, -np.inf])
+    values = [-0.0, 0.0, 5e-324, -1.7976931348623157e308, 1.0 / 3.0,
+              np.nan, np.inf, -np.inf]
+    values += [2.0 ** i for i in range(-1074, 1024)]
+    for d in range(-323, 309):   # powers of ten and their 1..3-ulp neighbours
+        for toward in (0.0, np.inf):
+            v = float(f"1e{d}")
+            for _ in range(4):
+                values.append(v)
+                v = float(np.nextafter(v, toward))
+    # odd multiples of 2**-23 .. 2**-26, 45 of them exact decimal ties at 17
+    # digits (2**-25 = 2.98023223876953125e-08 has 18)
+    values += [(2 * j + 1) * 2.0 ** -s for j in range(40) for s in (23, 24, 25, 26)]
+    # values that round up into the next decade
+    values += [99999999999999999.0, 9.99999999999999995e16, 9.9999999999999999e-93,
+               9.99999999999999999e22, 0.99999999999999999]
+    values += [1e100, 1e-100, 2.2250738585072014e-308, 1.7976931348623157e308]
+    values = np.array(values + [-v for v in values])
     path = tmp_path / "special.csv"
     _write_columns(path, ("v", "w"), (values, values[::-1]))
     want = "v,w\n" + "".join(f"{a:.16e},{b:.16e}\n" for a, b in zip(values, values[::-1]))
     assert path.read_text() == want
+
+
+def template_csv(names, columns):
+    """The row-template writer the numpy formatter replaced, kept as its oracle."""
+    row = ",".join(["%.16e"] * len(columns)) + "\n"
+    values = zip(*(np.asarray(c).tolist() for c in columns))
+    return ",".join(names) + "\n" + "".join(row % v for v in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.lists(st.tuples(*[st.floats()] * k),
+                                                    max_size=40)))
+def test_csv_writer_matches_python_formatter(tmp_path_factory, rows):
+    # st.floats() draws nan, infinities, subnormals and signed zeros
+    columns = np.array(rows).T if rows else [[]]
+    names = [f"c{j}" for j in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    _write_columns(path, names, columns)
+    assert path.read_text() == template_csv(names, columns)
+
+
+@pytest.mark.parametrize("mass", ["constant", "rational"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_csv_values_are_decided_in_numpy(tmp_path, monkeypatch, family, mass):
+    # Python's formatter is the exception: at most 0.1% of a generate table
+    # may leave numpy undecided, so an exact writer that quietly fell back
+    # for every value would fail here
+    ds = dressed(family, profile=getattr(MassProfile, mass)(), n=20001)
+    seen = []
+
+    def counting(x):
+        decision = decide(x)
+        seen.append((x.size, int(np.count_nonzero(~decision[2]))))
+        return decision
+
+    monkeypatch.setattr(pipeline, "_decide", counting)
+    to_csv(ds, tmp_path / "t.csv")
+    values, undecided = map(sum, zip(*seen))
+    assert values == len(CSV_COLUMNS) * 20001
+    assert undecided <= 1e-3 * values
