@@ -32,8 +32,7 @@ from .operators import (CoefficientSet, OperatorMatrix, build_d,
                         build_eta_parity, build_eta_tilde,
                         build_eta_tilde_block, build_h_prime,
                         build_h_prime_block, build_h_prime_dagger,
-                        build_parity, default_probes, dirichlet_block,
-                        export_matrix, import_matrix)
+                        build_parity, default_probes, dirichlet_block)
 from .verify import (CheckResult, SpectralResult, SystemBuilder,
                      apply_corruption, check_eq25, check_eq26, check_eq29,
                      check_eta, check_gauge_equivalence, check_groundstate,

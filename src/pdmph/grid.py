@@ -57,6 +57,21 @@ class Grid:
         return m
 
 
+# rows or columns per run of a dense block reduction or block product
+BLOCK = 32
+
+
+def blocks(m):
+    """Slices covering 0..m in runs of BLOCK to 2 BLOCK - 1 (one run if m < 2 BLOCK).
+
+    No run is one column wide unless m is: numpy sums a one-column reduction
+    pairwise, not row by row as it sums a wider one, so the bits would change.
+    """
+    k = max(1, m // BLOCK)
+    edges = [m * i // k for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 def _hull(spans):
     """Smallest row range covering the nonempty spans; (0, 0) if there are none."""
     spans = [(lo, hi) for lo, hi in spans if lo < hi]
@@ -126,8 +141,14 @@ class Banded:
         dtype = np.result_type(self.data, v)
         v = v.astype(dtype, copy=False)
         y = np.zeros(v.shape, dtype)
-        for o, lo, hi, d in self._diagonals:
-            y[lo:hi] += (d if v.ndim == 1 else d[:, None]) * v[lo + o:hi + o]
+        if v.ndim == 1:
+            for o, lo, hi, d in self._diagonals:
+                y[lo:hi] += d * v[lo + o:hi + o]
+            return y
+        # an n x k block in runs of columns, so that no product spans all k
+        for c in blocks(v.shape[1]):
+            for o, lo, hi, d in self._diagonals:
+                y[lo:hi, c] += d[:, None] * v[lo + o:hi + o, c]
         return y
 
     def _times(self, other):
@@ -254,8 +275,9 @@ class OperatorMatrix:
     `form` is the stored matrix: a :class:`Banded` for every differential
     operator, a :class:`Permuted` for the parity operators.  Application
     to a vector or an n x k block is `op @ v`.  `mat` is a dense copy that
-    allocates all n^2 entries: it serves matrix export, dense eigensolves
-    and tests.
+    allocates all n^2 entries: it serves dense eigensolves (about four
+    complex n x n arrays alive during a solve, at most three after a
+    general one, the eigenvectors included) and tests.
     """
 
     grid: Grid

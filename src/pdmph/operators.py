@@ -36,12 +36,11 @@ second-order operator stores about 5n entries; the main diagonal, which
 takes the diagonal terms, is the only one that spans all n rows.  The
 product form of eta~ is a banded product (9 central diagonals).  The parity
 operators have one entry per row and are stored as scaled permutations
-(grid.Permuted).  Only eigensolves and matrix export take a dense copy.
+(grid.Permuted).  Only eigensolves take a dense copy.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,31 +296,3 @@ def tau_similarity_actions(h_prime: OperatorMatrix, h_prime_dagger: OperatorMatr
         act = np.maximum(act, np.abs(hv))
     return res, act
 
-
-MATRIX_MAGIC = b"PDMPHMAT"
-
-
-def export_matrix(op: OperatorMatrix, path):
-    """Dense binary export: 8-byte magic, little-endian int64 n, then row-major
-    complex entries as (real, imag) float64 pairs.
-
-    That layout is the memory of a C-ordered little-endian complex128
-    array, so the dense copy is written from its own buffer; no second n^2
-    copy is made (on a big-endian host `astype` makes one).
-    """
-    mat = op.mat.astype("<c16", copy=False)
-    with open(path, "wb") as fh:
-        fh.write(MATRIX_MAGIC)
-        fh.write(struct.pack("<q", mat.shape[0]))
-        fh.write(mat.data)
-
-
-def import_matrix(path):
-    """Read a matrix written by :func:`export_matrix`; returns the complex array."""
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MATRIX_MAGIC:
-            raise InvalidDomainError(f"{path} is not a matrix export (bad magic)")
-        (n,) = struct.unpack("<q", fh.read(8))
-        raw = np.frombuffer(fh.read(), dtype="<f8").reshape(n, n, 2)
-        return raw[..., 0] + 1j * raw[..., 1]

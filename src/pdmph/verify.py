@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, EigensolverError, InvalidDomainError
 from .grid import (EPS, STENCIL_ABS_D1, FLOOR_SAFETY, Grid, Permuted,
-                   amplification, diff_matrix, fd_floor, make_grid,
+                   amplification, blocks, diff_matrix, fd_floor, make_grid,
                    observed_order)
 from .operators import (PROBES, CoefficientSet, OperatorMatrix, build_d,
                         build_d_tilde, build_eta_parity, build_eta_tilde,
@@ -655,7 +655,10 @@ def eigendecompose(h_block: OperatorMatrix) -> SpectralResult:
     after the budget check.  During the solve the working set is about four
     complex m x m arrays (16 m^2 bytes each): the dense block, the solver's
     copy of it, its eigenvector buffer and the returned eigenvectors.  The
-    backward-error residual is formed after the block is freed.
+    backward-error residual is formed after the block is freed, so after
+    a general solve no step holds more than three, the eigenvectors
+    included (numpy casts the real eigenvectors of the symmetric route to
+    a complex copy for each product with them).
     """
     n = h_block.grid.n
     if n > EIG_BUDGET:
@@ -746,21 +749,6 @@ def spectral_for(builder: SystemBuilder, n):
     return eigendecompose(build_h_prime_block(inp.V, inp.a, inp.ap, inp.bundle, inp.grid))
 
 
-# rows or columns per block of eq29's dense reductions
-BLOCK = 32
-
-
-def _blocks(m):
-    """Slices covering 0..m in runs of BLOCK to 2 BLOCK - 1 (one run if m < 2 BLOCK).
-
-    No run is one column wide unless m is: numpy sums a one-column reduction
-    pairwise, not row by row as it sums a wider one, so the bits would change.
-    """
-    k = max(1, m // BLOCK)
-    edges = [m * i // k for i in range(k + 1)]
-    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-
-
 def check_eq29(builder: SystemBuilder, n, spectral=None):
     """Spectral structure of the metric-weighted Gram matrix.
 
@@ -775,10 +763,11 @@ def check_eq29(builder: SystemBuilder, n, spectral=None):
 
     `spectral` is the decomposition of the same block at n when the caller
     already has it (the spectrum check's finest level); it is not repeated.
-    Besides the eigenvectors, the working set peaks at three complex m x m
-    arrays while G is formed (the metric action, the conjugated eigenvectors
-    and G); the reductions over G and over C V run in blocks of rows or
-    columns.
+    The eigenvectors are conjugated in place for the product and restored
+    bit for bit, so with them the working set peaks at three complex m x m
+    arrays while G is formed (the eigenvectors, the metric action and G);
+    the reductions over G, the pairing gaps and C V run in blocks of rows
+    or columns.
     """
     tol = TOLERANCES
     inp = builder.inputs(n)
@@ -794,35 +783,48 @@ def check_eq29(builder: SystemBuilder, n, spectral=None):
     m = len(E)
     weta = grid.h * eb.form
     etaV = weta @ V
-    G = V.conj().T @ etaV
+    # G = V^H (W eta V), with V conjugated in place for the product and
+    # conjugated back (exactly) however the product ends
+    np.conjugate(V, out=V)
+    try:
+        G = V.T @ etaV
+    finally:
+        np.conjugate(V, out=V)
     del etaV
-    blocks = _blocks(m)
-    gram_herm = float(max(np.abs(G[r] - G[:, r].conj().T).max() for r in blocks)
-                      / max(max(np.abs(G[r]).max() for r in blocks), 1e-300))
 
     scale_e = np.maximum(1.0, np.abs(E))
     nonreal = np.abs(E.imag) > tol["eig_rel"] * scale_e
     gd = np.abs(np.diag(G))
     gscale = float(np.median(gd)) or 1.0
+    # per run of rows j: Hermiticity of G, |G_jk|, and for property (ii) the
+    # off-structure entries, whose pairing gap |conj(E_j) - E_k| exceeds the
+    # tolerance (j != k), with their largest |G_jk| and smallest gap
+    herm, gmax, viol, gaps = [], [], [], []
+    for r in blocks(m):
+        absg = np.abs(G[r])
+        herm.append(np.abs(G[r] - G[:, r].conj().T).max())
+        gmax.append(absg.max())
+        conj_gap = np.abs(E[r].conj()[:, None] - E[None, :])
+        offstruct = conj_gap > tol["eig_rel"] * scale_e[None, :]
+        np.fill_diagonal(offstruct[:, r], False)
+        if offstruct.any():
+            viol.append((absg[offstruct] / gscale).max())
+            gaps.append(conj_gap[offstruct].min())
+    del G
+    gram_herm = float(max(herm) / max(max(gmax), 1e-300))
 
     # defect of the weighted intertwining on the eigenvectors; the exact
     # identity (conj(E_j) - E_k) G_jk = v_j^H C v_k makes |C v_k|/gscale the
     # quantity that bounds relative Gram structure violations
     C = hb.form.H @ weta - weta @ hb.form
-    num = np.concatenate([np.linalg.norm(C @ V[:, c], axis=0) for c in blocks])
+    num = np.concatenate([np.linalg.norm(C @ V[:, c], axis=0) for c in blocks(m)])
     defect = float(np.max(num / (gscale * scale_e)))
 
     # property (i): nonreal eigenvalues have vanishing metric norm
     viol_i = float((gd[nonreal] / gscale).max()) if nonreal.any() else 0.0
     # property (ii): off-structure entries vanish unless conjugate-paired
-    conj_gap = np.abs(E.conj()[:, None] - E[None, :])
-    offstruct = (conj_gap > tol["eig_rel"] * np.maximum(1.0, np.abs(E))[None, :])
-    np.fill_diagonal(offstruct, False)
-    viol_ii = float((np.abs(G)[offstruct] / gscale).max()) if offstruct.any() else 0.0
-    del G
-
-    gaps = conj_gap[offstruct]
-    gap = float(gaps.min()) if gaps.size else 1.0
+    viol_ii = float(max(viol)) if viol else 0.0
+    gap = float(min(gaps)) if gaps else 1.0
     tol_scaled = max(tol["exact_regime_defect"], 10.0 * defect / max(gap, 1e-300))
 
     res = CheckResult("eq29", "metric Gram structure",

@@ -7,6 +7,8 @@ that diagonals reaching only the edge rows are exercised as in the
 one-sided stencils.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,8 +188,11 @@ def test_compact_products_match_padded_diagonals(A, seed, real):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(A.n) + (0 if real else 1j) * rng.standard_normal(A.n)
     X = rng.standard_normal((A.n, 3))
+    # wider than one run of columns (blocks of 35 and 35)
+    W = rng.standard_normal((A.n, 70)) + (0 if real else 1j) * rng.standard_normal((A.n, 70))
     assert same(A @ v, padded_matmul(A, v))
     assert same(A @ X, padded_matmul(A, X))
+    assert same(A @ W, padded_matmul(A, W))
     assert same(A.H @ v, padded_matmul(A.H, v))
     x = rng.standard_normal(A.n)
     want = [shifted(x, o)[lo:hi] for o, (lo, hi) in zip(A.offsets, A.spans)]
@@ -260,3 +265,19 @@ def test_stored_entries_cover_the_spans_only(n):
     assert build_h_prime(ds.V, ds.a, ds.ap, ds.bundle, g).form.data.size <= 5 * n + 4
     eta = build_eta_tilde(_coefficients(ds), ds.bundle, g, mode="product", phi=ds.phi, a=ds.a)
     assert eta.form.data.size <= 9 * n
+
+
+def test_block_product_working_set():
+    # a block product is formed in runs of columns, so its temporaries span
+    # about 33 of the 501 columns: measured 1.13 n x n complex arrays, the
+    # result included (2.03 with a full n x n product per diagonal)
+    D = diff_matrix(make_grid(-3.0, 4.0, 501), 2).form
+    rng = np.random.default_rng(0)
+    V = rng.standard_normal((501, 501)) + 1j * rng.standard_normal((501, 501))
+    tracemalloc.start()
+    try:
+        D @ V
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 16 * 501 ** 2

@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 
@@ -8,8 +6,7 @@ from pdmph import (CoefficientSet, GeneratingSpec, InvalidDomainError,
                    build_d_tilde, build_eta_parity, build_eta_tilde,
                    build_h_prime, build_h_prime_dagger, build_parity,
                    check_tau, default_probes, diff_matrix, dirichlet_block,
-                   export_matrix, import_matrix, make_family, make_grid,
-                   observed_order)
+                   make_family, make_grid, observed_order)
 from pdmph.grid import cumint
 
 
@@ -231,7 +228,7 @@ def test_tau_phase_definition():
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet blocks and export
+# Dirichlet blocks
 # ---------------------------------------------------------------------------
 
 def test_dirichlet_block_symmetric():
@@ -243,47 +240,3 @@ def test_dirichlet_block_symmetric():
 def test_dirichlet_block_derivative_orders():
     with pytest.raises(InvalidDomainError):
         dirichlet_block(make_grid(-6, 6, 301), 3)
-
-
-def test_matrix_export_roundtrip(tmp_path):
-    ds = dressed(n=101)
-    op = build_h_prime(ds.V, ds.a, ds.ap, ds.bundle, ds.grid)
-    path = tmp_path / "hp.mat"
-    export_matrix(op, path)
-    back = import_matrix(path)
-    assert np.abs(back - op.mat).max() == 0.0
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    assert raw[:8] == b"PDMPHMAT"
-    assert len(raw) == 8 + 8 + 101 * 101 * 16
-
-
-def _export_interleaved(op, path):
-    """The export writer export_matrix replaced: (re, im) planes interleaved
-    into a float copy, then a bytes copy of that."""
-    mat = np.ascontiguousarray(op.mat, dtype=complex)
-    with open(path, "wb") as fh:
-        fh.write(b"PDMPHMAT")
-        fh.write(struct.pack("<q", mat.shape[0]))
-        interleaved = np.empty((mat.shape[0], mat.shape[1], 2))
-        interleaved[..., 0] = mat.real
-        interleaved[..., 1] = mat.imag
-        fh.write(interleaved.astype("<f8").tobytes())
-
-
-def test_matrix_export_bytes_match_interleaved_writer(tmp_path):
-    # complex banded, real banded and permuted operators
-    ds = dressed(n=101)
-    ops = (build_h_prime(ds.V, ds.a, ds.ap, ds.bundle, ds.grid),
-           diff_matrix(ds.grid, 2), build_parity(make_grid(-5.0, 5.0, 101)))
-    for op in ops:
-        export_matrix(op, tmp_path / "new.mat")
-        _export_interleaved(op, tmp_path / "old.mat")
-        assert (tmp_path / "new.mat").read_bytes() == (tmp_path / "old.mat").read_bytes()
-
-
-def test_import_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.mat"
-    path.write_bytes(b"NOTMAGIC" + b"\0" * 64)
-    with pytest.raises(InvalidDomainError):
-        import_matrix(path)

@@ -367,8 +367,9 @@ def _peak_in_units(run, m):
 def test_spectral_working_set():
     # the dense block, the solver's output and the residual of the
     # backward-error test (formed after the block is freed); then eq29 on
-    # the given eigenvectors: the metric action, the conjugated eigenvectors
-    # and G, with the reductions over G and C V in blocks
+    # the given eigenvectors, conjugated in place: the metric action and G
+    # (measured 2.04; 3.04 with a conjugated copy of the eigenvectors and
+    # m x m pairing arrays), with the reductions over G and C V in blocks
     b = builder("morse", profile=MassProfile.rational(), domain=(-3.0, 4.0))
     inp = b.inputs(501)
     hb = build_h_prime_block(inp.V, inp.a, inp.ap, inp.bundle, inp.grid)
@@ -376,7 +377,23 @@ def test_spectral_working_set():
     assert _peak_in_units(lambda: spectra.append(eigendecompose(hb)), 499) <= 3.25
     sp = spectra[0]
     assert sp.solver == "eig"
-    assert _peak_in_units(lambda: check_eq29(b, 501, spectral=sp), 499) <= 3.25
+    assert _peak_in_units(lambda: check_eq29(b, 501, spectral=sp), 499) <= 2.25
+
+
+@pytest.mark.parametrize("family,profile,solver", [("morse", "rational", "eig"),
+                                                   ("free", "constant", "eigh")])
+def test_eq29_leaves_the_eigenvectors_unchanged(family, profile, solver):
+    # eq29 conjugates the given eigenvectors in place and back
+    profile = getattr(MassProfile, profile)()
+    if family == "free":
+        b = SystemBuilder("free", profile, -3.0, 4.0)
+    else:
+        b = builder(family, profile=profile, domain=(-3.0, 4.0))
+    sp = verify_module.spectral_for(b, 501)
+    assert sp.solver == solver
+    before = sp.eigenvectors.tobytes()
+    check_eq29(b, 501, spectral=sp)
+    assert sp.eigenvectors.tobytes() == before
 
 
 @pytest.mark.parametrize("check,bound_mb", [(check_intertwining, 3.0), (check_tau, 2.0),
