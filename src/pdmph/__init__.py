@@ -37,6 +37,5 @@ from .verify import (CheckResult, SpectralResult, SystemBuilder,
                      apply_corruption, check_eq25, check_eq26, check_eq29,
                      check_eta, check_gauge_equivalence, check_groundstate,
                      check_intertwining, check_parity_eta, check_spectrum,
-                     check_tau, eigendecompose, residual_eq28, residual_trace,
-                     run_suite)
+                     check_tau, eigendecompose, residual_eq28, run_suite)
 from .report import emit_json, payload_bytes, resolve_config, write_report

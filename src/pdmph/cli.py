@@ -21,8 +21,8 @@ from .pipeline import GeneratingSpec, catalog_rows, load_xy_table, to_csv
 from .profiles import MassProfile
 from .report import (GAUGE_PARAMS, MASS_PARAMS, SYSTEM_PRESETS, build_report,
                      emit_json, payload_config, resolve_config, write_report)
-from .verify import (PROBES, TOLERANCES, TRACEABLE, SystemBuilder, residual_trace,
-                     run_suite, spectral_for, spectral_payload)
+from .verify import (PROBES, TOLERANCES, SystemBuilder, run_suite, spectral_for,
+                     spectral_payload)
 
 
 def _color(text, code, enabled):
@@ -220,18 +220,10 @@ def cmd_verify(args):
     builder = _builder_from(cfg)
     results, spectral, findings = run_suite(
         builder, cfg["checks"], cfg["refine"], eig_levels=cfg["eig_levels"],
-        detune=cfg["detune"])
+        detune=cfg["detune"], trace_dir=args.trace_dir)
     payload = build_report(cfg, _conventions(builder, cfg), results, spectral, findings)
     out = cfg["out"] or "verify_report.json"
     write_report(payload, out)
-    if getattr(args, "trace_dir", None):
-        os.makedirs(args.trace_dir, exist_ok=True)
-        ran = {r.name for r in results}
-        for name in cfg["checks"]:
-            if name in TRACEABLE and name in ran:
-                residual_trace(builder, name, cfg["refine"],
-                               os.path.join(args.trace_dir, f"{name}.csv"),
-                               detune=cfg["detune"])
     color = _use_color()
     for r in results:
         mark = {"pass": _color("PASS", "32", color),

@@ -17,9 +17,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError
+from .errors import BudgetExceededError, ConfigError
 from .pipeline import CATALOG, FAMILIES
-from .verify import CHECK_NAMES, CORRUPTION_TARGETS, EIG_LEVELS
+from .verify import CHECK_NAMES, CORRUPTION_TARGETS, EIG_BUDGET, EIG_LEVELS
 
 SYSTEM_PRESETS = ("hermitian-limit", "free")
 
@@ -186,6 +186,10 @@ def _validate(cfg, setby):
                               f"the maximum is {MAX_POINTS}")
     if "spectrum" in cfg["checks"] and len(cfg["eig_levels"]) < 2:
         raise ConfigError("the spectrum check compares two eig_levels")
+    eig_n = max(cfg["eig_levels"], default=0)
+    if {"spectrum", "eq29"} & set(cfg["checks"]) and eig_n > EIG_BUDGET:
+        raise BudgetExceededError(f"dense eigensolve at n = {eig_n} (eig_levels) "
+                                  f"exceeds the budget ({EIG_BUDGET} grid points)")
     if cfg["grid"]["xmin"] is None or cfg["grid"]["xmax"] is None:
         domain = CATALOG.get(fam, (None, (-8.0, 8.0), None))[1]
         cfg["grid"]["xmin"], cfg["grid"]["xmax"] = domain

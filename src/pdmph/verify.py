@@ -9,9 +9,9 @@ window, at several grid resolutions, and reports
   * a deterministic verdict: pass, fail, or reported-only.
 
 An identity is its pointwise-residual function plus one `CHECKS` row that
-declares its result names and laws; `run_suite`, :func:`residual_trace`
-and the check vocabulary read the row, and one refinement driver evaluates
-the function at every level, coarsest first.
+declares its result names and laws; `run_suite` and the check vocabulary
+read the row, and one refinement driver evaluates the function once per
+level, coarsest first, writing the finest level as the check's trace.
 
 Residuals in a refinement study are always measured over one fixed
 coordinate window derived from the coarsest level (index pad plus
@@ -27,6 +27,7 @@ alone, with the floor recorded.
 from __future__ import annotations
 
 import copy
+import os
 from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 
@@ -206,10 +207,11 @@ def _xmargin(builder: SystemBuilder, ns):
     return PAD * (builder.xmax - builder.xmin) / (min(ns) - 1)
 
 
-def _refine(builder: SystemBuilder, ns, residual, **options):
-    """The refinement driver: evaluate one identity at every level, coarsest first.
+def _refine(key, builder: SystemBuilder, ns, trace_dir=None, **options):
+    """The refinement driver: evaluate the identity of row `key` of CHECKS
+    at every level, coarsest first, and trace the finest to `trace_dir`.
 
-    `residual(builder, n, xmargin, **options)` is the identity's
+    The row's `residual(builder, n, xmargin, **options)` is the identity's
     pointwise-residual function.  It returns (grid, window, outputs, extra)
     with one (|residual| at every node, scale, floor) triple per check
     output; the level residual is the window maximum divided by the scale.
@@ -219,11 +221,26 @@ def _refine(builder: SystemBuilder, ns, residual, **options):
     xm = _xmargin(builder, ns)
     rows, extras = [], []
     for n in ns:
-        grid, w, outputs, extra = residual(builder, n, xm, **options)
+        grid, w, outputs, extra = CHECKS[key].residual(builder, n, xm, **options)
         rows.append([CheckLevel(n, grid.h, res[w].max() / scale, floor)
                      for res, scale, floor in outputs])
         extras.append(extra)
+    _write_trace(trace_dir, key, grid, outputs)
     return [list(levels) for levels in zip(*rows)], extras
+
+
+def _write_trace(trace_dir, key, grid, outputs):
+    """Write one level of row `key` as `<trace_dir>/<key>.csv`, if trace_dir is set.
+
+    Columns: x, then each result's pointwise residual over its scale, whose
+    maximum over the check window is the level's reported residual.
+    """
+    if not trace_dir:
+        return
+    os.makedirs(trace_dir, exist_ok=True)
+    _write_columns(os.path.join(trace_dir, f"{key}.csv"),
+                   ("x",) + tuple(name for name, _ in CHECKS[key].results),
+                   [grid.x] + [res / scale for res, scale, _ in outputs])
 
 
 def _identity(key, builder: SystemBuilder, ns, **options):
@@ -231,10 +248,9 @@ def _identity(key, builder: SystemBuilder, ns, **options):
 
     Returns the results, in the row's order, and the per-level extras.
     """
-    row = CHECKS[key]
-    per_result, extras = _refine(builder, ns, row.residual, **options)
+    per_result, extras = _refine(key, builder, ns, **options)
     return tuple(_finish(CheckResult(name, law, levels))
-                 for (name, law), levels in zip(row.results, per_result)), extras
+                 for (name, law), levels in zip(CHECKS[key].results, per_result)), extras
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +268,14 @@ def _eq25(builder, n, xm):
     return grid, w, [(res, scale, floor)], None
 
 
-def check_eq25(builder: SystemBuilder, ns):
+def check_eq25(builder: SystemBuilder, ns, trace_dir=None):
     """Potential-conjugation balance: V - conj(V) + 4i U g' must vanish.
 
     g' is taken by finite differences, independently of the analytic
     derivative used to assemble V, so the residual converges at the stencil
     order rather than cancelling identically.
     """
-    (res,), _ = _identity("eq25", builder, ns)
+    (res,), _ = _identity("eq25", builder, ns, trace_dir=trace_dir)
     return res
 
 
@@ -277,10 +293,10 @@ def _eq26(builder, n, xm):
     return grid, w, [(np.abs(lhs - rhs), scale, floor)], None
 
 
-def check_eq26(builder: SystemBuilder, ns):
+def check_eq26(builder: SystemBuilder, ns, trace_dir=None):
     """Potential-gradient balance:
     conj(V)' = 2 f f' - 2 g g' - (U f)'' + 2i (U g')', all derivatives FD."""
-    (res,), _ = _identity("eq26", builder, ns)
+    (res,), _ = _identity("eq26", builder, ns, trace_dir=trace_dir)
     return res
 
 
@@ -317,10 +333,11 @@ def _eq28(builder, n, xm):
     return inp.grid, r["window"], [(np.abs(r["printed"]), 1.0, 0.0)], r
 
 
-def _check_eq28(builder: SystemBuilder, ns):
+def _check_eq28(builder: SystemBuilder, ns, trace_dir=None):
     """The printed zeroth-order balance at the finest level; reported only."""
     n = max(ns)
-    grid, _, _, r = _eq28(builder, n, _xmargin(builder, ns))
+    grid, _, outputs, r = _eq28(builder, n, _xmargin(builder, ns))
+    _write_trace(trace_dir, "eq28", grid, outputs)
     res = CheckResult(*CHECKS["eq28"].results[0],
                       [CheckLevel(n, grid.h, r["max_printed"], 0.0)])
     res.notes.update(max_printed=r["max_printed"], max_corrected=r["max_corrected"])
@@ -349,7 +366,7 @@ def _groundstate(builder, n, xm, state=None):
                      (np.abs(hp @ xi - ds.energy * xi), nrm, fl_eig)], None
 
 
-def check_groundstate(builder: SystemBuilder, ns, state=None):
+def check_groundstate(builder: SystemBuilder, ns, state=None, trace_dir=None):
     """Annihilation and eigen-residuals of the constructed ground state.
 
     Returns two results: max |D~ xi| / max |xi| and max |(H' - delta) xi|
@@ -357,7 +374,7 @@ def check_groundstate(builder: SystemBuilder, ns, state=None):
     externally supplied wavefunction sampler (used to measure the catalog's
     printed states, reported-only).
     """
-    results, _ = _identity("groundstate", builder, ns, state=state)
+    results, _ = _identity("groundstate", builder, ns, trace_dir=trace_dir, state=state)
     if state is not None:
         for r in results:
             r.name += "-supplied-state"
@@ -382,9 +399,9 @@ def _gauge(builder, n, xm):
     return grid, w, [(np.abs(lhs - rhs), nrm, floor)], unit_mod
 
 
-def check_gauge_equivalence(builder: SystemBuilder, ns):
+def check_gauge_equivalence(builder: SystemBuilder, ns, trace_dir=None):
     """Gauge identity: D~(Lambda psi) = Lambda (D psi), measured on the window."""
-    (res,), unit_mods = _identity("gauge", builder, ns)
+    (res,), unit_mods = _identity("gauge", builder, ns, trace_dir=trace_dir)
     res.notes["max_unit_modulus_defect"] = max(unit_mods)
     return res
 
@@ -403,9 +420,9 @@ def _tau(builder, n, xm):
     return grid, w, [(res, max(act[w].max(), 1e-300), floor)], None
 
 
-def check_tau(builder: SystemBuilder, ns):
+def check_tau(builder: SystemBuilder, ns, trace_dir=None):
     """Antilinear similarity between H' and its adjoint through the tau phase."""
-    (res,), _ = _identity("tau", builder, ns)
+    (res,), _ = _identity("tau", builder, ns, trace_dir=trace_dir)
     return res
 
 
@@ -434,7 +451,7 @@ def _eta(builder, n, xm):
     return grid, w, [(r_h, scale, fl), (r_d, scale, fl)], None
 
 
-def check_eta(builder: SystemBuilder, ns):
+def check_eta(builder: SystemBuilder, ns, trace_dir=None):
     """Metric Hermiticity and the dual construction, by probe actions.
 
     Both residuals are relative to the metric action scale.  Entrywise
@@ -443,7 +460,7 @@ def check_eta(builder: SystemBuilder, ns):
     formal adjoint at O(1/h) while their actions on smooth vectors agree at
     the stencil order.
     """
-    return _identity("eta-hermiticity", builder, ns)[0]
+    return _identity("eta-hermiticity", builder, ns, trace_dir=trace_dir)[0]
 
 
 def check_parity_eta(builder: SystemBuilder, n):
@@ -537,7 +554,7 @@ def _intertwining(builder, n, xm, detune=None):
     return grid, w, [(res, scale, floor)], (w, S, have, dev, inp)
 
 
-def check_intertwining(builder: SystemBuilder, ns, detune=None):
+def check_intertwining(builder: SystemBuilder, ns, detune=None, trace_dir=None):
     """Defect of the metric intertwining relation, with zeroth-order analysis.
 
     Per level the defect Delta = eta H' - H'^ eta is applied to smooth
@@ -556,7 +573,8 @@ def check_intertwining(builder: SystemBuilder, ns, detune=None):
     asserted.
     """
     tol = TOLERANCES
-    (levels,), per_level = _refine(builder, ns, _intertwining, detune=detune)
+    (levels,), per_level = _refine("intertwining", builder, ns, trace_dir=trace_dir,
+                                     detune=detune)
     res = CheckResult(*CHECKS["intertwining"].results[0], levels)
     res.notes["detune"] = detune if detune is None or np.isscalar(detune) else "callable"
 
@@ -656,9 +674,9 @@ def eigendecompose(h_block: OperatorMatrix) -> SpectralResult:
     complex m x m arrays (16 m^2 bytes each): the dense block, the solver's
     copy of it, its eigenvector buffer and the returned eigenvectors.  The
     backward-error residual is formed after the block is freed, so after
-    a general solve no step holds more than three, the eigenvectors
-    included (numpy casts the real eigenvectors of the symmetric route to
-    a complex copy for each product with them).
+    the solve no step holds more than three, the eigenvectors included.
+    The real eigenvectors of a real symmetric block are made complex once,
+    the cast numpy would otherwise repeat in every product with them.
     """
     n = h_block.grid.n
     if n > EIG_BUDGET:
@@ -674,6 +692,7 @@ def eigendecompose(h_block: OperatorMatrix) -> SpectralResult:
         if hermitian:
             if not A.data.imag.any():
                 w, v = np.linalg.eigh(mat.real)
+                v = v.astype(complex)
             else:
                 w, v = np.linalg.eigh(mat)
             w = w.astype(complex)
@@ -763,9 +782,10 @@ def check_eq29(builder: SystemBuilder, n, spectral=None):
 
     `spectral` is the decomposition of the same block at n when the caller
     already has it (the spectrum check's finest level); it is not repeated.
-    The eigenvectors are conjugated in place for the product and restored
-    bit for bit, so with them the working set peaks at three complex m x m
-    arrays while G is formed (the eigenvectors, the metric action and G);
+    The eigenvectors (complex on either solver route) are conjugated in
+    place for the product and restored bit for bit, so with them the
+    working set peaks at three complex m x m arrays while G is formed (the
+    eigenvectors, the metric action and G);
     the reductions over G, the pairing gaps and C V run in blocks of rows
     or columns.
     """
@@ -889,11 +909,14 @@ CHECKS = {
     "parity-eta": Check("check_parity_eta", (("parity-eta", "parity metric Hermiticity"),)),
 }
 CHECK_NAMES = (*CHECKS, "spectrum", "eq29")
-TRACEABLE = tuple(key for key, row in CHECKS.items() if row.residual is not None)
 
 
-def run_suite(builder: SystemBuilder, checks, ns, eig_levels=EIG_LEVELS, detune=None):
+def run_suite(builder: SystemBuilder, checks, ns, eig_levels=EIG_LEVELS, detune=None,
+              trace_dir=None):
     """Run the requested checks; returns (results, spectral summary, findings).
+
+    With `trace_dir`, each check with a pointwise residual writes its
+    finest level there as it runs (see `_write_trace`).
 
     Checks run one after another and results come back in the canonical
     check order whatever the order of the levels, so report payloads are
@@ -916,7 +939,7 @@ def run_suite(builder: SystemBuilder, checks, ns, eig_levels=EIG_LEVELS, detune=
             if builder.grid(ns[0]).parity_capable:
                 results.append(run(builder, ns[0]))
             continue
-        out = run(builder, ns, **{k: given[k] for k in row.options})
+        out = run(builder, ns, trace_dir=trace_dir, **{k: given[k] for k in row.options})
         results += [out] if isinstance(out, CheckResult) else out
 
     spectral_summary = finest = None
@@ -989,27 +1012,6 @@ def _standing_findings(builder: SystemBuilder, ns):
             "printed_state_residuals": [lv.residual for lv in r1.levels],
         })
     return findings
-
-
-def residual_trace(builder: SystemBuilder, check: str, ns, path, detune=None):
-    """Write the pointwise residual of one check at the finest of `ns` as CSV.
-
-    The columns are x and, for each result of the check, the pointwise
-    residual divided by the check's scale, so that its maximum over the
-    check window (set by the coarsest of `ns`) is the reported finest-level
-    residual.  Traces are diagnostic sidecars; thresholds and verdicts
-    always come from the checks.
-    """
-    if check not in TRACEABLE:
-        raise InvalidDomainError(
-            f"check {check!r} has no pointwise trace (traceable: {TRACEABLE})")
-    row = CHECKS[check]
-    given = {"detune": detune}
-    grid, _, outputs, _ = row.residual(builder, max(ns), _xmargin(builder, ns),
-                                       **{k: given[k] for k in row.options})
-    _write_columns(path, ("x",) + tuple(name for name, _ in row.results),
-                   [grid.x] + [res / scale for res, scale, _ in outputs])
-    return path
 
 
 def printed_state_sampler(family):

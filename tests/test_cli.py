@@ -257,12 +257,25 @@ def test_trace_dir(tmp_path):
     assert code == 0
     data = np.loadtxt(tr / "eq25.csv", delimiter=",", skiprows=1)
     assert data.shape == (1001, 2)
-    from pdmph import residual_trace, SystemBuilder, GeneratingSpec, MassProfile
-    from pdmph.errors import InvalidDomainError
-    b = SystemBuilder("family", MassProfile.constant(), -2.0, 10.0,
-                      spec=GeneratingSpec("morse"))
-    with pytest.raises(InvalidDomainError):
-        residual_trace(b, "spectrum", 301, tmp_path / "x.csv")
+
+
+def test_trace_dir_evaluates_no_level_twice(tmp_path, monkeypatch):
+    # each check writes the finest level it evaluated itself, so a traced
+    # run builds no more dressed systems than the same run without traces
+    from pdmph.verify import CHECKS, SystemBuilder
+    calls, real = [], SystemBuilder.dressed
+    monkeypatch.setattr(SystemBuilder, "dressed", lambda self, n: calls.append(n) or real(self, n))
+    traceable = [k for k, row in CHECKS.items() if row.residual is not None]
+    argv = ["verify", "--family", "morse", "--mass", "rational", "--refine", "201,401,801",
+            "--checks", ",".join(traceable)]
+    counts, codes = [], []
+    for name, extra in (("plain", []), ("traced", ["--trace-dir", str(tmp_path / "tr")])):
+        calls.clear()
+        codes.append(run(argv + extra + ["--out", str(tmp_path / f"{name}.json")]))
+        counts.append(len(calls))
+    assert codes[0] == codes[1] and counts[0] == counts[1] > 0
+    assert payload_bytes(tmp_path / "plain.json") == payload_bytes(tmp_path / "traced.json")
+    assert sorted(p.stem for p in (tmp_path / "tr").iterdir()) == sorted(traceable)
 
 
 @pytest.mark.parametrize("option", [["--detune", "0.3"], ["--trace-dir", "traces"]])
@@ -466,9 +479,26 @@ def test_mistyped_level_exits_2_before_building(tmp_path, monkeypatch, argv, con
     assert run(argv + ["--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("checks", ["eq25,spectrum", "eq25,eq29"])
+def test_over_budget_eig_level_exits_8_before_building(tmp_path, monkeypatch, checks):
+    from pdmph import pipeline, verify
+
+    def never(*args, **kwargs):
+        raise AssertionError("a system was built for a run whose eig level is over budget")
+    monkeypatch.setattr(verify, "make_family", never)
+    monkeypatch.setattr(pipeline, "make_family", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"eig_levels": [201, 4003]}))
+    assert run(["verify", "--family", "morse", "--mass", "rational", "--checks", checks,
+                "--trace-dir", "T", "--config", "c.json", "--out", "out.json"]) == 8
+    assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "T").exists()
+
+
 def test_trace_window_max_is_payload_residual(tmp_path):
     from pdmph import make_grid
-    from pdmph.verify import CHECKS, PAD, TRACEABLE
+    from pdmph.verify import CHECKS, PAD
+    TRACEABLE = [k for k, row in CHECKS.items() if row.residual is not None]
     for system, domain in ((["--family", "morse", "--gauge", "scaled-g:scale=0.5"], (-2.0, 10.0)),
                            (["--family", "free"], (-8.0, 8.0))):
         out, traces = tmp_path / f"{system[1]}.json", tmp_path / system[1]
