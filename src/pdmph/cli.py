@@ -179,18 +179,18 @@ def _load_config(args):
         overrides["gauge"] = {"mode": mode,
                               "scale": _parse_number(params.get("scale", 1.0), "gauge scale"),
                               "path": params.get("path")}
+    if args.command != "verify":
+        # these configure verify's checks; generate and spectrum read no check
+        unread = [k for k in ("refine", "checks", "eig_levels", "detune")
+                  if overrides.get(k) is not None
+                  or (isinstance(given, dict) and given.get(k) is not None)]
+        if unread:
+            raise ConfigError(f"{', '.join(unread)}: read only by verify, not by {args.command}")
     return resolve_config(given, overrides)
-
-
-def _unread_detune(cfg, command):
-    """detune configures verify's intertwining check; the other commands read no check."""
-    if cfg["detune"] is not None:
-        raise ConfigError(f"detune is read only by verify's intertwining check, not by {command}")
 
 
 def cmd_generate(args):
     cfg = _load_config(args)
-    _unread_detune(cfg, "generate")
     if cfg["family"] in SYSTEM_PRESETS:
         raise ConfigError("generate needs a catalog or custom-table family")
     builder = _builder_from(cfg)
@@ -241,7 +241,6 @@ def cmd_verify(args):
 
 def cmd_spectrum(args):
     cfg = _load_config(args)
-    _unread_detune(cfg, "spectrum")
     if args.list_cap < 1:
         raise ConfigError(f"--list-cap must be at least 1, got {args.list_cap}")
     n = cfg["grid"]["n"]
@@ -319,9 +318,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PdmphError as exc:
+    except (PdmphError, OSError) as exc:
+        # an output path that cannot be written is an I/O failure (exit 10)
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return IOFormatError.exit_code if isinstance(exc, OSError) else exc.exit_code
 
 
 if __name__ == "__main__":

@@ -60,6 +60,10 @@ class EigensolverError(PdmphError):
 
 
 class IOFormatError(PdmphError):
-    """Input file (CSV table, config) could not be parsed."""
+    """Input file (CSV table, config) could not be parsed.
+
+    Exit 10 also covers an output path (report, CSV, trace directory) that
+    cannot be written: the CLI maps any OSError a command raises to it.
+    """
 
     exit_code = 10

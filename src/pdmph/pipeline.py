@@ -89,7 +89,6 @@ class DressedSystem:
     spec: GeneratingSpec
     g: np.ndarray
     gp: np.ndarray
-    gpp: np.ndarray
     f: np.ndarray
     fp: np.ndarray
     a: np.ndarray
@@ -324,7 +323,7 @@ def make_family(spec: GeneratingSpec, profile: MassProfile, grid: Grid) -> Dress
 
     return DressedSystem(
         grid=grid, bundle=bundle, spec=spec,
-        g=g, gp=gp, gpp=gpp, f=f, fp=fp, a=a, ap=ap,
+        g=g, gp=gp, f=f, fp=fp, a=a, ap=ap,
         V=V, V_eff=V_eff, V_mu=V_mu, psi=psi, xi=xi, Lambda=Lambda,
         tau_phase=tau_phase, energy=complex(spec.delta), anchor=anchor,
         analytic=analytic, printed_reference=reference,

@@ -8,10 +8,11 @@ window, at several grid resolutions, and reports
     log h, excluding floor-dominated levels),
   * a deterministic verdict: pass, fail, or reported-only.
 
-An identity is its pointwise-residual function plus one `CHECKS` row that
-declares its result names and laws; `run_suite` and the check vocabulary
-read the row, and one refinement driver evaluates the function once per
-level, coarsest first, writing the finest level as the check's trace.
+An identity is its pointwise-residual function of one level's input plus
+one `CHECKS` row that declares its result names and laws; `run_suite` and
+the check vocabulary read the row.  One refinement driver, `_refine`,
+evaluates the function once on each level input its caller feeds it,
+coarsest first, and writes the finest as the check's trace.
 
 Residuals in a refinement study are always measured over one fixed
 coordinate window derived from the coarsest level (index pad plus
@@ -207,22 +208,21 @@ def _xmargin(builder: SystemBuilder, ns):
     return PAD * (builder.xmax - builder.xmin) / (min(ns) - 1)
 
 
-def _refine(key, builder: SystemBuilder, ns, trace_dir=None, **options):
+def _refine(key, inputs, xmargin, trace_dir=None):
     """The refinement driver: evaluate the identity of row `key` of CHECKS
-    at every level, coarsest first, and trace the finest to `trace_dir`.
+    on each level input, coarsest first, and trace the last to `trace_dir`.
 
-    The row's `residual(builder, n, xmargin, **options)` is the identity's
-    pointwise-residual function.  It returns (grid, window, outputs, extra)
-    with one (|residual| at every node, scale, floor) triple per check
-    output; the level residual is the window maximum divided by the scale.
-    Returns one CheckLevel list per output and the per-level extras.
+    The row's `residual(inp, xmargin)` is the identity's pointwise-residual
+    function of one level's input, which the caller chooses (it may feed
+    changed copies).  It returns (grid, window, outputs, extra) with one
+    (|residual| at every node, scale, floor) triple per check output; the
+    level residual is the window maximum over the scale, at the grid's n
+    and h.  Returns one CheckLevel list per output and the per-level extras.
     """
-    ns = sorted(ns)
-    xm = _xmargin(builder, ns)
     rows, extras = [], []
-    for n in ns:
-        grid, w, outputs, extra = CHECKS[key].residual(builder, n, xm, **options)
-        rows.append([CheckLevel(n, grid.h, res[w].max() / scale, floor)
+    for inp in inputs:
+        grid, w, outputs, extra = CHECKS[key].residual(inp, xmargin)
+        rows.append([CheckLevel(grid.n, grid.h, res[w].max() / scale, floor)
                      for res, scale, floor in outputs])
         extras.append(extra)
     _write_trace(trace_dir, key, grid, outputs)
@@ -243,12 +243,14 @@ def _write_trace(trace_dir, key, grid, outputs):
                    [grid.x] + [res / scale for res, scale, _ in outputs])
 
 
-def _identity(key, builder: SystemBuilder, ns, **options):
-    """Refine the residual of row `key` of CHECKS and judge each declared result.
+def _identity(key, builder: SystemBuilder, ns, trace_dir=None):
+    """Refine row `key` of CHECKS over the builder's levels; judge each result.
 
     Returns the results, in the row's order, and the per-level extras.
     """
-    per_result, extras = _refine(key, builder, ns, **options)
+    ns = sorted(ns)
+    level = builder.dressed if CHECKS[key].dressed else builder.inputs
+    per_result, extras = _refine(key, map(level, ns), _xmargin(builder, ns), trace_dir)
     return tuple(_finish(CheckResult(name, law, levels))
                  for (name, law), levels in zip(CHECKS[key].results, per_result)), extras
 
@@ -257,8 +259,7 @@ def _identity(key, builder: SystemBuilder, ns, **options):
 # coefficient-matching checks
 # ---------------------------------------------------------------------------
 
-def _eq25(builder, n, xm):
-    ds = builder.dressed(n)
+def _eq25(ds, xm):
     grid, U = ds.grid, ds.bundle.U
     w = _window(grid, xm)
     gp_fd = diff_matrix(grid, 1) @ ds.g
@@ -275,12 +276,11 @@ def check_eq25(builder: SystemBuilder, ns, trace_dir=None):
     derivative used to assemble V, so the residual converges at the stencil
     order rather than cancelling identically.
     """
-    (res,), _ = _identity("eq25", builder, ns, trace_dir=trace_dir)
+    (res,), _ = _identity("eq25", builder, ns, trace_dir)
     return res
 
 
-def _eq26(builder, n, xm):
-    ds = builder.dressed(n)
+def _eq26(ds, xm):
     grid, U = ds.grid, ds.bundle.U
     w = _window(grid, xm)
     D1 = diff_matrix(grid, 1)
@@ -296,7 +296,7 @@ def _eq26(builder, n, xm):
 def check_eq26(builder: SystemBuilder, ns, trace_dir=None):
     """Potential-gradient balance:
     conj(V)' = 2 f f' - 2 g g' - (U f)'' + 2i (U g')', all derivatives FD."""
-    (res,), _ = _identity("eq26", builder, ns, trace_dir=trace_dir)
+    (res,), _ = _identity("eq26", builder, ns, trace_dir)
     return res
 
 
@@ -327,19 +327,16 @@ def residual_eq28(inputs, xmargin=0.0):
             "max_corrected": float(np.abs(corrected[w]).max())}
 
 
-def _eq28(builder, n, xm):
-    inp = builder.inputs(n)
+def _eq28(inp, xm):
     r = residual_eq28(inp, xm)
     return inp.grid, r["window"], [(np.abs(r["printed"]), 1.0, 0.0)], r
 
 
 def _check_eq28(builder: SystemBuilder, ns, trace_dir=None):
     """The printed zeroth-order balance at the finest level; reported only."""
-    n = max(ns)
-    grid, _, outputs, r = _eq28(builder, n, _xmargin(builder, ns))
-    _write_trace(trace_dir, "eq28", grid, outputs)
-    res = CheckResult(*CHECKS["eq28"].results[0],
-                      [CheckLevel(n, grid.h, r["max_printed"], 0.0)])
+    (levels,), (r,) = _refine("eq28", [builder.inputs(max(ns))], _xmargin(builder, ns),
+                              trace_dir)
+    res = CheckResult(*CHECKS["eq28"].results[0], levels)
     res.notes.update(max_printed=r["max_printed"], max_corrected=r["max_corrected"])
     return res
 
@@ -348,10 +345,8 @@ def _check_eq28(builder: SystemBuilder, ns, trace_dir=None):
 # ground state, gauge, antilinear similarity
 # ---------------------------------------------------------------------------
 
-def _groundstate(builder, n, xm, state=None):
-    ds = builder.dressed(n)
-    grid, b = ds.grid, ds.bundle
-    xi = ds.xi if state is None else state(ds)
+def _groundstate(ds, xm):
+    grid, b, xi = ds.grid, ds.bundle, ds.xi
     dt = build_d_tilde(ds.phi, ds.a, b, grid)
     hp = build_h_prime(ds.V, ds.a, ds.ap, b, grid)
     w = _window(grid, xm)
@@ -366,24 +361,16 @@ def _groundstate(builder, n, xm, state=None):
                      (np.abs(hp @ xi - ds.energy * xi), nrm, fl_eig)], None
 
 
-def check_groundstate(builder: SystemBuilder, ns, state=None, trace_dir=None):
+def check_groundstate(builder: SystemBuilder, ns, trace_dir=None):
     """Annihilation and eigen-residuals of the constructed ground state.
 
     Returns two results: max |D~ xi| / max |xi| and max |(H' - delta) xi|
-    / max |xi| over the common window.  `state` optionally replaces xi by an
-    externally supplied wavefunction sampler (used to measure the catalog's
-    printed states, reported-only).
+    / max |xi| over the common window.
     """
-    results, _ = _identity("groundstate", builder, ns, trace_dir=trace_dir, state=state)
-    if state is not None:
-        for r in results:
-            r.name += "-supplied-state"
-            r.verdict = "reported-only"
-    return results
+    return _identity("groundstate", builder, ns, trace_dir)[0]
 
 
-def _gauge(builder, n, xm):
-    ds = builder.dressed(n)
+def _gauge(ds, xm):
     grid, b = ds.grid, ds.bundle
     d = build_d(ds.phi, b, grid)
     dt = build_d_tilde(ds.phi, ds.a, b, grid)
@@ -401,13 +388,12 @@ def _gauge(builder, n, xm):
 
 def check_gauge_equivalence(builder: SystemBuilder, ns, trace_dir=None):
     """Gauge identity: D~(Lambda psi) = Lambda (D psi), measured on the window."""
-    (res,), unit_mods = _identity("gauge", builder, ns, trace_dir=trace_dir)
+    (res,), unit_mods = _identity("gauge", builder, ns, trace_dir)
     res.notes["max_unit_modulus_defect"] = max(unit_mods)
     return res
 
 
-def _tau(builder, n, xm):
-    ds = builder.dressed(n)
+def _tau(ds, xm):
     grid, b = ds.grid, ds.bundle
     hp = build_h_prime(ds.V, ds.a, ds.ap, b, grid)
     hpd = build_h_prime_dagger(ds.V, ds.a, ds.ap, b, grid)
@@ -422,7 +408,7 @@ def _tau(builder, n, xm):
 
 def check_tau(builder: SystemBuilder, ns, trace_dir=None):
     """Antilinear similarity between H' and its adjoint through the tau phase."""
-    (res,), _ = _identity("tau", builder, ns, trace_dir=trace_dir)
+    (res,), _ = _identity("tau", builder, ns, trace_dir)
     return res
 
 
@@ -430,8 +416,7 @@ def check_tau(builder: SystemBuilder, ns, trace_dir=None):
 # metric operator checks
 # ---------------------------------------------------------------------------
 
-def _eta(builder, n, xm):
-    inp = builder.inputs(n)
+def _eta(inp, xm):
     grid, b = inp.grid, inp.bundle
     coeffs = _coefficients(inp)
     eta = build_eta_tilde(coeffs, b, grid, mode="direct")
@@ -460,7 +445,7 @@ def check_eta(builder: SystemBuilder, ns, trace_dir=None):
     formal adjoint at O(1/h) while their actions on smooth vectors agree at
     the stencil order.
     """
-    return _identity("eta-hermiticity", builder, ns, trace_dir=trace_dir)[0]
+    return _identity("eta-hermiticity", builder, ns, trace_dir)[0]
 
 
 def check_parity_eta(builder: SystemBuilder, n):
@@ -517,8 +502,7 @@ def _symbol_summary(syms):
     return S, have, dev
 
 
-def _intertwining(builder, n, xm, detune=None):
-    inp = builder.inputs(n) if detune is None else detuned(builder.dressed(n), detune)
+def _intertwining(inp, xm):
     grid, b = inp.grid, inp.bundle
     coeffs = _coefficients(inp)
     eta = build_eta_tilde(coeffs, b, grid, mode="direct")
@@ -573,8 +557,10 @@ def check_intertwining(builder: SystemBuilder, ns, detune=None, trace_dir=None):
     asserted.
     """
     tol = TOLERANCES
-    (levels,), per_level = _refine("intertwining", builder, ns, trace_dir=trace_dir,
-                                     detune=detune)
+    ns = sorted(ns)
+    inputs = (builder.inputs(n) if detune is None else detuned(builder.dressed(n), detune)
+              for n in ns)
+    (levels,), per_level = _refine("intertwining", inputs, _xmargin(builder, ns), trace_dir)
     res = CheckResult(*CHECKS["intertwining"].results[0], levels)
     res.notes["detune"] = detune if detune is None or np.isscalar(detune) else "callable"
 
@@ -1002,37 +988,40 @@ def _standing_findings(builder: SystemBuilder, ns):
             "max_abs_difference": gap,
         })
     if ds.analytic and ds.spec.family in CATALOG:
-        r1, r2 = check_groundstate(builder, ns[:2],
-                                   state=printed_state_sampler(ds.spec.family))
+        def printed(n):
+            level = builder.dressed(n)
+            level.xi = printed_state(level)
+            return level
+        (annihilation, _), _ = _refine("groundstate", map(printed, ns[:2]),
+                                       _xmargin(builder, ns))
         findings.append({
             "id": "printed-ground-state",
             "detail": ("catalog-printed wavefunction fed through the first-order "
                        "annihilation check; the quadrature-built state is the one "
                        "that annihilates (see groundstate check)"),
-            "printed_state_residuals": [lv.residual for lv in r1.levels],
+            "printed_state_residuals": [lv.residual for lv in annihilation],
         })
     return findings
 
 
-def printed_state_sampler(family):
-    """Samplers for the catalog's printed ground-state expressions (reported-only)."""
-    def sample(ds: DressedSystem):
-        b = ds.bundle
-        mu, U, alpha = b.mu, b.U, ds.spec.alpha
-        if family == "harmonic3d":
-            s = np.sqrt(mu) / U * np.exp(-0.5j * alpha * mu**2)
-        elif family == "morse":
-            s = np.exp(-0.5 * alpha * mu) / U * np.exp((2j / alpha) * np.exp(-alpha * mu))
-        elif family == "scarf2":
-            s = (1.0 / (U * np.sqrt(np.cosh(alpha * mu)))
-                 * np.exp(-(1j / alpha) * np.arctan(np.tanh(0.5 * alpha * mu))))
-        elif family == "gen-poschl-teller":
-            s = (1.0 / (U * np.sqrt(np.sinh(alpha * mu)))
-                 * np.tanh(0.5 * alpha * mu) ** (-2j / alpha))
-        elif family == "poschl-teller":
-            s = (1.0 / (U * np.sqrt(np.sinh(2.0 * alpha * mu)))
-                 * np.tanh(alpha * mu) ** (-2j / alpha))
-        else:
-            raise InvalidDomainError(f"no printed state for family {family!r}")
-        return s / s[ds.anchor]
-    return sample
+def printed_state(ds: DressedSystem):
+    """The catalog's printed ground-state expression for the family of `ds`,
+    on its grid and normalized at its anchor (reported-only)."""
+    b = ds.bundle
+    mu, U, alpha, family = b.mu, b.U, ds.spec.alpha, ds.spec.family
+    if family == "harmonic3d":
+        s = np.sqrt(mu) / U * np.exp(-0.5j * alpha * mu**2)
+    elif family == "morse":
+        s = np.exp(-0.5 * alpha * mu) / U * np.exp((2j / alpha) * np.exp(-alpha * mu))
+    elif family == "scarf2":
+        s = (1.0 / (U * np.sqrt(np.cosh(alpha * mu)))
+             * np.exp(-(1j / alpha) * np.arctan(np.tanh(0.5 * alpha * mu))))
+    elif family == "gen-poschl-teller":
+        s = (1.0 / (U * np.sqrt(np.sinh(alpha * mu)))
+             * np.tanh(0.5 * alpha * mu) ** (-2j / alpha))
+    elif family == "poschl-teller":
+        s = (1.0 / (U * np.sqrt(np.sinh(2.0 * alpha * mu)))
+             * np.tanh(alpha * mu) ** (-2j / alpha))
+    else:
+        raise InvalidDomainError(f"no printed state for family {family!r}")
+    return s / s[ds.anchor]

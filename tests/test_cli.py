@@ -392,6 +392,11 @@ def _failing_eig(mat):
     (["generate", "--family", "morse", "--n", "201"], {"detune": 0.5}, 2),
     (["spectrum", "--family", "morse", "--n", "201", "--detune", "0.5"], None, 2),
     (["spectrum", "--family", "morse", "--n", "201"], {"detune": 0.5}, 2),
+    (["generate", "--n", "201", "--refine", "101,201,401"], None, 2),
+    (["spectrum", "--n", "201"], {"refine": [101, 201, 401]}, 2),
+    (["spectrum", "--n", "201", "--checks", "eq25"], None, 2),
+    (["generate", "--n", "201"], {"checks": ["eq25"]}, 2),
+    (["generate", "--n", "201"], {"eig_levels": [101, 201]}, 2),
     (["verify", "--family", "morse", "--g-const", "7"], None, 2),
     (["verify", "--family", "hermitian-limit", "--alpha", "7"], None, 2),
     (["verify"], {"family": "custom-table", "g_table": "g.csv", "alpha": 2.0}, 2),
@@ -418,6 +423,12 @@ def _failing_eig(mat):
     (["spectrum", "--family", "morse", "--mass", "rational", "--xmin", "-3", "--xmax", "4",
       "--n", "201"], "failing-eig", 9),
     (["verify", "--config", "missing.json"], None, 10),
+    (["verify", "--refine", "101,201,401", "--checks", "eq25", "--trace-dir", "F"],
+     "existing-file", 10),
+    (["verify", "--refine", "101,201,401", "--checks", "eq25", "--out", "nodir/r.json"],
+     None, 10),
+    (["generate", "--n", "201", "--out", "nodir/x.csv"], None, 10),
+    (["spectrum", "--n", "201", "--out", "nodir/s.json"], None, 10),
 ], ids=["0-success", "2-string-n", "2-removed-jobs-key",
         "2-removed-neg-control-key", "2-removed-tolerances-key", "2-removed-probes-key",
         "2-repeated-eig-level", "2-one-eig-level-for-spectrum", "2-repeated-refine-level", "2-refine-not-int",
@@ -430,6 +441,9 @@ def _failing_eig(mat):
         "2-gauge-path-not-string", "2-g-table-not-string", "2-detune-without-intertwining",
         "2-detune-flag-on-generate", "2-detune-config-on-generate",
         "2-detune-flag-on-spectrum", "2-detune-config-on-spectrum",
+        "2-refine-flag-on-generate", "2-refine-config-on-spectrum",
+        "2-checks-flag-on-spectrum", "2-checks-config-on-generate",
+        "2-eig-levels-config-on-generate",
         "2-g-const-on-catalog-family", "2-alpha-on-hermitian-limit",
         "2-alpha-config-on-custom-table", "2-delta-on-free", "2-alpha-on-free",
         "2-gauge-on-free", "2-corruption-on-free", "2-mass-scale-config-on-table",
@@ -438,15 +452,22 @@ def _failing_eig(mat):
         "2-unknown-corruption-target", "2-negative-list-cap", "2-zero-list-cap",
         "3-grid-too-small", "4-negative-mass",
         "5-vanishing-g", "6-singularity", "7-check-fails", "8-budget", "8-budget-eig-level",
-        "9-eigensolver-fails", "10-unreadable-config"])
-def test_exit_codes(tmp_path, monkeypatch, argv, config, code):
+        "9-eigensolver-fails", "10-unreadable-config", "10-trace-dir-is-a-file",
+        "10-verify-out-in-missing-dir", "10-generate-out-in-missing-dir",
+        "10-spectrum-out-in-missing-dir"])
+def test_exit_codes(tmp_path, monkeypatch, capsys, argv, config, code):
     monkeypatch.chdir(tmp_path)
     if config == "failing-eig":
         monkeypatch.setattr(np.linalg, "eig", _failing_eig)
+    elif config == "existing-file":
+        (tmp_path / "F").write_text("")
     elif config is not None:
         (tmp_path / "c.json").write_text(json.dumps(config))
         argv = argv + ["--config", "c.json"]
-    assert run(argv + ["--out", str(tmp_path / "out")]) == code
+    if "--out" not in argv:
+        argv = argv + ["--out", str(tmp_path / "out")]
+    assert run(argv) == code
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_max_points_is_the_largest_accepted_level():

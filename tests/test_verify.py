@@ -15,7 +15,7 @@ from pdmph import (CATALOG, FAMILIES, BudgetExceededError, GeneratingSpec,
 from pdmph.errors import InvalidDomainError
 from pdmph.operators import OperatorMatrix
 from pdmph.pipeline import assemble_potential
-from pdmph.verify import CHECK_NAMES, CHECKS, detuned, printed_state_sampler
+from pdmph.verify import CHECK_NAMES, CHECKS, CheckResult, detuned
 
 NS = [301, 501, 1001]
 NS_FINE = [501, 1001, 2001]
@@ -240,6 +240,46 @@ def test_symbol_summary_adds_from_zero():
 
 
 # ---------------------------------------------------------------------------
+# the refinement driver
+# ---------------------------------------------------------------------------
+
+def _bits(levels):
+    return [(lv.n, lv.h.hex(), float(lv.residual).hex(), float(lv.floor).hex())
+            for lv in levels]
+
+
+def _check_levels(b, key, **options):
+    out = getattr(verify_module, CHECKS[key].run)(b, NS, **options)
+    return [r.levels for r in ((out,) if isinstance(out, CheckResult) else out)]
+
+
+@pytest.mark.parametrize("key,kind", [(k, "family") for k, row in CHECKS.items() if row.residual]
+                         + [(k, "free") for k, row in CHECKS.items()
+                            if row.residual and not row.dressed])
+def test_refine_evaluates_the_level_inputs_it_is_fed(key, kind):
+    # fed the builder's levels, the driver gives each check's levels bit for
+    # bit (eq28 reports its finest level only)
+    if kind == "family":
+        b = builder("morse", gauge_a=("scaled-g", 1.0))
+        inputs = [b.dressed(n) for n in NS]
+    else:
+        b = SystemBuilder("free", MassProfile.rational(), -4.0, 4.0)
+        inputs = [b.inputs(n) for n in NS]
+    got, _ = verify_module._refine(key, inputs, verify_module._xmargin(b, NS))
+    want = _check_levels(b, key)
+    assert len(got) == len(want) == len(CHECKS[key].results)
+    assert [_bits(g[-len(w):]) for g, w in zip(got, want)] == [_bits(w) for w in want]
+
+
+def test_refine_on_detuned_copies_is_check_intertwining_detuned():
+    b = builder()
+    (got,), _ = verify_module._refine("intertwining", [detuned(b.dressed(n), 0.3) for n in NS],
+                                      verify_module._xmargin(b, NS))
+    (want,) = _check_levels(b, "intertwining", detune=0.3)
+    assert _bits(got) == _bits(want)
+
+
+# ---------------------------------------------------------------------------
 # ground state, gauge, tau
 # ---------------------------------------------------------------------------
 
@@ -250,12 +290,14 @@ def test_groundstate_small_levels():
 
 
 def test_groundstate_printed_state_does_not_annihilate():
-    b = builder("morse", domain=(-2.0, 10.0))
-    r1, _ = check_groundstate(b, NS, state=printed_state_sampler("morse"))
-    assert r1.verdict == "reported-only"
+    # the printed-ground-state finding feeds the catalog's printed state
+    # through the annihilation residual at the two coarsest levels
+    _, _, findings = run_suite(builder("morse", domain=(-2.0, 10.0)), [], NS)
+    finding, = [f for f in findings if f["id"] == "printed-ground-state"]
+    res = finding["printed_state_residuals"]
     # O(1) residual that does not decay under refinement
-    assert r1.residuals[-1] > 1e-1
-    assert r1.residuals[0] / r1.residuals[-1] < 2.0
+    assert len(res) == 2 and res[-1] > 1e-1
+    assert res[0] / res[-1] < 2.0
 
 
 def test_gauge_equivalence_trivial_and_gauged():
