@@ -9,8 +9,8 @@ The package builds, on uniform grids with 4th-order finite differences:
     complex potential V, mass-free effective potential, ground-state pair
     (psi, xi) and the unit-modulus gauge factor (``pipeline``),
   * banded (numpy-only) realizations of the first-order operators, the
-    metric, the Hamiltonian and its adjoint, parity metrics and the
-    antilinear similarity (``operators``),
+    metric, the Hamiltonian and its adjoint and the antilinear similarity
+    (``operators``),
   * residual checks with grid-refinement convergence orders, dense spectra
     and metric-weighted Gram structure (``verify``),
   * deterministic machine-readable reports and a CLI (``report``, ``cli``).
@@ -27,12 +27,10 @@ from .profiles import MassProfile, ProfileBundle
 from .pipeline import (CATALOG, FAMILIES, DressedSystem, GeneratingSpec,
                        assemble_potential, catalog_rows, effective_potential,
                        ground_state, make_family, printed_potential, to_csv)
-from .operators import (CoefficientSet, OperatorMatrix, build_d,
-                        build_d_dagger, build_d_tilde, build_d_tilde_dagger,
-                        build_eta_parity, build_eta_tilde,
+from .operators import (CoefficientSet, OperatorMatrix, build_d, build_d_tilde,
+                        build_d_tilde_dagger, build_eta_tilde,
                         build_eta_tilde_block, build_h_prime,
-                        build_h_prime_block, build_h_prime_dagger,
-                        build_parity, default_probes, dirichlet_block)
+                        build_h_prime_block, build_h_prime_dagger, default_probes)
 from .verify import (CheckResult, SpectralResult, SystemBuilder,
                      apply_corruption, check_eq25, check_eq26, check_eq29,
                      check_eta, check_gauge_equivalence, check_groundstate,

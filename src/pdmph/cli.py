@@ -19,7 +19,7 @@ from . import __version__
 from .errors import CheckFailureError, ConfigError, IOFormatError, PdmphError
 from .pipeline import GeneratingSpec, catalog_rows, load_xy_table, to_csv
 from .profiles import MassProfile
-from .report import (GAUGE_PARAMS, MASS_PARAMS, SYSTEM_PRESETS, build_report,
+from .report import (GAUGE_PARAMS, MASS_PARAMS, SYSTEM_PRESETS, _set_keys, build_report,
                      emit_json, payload_config, resolve_config, write_report)
 from .verify import (PROBES, TOLERANCES, SystemBuilder, run_suite, spectral_for,
                      spectral_payload)
@@ -179,14 +179,20 @@ def _load_config(args):
         overrides["gauge"] = {"mode": mode,
                               "scale": _parse_number(params.get("scale", 1.0), "gauge scale"),
                               "path": params.get("path")}
-    if args.command != "verify":
-        # these configure verify's checks; generate and spectrum read no check
-        unread = [k for k in ("refine", "checks", "eig_levels", "detune")
-                  if overrides.get(k) is not None
-                  or (isinstance(given, dict) and given.get(k) is not None)]
-        if unread:
-            raise ConfigError(f"{', '.join(unread)}: read only by verify, not by {args.command}")
-    return resolve_config(given, overrides)
+    # verify reads its refine levels, not grid.n; generate and spectrum read no check
+    setby = _set_keys(given if isinstance(given, dict) else {}, overrides)
+    unread = [k for k in (("grid.n",) if args.command == "verify" else
+                          ("refine", "checks", "eig_levels", "detune")) if k in setby]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: not read by {args.command}")
+    cfg = resolve_config(given, overrides)
+    # an output that cannot be written is refused before anything is built
+    folder, trace_dir = os.path.dirname(cfg["out"] or ""), getattr(args, "trace_dir", None)
+    if folder and not os.path.isdir(folder):
+        raise IOFormatError(f"cannot write {cfg['out']}: no directory {folder}")
+    if trace_dir and os.path.exists(trace_dir) and not os.path.isdir(trace_dir):
+        raise IOFormatError(f"cannot write traces to {trace_dir}: not a directory")
+    return cfg
 
 
 def cmd_generate(args):

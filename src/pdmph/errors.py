@@ -62,8 +62,9 @@ class EigensolverError(PdmphError):
 class IOFormatError(PdmphError):
     """Input file (CSV table, config) could not be parsed.
 
-    Exit 10 also covers an output path (report, CSV, trace directory) that
-    cannot be written: the CLI maps any OSError a command raises to it.
+    Exit 10 also covers an output that cannot be written: the CLI refuses an
+    --out in a missing directory or a --trace-dir that is not a directory
+    before building anything, and maps any other OSError a command raises.
     """
 
     exit_code = 10

@@ -225,64 +225,19 @@ class Banded:
         return M
 
 
-class Permuted:
-    """n x n matrix with one entry per row: A[i, cols[i]] = vals[i].
-
-    `cols` is a permutation of 0..n-1, so A is a scaled permutation; the
-    parity operators are stored this way.
-    """
-
-    def __init__(self, cols, vals):
-        self.cols = np.asarray(cols)
-        self.vals = np.asarray(vals)
-        self.n = len(self.cols)
-        if not np.array_equal(np.bincount(self.cols, minlength=self.n), np.ones(self.n)):
-            raise ValueError("the columns of a Permuted matrix must be a permutation")
-
-    @property
-    def shape(self):
-        return (self.n, self.n)
-
-    def __matmul__(self, other):
-        if isinstance(other, Permuted):
-            return Permuted(other.cols[self.cols], self.vals * other.vals[self.cols])
-        v = np.asarray(other)
-        return (self.vals if v.ndim == 1 else self.vals[:, None]) * v[self.cols]
-
-    @property
-    def H(self):
-        inverse = np.empty_like(self.cols)
-        inverse[self.cols] = np.arange(self.n)
-        return Permuted(inverse, np.conj(self.vals)[inverse])
-
-    def distance(self, other):
-        """Largest entry of |self - other|, without densifying."""
-        same = self.cols == other.cols
-        d = np.where(same, np.abs(self.vals - other.vals),
-                     np.maximum(np.abs(self.vals), np.abs(other.vals)))
-        return float(d.max())
-
-    def toarray(self):
-        M = np.zeros(self.shape, self.vals.dtype)
-        M[np.arange(self.n), self.cols] = self.vals
-        return M
-
-
 @dataclass
 class OperatorMatrix:
-    """Banded operator on a grid; `kind` names the operator it realizes.
+    """Banded operator on a grid.
 
-    `form` is the stored matrix: a :class:`Banded` for every differential
-    operator, a :class:`Permuted` for the parity operators.  Application
-    to a vector or an n x k block is `op @ v`.  `mat` is a dense copy that
+    `form` is the stored matrix, a :class:`Banded`.  Application to a
+    vector or an n x k block is `op @ v`.  `mat` is a dense copy that
     allocates all n^2 entries: it serves dense eigensolves (about four
     complex n x n arrays alive during a solve, at most three after a
     general one, the eigenvectors included) and tests.
     """
 
     grid: Grid
-    form: object = field(repr=False)
-    kind: str = ""
+    form: Banded = field(repr=False)
 
     @property
     def mat(self):
@@ -376,7 +331,7 @@ def diff_matrix(grid: Grid, order: int) -> OperatorMatrix:
     if order not in (1, 2):
         raise InvalidDomainError(f"derivative order must be 1 or 2, got {order}")
     S = _build_stencil(grid.n, grid.h, order)
-    return OperatorMatrix(grid, S, kind=f"derivative-{order}")
+    return OperatorMatrix(grid, S)
 
 
 _quad_cache = {}

@@ -34,9 +34,8 @@ the cached stencils: a row-scaled stencil plus diagonal terms added in a
 fixed order, each entry rounded as in a dense assembly.  An assembled
 second-order operator stores about 5n entries; the main diagonal, which
 takes the diagonal terms, is the only one that spans all n rows.  The
-product form of eta~ is a banded product (9 central diagonals).  The parity
-operators have one entry per row and are stored as scaled permutations
-(grid.Permuted).  Only eigensolves take a dense copy.
+product form of eta~ is a banded product (9 central diagonals).  Only
+eigensolves take a dense copy.
 """
 
 from __future__ import annotations
@@ -46,8 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDomainError
-from .grid import (Banded, Grid, OperatorMatrix, Permuted, _hull, _padded, cumint,
-                   diff_matrix)
+from .grid import Banded, Grid, OperatorMatrix, _hull, _padded, diff_matrix
 from .profiles import ProfileBundle
 
 
@@ -131,25 +129,18 @@ class CoefficientSet:
 
 def build_d(phi, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     """First-order operator U d/dx + phi."""
-    return OperatorMatrix(grid, _first_order(bundle.U, 1.0, (phi,), grid), kind="D")
-
-
-def build_d_dagger(phi, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
-    """Formal adjoint -d/dx U + conj(phi), expanded as -U d/dx - U' + conj(phi)."""
-    mat = _first_order(bundle.U, -1.0, (-bundle.Up, np.conj(phi)), grid)
-    return OperatorMatrix(grid, mat, kind="D_dagger")
+    return OperatorMatrix(grid, _first_order(bundle.U, 1.0, (phi,), grid))
 
 
 def build_d_tilde(phi, a, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     """Gauge-shifted operator D - i a; the shift is exact at matrix level."""
-    mat = _first_order(bundle.U, 1.0, (phi, -1j * a), grid)
-    return OperatorMatrix(grid, mat, kind="D_tilde")
+    return OperatorMatrix(grid, _first_order(bundle.U, 1.0, (phi, -1j * a), grid))
 
 
 def build_d_tilde_dagger(phi, a, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     """Adjoint of the gauge-shifted operator: D^ + i conj(a)."""
     mat = _first_order(bundle.U, -1.0, (-bundle.Up, np.conj(phi), 1j * np.conj(a)), grid)
-    return OperatorMatrix(grid, mat, kind="D_tilde_dagger")
+    return OperatorMatrix(grid, mat)
 
 
 def build_eta_tilde(coeffs: CoefficientSet, bundle: ProfileBundle, grid: Grid,
@@ -163,13 +154,13 @@ def build_eta_tilde(coeffs: CoefficientSet, bundle: ProfileBundle, grid: Grid,
     if mode == "direct":
         mat = _second_order(bundle.U**2, coeffs.K, (coeffs.L,),
                             diff_matrix(grid, 1).form, diff_matrix(grid, 2).form)
-        return OperatorMatrix(grid, mat, kind="eta_tilde")
+        return OperatorMatrix(grid, mat)
     if mode == "product":
         if phi is None or a is None:
             raise InvalidDomainError("product mode needs phi and a")
         dt = build_d_tilde(phi, a, bundle, grid)
         dtd = build_d_tilde_dagger(phi, a, bundle, grid)
-        return OperatorMatrix(grid, dtd.form @ dt.form, kind="eta_tilde_product")
+        return OperatorMatrix(grid, dtd.form @ dt.form)
     raise InvalidDomainError(f"unknown eta_tilde mode {mode!r}")
 
 
@@ -178,7 +169,7 @@ def build_h_prime(V, a, ap, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix
     M1, N1 = _gauge_coefficients(a, ap, bundle.U, bundle.Up)
     mat = _second_order(bundle.U**2, M1, (N1, V),
                         diff_matrix(grid, 1).form, diff_matrix(grid, 2).form)
-    return OperatorMatrix(grid, mat, kind="H_prime")
+    return OperatorMatrix(grid, mat)
 
 
 def build_h_prime_dagger(V, a, ap, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
@@ -186,35 +177,16 @@ def build_h_prime_dagger(V, a, ap, bundle: ProfileBundle, grid: Grid) -> Operato
     M1, N1 = _gauge_coefficients(a, ap, bundle.U, bundle.Up)
     mat = _second_order(bundle.U**2, M1, (N1, np.conj(V)),
                         diff_matrix(grid, 1).form, diff_matrix(grid, 2).form)
-    return OperatorMatrix(grid, mat, kind="H_prime_dagger")
-
-
-def build_parity(grid: Grid) -> OperatorMatrix:
-    """Index-reversal permutation; needs a symmetric grid with a node at 0."""
-    if not grid.parity_capable:
-        raise InvalidDomainError(
-            "parity operator needs xmin = -xmax and odd n (a node exactly at 0)")
-    return OperatorMatrix(grid, Permuted(np.arange(grid.n)[::-1], np.ones(grid.n)),
-                          kind="parity")
-
-
-def build_eta_parity(a, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
-    """Parity-based metric exp[2i int a/U] P, phase anchored at the center node.
-
-    Hermitian exactly when both a and U are even; the Hermiticity defect for
-    uneven inputs is measured entrywise (the matrix has one entry per row, no
-    stencil is involved).
-    """
-    P = build_parity(grid).form
-    phase = 2.0 * cumint(a / bundle.U, grid, grid.index_nearest(0.0))
-    return OperatorMatrix(grid, Permuted(P.cols, np.exp(1j * phase) * P.vals),
-                          kind="eta_parity")
+    return OperatorMatrix(grid, mat)
 
 
 def _dirichlet_stencil(grid: Grid, order: int):
     """Interior-block derivative matrix (banded) with odd reflection through the walls.
 
-    Both orders are pentadiagonal on offsets -2..2.
+    Both orders are pentadiagonal on offsets -2..2.  The closure keeps the
+    pure second-derivative block exactly symmetric.  Eigenvalues converge at
+    4th order only when M1 vanishes at the walls (see the module
+    docstring); with U' != 0 there the observed order is about 2.
     """
     h, m = grid.h, grid.n - 2
     if order == 1:
@@ -231,24 +203,13 @@ def _dirichlet_stencil(grid: Grid, order: int):
     return Banded(m, range(-2, 3), spans, np.concatenate(diagonals))
 
 
-def dirichlet_block(grid: Grid, order: int) -> np.ndarray:
-    """Interior-block derivative matrix with odd reflection through the walls (dense).
-
-    The closure keeps the pure second-derivative block exactly symmetric.
-    Eigenvalues converge at 4th order only when M1 vanishes at the walls
-    (see the module docstring); with U' != 0 there the observed order is
-    about 2.  The block operators use the banded form of the same matrix.
-    """
-    return _dirichlet_stencil(grid, order).toarray()
-
-
 def build_h_prime_block(V, a, ap, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     """Dirichlet interior-block Hamiltonian for dense eigendecomposition."""
     s = slice(1, grid.n - 1)
     M1, N1 = _gauge_coefficients(a[s], ap[s], bundle.U[s], bundle.Up[s])
     mat = _second_order(bundle.U[s]**2, M1, (N1, V[s]),
                         _dirichlet_stencil(grid, 1), _dirichlet_stencil(grid, 2))
-    return OperatorMatrix(grid, mat, kind="H_prime_block")
+    return OperatorMatrix(grid, mat)
 
 
 def build_eta_tilde_block(coeffs: CoefficientSet, bundle: ProfileBundle,
@@ -257,7 +218,7 @@ def build_eta_tilde_block(coeffs: CoefficientSet, bundle: ProfileBundle,
     s = slice(1, grid.n - 1)
     mat = _second_order(bundle.U[s]**2, coeffs.K[s], (coeffs.L[s],),
                         _dirichlet_stencil(grid, 1), _dirichlet_stencil(grid, 2))
-    return OperatorMatrix(grid, mat, kind="eta_tilde_block")
+    return OperatorMatrix(grid, mat)
 
 
 PROBES = 8   # probe vectors of the probe-action checks (intertwining, tau, eta)

@@ -184,6 +184,8 @@ def _validate(cfg, setby):
         if levels and levels[-1] > MAX_POINTS:
             raise ConfigError(f"{key} asks for {levels[-1]} grid points; "
                               f"the maximum is {MAX_POINTS}")
+    if "eig_levels" in setby and not {"spectrum", "eq29"} & set(cfg["checks"]):
+        raise ConfigError("eig_levels: read only by the spectrum and eq29 checks, not in checks")
     if "spectrum" in cfg["checks"] and len(cfg["eig_levels"]) < 2:
         raise ConfigError("the spectrum check compares two eig_levels")
     eig_n = max(cfg["eig_levels"], default=0)

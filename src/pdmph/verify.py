@@ -35,13 +35,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import BudgetExceededError, EigensolverError, InvalidDomainError
-from .grid import (EPS, STENCIL_ABS_D1, FLOOR_SAFETY, Grid, Permuted,
-                   amplification, blocks, diff_matrix, fd_floor, make_grid,
-                   observed_order)
+from .grid import (EPS, STENCIL_ABS_D1, FLOOR_SAFETY, Grid, amplification, blocks,
+                   cumint, diff_matrix, fd_floor, make_grid, observed_order)
 from .operators import (PROBES, CoefficientSet, OperatorMatrix, build_d,
-                        build_d_tilde, build_eta_parity, build_eta_tilde,
-                        build_eta_tilde_block, build_h_prime,
-                        build_h_prime_block, build_h_prime_dagger, build_parity,
+                        build_d_tilde, build_eta_tilde, build_eta_tilde_block,
+                        build_h_prime, build_h_prime_block, build_h_prime_dagger,
                         default_probes, tau_similarity_actions)
 from .pipeline import (CATALOG, DressedSystem, GeneratingSpec,
                        assemble_potential, make_family, _write_columns)
@@ -451,17 +449,20 @@ def check_eta(builder: SystemBuilder, ns, trace_dir=None):
 def check_parity_eta(builder: SystemBuilder, n):
     """Parity-based metric on a symmetric grid: P^2 = 1 and Hermiticity.
 
-    This matrix has a single entry per row, so Hermiticity is measured
-    entrywise.  It holds exactly when the gauge function and U are even;
-    odd gauges are expected to break it, which negative-control tests
-    exercise.
+    The metric diag(e) P, with P the index reversal and e = exp(2i int a/U)
+    anchored at the center node, holds e[i] in column rev[i] of row i and its
+    adjoint holds conj(e[rev[i]]) there, so both defects are read from e and
+    rev.  It is Hermitian exactly when the gauge function and U are even.
     """
     ds = builder.dressed(n)
-    grid, b = ds.grid, ds.bundle
-    P = build_parity(grid).form
-    p2 = (P @ P).distance(Permuted(np.arange(grid.n), np.ones(grid.n)))
-    eta = build_eta_parity(ds.a, b, grid).form
-    herm = eta.distance(eta.H)
+    grid = ds.grid
+    if not grid.parity_capable:
+        raise InvalidDomainError(
+            "parity operator needs xmin = -xmax and odd n (a node exactly at 0)")
+    rev = np.arange(grid.n)[::-1]
+    p2 = float(np.any(rev[rev] != np.arange(grid.n)))
+    e = np.exp(1j * (2.0 * cumint(ds.a / ds.bundle.U, grid, grid.index_nearest(0.0))))
+    herm = float(np.abs(e - np.conj(e)[rev]).max())
     res = CheckResult(*CHECKS["parity-eta"].results[0],
                       [CheckLevel(n, grid.h, herm, 64.0 * EPS)])
     res.notes["parity_squared_defect"] = p2

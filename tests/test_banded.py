@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pdmph import diff_matrix, make_grid
-from pdmph.grid import Banded, Permuted
+from pdmph.grid import Banded
 from pdmph.operators import build_eta_tilde, build_h_prime
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -81,27 +81,11 @@ def test_product_difference_and_scalar_multiple(pair, c):
     assert close((A * c).toarray(), MA * c, abs(c) * np.abs(MA))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 30), st.integers(0, 2**32 - 1))
-def test_permuted_against_dense(n, seed):
-    rng = np.random.default_rng(seed)
-    P = Permuted(rng.permutation(n), rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    Q = Permuted(rng.permutation(n), rng.standard_normal(n))
-    MP, MQ = P.toarray(), Q.toarray()
-    v = rng.standard_normal(n)
-    assert close(P @ v, MP @ v, np.abs(MP) @ np.abs(v))
-    assert close((P @ Q).toarray(), MP @ MQ, np.abs(MP) @ np.abs(MQ))
-    assert np.array_equal(P.H.toarray(), MP.conj().T)
-    assert P.distance(Q) == np.abs(MP - MQ).max()
-
-
 def test_entries_outside_the_matrix_are_rejected():
     with pytest.raises(ValueError):
         Banded(5, [2], [(0, 5)], np.ones(5))
     with pytest.raises(ValueError):
         Banded(5, [1, 0], [(0, 4), (0, 5)], np.zeros(9))
-    with pytest.raises(ValueError):
-        Permuted([0, 0, 2], np.ones(3))
 
 
 def test_stencil_edge_diagonals_cover_only_edge_rows():

@@ -361,7 +361,7 @@ def _failing_eig(mat):
 # live with the feature they exercise
 @pytest.mark.parametrize("argv,config,code", [
     (["generate", "--family", "scarf2", "--n", "101"], None, 0),
-    (["verify"], {"grid": {"n": "abc"}}, 2),
+    (["generate"], {"grid": {"n": "abc"}}, 2),
     (["verify"], {"jobs": 1}, 2),
     (["verify"], {"tolerances": {"neg_control": 0.01}}, 2),
     (["verify"], {"tolerances": {"residual": 1.0}}, 2),
@@ -397,6 +397,10 @@ def _failing_eig(mat):
     (["spectrum", "--n", "201", "--checks", "eq25"], None, 2),
     (["generate", "--n", "201"], {"checks": ["eq25"]}, 2),
     (["generate", "--n", "201"], {"eig_levels": [101, 201]}, 2),
+    (["verify", "--family", "morse", "--refine", "101,201,401", "--checks", "eq25",
+      "--n", "999"], None, 2),
+    (["verify", "--refine", "101,201,401", "--checks", "eq25"], {"grid": {"n": 999}}, 2),
+    (["verify", "--refine", "101,201,401", "--checks", "eq25"], {"eig_levels": [301, 401]}, 2),
     (["verify", "--family", "morse", "--g-const", "7"], None, 2),
     (["verify", "--family", "hermitian-limit", "--alpha", "7"], None, 2),
     (["verify"], {"family": "custom-table", "g_table": "g.csv", "alpha": 2.0}, 2),
@@ -443,7 +447,8 @@ def _failing_eig(mat):
         "2-detune-flag-on-spectrum", "2-detune-config-on-spectrum",
         "2-refine-flag-on-generate", "2-refine-config-on-spectrum",
         "2-checks-flag-on-spectrum", "2-checks-config-on-generate",
-        "2-eig-levels-config-on-generate",
+        "2-eig-levels-config-on-generate", "2-n-flag-on-verify", "2-n-config-on-verify",
+        "2-eig-levels-without-spectral-check",
         "2-g-const-on-catalog-family", "2-alpha-on-hermitian-limit",
         "2-alpha-config-on-custom-table", "2-delta-on-free", "2-alpha-on-free",
         "2-gauge-on-free", "2-corruption-on-free", "2-mass-scale-config-on-table",
@@ -514,6 +519,29 @@ def test_over_budget_eig_level_exits_8_before_building(tmp_path, monkeypatch, ch
                 "--trace-dir", "T", "--config", "c.json", "--out", "out.json"]) == 8
     assert not (tmp_path / "out.json").exists()
     assert not (tmp_path / "T").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--refine", "101,201,401", "--checks", "eq25", "--trace-dir", "T",
+     "--out", "nodir/r.json"],
+    ["verify", "--refine", "101,201,401", "--checks", "eq25", "--trace-dir", "F",
+     "--out", "out.json"],
+    ["generate", "--n", "201", "--out", "nodir/x.csv"],
+    ["spectrum", "--n", "201", "--out", "nodir/s.json"],
+], ids=["verify-out", "verify-trace-dir", "generate-out", "spectrum-out"])
+def test_unwritable_output_exits_10_before_building(tmp_path, monkeypatch, capsys, argv):
+    from pdmph import pipeline, verify
+
+    def never(*args, **kwargs):
+        raise AssertionError("a system was built for a run whose output cannot be written")
+    monkeypatch.setattr(verify, "make_family", never)
+    monkeypatch.setattr(pipeline, "make_family", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_text("")
+    assert run(argv) == 10
+    assert "Traceback" not in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
+    assert (tmp_path / "F").read_text() == ""
 
 
 def test_trace_window_max_is_payload_residual(tmp_path):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from pdmph import (CoefficientSet, GeneratingSpec, InvalidDomainError,
-                   MassProfile, SystemBuilder, build_d, build_d_dagger,
-                   build_d_tilde, build_eta_parity, build_eta_tilde,
-                   build_h_prime, build_h_prime_dagger, build_parity,
-                   check_tau, default_probes, diff_matrix, dirichlet_block,
-                   make_family, make_grid, observed_order)
+                   MassProfile, SystemBuilder, build_d, build_d_tilde,
+                   build_d_tilde_dagger, build_eta_tilde, build_h_prime,
+                   build_h_prime_dagger, check_parity_eta, check_tau,
+                   default_probes, make_family, make_grid, observed_order)
 from pdmph.grid import cumint
+from pdmph.operators import _dirichlet_stencil
 
 
 def free_setup(n=401, domain=(-8.0, 8.0)):
@@ -28,14 +28,16 @@ def dressed(family="morse", alpha=1.0, profile=None, domain=(-2.0, 10.0), n=801,
 # ---------------------------------------------------------------------------
 
 def test_free_d_is_derivative():
+    # constant U, so D~ = U d/dx - i a and D~^ = -U d/dx + i a
     g, b, z = free_setup()
-    d = build_d(z + 0j, b, g)
-    dd = build_d_dagger(z + 0j, b, g)
+    a = 0.5 * np.cos(g.x)
+    d = build_d_tilde(z + 0j, a, b, g)
+    dd = build_d_tilde_dagger(z + 0j, a, b, g)
     v = np.sin(g.x)
     w = g.interior_mask(4)
     # 4th-order truncation at h = 0.04 is ~8.5e-8
-    assert np.abs((d.mat @ v - np.cos(g.x)))[w].max() < 5e-7
-    assert np.abs((dd.mat @ v + np.cos(g.x)))[w].max() < 5e-7
+    assert np.abs((d.mat @ v - (b.U * np.cos(g.x) - 1j * a * v)))[w].max() < 5e-7
+    assert np.abs((dd.mat @ v + (b.U * np.cos(g.x) - 1j * a * v)))[w].max() < 5e-7
 
 
 def test_d_tilde_shift_is_exact():
@@ -63,9 +65,10 @@ def test_adjoint_route_matches_conjugate_transpose_on_window():
     # must agree on smooth probe actions at the stencil order
     errs, hs = [], []
     for n in (201, 401, 801):
-        ds = dressed(n=n, profile=MassProfile.rational(), domain=(-4.0, 4.0))
-        d = build_d(ds.phi, ds.bundle, ds.grid)
-        dd = build_d_dagger(ds.phi, ds.bundle, ds.grid)
+        ds = dressed(n=n, profile=MassProfile.rational(), domain=(-4.0, 4.0),
+                     gauge_a=("scaled-g", 0.5))
+        d = build_d_tilde(ds.phi, ds.a, ds.bundle, ds.grid)
+        dd = build_d_tilde_dagger(ds.phi, ds.a, ds.bundle, ds.grid)
         w = ds.grid.interior_mask(8, xmargin=8 * 8.0 / 200)
         worst = 0.0
         for v in default_probes(ds.grid):
@@ -164,39 +167,40 @@ def test_hermitian_limit_adjoint_is_entrywise_equal():
 # parity metric
 # ---------------------------------------------------------------------------
 
+def parity_builder(domain=(-6.0, 6.0), profile=None, gauge=("zero",)):
+    return SystemBuilder("family", profile or MassProfile.constant(), *domain,
+                         spec=GeneratingSpec("scarf2", gauge_a=gauge))
+
+
 def test_parity_squared_identity():
-    g = make_grid(-6, 6, 301)
-    P = build_parity(g)
-    assert np.abs(P.mat @ P.mat - np.eye(g.n)).max() == 0.0
+    assert check_parity_eta(parity_builder(), 301).notes["parity_squared_defect"] == 0.0
 
 
 def test_parity_needs_symmetric_grid():
     with pytest.raises(InvalidDomainError):
-        build_parity(make_grid(0.1, 6, 301))
+        check_parity_eta(parity_builder((0.1, 6.0)), 301)
     with pytest.raises(InvalidDomainError):
-        build_parity(make_grid(-6, 6, 300))
+        check_parity_eta(parity_builder(), 300)
 
 
 def test_eta_parity_trivial_gauge_is_parity():
-    g = make_grid(-6, 6, 301)
-    b = MassProfile.constant().sample(g)
-    eta = build_eta_parity(np.zeros(g.n), b, g)
-    assert np.abs(eta.mat - build_parity(g).mat).max() == 0.0
+    r = check_parity_eta(parity_builder(), 301)
+    assert r.residuals == [0.0]
+    assert r.verdict == "pass"
 
 
 def test_eta_parity_hermitian_for_even_gauge():
-    g = make_grid(-8, 8, 801)
-    ds = make_family(GeneratingSpec("scarf2", gauge_a=("scaled-g", 1.0)),
-                     MassProfile.rational(), g)
-    eta = build_eta_parity(ds.a, ds.bundle, g)
-    assert np.abs(eta.mat - eta.mat.conj().T).max() < 1e-12
+    r = check_parity_eta(parity_builder((-8.0, 8.0), MassProfile.rational(),
+                                        ("scaled-g", 1.0)), 801)
+    assert r.residuals[0] < 1e-12
+    assert r.verdict == "pass"
 
 
 def test_eta_parity_broken_by_odd_gauge():
-    g = make_grid(-8, 8, 801)
-    b = MassProfile.constant().sample(g)
-    eta = build_eta_parity(g.x * b.U, b, g)   # odd gauge violates evenness
-    assert np.abs(eta.mat - eta.mat.conj().T).max() > 0.1
+    xs = np.linspace(-9.0, 9.0, 181)
+    r = check_parity_eta(parity_builder((-8.0, 8.0), gauge=("table", xs, xs)), 801)
+    assert r.residuals[0] > 0.1   # an odd gauge violates evenness
+    assert r.verdict == "fail"
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +237,10 @@ def test_tau_phase_definition():
 
 def test_dirichlet_block_symmetric():
     g = make_grid(-6, 6, 301)
-    D2 = dirichlet_block(g, 2)
+    D2 = _dirichlet_stencil(g, 2).toarray()
     assert np.abs(D2 - D2.T).max() == 0.0
 
 
 def test_dirichlet_block_derivative_orders():
     with pytest.raises(InvalidDomainError):
-        dirichlet_block(make_grid(-6, 6, 301), 3)
+        _dirichlet_stencil(make_grid(-6, 6, 301), 3).toarray()

@@ -25,11 +25,11 @@ import numpy as np
 import pytest
 
 from pdmph import (CATALOG, FAMILIES, CoefficientSet, GeneratingSpec,
-                   MassProfile, SystemBuilder, build_d, build_d_dagger,
-                   build_d_tilde, build_d_tilde_dagger, build_eta_parity,
-                   build_eta_tilde, build_eta_tilde_block, build_h_prime,
-                   build_h_prime_block, build_h_prime_dagger, build_parity,
-                   cumint, diff_matrix, make_family, make_grid, run_suite)
+                   MassProfile, SystemBuilder, build_d, build_d_tilde,
+                   build_d_tilde_dagger, build_eta_tilde, build_eta_tilde_block,
+                   build_h_prime, build_h_prime_block, build_h_prime_dagger,
+                   check_parity_eta, cumint, diff_matrix, make_family, make_grid,
+                   run_suite)
 from pdmph import grid as grid_module
 from pdmph.grid import _weights
 from pdmph.verify import CHECK_NAMES
@@ -123,7 +123,6 @@ def dense_builders(ds):
     dd = add_diagonal(-dscale(U + 0j, D1), -b.Up, np.conj(ds.phi))
     ops = {
         "D": d,
-        "D_dagger": dd,
         "D_tilde": add_diagonal(d.copy(), -1j * ds.a),
         "D_tilde_dagger": add_diagonal(dd.copy(), 1j * np.conj(ds.a)),
         "eta_tilde": second_order(U**2, c.K, (c.L,), D1, D2),
@@ -139,7 +138,6 @@ def sparse_builders(ds, c):
     grid, b = ds.grid, ds.bundle
     return {
         "D": build_d(ds.phi, b, grid),
-        "D_dagger": build_d_dagger(ds.phi, b, grid),
         "D_tilde": build_d_tilde(ds.phi, ds.a, b, grid),
         "D_tilde_dagger": build_d_tilde_dagger(ds.phi, ds.a, b, grid),
         "eta_tilde": build_eta_tilde(c, b, grid, mode="direct"),
@@ -158,23 +156,31 @@ def test_builders_match_dense_assembly(name):
     spec = GeneratingSpec(fam, gauge_a=("scaled-g", 0.5))
     ds = make_family(spec, _profile(kind), make_grid(*CATALOG[fam][1], 401))
     dense, c = dense_builders(ds)
-    for kind_name, op in sparse_builders(ds, c).items():
-        assert op.kind == kind_name
-        assert np.array_equal(op.mat, dense[kind_name]), kind_name
+    for key, op in sparse_builders(ds, c).items():
+        assert np.array_equal(op.mat, dense[key]), key
     prod = build_eta_tilde(c, ds.bundle, ds.grid, mode="product", phi=ds.phi, a=ds.a)
     ref = dense["D_tilde_dagger"] @ dense["D_tilde"]
     assert np.abs(prod.mat - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_parity_builders_match_dense_assembly():
-    g = make_grid(-8.0, 8.0, 401)
-    ds = make_family(GeneratingSpec("scarf2", gauge_a=("scaled-g", 0.5)),
-                     MassProfile.rational(), g)
-    P = np.eye(g.n)[::-1].copy()
-    assert np.array_equal(build_parity(g).mat, P)
-    phase = 2.0 * cumint(ds.a / ds.bundle.U, g, g.index_nearest(0.0))
-    assert np.array_equal(build_eta_parity(ds.a, ds.bundle, g).mat,
-                          np.exp(1j * phase)[:, None] * P)
+def test_parity_eta_matches_dense_assembly():
+    # the check reads the metric's phase array; the dense route assembled
+    # E = exp(i phase) P and measured its Hermiticity defect entrywise, here
+    # on the zero gauge, an even gauge and an odd gauge
+    xs = np.linspace(-9.0, 9.0, 181)
+    for family, gauge in (("scarf2", ("zero",)), ("scarf2", ("scaled-g", 0.5)),
+                          ("morse", ("table", xs, np.sin(xs)))):
+        b = SystemBuilder("family", MassProfile.rational(), -8.0, 8.0,
+                          spec=GeneratingSpec(family, gauge_a=gauge))
+        ds = b.dressed(401)
+        g = ds.grid
+        P = np.eye(g.n)[::-1]
+        phase = 2.0 * cumint(ds.a / ds.bundle.U, g, g.index_nearest(0.0))
+        E = np.exp(1j * phase)[:, None] * P
+        r = check_parity_eta(b, 401)
+        assert r.residuals == [np.abs(E - E.conj().T).max()], gauge[0]
+        assert r.notes["parity_squared_defect"] == np.abs(P @ P - np.eye(g.n)).max()
+        assert r.verdict == ("fail" if gauge[0] == "table" else "pass")
 
 
 def test_cached_stencils_are_read_only():
