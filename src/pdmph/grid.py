@@ -9,7 +9,6 @@ the central stencils apply.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,9 +17,32 @@ from .errors import IOFormatError, InvalidDomainError
 
 EPS = float(np.finfo(float).eps)
 
+# Every stencil and quadrature weight, exactly, as integers over a common
+# denominator (Fornberg, Math. Comp. 51, 699 (1988)); each reader rounds a
+# weight once, as k / 12.0 or k / 1440.0.  A row is keyed by the offset of
+# its first node from the node it serves (stencils) or from the left node of
+# the interval it integrates (quadrature).
+#   1, 2: d/dx and d2/dx2 over 12, sum_k w_k f(x + (o + k) h) = 12 h^order
+#         f^(order)(x) to 4th order: offset -2 is the central row, 0 and -1
+#         rows 0 and 1, 2 - nb and 1 - nb rows n - 2 and n - 1 (nb points).
+#   "quad": over 1440, h/1440 sum_k w_k f(x + (o + k) h) integrates the
+#         degree-5 interpolant on the six nodes over [x, x + h]: offset -2
+#         is the interior rule, the others the two intervals at each edge.
+WEIGHTS = {
+    1: {-2: (1, -8, 0, 8, -1),
+        0: (-25, 48, -36, 16, -3), -1: (-3, -10, 18, -6, 1),
+        -3: (-1, 6, -18, 10, 3), -4: (3, -16, 36, -48, 25)},
+    2: {-2: (-1, 16, -30, 16, -1),
+        0: (45, -154, 214, -156, 61, -10), -1: (10, -15, -4, 14, -6, 1),
+        -4: (1, -6, 14, -4, -15, 10), -5: (-10, 61, -156, 214, -154, 45)},
+    "quad": {-2: (11, -93, 802, 802, -93, 11),
+             0: (475, 1427, -798, 482, -173, 27), -1: (-27, 637, 1022, -258, 77, -11),
+             -3: (-11, 77, -258, 1022, 637, -27), -4: (27, -173, 482, -798, 1427, 475)},
+}
+
 # absolute-coefficient sums of the interior stencils, used for roundoff floors
-STENCIL_ABS_D1 = 18.0 / 12.0
-STENCIL_ABS_D2 = 64.0 / 12.0
+STENCIL_ABS_D1 = sum(map(abs, WEIGHTS[1][-2])) / 12.0
+STENCIL_ABS_D2 = sum(map(abs, WEIGHTS[2][-2])) / 12.0
 # safety factor calibrated against measured matvec roundoff
 FLOOR_SAFETY = 32.0
 
@@ -272,16 +294,6 @@ def make_grid(xmin, xmax, n) -> Grid:
     return Grid(float(xmin), float(xmax), n, h, x)
 
 
-def _weights(offsets, order):
-    """Stencil weights: sum_k w_k f(x + k h) = h^order f^(order)(x), max degree."""
-    offsets = np.asarray(offsets, dtype=float)
-    m = len(offsets)
-    A = np.vander(offsets, m, increasing=True).T
-    b = np.zeros(m)
-    b[order] = math.factorial(order)
-    return np.linalg.solve(A, b)
-
-
 @functools.lru_cache(maxsize=8)
 def _build_stencil(n: int, h: float, order: int) -> Banded:
     """The differentiation matrix of one order, with read-only diagonals.
@@ -293,11 +305,12 @@ def _build_stencil(n: int, h: float, order: int) -> Banded:
     offsets beyond 2 hold two entries each.  Only n and h enter, so they
     (with the order) are the cache key.
     """
-    nb = 6 if order == 2 else 5
-    central = _weights(np.arange(-2, 3), order)
-    edges = [(i, cols[0], _weights(cols - i, order))
-             for i, cols in ((0, np.arange(nb)), (1, np.arange(nb)),
-                             (n - 2, np.arange(n - nb, n)), (n - 1, np.arange(n - nb, n)))]
+    weights = {o: np.array(row) / 12.0 for o, row in WEIGHTS[order].items()}
+    nb = len(weights[0])
+    central = weights[-2]
+    # (row, column of its first weight, weights)
+    edges = [(i, c0, weights[c0 - i])
+             for i, c0 in ((0, 0), (1, 0), (n - 2, n - nb), (n - 1, n - nb))]
     hp = h**order
     offsets = range(1 - nb, nb)
     spans, diagonals = [], []
@@ -334,31 +347,16 @@ def diff_matrix(grid: Grid, order: int) -> OperatorMatrix:
     return OperatorMatrix(grid, S)
 
 
-_quad_cache = {}
-
-
-def _quad_weights(base_off):
-    """Weights integrating the 6-point interpolant over one unit interval.
-
-    The interior stencil (base_off = -2, nodes -2..3) is symmetric about the
-    interval midpoint, so for even integrands on a parity-capable grid the
-    per-interval increments mirror exactly and cumulative phases come out
-    exactly antisymmetric.
-    """
-    if base_off not in _quad_cache:
-        offs = np.arange(6.0) + base_off
-        A = np.vander(offs, 6, increasing=True).T
-        b = np.array([1.0 / (k + 1) for k in range(6)])
-        _quad_cache[base_off] = np.linalg.solve(A, b)
-    return _quad_cache[base_off]
-
-
 def cumint(values, grid: Grid, anchor: int):
     """Antiderivative F of the sampled values with F(x[anchor]) = 0 and F' = values.
 
     Each interval is integrated with the degree-5 interpolatory rule on the
-    six nearest nodes (clamped at the edges), so polynomials up to degree 5
-    integrate exactly and smooth integrands converge at 6th order.
+    six nearest nodes (clamped at the edges; WEIGHTS["quad"]), so polynomials
+    up to degree 5 integrate exactly and smooth integrands converge at 6th
+    order.  The interior rule is exactly mirror-symmetric, but its terms sum
+    in node order and the increments accumulate from the left, so for an
+    even integrand on a parity-capable grid F - F[anchor] is antisymmetric
+    only to rounding (2.9e-15 for sech x on [-8, 8] at n = 801).
     """
     y = np.asarray(values)
     n, h = grid.n, grid.h
@@ -367,14 +365,13 @@ def cumint(values, grid: Grid, anchor: int):
     if not (0 <= anchor < n):
         raise InvalidDomainError(f"anchor index {anchor} outside grid of {n} points")
     inc = np.empty(n - 1, dtype=y.dtype if np.iscomplexobj(y) else float)
-    # intervals i in [2, n-4] share the midpoint-symmetric weights; vectorize
-    w = _quad_weights(-2)
-    stack = sum(wk * y[k:k + n - 5] for k, wk in enumerate(w))
+    w = {o: np.array(row) / 1440.0 for o, row in WEIGHTS["quad"].items()}
+    # intervals i in [2, n-4] share the interior rule; vectorize
+    stack = sum(wk * y[k:k + n - 5] for k, wk in enumerate(w[-2]))
     inc[2:n - 3] = h * stack
     for i in (0, 1, n - 3, n - 2):
         base = min(max(i - 2, 0), n - 6)
-        wb = _quad_weights(base - i)
-        inc[i] = h * (wb @ y[base:base + 6])
+        inc[i] = h * (w[base - i] @ y[base:base + 6])
     F = np.concatenate(([0.0], np.cumsum(inc)))
     return F - F[anchor]
 

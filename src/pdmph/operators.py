@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDomainError
-from .grid import Banded, Grid, OperatorMatrix, _hull, _padded, diff_matrix
+from .grid import WEIGHTS, Banded, Grid, OperatorMatrix, _hull, _padded, diff_matrix
 from .profiles import ProfileBundle
 
 
@@ -183,18 +183,17 @@ def build_h_prime_dagger(V, a, ap, bundle: ProfileBundle, grid: Grid) -> Operato
 def _dirichlet_stencil(grid: Grid, order: int):
     """Interior-block derivative matrix (banded) with odd reflection through the walls.
 
-    Both orders are pentadiagonal on offsets -2..2.  The closure keeps the
-    pure second-derivative block exactly symmetric.  Eigenvalues converge at
-    4th order only when M1 vanishes at the walls (see the module
-    docstring); with U' != 0 there the observed order is about 2.
+    Both orders are pentadiagonal: the central rows of grid.WEIGHTS on
+    offsets -2..2.  The closure keeps the pure second-derivative block
+    exactly symmetric.  Eigenvalues converge at 4th order only when M1
+    vanishes at the walls (see the module docstring); with U' != 0 there
+    the observed order is about 2.
     """
     h, m = grid.h, grid.n - 2
-    if order == 1:
-        c = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-    elif order == 2:
-        c = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
-    else:
+    denominator = {1: 12.0 * h, 2: 12.0 * h * h}
+    if order not in denominator:
         raise InvalidDomainError(f"derivative order must be 1 or 2, got {order}")
+    c = np.array(WEIGHTS[order][-2]) / denominator[order]
     spans = [(max(0, -o), min(m, m - o)) for o in range(-2, 3)]
     diagonals = [np.full(hi - lo, ck) for (lo, hi), ck in zip(spans, c)]
     # odd images: node -1 mirrors interior node 0, node n mirrors node m-1

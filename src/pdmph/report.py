@@ -195,6 +195,10 @@ def _validate(cfg, setby):
     if cfg["grid"]["xmin"] is None or cfg["grid"]["xmax"] is None:
         domain = CATALOG.get(fam, (None, (-8.0, 8.0), None))[1]
         cfg["grid"]["xmin"], cfg["grid"]["xmax"] = domain
+    if "parity-eta" in cfg["checks"] and not (cfg["grid"]["xmin"] == -cfg["grid"]["xmax"]
+                                              and cfg["refine"][0] % 2 == 1):
+        raise ConfigError("parity-eta needs a grid symmetric about 0: xmin = -xmax "
+                          "and an odd coarsest refine level")
     if cfg["corruption"] is not None:
         cor = cfg["corruption"]
         if (not isinstance(cor, dict) or set(cor) - {"target", "amount"}

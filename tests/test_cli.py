@@ -401,6 +401,10 @@ def _failing_eig(mat):
       "--n", "999"], None, 2),
     (["verify", "--refine", "101,201,401", "--checks", "eq25"], {"grid": {"n": 999}}, 2),
     (["verify", "--refine", "101,201,401", "--checks", "eq25"], {"eig_levels": [301, 401]}, 2),
+    (["verify", "--family", "morse", "--checks", "parity-eta,eq25", "--refine", "101,201,401"],
+     None, 2),
+    (["verify", "--family", "scarf2", "--checks", "parity-eta", "--refine", "100,201,401"],
+     None, 2),
     (["verify", "--family", "morse", "--g-const", "7"], None, 2),
     (["verify", "--family", "hermitian-limit", "--alpha", "7"], None, 2),
     (["verify"], {"family": "custom-table", "g_table": "g.csv", "alpha": 2.0}, 2),
@@ -448,7 +452,8 @@ def _failing_eig(mat):
         "2-refine-flag-on-generate", "2-refine-config-on-spectrum",
         "2-checks-flag-on-spectrum", "2-checks-config-on-generate",
         "2-eig-levels-config-on-generate", "2-n-flag-on-verify", "2-n-config-on-verify",
-        "2-eig-levels-without-spectral-check",
+        "2-eig-levels-without-spectral-check", "2-parity-eta-on-asymmetric-domain",
+        "2-parity-eta-on-even-coarsest-level",
         "2-g-const-on-catalog-family", "2-alpha-on-hermitian-limit",
         "2-alpha-config-on-custom-table", "2-delta-on-free", "2-alpha-on-free",
         "2-gauge-on-free", "2-corruption-on-free", "2-mass-scale-config-on-table",

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from pdmph import InvalidDomainError, cumint, diff_matrix, make_grid, observed_order
+from pdmph.grid import WEIGHTS
 
 
 def test_make_grid_rejects_small_n():
@@ -119,3 +122,72 @@ def test_interior_mask_with_margin():
     m = g.interior_mask(4, xmargin=1.0)
     assert not m[:10].any() and not m[-10:].any()
     assert m.sum() > 0
+
+
+# ---------------------------------------------------------------------------
+# the exact weight table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_stencil_rows_solve_their_moment_equations(order):
+    # sum_k w_k (o + k)^j = 12 order! [j = order], in integers, for every
+    # power below the row length
+    assert len(WEIGHTS[order]) == 5
+    for o, w in WEIGHTS[order].items():
+        assert len(w) == (5 if o == -2 else 4 + order), o
+        for j in range(len(w)):
+            moment = sum(k * (o + i) ** j for i, k in enumerate(w))
+            assert moment == 12 * math.factorial(order) * (j == order), (o, j)
+
+
+def test_quadrature_rows_solve_their_moment_equations():
+    # the integral of x^j over [0, 1] is 1/(j + 1): 1440 sum_k w_k (o + k)^j / 1440
+    assert sorted(WEIGHTS["quad"]) == [-4, -3, -2, -1, 0]
+    for o, w in WEIGHTS["quad"].items():
+        for j in range(6):
+            assert sum(k * (o + i) ** j for i, k in enumerate(w)) * (j + 1) == 1440, (o, j)
+
+
+def test_weight_rows_mirror():
+    # reflection x -> -x maps a stencil row on offsets o..o+L-1 to the row on
+    # -(o+L-1)..-o, reversed, times (-1)^order (rows n-2, n-1 mirror rows 1,
+    # 0, the central row itself); an interval [0, 1] maps to itself about 1/2
+    for order in (1, 2):
+        for o, w in WEIGHTS[order].items():
+            mirror = WEIGHTS[order][-(o + len(w) - 1)]
+            assert mirror == tuple((-1) ** order * k for k in reversed(w)), (order, o)
+    for o, w in WEIGHTS["quad"].items():
+        assert WEIGHTS["quad"][-4 - o] == tuple(reversed(w)), o
+
+
+def _interior_rows(order, n=41):
+    g = make_grid(-2.0, 10.0, n)
+    return diff_matrix(g, order).mat[2:n - 2], g
+
+
+def test_central_first_derivative_row_is_exactly_antisymmetric():
+    M, g = _interior_rows(1)
+    i = np.arange(2, g.n - 2)
+    assert np.all(M[i - 2, i] == 0.0)
+    for k in (1, 2):
+        assert np.array_equal(M[i - 2, i + k], -M[i - 2, i - k]), k
+
+
+def test_first_derivative_main_diagonal_is_zero_in_the_interior():
+    g = make_grid(-2.0, 10.0, 4001)
+    D = diff_matrix(g, 1).form
+    k = D.offsets.index(0)
+    lo, _ = D.spans[k]
+    assert np.all(D.diagonals[k][2 - lo:g.n - 2 - lo] == 0.0)
+
+
+def test_central_second_derivative_row_is_exactly_symmetric():
+    M, g = _interior_rows(2)
+    i = np.arange(2, g.n - 2)
+    for k in (1, 2):
+        assert np.array_equal(M[i - 2, i + k], M[i - 2, i - k]), k
+
+
+def test_interior_quadrature_row_is_exactly_symmetric():
+    w = np.array(WEIGHTS["quad"][-2]) / 1440.0
+    assert np.array_equal(w, w[::-1])

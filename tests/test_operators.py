@@ -5,7 +5,7 @@ from pdmph import (CoefficientSet, GeneratingSpec, InvalidDomainError,
                    MassProfile, SystemBuilder, build_d, build_d_tilde,
                    build_d_tilde_dagger, build_eta_tilde, build_h_prime,
                    build_h_prime_dagger, check_parity_eta, check_tau,
-                   default_probes, make_family, make_grid, observed_order)
+                   default_probes, make_family, make_grid, observed_order, run_suite)
 from pdmph.grid import cumint
 from pdmph.operators import _dirichlet_stencil
 
@@ -172,15 +172,18 @@ def parity_builder(domain=(-6.0, 6.0), profile=None, gauge=("zero",)):
                          spec=GeneratingSpec("scarf2", gauge_a=gauge))
 
 
-def test_parity_squared_identity():
-    assert check_parity_eta(parity_builder(), 301).notes["parity_squared_defect"] == 0.0
-
-
 def test_parity_needs_symmetric_grid():
     with pytest.raises(InvalidDomainError):
         check_parity_eta(parity_builder((0.1, 6.0)), 301)
     with pytest.raises(InvalidDomainError):
         check_parity_eta(parity_builder(), 300)
+
+
+def test_suite_refuses_parity_eta_on_an_asymmetric_grid():
+    # no silent skip: a library caller gets the check's own error
+    for domain, ns in (((0.1, 6.0), [101, 201, 401]), ((-6.0, 6.0), [100, 201, 401])):
+        with pytest.raises(InvalidDomainError):
+            run_suite(parity_builder(domain), ["eq25", "parity-eta"], ns)
 
 
 def test_eta_parity_trivial_gauge_is_parity():

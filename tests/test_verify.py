@@ -345,7 +345,6 @@ def test_parity_eta_check():
     b = builder("scarf2", domain=(-8.0, 8.0), gauge_a=("scaled-g", 1.0))
     r = check_parity_eta(b, 801)
     assert r.verdict == "pass"
-    assert r.notes["parity_squared_defect"] == 0.0
 
 
 # ---------------------------------------------------------------------------
