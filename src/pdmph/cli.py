@@ -21,8 +21,7 @@ from .pipeline import GeneratingSpec, catalog_rows, load_xy_table, to_csv
 from .profiles import MassProfile
 from .report import (GAUGE_PARAMS, MASS_PARAMS, SYSTEM_PRESETS, _set_keys, build_report,
                      emit_json, payload_config, resolve_config, write_report)
-from .verify import (PROBES, TOLERANCES, SystemBuilder, run_suite, spectral_for,
-                     spectral_payload)
+from .verify import PROBES, TOLERANCES, SystemBuilder, run_suite, spectral_payload
 
 
 def _color(text, code, enabled):
@@ -251,7 +250,7 @@ def cmd_spectrum(args):
         raise ConfigError(f"--list-cap must be at least 1, got {args.list_cap}")
     n = cfg["grid"]["n"]
     builder = _builder_from(cfg)
-    sp = spectral_for(builder, n)
+    sp = builder.spectral(n)
     payload = {
         "toolkit": {"name": "pdmph", "version": __version__},
         "config": payload_config(cfg),

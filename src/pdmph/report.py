@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import BudgetExceededError, ConfigError
 from .pipeline import CATALOG, FAMILIES
-from .verify import CHECK_NAMES, CORRUPTION_TARGETS, EIG_BUDGET, EIG_LEVELS
+from .verify import CHECKS, CORRUPTION_TARGETS, EIG_BUDGET, EIG_LEVELS, PAD
 
 SYSTEM_PRESETS = ("hermitian-limit", "free")
 
@@ -171,27 +171,32 @@ def _validate(cfg, setby):
             raise ConfigError(f"{key} {kind} {value!r} reads no path")
         if "scale" not in params[value] and f"{key}.scale" in setby:
             raise ConfigError(f"{key} {kind} {value!r} reads no scale")
-    unknown = set(cfg["checks"]) - set(CHECK_NAMES)
+    unknown = set(cfg["checks"]) - set(CHECKS)
     if unknown:
         raise ConfigError(f"unknown checks {sorted(unknown)}")
-    if cfg["detune"] is not None and "intertwining" not in cfg["checks"]:
-        raise ConfigError("detune is read only by the intertwining check, "
-                          "which is not in checks")
     if len(cfg["refine"]) < 3:
         raise ConfigError("refine needs at least three levels for order fits")
+    if cfg["refine"][0] < 2 * PAD + 1:
+        raise ConfigError(f"coarsest refine level {cfg['refine'][0]}: a check window "
+                          f"needs at least {2 * PAD + 1} points")
     for key, levels in (("refine", cfg["refine"]), ("eig_levels", cfg["eig_levels"]),
                         ("grid.n", [cfg["grid"]["n"]])):
         if levels and levels[-1] > MAX_POINTS:
             raise ConfigError(f"{key} asks for {levels[-1]} grid points; "
                               f"the maximum is {MAX_POINTS}")
-    if "eig_levels" in setby and not {"spectrum", "eq29"} & set(cfg["checks"]):
-        raise ConfigError("eig_levels: read only by the spectrum and eq29 checks, not in checks")
+    # a run option or level list that no requested check reads is refused
+    for key in ("detune", "eig_levels"):
+        readers = [k for k, row in CHECKS.items() if key in (row.levels, *row.options)]
+        if key in setby and not set(readers) & set(cfg["checks"]):
+            raise ConfigError(f"{key}: read by {', '.join(readers)}, not by checks {cfg['checks']}")
     if "spectrum" in cfg["checks"] and len(cfg["eig_levels"]) < 2:
         raise ConfigError("the spectrum check compares two eig_levels")
-    eig_n = max(cfg["eig_levels"], default=0)
-    if {"spectrum", "eq29"} & set(cfg["checks"]) and eig_n > EIG_BUDGET:
-        raise BudgetExceededError(f"dense eigensolve at n = {eig_n} (eig_levels) "
-                                  f"exceeds the budget ({EIG_BUDGET} grid points)")
+    if any(CHECKS[k].levels == "eig_levels" for k in cfg["checks"]):
+        if not cfg["eig_levels"]:
+            raise ConfigError(f"checks {cfg['checks']} read eig_levels, which is empty")
+        if cfg["eig_levels"][-1] > EIG_BUDGET:
+            raise BudgetExceededError(f"dense eigensolve at n = {cfg['eig_levels'][-1]} "
+                                      f"(eig_levels) exceeds the budget ({EIG_BUDGET} grid points)")
     if cfg["grid"]["xmin"] is None or cfg["grid"]["xmax"] is None:
         domain = CATALOG.get(fam, (None, (-8.0, 8.0), None))[1]
         cfg["grid"]["xmin"], cfg["grid"]["xmax"] = domain

@@ -118,7 +118,8 @@ class SystemBuilder:
 
     The dressed system of each resolution (and corruption) is built once and
     kept with read-only arrays; `dressed` hands out shallow copies, so a
-    caller may rebind attributes but not edit the arrays.
+    caller may rebind attributes but not edit the arrays.  `spectral` keeps
+    one eigendecomposition, the last one solved, under the same key.
     """
 
     kind: str                      # "family", "free"
@@ -128,6 +129,7 @@ class SystemBuilder:
     spec: GeneratingSpec = None
     corruption: tuple = None       # (target, amount) or None
     _dressed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _spectral: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def grid(self, n):
         return make_grid(self.xmin, self.xmax, n)
@@ -157,6 +159,17 @@ class SystemBuilder:
         z, zc = np.zeros(grid.n), np.zeros(grid.n, complex)
         return SimpleNamespace(grid=grid, bundle=self.profile.sample(grid), f=z, fp=z,
                                g=z, gp=z, a=z, ap=z, V=zc, phi=zc)
+
+    def spectral(self, n) -> SpectralResult:
+        """Eigendecomposition of the Dirichlet block at n, from a one-slot
+        cache: the decomposition held is dropped before a new one is solved."""
+        key = (n, self.corruption)
+        if key not in self._spectral:
+            self._spectral.clear()
+            inp = self.inputs(n)
+            self._spectral[key] = eigendecompose(
+                build_h_prime_block(inp.V, inp.a, inp.ap, inp.bundle, inp.grid))
+        return self._spectral[key]
 
 
 def _coefficients(inp):
@@ -720,40 +733,31 @@ def check_spectrum(builder: SystemBuilder, eig_levels):
     eig_levels = sorted(set(eig_levels))[-2:]
     if len(eig_levels) < 2:
         raise InvalidDomainError(f"spectrum needs two distinct eig levels, got {eig_levels}")
-    spectra = []
-    levels = []
+    levels, counts, solvers = [], [], []
     for n in eig_levels:
-        if spectra:
-            # only the finest level's eigenvectors are used again (by eq29)
-            spectra[-1].eigenvectors = None
-        sp = spectral_for(builder, n)
-        spectra.append(sp)
+        sp = builder.spectral(n)
+        if not levels:
+            # compare counts only over the part of the spectrum the coarser grid
+            # resolves with sub-percent dispersion (phase per step <= 0.8 rad)
+            cap = sp.eigenvalues.real.min() + 0.64 / sp.grid.h**2
         levels.append(CheckLevel(n, sp.grid.h, sp.backward_error, EPS))
+        counts.append(_spectral_window_counts(sp, cap))
+        solvers.append(sp.solver)
+        del sp   # builder.spectral frees the coarser decomposition before the finer solve
     res = CheckResult("spectrum", "dense spectrum bookkeeping", levels)
-    # compare counts only over the part of the spectrum the coarser grid
-    # resolves with sub-percent dispersion (phase per step <= 0.8 rad)
-    re0 = spectra[0].eigenvalues.real
-    cap = re0.min() + 0.64 / spectra[0].grid.h**2
-    counts = [_spectral_window_counts(sp, cap) for sp in spectra]
     res.notes["window_cap"] = float(cap)
     res.notes["counts"] = counts
-    res.notes["solver"] = [sp.solver for sp in spectra]
+    res.notes["solver"] = solvers
     stable = all(abs(counts[0][k] - counts[1][k]) <= 2 for k in counts[0])
     ok = stable and all(lv.residual <= TOLERANCES["eig_backward"] for lv in levels)
     res.threshold = TOLERANCES["eig_backward"]
     res.verdict = "pass" if ok else "fail"
     res.observed_order = None
     res.notes["order"] = "not applicable to spectral bookkeeping"
-    return res, spectra[-1]
+    return res
 
 
-def spectral_for(builder: SystemBuilder, n):
-    """Eigendecompose the configured system's Dirichlet block at resolution n."""
-    inp = builder.inputs(n)
-    return eigendecompose(build_h_prime_block(inp.V, inp.a, inp.ap, inp.bundle, inp.grid))
-
-
-def check_eq29(builder: SystemBuilder, n, spectral=None):
+def check_eq29(builder: SystemBuilder, n):
     """Spectral structure of the metric-weighted Gram matrix.
 
     G_jk = <v_j | w eta | v_k> over the computed eigenbasis.  The exact
@@ -765,8 +769,8 @@ def check_eq29(builder: SystemBuilder, n, spectral=None):
     asserted at the relative tolerance; above it the same numbers are
     emitted reported-only with defect-scaled tolerances.
 
-    `spectral` is the decomposition of the same block at n when the caller
-    already has it (the spectrum check's finest level); it is not repeated.
+    The decomposition comes from `builder.spectral(n)`, so one the spectrum
+    check solved at n is not repeated.
     The eigenvectors (complex on either solver route) are conjugated in
     place for the product and restored bit for bit, so with them the
     working set peaks at three complex m x m arrays while G is formed (the
@@ -775,14 +779,12 @@ def check_eq29(builder: SystemBuilder, n, spectral=None):
     or columns.
     """
     tol = TOLERANCES
+    sp = builder.spectral(n)
     inp = builder.inputs(n)
     grid, b = inp.grid, inp.bundle
     coeffs = _coefficients(inp)
     hb = build_h_prime_block(inp.V, inp.a, inp.ap, b, grid)
     eb = build_eta_tilde_block(coeffs, b, grid)
-    if spectral is not None and spectral.grid.n != n:
-        raise InvalidDomainError(f"spectral result of n = {spectral.grid.n} given for n = {n}")
-    sp = spectral if spectral is not None else eigendecompose(hb)
     V = sp.eigenvectors
     E = sp.eigenvalues
     m = len(E)
@@ -854,7 +856,7 @@ def check_eq29(builder: SystemBuilder, n, spectral=None):
     else:
         res.threshold = tol_scaled
         res.verdict = "reported-only"
-    return res, sp
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -863,26 +865,29 @@ def check_eq29(builder: SystemBuilder, n, spectral=None):
 
 @dataclass(frozen=True)
 class Check:
-    """An identity check declared once: the name of the module function
-    `run_suite` calls, one (name, law) pair per result in payload order,
-    the pointwise-residual function (None: no trace), whether it needs a
-    dressed system, and the run options it reads."""
+    """A check declared once: the name of the module function `run_suite`
+    calls, one (name, law) pair per result in payload order, the
+    pointwise-residual function (None: no trace), whether it needs a
+    dressed system, the run options it reads, and the levels it takes: the
+    `levels` list ("refine" or "eig_levels"), whole or only its entry `pick`."""
 
     run: str
     results: tuple
     residual: object = None
     dressed: bool = True
-    options: tuple = ()
+    options: tuple = ("trace_dir",)
+    levels: str = "refine"
+    pick: int = None
 
 
-# the identity checks, in canonical payload order
+# every check, in canonical payload order
 CHECKS = {
     "eq25": Check("check_eq25", (("eq25", "conjugation balance"),), _eq25),
     "eq26": Check("check_eq26", (("eq26", "gradient balance"),), _eq26),
     "eq28": Check("_check_eq28", (("eq28", "zeroth-order balance (sampled)"),), _eq28,
                   dressed=False),
     "intertwining": Check("check_intertwining", (("intertwining", "metric intertwining"),),
-                          _intertwining, dressed=False, options=("detune",)),
+                          _intertwining, dressed=False, options=("detune", "trace_dir")),
     "groundstate": Check("check_groundstate", (("groundstate", "first-order annihilation"),
                                                ("groundstate-eigen", "eigen-residual")),
                          _groundstate),
@@ -891,9 +896,14 @@ CHECKS = {
     "eta-hermiticity": Check("check_eta", (("eta-hermiticity", "metric Hermiticity"),
                                            ("eta-dual", "metric dual construction")),
                              _eta, dressed=False),
-    "parity-eta": Check("check_parity_eta", (("parity-eta", "parity metric Hermiticity"),)),
+    "parity-eta": Check("check_parity_eta", (("parity-eta", "parity metric Hermiticity"),),
+                        options=(), pick=0),
+    "spectrum": Check("check_spectrum", (("spectrum", "dense spectrum bookkeeping"),),
+                      dressed=False, options=(), levels="eig_levels"),
+    "eq29": Check("check_eq29", (("eq29", "metric Gram structure"),), dressed=False,
+                  options=(), levels="eig_levels", pick=-1),
 }
-CHECK_NAMES = (*CHECKS, "spectrum", "eq29")
+CHECK_NAMES = tuple(CHECKS)
 
 
 def run_suite(builder: SystemBuilder, checks, ns, eig_levels=EIG_LEVELS, detune=None,
@@ -905,46 +915,31 @@ def run_suite(builder: SystemBuilder, checks, ns, eig_levels=EIG_LEVELS, detune=
 
     Checks run one after another and results come back in the canonical
     check order whatever the order of the levels, so report payloads are
-    deterministic.
+    deterministic.  The spectral summary describes the decomposition at the
+    finest eig level, if one was solved; the builder keeps none afterwards.
     """
-    unknown = set(checks) - set(CHECK_NAMES)
+    unknown = set(checks) - set(CHECKS)
     if unknown:
         raise InvalidDomainError(f"unknown checks: {sorted(unknown)}")
     ns = sorted(ns)
-    eig_levels = sorted(eig_levels)
-
-    given = {"detune": detune}
+    given = {"refine": ns, "eig_levels": sorted(eig_levels), "detune": detune,
+             "trace_dir": trace_dir}
     results = []
     for key, row in CHECKS.items():
         if key not in checks or (row.dressed and builder.kind != "family"):
             continue
-        run = globals()[row.run]   # per call, so wrappers rebound here see it
-        if row.residual is None:
-            results.append(run(builder, ns[0]))   # parity-eta: one level
-            continue
-        out = run(builder, ns, trace_dir=trace_dir, **{k: given[k] for k in row.options})
+        levels = given[row.levels] if row.pick is None else given[row.levels][row.pick]
+        try:
+            # looked up per call, so wrappers rebound here see it
+            out = globals()[row.run](builder, levels, **{k: given[k] for k in row.options})
+        except EigensolverError as exc:
+            out = _solver_failure(key, exc)
         results += [out] if isinstance(out, CheckResult) else out
 
-    spectral_summary = finest = None
-    if "spectrum" in checks:
-        try:
-            sres, finest = check_spectrum(builder, eig_levels)
-            spectral_summary = spectral_payload(finest)
-        except EigensolverError as exc:
-            sres = _solver_failure("spectrum", exc)
-        results.append(sres)
-    if "eq29" in checks:
-        try:
-            # the spectrum check's finest level is eig_levels[-1]: reuse it
-            eres, sp = check_eq29(builder, eig_levels[-1], spectral=finest)
-            if spectral_summary is None:
-                spectral_summary = spectral_payload(sp)
-        except EigensolverError as exc:
-            eres = _solver_failure("eq29", exc)
-        results.append(eres)
-
     findings = _standing_findings(builder, ns)
-    return results, spectral_summary, findings
+    finest = builder._spectral.pop((max(eig_levels, default=None), builder.corruption), None)
+    builder._spectral.clear()
+    return results, spectral_payload(finest) if finest else None, findings
 
 
 def _solver_failure(name, exc):

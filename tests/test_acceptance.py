@@ -225,8 +225,7 @@ def test_criterion_08_eta_gram_structure():
     ok = True
     detail = []
     # exact regime: measured defect < 1e-8 must imply the Gram structure
-    r_free, _ = check_eq29(SystemBuilder("free", MassProfile.constant(),
-                                         -8.0, 8.0), 1001)
+    r_free = check_eq29(SystemBuilder("free", MassProfile.constant(), -8.0, 8.0), 1001)
     exact_ok = (r_free.notes["exact_regime"]
                 and r_free.verdict == "pass"
                 and max(r_free.notes["violation_i_rel"],
@@ -239,7 +238,7 @@ def test_criterion_08_eta_gram_structure():
     # intertwining even in the Hermitian limit for nonvanishing g)
     for name, b in (("hermitian", hermitian_builder(domain=(-8.0, 8.0))),
                     ("scarf2", sys_builder("scarf2", "constant"))):
-        r, _ = check_eq29(b, 801)
+        r = check_eq29(b, 801)
         good = (r.verdict == "reported-only"
                 and not r.notes["exact_regime"]
                 and r.notes["defect_scaled_tolerance"] >= 1e-8)

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,10 +14,11 @@ from pdmph import (CATALOG, FAMILIES, BudgetExceededError, GeneratingSpec,
                    check_groundstate, check_intertwining, check_parity_eta,
                    check_spectrum, check_tau, diff_matrix, eigendecompose, make_grid,
                    residual_eq28, run_suite)
+from pdmph.cli import main
 from pdmph.errors import InvalidDomainError
 from pdmph.operators import OperatorMatrix
 from pdmph.pipeline import assemble_potential
-from pdmph.verify import CHECK_NAMES, CHECKS, CheckResult, detuned
+from pdmph.verify import CHECK_NAMES, CHECKS, Check, CheckLevel, CheckResult, detuned
 
 NS = [301, 501, 1001]
 NS_FINE = [501, 1001, 2001]
@@ -419,13 +422,10 @@ def test_spectral_working_set(family, profile, solver):
         b = SystemBuilder("free", profile, -3.0, 4.0)
     else:
         b = builder(family, profile=profile, domain=(-3.0, 4.0))
-    inp = b.inputs(501)
-    hb = build_h_prime_block(inp.V, inp.a, inp.ap, inp.bundle, inp.grid)
-    spectra = []
-    assert _peak_in_units(lambda: spectra.append(eigendecompose(hb)), 499) <= 3.25
-    sp = spectra[0]
-    assert sp.solver == solver
-    assert _peak_in_units(lambda: check_eq29(b, 501, spectral=sp), 499) <= 2.25
+    b.inputs(501)   # the dressed system is built before the traced solve
+    assert _peak_in_units(lambda: b.spectral(501), 499) <= 3.25
+    assert b.spectral(501).solver == solver
+    assert _peak_in_units(lambda: check_eq29(b, 501), 499) <= 2.25
 
 
 @pytest.mark.parametrize("family,profile,solver", [("morse", "rational", "eig"),
@@ -437,11 +437,11 @@ def test_eq29_leaves_the_eigenvectors_unchanged(family, profile, solver):
         b = SystemBuilder("free", profile, -3.0, 4.0)
     else:
         b = builder(family, profile=profile, domain=(-3.0, 4.0))
-    sp = verify_module.spectral_for(b, 501)
+    sp = b.spectral(501)
     assert sp.solver == solver
     before = sp.eigenvectors.tobytes()
-    check_eq29(b, 501, spectral=sp)
-    assert sp.eigenvectors.tobytes() == before
+    check_eq29(b, 501)
+    assert b.spectral(501) is sp and sp.eigenvectors.tobytes() == before
 
 
 @pytest.mark.parametrize("check,bound_mb", [(check_intertwining, 3.0), (check_tau, 2.0),
@@ -467,19 +467,40 @@ def test_probe_check_working_set(check, bound_mb):
     assert peak <= bound_mb * 1e6
 
 
-def test_spectrum_keeps_only_the_finest_eigenvectors(monkeypatch):
-    spectra, real = [], verify_module.spectral_for
-    monkeypatch.setattr(verify_module, "spectral_for",
-                        lambda b, n: spectra.append(real(b, n)) or spectra[-1])
+def test_spectrum_holds_no_coarse_eigenvectors_in_the_fine_solve(monkeypatch):
+    # when each solve starts, no earlier solve's eigenvectors are alive: the
+    # builder's one slot drops them and the spectrum check keeps no reference
+    solved, alive_at_start, real = [], [], verify_module.eigendecompose
+
+    def watching(h_block):
+        alive_at_start.append([ref() is not None for ref in solved])
+        sp = real(h_block)
+        solved.append(weakref.ref(sp.eigenvectors))
+        return sp
+
+    monkeypatch.setattr(verify_module, "eigendecompose", watching)
     b = builder("morse", profile=MassProfile.rational(), domain=(-3.0, 4.0))
-    _, finest = check_spectrum(b, [101, 201])
-    assert spectra[0].eigenvectors is None
-    assert finest is spectra[1] and finest.eigenvectors.shape == (199, 199)
+    check_spectrum(b, [101, 201])
+    assert alive_at_start == [[], [False]]
+    assert b.spectral(201).eigenvectors.shape == (199, 199) and len(solved) == 2
+
+
+def test_run_suite_leaves_no_decomposition(monkeypatch):
+    solved, real = [], verify_module.eigendecompose
+    monkeypatch.setattr(verify_module, "eigendecompose",
+                        lambda h_block: solved.append(real(h_block)) or solved[-1])
+    b = builder("morse", profile=MassProfile.rational(), domain=(-3.0, 4.0))
+    _, spectral, _ = run_suite(b, ["spectrum", "eq29"], NS, eig_levels=[101, 201])
+    assert spectral["total"] == 199
+    refs = [weakref.ref(sp.eigenvectors) for sp in solved]
+    solved.clear()
+    assert [ref() is None for ref in refs] == [True, True]
 
 
 def test_eq29_free_particle_exact_regime():
     b = SystemBuilder("free", MassProfile.constant(), -8.0, 8.0)
-    r, sp = check_eq29(b, 801)
+    r = check_eq29(b, 801)
+    sp = b.spectral(801)
     assert r.verdict == "pass"
     assert r.notes["exact_regime"]
     assert r.notes["violation_i_rel"] == 0.0
@@ -491,7 +512,7 @@ def test_eq29_hermitian_limit_reported_only():
     # wall truncation breaks the eigenvector-level intertwining for a
     # nonvanishing constant g, so the Gram structure is defect-limited and
     # the check reports rather than asserts
-    r, _ = check_eq29(hermitian_builder(domain=(-8.0, 8.0)), 801)
+    r = check_eq29(hermitian_builder(domain=(-8.0, 8.0)), 801)
     assert r.verdict == "reported-only"
     assert not r.notes["exact_regime"]
     assert r.notes["defect_on_eigenvectors"] > 1e-8
@@ -499,13 +520,13 @@ def test_eq29_hermitian_limit_reported_only():
 
 
 def test_eq29_family_reported_only():
-    r, _ = check_eq29(builder("scarf2", domain=(-8.0, 8.0)), 801)
+    r = check_eq29(builder("scarf2", domain=(-8.0, 8.0)), 801)
     assert r.verdict == "reported-only"
 
 
 def test_spectrum_stability_counts():
     b = hermitian_builder(domain=(-8.0, 8.0))
-    r, sp = check_spectrum(b, [301, 501])
+    r = check_spectrum(b, [301, 501])
     assert r.verdict == "pass"
     counts = r.notes["counts"]
     assert all(abs(counts[0][k] - counts[1][k]) <= 2 for k in counts[0])
@@ -603,7 +624,7 @@ def test_run_suite_order_of_checks_changes_nothing():
                                   eig_levels=[101, 201])
         runs.append([(r.name, r.verdict, np.array(r.residuals).tobytes()) for r in results])
     assert [name for name, _, _ in runs[0]] == [
-        name for key in CHECKS for name, _ in CHECKS[key].results] + ["spectrum", "eq29"]
+        name for key in CHECKS for name, _ in CHECKS[key].results]
     assert all(run == runs[0] for run in runs[1:])
 
 
@@ -681,11 +702,41 @@ def test_eq29_reuses_the_spectrum_decomposition(monkeypatch):
         return real(h_block, *args, **kwargs)
 
     b = builder("morse", profile=MassProfile.rational(), domain=(-3.0, 4.0))
-    alone, _ = check_eq29(b, 201)
+    alone = check_eq29(b, 201)
     monkeypatch.setattr(verify_module, "eigendecompose", counting)
     results, _, _ = run_suite(b, ["spectrum", "eq29"], NS, eig_levels=[101, 201])
     assert sizes == [99, 199]
     assert results[-1].to_dict() == alone.to_dict()
+
+
+def test_a_row_added_to_checks_is_run_judged_and_reported(monkeypatch, tmp_path):
+    # one registry: an eig-level row added to CHECKS, and nothing else, is
+    # run on the spectrum check's finest decomposition, judged and reported
+    # in row order
+    def check_eigenpairs(b, n):
+        sp = b.spectral(n)
+        res = CheckResult("eigenpairs", "one eigenpair per interior node",
+                          [CheckLevel(n, sp.grid.h, sp.backward_error, 0.0)])
+        res.verdict = "pass" if len(sp.eigenvalues) == n - 2 else "fail"
+        return res
+
+    sizes, real = [], verify_module.eigendecompose
+    monkeypatch.setattr(verify_module, "eigendecompose",
+                        lambda h_block: sizes.append(h_block.form.shape[0]) or real(h_block))
+    monkeypatch.setattr(verify_module, "check_eigenpairs", check_eigenpairs, raising=False)
+    monkeypatch.setitem(CHECKS, "eigenpairs", Check(
+        "check_eigenpairs", (("eigenpairs", "one eigenpair per interior node"),),
+        dressed=False, options=(), levels="eig_levels", pick=-1))
+    (tmp_path / "c.json").write_text('{"eig_levels": [101, 201]}')
+    out = tmp_path / "r.json"
+    assert main(["verify", "--family", "morse", "--mass", "rational", "--xmin", "-3",
+                 "--xmax", "4", "--refine", "101,201,401", "--checks", "eigenpairs,eq25,spectrum",
+                 "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    assert [(c["name"], c["verdict"]) for c in payload["checks"]] == [
+        ("eq25", "pass"), ("spectrum", "pass"), ("eigenpairs", "pass")]
+    assert payload["summary"]["pass"] == 3 and payload["spectral"]["total"] == 199
+    assert sizes == [99, 199]
 
 
 def test_run_suite_default_eig_levels_are_the_config_default(monkeypatch):
@@ -693,9 +744,9 @@ def test_run_suite_default_eig_levels_are_the_config_default(monkeypatch):
     # spectrum check compares n = 501 with n = 1001, never a level with itself
     from pdmph.report import CONFIG_DEFAULTS
     assert CONFIG_DEFAULTS["eig_levels"] == list(verify_module.EIG_LEVELS) == [501, 1001]
-    sizes, real = [], verify_module.spectral_for
-    monkeypatch.setattr(verify_module, "spectral_for",
-                        lambda b, n: sizes.append(n) or real(b, n))
+    sizes, real = [], verify_module.eigendecompose
+    monkeypatch.setattr(verify_module, "eigendecompose",
+                        lambda h_block: sizes.append(h_block.grid.n) or real(h_block))
     free = SystemBuilder("free", MassProfile.constant(), -8.0, 8.0)
     results, _, _ = run_suite(free, ["spectrum"], [201, 401, 801])
     assert sizes == [501, 1001]
