@@ -112,16 +112,23 @@ def _padded(span, d, hull):
     return out
 
 
-class Banded:
-    """n x n matrix stored by diagonals, each over its span only, with numpy only.
+class OperatorMatrix:
+    """Banded n x n operator, stored by diagonals, each over its span only.
 
     Diagonal k has offset offsets[k] and covers the row range spans[k] =
     (lo, hi): A[i, i + offsets[k]] = diagonals[k][i - lo] for lo <= i < hi,
     and the diagonal holds no other entry (an empty one has span (0, 0)).
     Offsets ascend.  The diagonals are consecutive views of one 1-D array,
     `data`, so the diagonals that only the one-sided edge rows reach store
-    a few entries, not n.  A product sums each row's terms in column order,
-    starting from zero, as a CSR product does.
+    a few entries, not n.  `op @ v` (`apply`) multiplies a vector, an n x k
+    block or another OperatorMatrix; a product sums each row's terms in
+    column order, starting from zero, as a CSR product does.  `mat` is a
+    dense copy that allocates all n^2 entries: it serves dense eigensolves
+    and tests.
+
+    The benchmark's span tracer (perfbench/tracer.py) wraps `apply` and its
+    alias `__matmul__` on this class by name and reads `mat` of the operator
+    builders' results, so those names stay.
     """
 
     def __init__(self, n, offsets, spans, data):
@@ -155,9 +162,9 @@ class Banded:
     def shape(self):
         return (self.n, self.n)
 
-    def __matmul__(self, other):
-        """Product with a vector, an n x k block or another Banded matrix."""
-        if isinstance(other, Banded):
+    def apply(self, other):
+        """Product with a vector, an n x k block or another OperatorMatrix."""
+        if isinstance(other, OperatorMatrix):
             return self._times(other)
         v = np.asarray(other)
         dtype = np.result_type(self.data, v)
@@ -173,6 +180,8 @@ class Banded:
                 y[lo:hi, c] += d[:, None] * v[lo + o:hi + o, c]
         return y
 
+    __matmul__ = apply
+
     def _times(self, other):
         terms, spans = [], {}
         # ascending offsets in the outer loop: each entry sums in column order
@@ -184,8 +193,8 @@ class Banded:
                                   db[lo + a - lo_b:hi + a - lo_b]))
                     spans[a + b] = _hull((spans.get(a + b, (0, 0)), (lo, hi)))
         offsets = sorted(spans)
-        P = Banded.zeros(self.n, offsets, [spans[o] for o in offsets],
-                         np.result_type(self.data, other.data))
+        P = OperatorMatrix.zeros(self.n, offsets, [spans[o] for o in offsets],
+                                 np.result_type(self.data, other.data))
         out = {o: (lo, d) for o, (lo, _), d in zip(P.offsets, P.spans, P.diagonals)}
         for c, lo, x, y in terms:
             first, d = out[c]
@@ -198,7 +207,7 @@ class Banded:
         theirs = dict(zip(other.offsets, zip(other.spans, other.diagonals)))
         offsets = sorted(mine.keys() | theirs.keys())
         spans = [_hull((mine.get(o, empty)[0], theirs.get(o, empty)[0])) for o in offsets]
-        D = Banded.zeros(self.n, offsets, spans, np.result_type(self.data, other.data))
+        D = OperatorMatrix.zeros(self.n, offsets, spans, np.result_type(self.data, other.data))
         for o, hull, d in zip(offsets, D.spans, D.diagonals):
             np.subtract(_padded(*mine.get(o, empty), hull),
                         _padded(*theirs.get(o, empty), hull), out=d)
@@ -212,7 +221,7 @@ class Banded:
         return float(np.abs((self - other).data).max(initial=0.0))
 
     def __mul__(self, scalar):
-        return Banded(self.n, self.offsets, self.spans, scalar * self.data)
+        return OperatorMatrix(self.n, self.offsets, self.spans, scalar * self.data)
 
     __rmul__ = __mul__
 
@@ -224,8 +233,8 @@ class Banded:
         order, over the span shifted by o.
         """
         rev = list(zip(self.offsets, self.spans, self.diagonals))[::-1]
-        A = Banded.zeros(self.n, [-o for o, _, _ in rev],
-                         [(lo + o, hi + o) for o, (lo, hi), _ in rev], self.data.dtype)
+        A = OperatorMatrix.zeros(self.n, [-o for o, _, _ in rev],
+                                 [(lo + o, hi + o) for o, (lo, hi), _ in rev], self.data.dtype)
         for (_, _, d), out in zip(rev, A.diagonals):
             np.conjugate(d, out=out)
         return A
@@ -239,37 +248,14 @@ class Banded:
         return np.concatenate([x[:0]] + [x[lo + o:hi + o]
                                          for o, (lo, hi) in zip(self.offsets, self.spans)])
 
-    def toarray(self):
+    @property
+    def mat(self):
+        """Dense copy of the operator (n^2 entries)."""
         M = np.zeros(self.shape, self.data.dtype)
         for o, lo, hi, d in self._diagonals:
             rows = np.arange(lo, hi)
             M[rows, rows + o] = d
         return M
-
-
-@dataclass
-class OperatorMatrix:
-    """Banded operator on a grid.
-
-    `form` is the stored matrix, a :class:`Banded`.  Application to a
-    vector or an n x k block is `op @ v`.  `mat` is a dense copy that
-    allocates all n^2 entries: it serves dense eigensolves (about four
-    complex n x n arrays alive during a solve, at most three after a
-    general one, the eigenvectors included) and tests.
-    """
-
-    grid: Grid
-    form: Banded = field(repr=False)
-
-    @property
-    def mat(self):
-        """Dense copy of the operator (n^2 entries)."""
-        return self.form.toarray()
-
-    def apply(self, v):
-        return self.form @ v
-
-    __matmul__ = apply
 
 
 def make_grid(xmin, xmax, n) -> Grid:
@@ -295,7 +281,7 @@ def make_grid(xmin, xmax, n) -> Grid:
 
 
 @functools.lru_cache(maxsize=8)
-def _build_stencil(n: int, h: float, order: int) -> Banded:
+def _build_stencil(n: int, h: float, order: int) -> OperatorMatrix:
     """The differentiation matrix of one order, with read-only diagonals.
 
     Interior rows hold the 5-point central stencil on offsets -2..2; the
@@ -329,22 +315,16 @@ def _build_stencil(n: int, h: float, order: int) -> Banded:
         diagonals.append(d[first:end] / hp)
     data = np.concatenate(diagonals)
     data.flags.writeable = False
-    return Banded(n, offsets, spans, data)
+    return OperatorMatrix(n, offsets, spans, data)
 
 
 def diff_matrix(grid: Grid, order: int) -> OperatorMatrix:
-    """Banded differentiation matrix, 4th-order accurate.
-
-    Interior rows carry the 5-point central stencil; the two rows nearest
-    each edge use one-sided stencils of the same order (6 points for the
-    second derivative).  Central-stencil accuracy holds on the interior
-    window (pad 4).  The 8 most recently used stencils are cached per
-    (n, h, order); the cached arrays are read-only.
-    """
+    """Differentiation matrix of order 1 or 2 (see `_build_stencil`), 4th-order
+    accurate on the interior window (pad 4).  The 8 most recently used are
+    cached per (n, h, order) and returned themselves, with read-only diagonals."""
     if order not in (1, 2):
         raise InvalidDomainError(f"derivative order must be 1 or 2, got {order}")
-    S = _build_stencil(grid.n, grid.h, order)
-    return OperatorMatrix(grid, S)
+    return _build_stencil(grid.n, grid.h, order)
 
 
 def cumint(values, grid: Grid, anchor: int):

@@ -28,7 +28,7 @@ extension is smooth.  Otherwise psi'' = -2 M1 psi' / U^2 there, and the
 measured eigenvalue order is about 2 (2.0 for free/rational, 2.0-2.5 for
 scarf2/rational).
 
-Every operator is banded, so each is stored by diagonals (grid.Banded),
+Every operator is banded, so each is stored by diagonals (grid.OperatorMatrix),
 each diagonal over its span of rows only, and assembled entry by entry from
 the cached stencils: a row-scaled stencil plus diagonal terms added in a
 fixed order, each entry rounded as in a dense assembly.  An assembled
@@ -45,15 +45,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDomainError
-from .grid import WEIGHTS, Banded, Grid, OperatorMatrix, _hull, _padded, diff_matrix
+from .grid import WEIGHTS, Grid, OperatorMatrix, _hull, _padded, diff_matrix
 from .profiles import ProfileBundle
 
 
 def _row_scaled_sum(terms, diagonal_terms):
     """Banded matrix sum_j s_j (c_j D_j), then the diagonal terms added in turn.
 
-    `terms` holds (s, c, D) with a scalar s, a row scaling c and a Banded
-    matrix D.  Each output diagonal is built over the hull of its parts'
+    `terms` holds (s, c, D) with a scalar s, a row scaling c and an
+    OperatorMatrix D.  Each output diagonal is built over the hull of its parts'
     spans only; the main diagonal spans every row when there are diagonal
     terms.  Every entry is rounded as in a dense assembly of the written
     sum (row-scaled matrices combined left to right, then one diagonal term
@@ -70,7 +70,7 @@ def _row_scaled_sum(terms, diagonal_terms):
     spans = list(hulls)
     if diagonal_terms:
         spans[k] = (0, n)
-    A = Banded.zeros(n, offsets, spans, complex)
+    A = OperatorMatrix.zeros(n, offsets, spans, complex)
     for o, (first, _), (lo, hi), out in zip(offsets, A.spans, hulls, A.diagonals):
         seg = out[lo - first:hi - first]
         for j, (s, c, span, d) in enumerate(parts[o]):
@@ -85,7 +85,7 @@ def _row_scaled_sum(terms, diagonal_terms):
 
 
 def _second_order(c2, c1, c0, D1, D2):
-    """Banded form of -c2 d2 - 2 c1 d1 + c0 from derivative matrices D1 and D2.
+    """Banded matrix of -c2 d2 - 2 c1 d1 + c0 from derivative matrices D1 and D2.
 
     c0 is a sequence of diagonal terms.
     """
@@ -93,8 +93,8 @@ def _second_order(c2, c1, c0, D1, D2):
 
 
 def _first_order(U, sign, terms, grid):
-    """Banded form of sign * U d/dx plus the diagonal terms, added in turn."""
-    return _row_scaled_sum([(sign, U, diff_matrix(grid, 1).form)], terms)
+    """Banded matrix of sign * U d/dx plus the diagonal terms, added in turn."""
+    return _row_scaled_sum([(sign, U, diff_matrix(grid, 1))], terms)
 
 
 def _gauge_coefficients(a, ap, U, Up):
@@ -129,18 +129,17 @@ class CoefficientSet:
 
 def build_d(phi, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     """First-order operator U d/dx + phi."""
-    return OperatorMatrix(grid, _first_order(bundle.U, 1.0, (phi,), grid))
+    return _first_order(bundle.U, 1.0, (phi,), grid)
 
 
 def build_d_tilde(phi, a, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     """Gauge-shifted operator D - i a; the shift is exact at matrix level."""
-    return OperatorMatrix(grid, _first_order(bundle.U, 1.0, (phi, -1j * a), grid))
+    return _first_order(bundle.U, 1.0, (phi, -1j * a), grid)
 
 
 def build_d_tilde_dagger(phi, a, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     """Adjoint of the gauge-shifted operator: D^ + i conj(a)."""
-    mat = _first_order(bundle.U, -1.0, (-bundle.Up, np.conj(phi), 1j * np.conj(a)), grid)
-    return OperatorMatrix(grid, mat)
+    return _first_order(bundle.U, -1.0, (-bundle.Up, np.conj(phi), 1j * np.conj(a)), grid)
 
 
 def build_eta_tilde(coeffs: CoefficientSet, bundle: ProfileBundle, grid: Grid,
@@ -152,32 +151,27 @@ def build_eta_tilde(coeffs: CoefficientSet, bundle: ProfileBundle, grid: Grid,
     stencil), so agreement is always measured through probe actions.
     """
     if mode == "direct":
-        mat = _second_order(bundle.U**2, coeffs.K, (coeffs.L,),
-                            diff_matrix(grid, 1).form, diff_matrix(grid, 2).form)
-        return OperatorMatrix(grid, mat)
+        return _second_order(bundle.U**2, coeffs.K, (coeffs.L,),
+                             diff_matrix(grid, 1), diff_matrix(grid, 2))
     if mode == "product":
         if phi is None or a is None:
             raise InvalidDomainError("product mode needs phi and a")
-        dt = build_d_tilde(phi, a, bundle, grid)
-        dtd = build_d_tilde_dagger(phi, a, bundle, grid)
-        return OperatorMatrix(grid, dtd.form @ dt.form)
+        return (build_d_tilde_dagger(phi, a, bundle, grid)
+                @ build_d_tilde(phi, a, bundle, grid))
     raise InvalidDomainError(f"unknown eta_tilde mode {mode!r}")
 
 
 def build_h_prime(V, a, ap, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     """Gauged Hamiltonian -U^2 d2 - 2 M1 d1 + N1 + V."""
     M1, N1 = _gauge_coefficients(a, ap, bundle.U, bundle.Up)
-    mat = _second_order(bundle.U**2, M1, (N1, V),
-                        diff_matrix(grid, 1).form, diff_matrix(grid, 2).form)
-    return OperatorMatrix(grid, mat)
+    return _second_order(bundle.U**2, M1, (N1, V), diff_matrix(grid, 1), diff_matrix(grid, 2))
 
 
 def build_h_prime_dagger(V, a, ap, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     """Adjoint Hamiltonian -U^2 d2 - 2 M1 d1 + N1 + conj(V) (the gauge is real)."""
     M1, N1 = _gauge_coefficients(a, ap, bundle.U, bundle.Up)
-    mat = _second_order(bundle.U**2, M1, (N1, np.conj(V)),
-                        diff_matrix(grid, 1).form, diff_matrix(grid, 2).form)
-    return OperatorMatrix(grid, mat)
+    return _second_order(bundle.U**2, M1, (N1, np.conj(V)),
+                         diff_matrix(grid, 1), diff_matrix(grid, 2))
 
 
 def _dirichlet_stencil(grid: Grid, order: int):
@@ -199,25 +193,23 @@ def _dirichlet_stencil(grid: Grid, order: int):
     # odd images: node -1 mirrors interior node 0, node n mirrors node m-1
     diagonals[2][0] -= c[0]
     diagonals[2][m - 1] -= c[4]
-    return Banded(m, range(-2, 3), spans, np.concatenate(diagonals))
+    return OperatorMatrix(m, range(-2, 3), spans, np.concatenate(diagonals))
 
 
 def build_h_prime_block(V, a, ap, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     """Dirichlet interior-block Hamiltonian for dense eigendecomposition."""
     s = slice(1, grid.n - 1)
     M1, N1 = _gauge_coefficients(a[s], ap[s], bundle.U[s], bundle.Up[s])
-    mat = _second_order(bundle.U[s]**2, M1, (N1, V[s]),
-                        _dirichlet_stencil(grid, 1), _dirichlet_stencil(grid, 2))
-    return OperatorMatrix(grid, mat)
+    return _second_order(bundle.U[s]**2, M1, (N1, V[s]),
+                         _dirichlet_stencil(grid, 1), _dirichlet_stencil(grid, 2))
 
 
 def build_eta_tilde_block(coeffs: CoefficientSet, bundle: ProfileBundle,
                           grid: Grid) -> OperatorMatrix:
     """Dirichlet interior-block metric, for eta-weighted inner products."""
     s = slice(1, grid.n - 1)
-    mat = _second_order(bundle.U[s]**2, coeffs.K[s], (coeffs.L[s],),
-                        _dirichlet_stencil(grid, 1), _dirichlet_stencil(grid, 2))
-    return OperatorMatrix(grid, mat)
+    return _second_order(bundle.U[s]**2, coeffs.K[s], (coeffs.L[s],),
+                         _dirichlet_stencil(grid, 1), _dirichlet_stencil(grid, 2))
 
 
 PROBES = 8   # probe vectors of the probe-action checks (intertwining, tau, eta)
@@ -245,10 +237,10 @@ def tau_similarity_actions(h_prime: OperatorMatrix, h_prime_dagger: OperatorMatr
     phase the image and the adjoint matrix coincide entrywise and the first
     array is exactly zero.
     """
-    H = h_prime.form
     E = np.exp(1j * tau_phase)
-    image = Banded(H.n, H.offsets, H.spans,
-                   np.conj(H.row_values(E) * H.data * H.column_values(1.0 / E)))
+    image = OperatorMatrix(h_prime.n, h_prime.offsets, h_prime.spans,
+                           np.conj(h_prime.row_values(E) * h_prime.data
+                                   * h_prime.column_values(1.0 / E)))
     res = act = 0.0
     for v in vectors:
         hv = h_prime_dagger @ v

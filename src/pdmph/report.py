@@ -17,9 +17,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import BudgetExceededError, ConfigError
+from .errors import ConfigError
 from .pipeline import CATALOG, FAMILIES
-from .verify import CHECKS, CORRUPTION_TARGETS, EIG_BUDGET, EIG_LEVELS, PAD
+from .verify import CHECKS, CORRUPTION_TARGETS, EIG_LEVELS, validate_levels
 
 SYSTEM_PRESETS = ("hermitian-limit", "free")
 
@@ -176,9 +176,6 @@ def _validate(cfg, setby):
         raise ConfigError(f"unknown checks {sorted(unknown)}")
     if len(cfg["refine"]) < 3:
         raise ConfigError("refine needs at least three levels for order fits")
-    if cfg["refine"][0] < 2 * PAD + 1:
-        raise ConfigError(f"coarsest refine level {cfg['refine'][0]}: a check window "
-                          f"needs at least {2 * PAD + 1} points")
     for key, levels in (("refine", cfg["refine"]), ("eig_levels", cfg["eig_levels"]),
                         ("grid.n", [cfg["grid"]["n"]])):
         if levels and levels[-1] > MAX_POINTS:
@@ -191,12 +188,7 @@ def _validate(cfg, setby):
             raise ConfigError(f"{key}: read by {', '.join(readers)}, not by checks {cfg['checks']}")
     if "spectrum" in cfg["checks"] and len(cfg["eig_levels"]) < 2:
         raise ConfigError("the spectrum check compares two eig_levels")
-    if any(CHECKS[k].levels == "eig_levels" for k in cfg["checks"]):
-        if not cfg["eig_levels"]:
-            raise ConfigError(f"checks {cfg['checks']} read eig_levels, which is empty")
-        if cfg["eig_levels"][-1] > EIG_BUDGET:
-            raise BudgetExceededError(f"dense eigensolve at n = {cfg['eig_levels'][-1]} "
-                                      f"(eig_levels) exceeds the budget ({EIG_BUDGET} grid points)")
+    validate_levels(cfg["checks"], cfg["refine"], cfg["eig_levels"])
     if cfg["grid"]["xmin"] is None or cfg["grid"]["xmax"] is None:
         domain = CATALOG.get(fam, (None, (-8.0, 8.0), None))[1]
         cfg["grid"]["xmin"], cfg["grid"]["xmax"] = domain

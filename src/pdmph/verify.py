@@ -34,7 +34,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import BudgetExceededError, EigensolverError, InvalidDomainError
+from .errors import BudgetExceededError, ConfigError, EigensolverError, InvalidDomainError
 from .grid import (EPS, STENCIL_ABS_D1, FLOOR_SAFETY, Grid, amplification, blocks,
                    cumint, diff_matrix, fd_floor, make_grid, observed_order)
 from .operators import (PROBES, CoefficientSet, OperatorMatrix, build_d,
@@ -168,7 +168,7 @@ class SystemBuilder:
             self._spectral.clear()
             inp = self.inputs(n)
             self._spectral[key] = eigendecompose(
-                build_h_prime_block(inp.V, inp.a, inp.ap, inp.bundle, inp.grid))
+                build_h_prime_block(inp.V, inp.a, inp.ap, inp.bundle, inp.grid), inp.grid)
         return self._spectral[key]
 
 
@@ -433,7 +433,7 @@ def _eta(inp, xm):
     coeffs = _coefficients(inp)
     eta = build_eta_tilde(coeffs, b, grid, mode="direct")
     eta_p = build_eta_tilde(coeffs, b, grid, mode="product", phi=inp.phi, a=inp.a)
-    etaH = eta.form.H
+    etaH = eta.H
     w = _window(grid, xm)
     r_h = r_d = act = 0.0
     for v in default_probes(grid):
@@ -659,8 +659,8 @@ class SpectralResult:
         return self.counts
 
 
-def eigendecompose(h_block: OperatorMatrix) -> SpectralResult:
-    """All eigenpairs of the Dirichlet interior block, with a backward-error contract.
+def eigendecompose(block: OperatorMatrix, grid: Grid) -> SpectralResult:
+    """All eigenpairs of the Dirichlet block of `grid`, with a backward-error contract.
 
     Hermitian blocks (within rounding) go through the symmetric solver,
     which also guarantees exactly real eigenvalues; everything else through
@@ -676,19 +676,17 @@ def eigendecompose(h_block: OperatorMatrix) -> SpectralResult:
     The real eigenvectors of a real symmetric block are made complex once,
     the cast numpy would otherwise repeat in every product with them.
     """
-    n = h_block.grid.n
-    if n > EIG_BUDGET:
+    if grid.n > EIG_BUDGET:
         raise BudgetExceededError(
-            f"dense eigensolve at n = {n} exceeds the budget ({EIG_BUDGET} grid points)")
-    A = h_block.form
-    m = A.shape[0]
-    scale = np.abs(A.data).max()
-    hermitian = A.distance(A.H) <= 1e-12 * scale
-    mat = h_block.mat
+            f"dense eigensolve at n = {grid.n} exceeds the budget ({EIG_BUDGET} grid points)")
+    m = block.shape[0]
+    scale = np.abs(block.data).max()
+    hermitian = block.distance(block.H) <= 1e-12 * scale
+    mat = block.mat
     hfro = np.linalg.norm(mat, "fro")
     try:
         if hermitian:
-            if not A.data.imag.any():
+            if not block.data.imag.any():
                 w, v = np.linalg.eigh(mat.real)
                 v = v.astype(complex)
             else:
@@ -711,7 +709,7 @@ def eigendecompose(h_block: OperatorMatrix) -> SpectralResult:
     if resid > TOLERANCES["eig_backward"]:
         raise EigensolverError(f"eigensolver backward error {resid:.3e} exceeds "
                                f"contract {TOLERANCES['eig_backward']:.1e}")
-    sr = SpectralResult(h_block.grid, w, v, float(resid), solver)
+    sr = SpectralResult(grid, w, v, float(resid), solver)
     sr.classify()
     return sr
 
@@ -788,7 +786,7 @@ def check_eq29(builder: SystemBuilder, n):
     V = sp.eigenvectors
     E = sp.eigenvalues
     m = len(E)
-    weta = grid.h * eb.form
+    weta = grid.h * eb
     etaV = weta @ V
     # G = V^H (W eta V), with V conjugated in place for the product and
     # conjugated back (exactly) however the product ends
@@ -823,7 +821,7 @@ def check_eq29(builder: SystemBuilder, n):
     # defect of the weighted intertwining on the eigenvectors; the exact
     # identity (conj(E_j) - E_k) G_jk = v_j^H C v_k makes |C v_k|/gscale the
     # quantity that bounds relative Gram structure violations
-    C = hb.form.H @ weta - weta @ hb.form
+    C = hb.H @ weta - weta @ hb
     num = np.concatenate([np.linalg.norm(C @ V[:, c], axis=0) for c in blocks(m)])
     defect = float(np.max(num / (gscale * scale_e)))
 
@@ -906,9 +904,25 @@ CHECKS = {
 CHECK_NAMES = tuple(CHECKS)
 
 
+def validate_levels(checks, ns, eig_levels):
+    """Refuse, before anything is built, ascending levels that the known
+    `checks` cannot run on: a coarsest refine level that leaves no check
+    window, and, if a check reads eig_levels, none or one over the budget."""
+    if ns[0] < 2 * PAD + 1:
+        raise ConfigError(f"coarsest refine level {ns[0]}: a check window "
+                          f"needs at least {2 * PAD + 1} points")
+    if any(CHECKS[k].levels == "eig_levels" for k in checks):
+        if not eig_levels:
+            raise ConfigError(f"checks {checks} read eig_levels, which is empty")
+        if eig_levels[-1] > EIG_BUDGET:
+            raise BudgetExceededError(f"dense eigensolve at n = {eig_levels[-1]} "
+                                      f"(eig_levels) exceeds the budget ({EIG_BUDGET} grid points)")
+
+
 def run_suite(builder: SystemBuilder, checks, ns, eig_levels=EIG_LEVELS, detune=None,
               trace_dir=None):
     """Run the requested checks; returns (results, spectral summary, findings).
+    Levels the checks cannot run on are refused first (`validate_levels`).
 
     With `trace_dir`, each check with a pointwise residual writes its
     finest level there as it runs (see `_write_trace`).
@@ -921,8 +935,9 @@ def run_suite(builder: SystemBuilder, checks, ns, eig_levels=EIG_LEVELS, detune=
     unknown = set(checks) - set(CHECKS)
     if unknown:
         raise InvalidDomainError(f"unknown checks: {sorted(unknown)}")
-    ns = sorted(ns)
-    given = {"refine": ns, "eig_levels": sorted(eig_levels), "detune": detune,
+    ns, eig_levels = sorted(ns), sorted(eig_levels)
+    validate_levels(checks, ns, eig_levels)
+    given = {"refine": ns, "eig_levels": eig_levels, "detune": detune,
              "trace_dir": trace_dir}
     results = []
     for key, row in CHECKS.items():

@@ -211,7 +211,7 @@ def test_criterion_07_box_spectrum_oracle():
     b = hermitian_builder(c=c, domain=(-2.0, 10.0), delta=delta)
     inp = b.inputs(2001)
     sp = eigendecompose(build_h_prime_block(inp.V, inp.a, inp.ap,
-                                            inp.bundle, inp.grid))
+                                            inp.bundle, inp.grid), inp.grid)
     dt = time.perf_counter() - t0
     k = np.arange(1, 11)
     exact = (k * np.pi / L) ** 2 - c**2 + delta

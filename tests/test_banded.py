@@ -1,4 +1,4 @@
-"""The numpy banded kernels against dense arithmetic on their `.toarray()`,
+"""The numpy banded kernels against dense arithmetic on their `.mat`,
 and against the same kernels on diagonals padded to n entries.
 
 Random sizes (including sizes smaller than the band), random offsets in
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pdmph import diff_matrix, make_grid
-from pdmph.grid import Banded
+from pdmph.grid import OperatorMatrix
 from pdmph.operators import build_eta_tilde, build_h_prime
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -38,7 +38,7 @@ def banded(draw, n=None, dtype=complex):
         spans.append((lo, hi))
         values.append(rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo))
     data = np.concatenate([np.zeros(0, complex)] + values)
-    return Banded(n, offsets, spans, data if dtype is complex else data.real.copy())
+    return OperatorMatrix(n, offsets, spans, data if dtype is complex else data.real.copy())
 
 
 def close(got, want, scale):
@@ -57,13 +57,13 @@ def banded_pair(draw):
 @given(banded(), st.integers(0, 2**32 - 1))
 def test_vector_block_and_adjoint_products(A, seed):
     rng = np.random.default_rng(seed)
-    M = A.toarray()
+    M = A.mat
     v = rng.standard_normal(A.n) + 1j * rng.standard_normal(A.n)
     X = rng.standard_normal((A.n, 3))
     assert close(A @ v, M @ v, np.abs(M) @ np.abs(v))
     assert close(A @ X, M @ X, np.abs(M) @ np.abs(X))
     assert close(A.H @ v, M.conj().T @ v, np.abs(M).T @ np.abs(v))
-    assert np.array_equal(A.H.toarray(), M.conj().T)
+    assert np.array_equal(A.H.mat, M.conj().T)
     assert close(A @ v.real, M @ v.real, np.abs(M) @ np.abs(v.real))
 
 
@@ -72,27 +72,38 @@ def test_vector_block_and_adjoint_products(A, seed):
                                          allow_infinity=False))
 def test_product_difference_and_scalar_multiple(pair, c):
     A, B = pair
-    MA, MB = A.toarray(), B.toarray()
-    assert close((A @ B).toarray(), MA @ MB, np.abs(MA) @ np.abs(MB))
-    assert close((A.H @ B).toarray(), MA.conj().T @ MB, np.abs(MA).T @ np.abs(MB))
-    assert close((A - B).toarray(), MA - MB, np.abs(MA) + np.abs(MB))
+    MA, MB = A.mat, B.mat
+    assert close((A @ B).mat, MA @ MB, np.abs(MA) @ np.abs(MB))
+    assert close((A.H @ B).mat, MA.conj().T @ MB, np.abs(MA).T @ np.abs(MB))
+    assert close((A - B).mat, MA - MB, np.abs(MA) + np.abs(MB))
     assert A.distance(B) == np.abs(MA - MB).max()
-    assert close((c * A).toarray(), c * MA, abs(c) * np.abs(MA))
-    assert close((A * c).toarray(), MA * c, abs(c) * np.abs(MA))
+    assert close((c * A).mat, c * MA, abs(c) * np.abs(MA))
+    assert close((A * c).mat, MA * c, abs(c) * np.abs(MA))
 
 
 def test_entries_outside_the_matrix_are_rejected():
     with pytest.raises(ValueError):
-        Banded(5, [2], [(0, 5)], np.ones(5))
+        OperatorMatrix(5, [2], [(0, 5)], np.ones(5))
     with pytest.raises(ValueError):
-        Banded(5, [1, 0], [(0, 4), (0, 5)], np.zeros(9))
+        OperatorMatrix(5, [1, 0], [(0, 4), (0, 5)], np.zeros(9))
+
+
+def test_one_operator_class():
+    # the stored matrix is the operator: no wrapper, no grid, no second name
+    import pdmph.grid
+    assert not hasattr(pdmph.grid, "Banded")
+    g = make_grid(-1.0, 1.0, 41)
+    D = diff_matrix(g, 1)
+    assert type(D) is OperatorMatrix and D is diff_matrix(g, 1)
+    assert not hasattr(D, "form") and not hasattr(D, "grid")
+    assert OperatorMatrix.__matmul__ is OperatorMatrix.apply
 
 
 def test_stencil_edge_diagonals_cover_only_edge_rows():
     # the one-sided closures reach offsets 3..5 in two rows per edge only,
     # and products touch those diagonals over those rows
     for order, reach in ((1, 4), (2, 5)):
-        D = diff_matrix(make_grid(-1.0, 1.0, 101), order).form
+        D = diff_matrix(make_grid(-1.0, 1.0, 101), order)
         assert D.offsets == tuple(range(-reach, reach + 1))
         for o, (lo, hi) in zip(D.offsets, D.spans):
             assert hi - lo <= 2 if abs(o) > 2 else hi - lo >= 101 - 4
@@ -191,7 +202,7 @@ def test_compact_products_match_padded_diagonals(A, seed, real):
     for o, (lo, hi), d in zip(A.offsets, A.spans, P):
         rows = np.arange(lo, hi)
         dense[rows, rows + o] = d[lo:hi]
-    assert same(A.toarray(), dense)
+    assert same(A.mat, dense)
 
 
 @settings(max_examples=200, deadline=None)
@@ -203,7 +214,7 @@ def test_compact_pair_operations_match_padded_diagonals(pair, c):
     assert same_padded(A.H @ B, padded_times(A.H, B))
     D = A - B
     assert same_padded(D, padded_sub(A, B))
-    assert D.distance(Banded.zeros(A.n, [], [])) == A.distance(B)
+    assert D.distance(OperatorMatrix.zeros(A.n, [], [])) == A.distance(B)
     assert A.distance(B) == max([np.abs(d).max(initial=0.0) for d in padded_sub(A, B).values()],
                                 default=0.0)
     for scaled in (c * A, A * c):
@@ -213,25 +224,25 @@ def test_compact_pair_operations_match_padded_diagonals(pair, c):
 
 def test_empty_and_one_entry_diagonals():
     # offsets -1, 0, 2 with an empty, a one-entry and a two-entry diagonal
-    A = Banded(4, [-1, 0, 2], [(0, 0), (3, 4), (0, 2)], np.array([5.0, 1.0, 2.0]))
+    A = OperatorMatrix(4, [-1, 0, 2], [(0, 0), (3, 4), (0, 2)], np.array([5.0, 1.0, 2.0]))
     assert [len(d) for d in A.diagonals] == [0, 1, 2]
     M = np.zeros((4, 4))
     M[3, 3], M[0, 2], M[1, 3] = 5.0, 1.0, 2.0
-    assert same(A.toarray(), M)
+    assert same(A.mat, M)
     v = np.arange(1.0, 5.0)
     assert same(A @ v, M @ v)
-    assert same(A.H.toarray(), M.T)
+    assert same(A.H.mat, M.T)
     assert A.H.spans == [(2, 4), (3, 4), (0, 0)]
     assert same(A.column_values(v), np.array([4.0, 3.0, 4.0]))
-    assert same((A @ A).toarray(), M @ M)
+    assert same((A @ A).mat, M @ M)
     assert (A @ A).offsets == (0, 2) and (A @ A).spans == [(3, 4), (1, 2)]
     assert (A - A).distance(A) == 5.0
-    assert same((2.0 * A).toarray(), 2.0 * M)
-    empty = Banded.zeros(4, [], [])
-    assert same(empty @ v, np.zeros(4)) and empty.toarray().shape == (4, 4)
+    assert same((2.0 * A).mat, 2.0 * M)
+    empty = OperatorMatrix.zeros(4, [], [])
+    assert same(empty @ v, np.zeros(4)) and empty.mat.shape == (4, 4)
     assert A.distance(empty) == 5.0 and same(empty.H.data, np.zeros(0))
-    one = Banded(1, [0], [(0, 1)], np.array([3.0 + 1j]))
-    assert same((one @ one).toarray(), np.array([[(3.0 + 1j) ** 2]]))
+    one = OperatorMatrix(1, [0], [(0, 1)], np.array([3.0 + 1j]))
+    assert same((one @ one).mat, np.array([[(3.0 + 1j) ** 2]]))
     assert same(one.H.data, np.array([3.0 - 1j]))
 
 
@@ -242,20 +253,20 @@ def test_stored_entries_cover_the_spans_only(n):
     from pdmph import GeneratingSpec, MassProfile, SystemBuilder
     from pdmph.verify import _coefficients
     g = make_grid(-2.0, 10.0, n)
-    assert diff_matrix(g, 1).form.data.size <= 5 * n
-    assert diff_matrix(g, 2).form.data.size <= 5 * n + 4
+    assert diff_matrix(g, 1).data.size <= 5 * n
+    assert diff_matrix(g, 2).data.size <= 5 * n + 4
     ds = SystemBuilder("family", MassProfile.rational(), -2.0, 10.0,
                        GeneratingSpec("morse")).dressed(n)
-    assert build_h_prime(ds.V, ds.a, ds.ap, ds.bundle, g).form.data.size <= 5 * n + 4
+    assert build_h_prime(ds.V, ds.a, ds.ap, ds.bundle, g).data.size <= 5 * n + 4
     eta = build_eta_tilde(_coefficients(ds), ds.bundle, g, mode="product", phi=ds.phi, a=ds.a)
-    assert eta.form.data.size <= 9 * n
+    assert eta.data.size <= 9 * n
 
 
 def test_block_product_working_set():
     # a block product is formed in runs of columns, so its temporaries span
     # about 33 of the 501 columns: measured 1.13 n x n complex arrays, the
     # result included (2.03 with a full n x n product per diagonal)
-    D = diff_matrix(make_grid(-3.0, 4.0, 501), 2).form
+    D = diff_matrix(make_grid(-3.0, 4.0, 501), 2)
     rng = np.random.default_rng(0)
     V = rng.standard_normal((501, 501)) + 1j * rng.standard_normal((501, 501))
     tracemalloc.start()

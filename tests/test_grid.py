@@ -175,7 +175,7 @@ def test_central_first_derivative_row_is_exactly_antisymmetric():
 
 def test_first_derivative_main_diagonal_is_zero_in_the_interior():
     g = make_grid(-2.0, 10.0, 4001)
-    D = diff_matrix(g, 1).form
+    D = diff_matrix(g, 1)
     k = D.offsets.index(0)
     lo, _ = D.spans[k]
     assert np.all(D.diagonals[k][2 - lo:g.n - 2 - lo] == 0.0)

@@ -240,10 +240,10 @@ def test_tau_phase_definition():
 
 def test_dirichlet_block_symmetric():
     g = make_grid(-6, 6, 301)
-    D2 = _dirichlet_stencil(g, 2).toarray()
+    D2 = _dirichlet_stencil(g, 2).mat
     assert np.abs(D2 - D2.T).max() == 0.0
 
 
 def test_dirichlet_block_derivative_orders():
     with pytest.raises(InvalidDomainError):
-        _dirichlet_stencil(make_grid(-6, 6, 301), 3).toarray()
+        _dirichlet_stencil(make_grid(-6, 6, 301), 3).mat

@@ -15,7 +15,7 @@ from pdmph import (CATALOG, FAMILIES, BudgetExceededError, GeneratingSpec,
                    check_spectrum, check_tau, diff_matrix, eigendecompose, make_grid,
                    residual_eq28, run_suite)
 from pdmph.cli import main
-from pdmph.errors import InvalidDomainError
+from pdmph.errors import ConfigError, InvalidDomainError
 from pdmph.operators import OperatorMatrix
 from pdmph.pipeline import assemble_potential
 from pdmph.verify import CHECK_NAMES, CHECKS, Check, CheckLevel, CheckResult, detuned
@@ -362,7 +362,8 @@ def test_box_spectrum_oracle():
                       spec=GeneratingSpec("custom-table", delta=delta,
                                           g_table=(xs, np.full(4, c))))
     inp = b.inputs(1001)
-    sp = eigendecompose(build_h_prime_block(inp.V, inp.a, inp.ap, inp.bundle, inp.grid))
+    sp = eigendecompose(build_h_prime_block(inp.V, inp.a, inp.ap, inp.bundle, inp.grid),
+                        inp.grid)
     assert sp.solver == "eigh"
     k = np.arange(1, 11)
     exact = (k * np.pi / L) ** 2 - c**2 + delta
@@ -372,9 +373,9 @@ def test_box_spectrum_oracle():
 
 def test_eigendecompose_budget():
     g = make_grid(-1, 1, 5001)
-    fake = OperatorMatrix(g, np.zeros((4999, 4999), complex))
+    fake = OperatorMatrix.zeros(4999, [], [])
     with pytest.raises(BudgetExceededError):
-        eigendecompose(fake)
+        eigendecompose(fake, g)
 
 
 @pytest.mark.parametrize("family,mass", [(f, k) for f in ("free",) + FAMILIES
@@ -389,8 +390,8 @@ def test_block_hermiticity_scale_and_realness_from_diagonals(family, mass):
     else:
         b = builder(family, profile=profile, domain=CATALOG[family][1])
     inp = b.inputs(101)
-    A = build_h_prime_block(inp.V, inp.a, inp.ap, inp.bundle, inp.grid).form
-    M = A.toarray()
+    A = build_h_prime_block(inp.V, inp.a, inp.ap, inp.bundle, inp.grid)
+    M = A.mat
     assert A.distance(A.H) == np.abs(M - M.conj().T).max()
     assert np.abs(A.data).max() == np.abs(M).max()
     assert A.data.imag.any() == (np.abs(M.imag).max() != 0.0)
@@ -467,14 +468,29 @@ def test_probe_check_working_set(check, bound_mb):
     assert peak <= bound_mb * 1e6
 
 
+def test_default_suite_memory_ceiling():
+    # every default check on morse/rational at 5001/10001/20001 from a fresh
+    # builder, dressing included: measured 22.8 MiB, 1.20 kB per finest-level
+    # point; an operator that kept a dense or duplicate copy would exceed it
+    from pdmph.report import CONFIG_DEFAULTS
+    b = builder(profile=MassProfile.rational())
+    tracemalloc.start()
+    try:
+        run_suite(b, CONFIG_DEFAULTS["checks"], [5001, 10001, 20001])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25 * 2**20
+
+
 def test_spectrum_holds_no_coarse_eigenvectors_in_the_fine_solve(monkeypatch):
     # when each solve starts, no earlier solve's eigenvectors are alive: the
     # builder's one slot drops them and the spectrum check keeps no reference
     solved, alive_at_start, real = [], [], verify_module.eigendecompose
 
-    def watching(h_block):
+    def watching(block, grid):
         alive_at_start.append([ref() is not None for ref in solved])
-        sp = real(h_block)
+        sp = real(block, grid)
         solved.append(weakref.ref(sp.eigenvectors))
         return sp
 
@@ -488,7 +504,7 @@ def test_spectrum_holds_no_coarse_eigenvectors_in_the_fine_solve(monkeypatch):
 def test_run_suite_leaves_no_decomposition(monkeypatch):
     solved, real = [], verify_module.eigendecompose
     monkeypatch.setattr(verify_module, "eigendecompose",
-                        lambda h_block: solved.append(real(h_block)) or solved[-1])
+                        lambda block, grid: solved.append(real(block, grid)) or solved[-1])
     b = builder("morse", profile=MassProfile.rational(), domain=(-3.0, 4.0))
     _, spectral, _ = run_suite(b, ["spectrum", "eq29"], NS, eig_levels=[101, 201])
     assert spectral["total"] == 199
@@ -538,7 +554,8 @@ def test_scarf2_zero_eigenvalue_isolated():
     # splits under discretization)
     b = builder("scarf2", alpha=0.8, domain=(-25.0, 25.0))
     inp = b.inputs(1201)
-    sp = eigendecompose(build_h_prime_block(inp.V, inp.a, inp.ap, inp.bundle, inp.grid))
+    sp = eigendecompose(build_h_prime_block(inp.V, inp.a, inp.ap, inp.bundle, inp.grid),
+                        inp.grid)
     E = sp.eigenvalues
     assert np.abs(E[np.argmin(np.abs(E))]) < 1e-4
     below = E[E.real < 0.8**2 / 4]
@@ -697,9 +714,9 @@ def test_eq29_reuses_the_spectrum_decomposition(monkeypatch):
     sizes = []
     real = verify_module.eigendecompose
 
-    def counting(h_block, *args, **kwargs):
-        sizes.append(h_block.form.shape[0])
-        return real(h_block, *args, **kwargs)
+    def counting(block, *args, **kwargs):
+        sizes.append(block.shape[0])
+        return real(block, *args, **kwargs)
 
     b = builder("morse", profile=MassProfile.rational(), domain=(-3.0, 4.0))
     alone = check_eq29(b, 201)
@@ -722,7 +739,7 @@ def test_a_row_added_to_checks_is_run_judged_and_reported(monkeypatch, tmp_path)
 
     sizes, real = [], verify_module.eigendecompose
     monkeypatch.setattr(verify_module, "eigendecompose",
-                        lambda h_block: sizes.append(h_block.form.shape[0]) or real(h_block))
+                        lambda block, grid: sizes.append(block.shape[0]) or real(block, grid))
     monkeypatch.setattr(verify_module, "check_eigenpairs", check_eigenpairs, raising=False)
     monkeypatch.setitem(CHECKS, "eigenpairs", Check(
         "check_eigenpairs", (("eigenpairs", "one eigenpair per interior node"),),
@@ -746,11 +763,21 @@ def test_run_suite_default_eig_levels_are_the_config_default(monkeypatch):
     assert CONFIG_DEFAULTS["eig_levels"] == list(verify_module.EIG_LEVELS) == [501, 1001]
     sizes, real = [], verify_module.eigendecompose
     monkeypatch.setattr(verify_module, "eigendecompose",
-                        lambda h_block: sizes.append(h_block.grid.n) or real(h_block))
+                        lambda block, grid: sizes.append(grid.n) or real(block, grid))
     free = SystemBuilder("free", MassProfile.constant(), -8.0, 8.0)
     results, _, _ = run_suite(free, ["spectrum"], [201, 401, 801])
     assert sizes == [501, 1001]
     assert [lv.n for lv in results[0].levels] == [501, 1001]
+
+
+def test_run_suite_refuses_levels_the_config_refuses():
+    # the library applies the config's level rules: no eig level for eq29,
+    # and a coarsest refine level that leaves no check window
+    free = SystemBuilder("free", MassProfile.constant(), -3.0, 4.0)
+    with pytest.raises(ConfigError, match="eig_levels, which is empty"):
+        run_suite(free, ["eq29"], [101, 201, 401], eig_levels=[])
+    with pytest.raises(ConfigError, match="coarsest refine level 9"):
+        run_suite(free, ["eq28"], [9, 17, 33])
 
 
 @pytest.mark.parametrize("levels", [[201], [201, 201]])
