@@ -2,8 +2,9 @@
 
 Three measurements:
 
-1. The metric built from its coefficient functions agrees with the literal
-   operator product D~^ D~, and is Hermitian, at the stencil order.
+1. The metric built from its coefficient functions agrees with its dual
+   construction, the composition D~^ (D~ v) applied to probes, and is
+   Hermitian, at the stencil order.
 
 2. For consistently built systems (companion function from the generating
    function) the intertwining eta H' = H'^ eta holds exactly: the measured

@@ -94,24 +94,6 @@ def blocks(m):
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _hull(spans):
-    """Smallest row range covering the nonempty spans; (0, 0) if there are none."""
-    spans = [(lo, hi) for lo, hi in spans if lo < hi]
-    if not spans:
-        return (0, 0)
-    return (min(lo for lo, _ in spans), max(hi for _, hi in spans))
-
-
-def _padded(span, d, hull):
-    """Diagonal d, stored over `span`, over the rows of `hull` with zeros elsewhere."""
-    if span == hull:
-        return d
-    (lo, hi), (first, end) = span, hull
-    out = np.zeros(end - first, d.dtype)
-    out[lo - first:hi - first] = d
-    return out
-
-
 class OperatorMatrix:
     """Banded n x n operator, stored by diagonals, each over its span only.
 
@@ -120,11 +102,9 @@ class OperatorMatrix:
     and the diagonal holds no other entry (an empty one has span (0, 0)).
     Offsets ascend.  The diagonals are consecutive views of one 1-D array,
     `data`, so the diagonals that only the one-sided edge rows reach store
-    a few entries, not n.  `op @ v` (`apply`) multiplies a vector, an n x k
-    block or another OperatorMatrix; a product sums each row's terms in
-    column order, starting from zero, as a CSR product does.  `mat` is a
-    dense copy that allocates all n^2 entries: it serves dense eigensolves
-    and tests.
+    a few entries, not n.  `op @ v` (`apply`) multiplies a vector of n
+    entries or an n x k block, never another operator.  `mat` is a dense
+    copy that allocates all n^2 entries, for dense eigensolves and tests.
 
     The benchmark's span tracer (perfbench/tracer.py) wraps `apply` and its
     alias `__matmul__` on this class by name and reads `mat` of the operator
@@ -162,11 +142,13 @@ class OperatorMatrix:
     def shape(self):
         return (self.n, self.n)
 
-    def apply(self, other):
-        """Product with a vector, an n x k block or another OperatorMatrix."""
-        if isinstance(other, OperatorMatrix):
-            return self._times(other)
-        v = np.asarray(other)
+    def apply(self, operand):
+        """Product with a vector of n entries or an n x k block."""
+        v = np.asarray(operand)
+        if v.ndim not in (1, 2) or v.shape[0] != self.n:
+            shape = getattr(operand, "shape", v.shape)
+            raise ValueError(f"an n = {self.n} operator applies to vectors and n x k blocks, "
+                             f"not to {type(operand).__name__} of shape {shape}")
         dtype = np.result_type(self.data, v)
         v = v.astype(dtype, copy=False)
         y = np.zeros(v.shape, dtype)
@@ -181,44 +163,6 @@ class OperatorMatrix:
         return y
 
     __matmul__ = apply
-
-    def _times(self, other):
-        terms, spans = [], {}
-        # ascending offsets in the outer loop: each entry sums in column order
-        for a, lo_a, hi_a, da in self._diagonals:
-            for b, lo_b, hi_b, db in other._diagonals:
-                lo, hi = max(lo_a, lo_b - a), min(hi_a, hi_b - a)
-                if lo < hi:
-                    terms.append((a + b, lo, da[lo - lo_a:hi - lo_a],
-                                  db[lo + a - lo_b:hi + a - lo_b]))
-                    spans[a + b] = _hull((spans.get(a + b, (0, 0)), (lo, hi)))
-        offsets = sorted(spans)
-        P = OperatorMatrix.zeros(self.n, offsets, [spans[o] for o in offsets],
-                                 np.result_type(self.data, other.data))
-        out = {o: (lo, d) for o, (lo, _), d in zip(P.offsets, P.spans, P.diagonals)}
-        for c, lo, x, y in terms:
-            first, d = out[c]
-            d[lo - first:lo - first + len(x)] += x * y
-        return P
-
-    def __sub__(self, other):
-        empty = ((0, 0), np.zeros(0))
-        mine = dict(zip(self.offsets, zip(self.spans, self.diagonals)))
-        theirs = dict(zip(other.offsets, zip(other.spans, other.diagonals)))
-        offsets = sorted(mine.keys() | theirs.keys())
-        spans = [_hull((mine.get(o, empty)[0], theirs.get(o, empty)[0])) for o in offsets]
-        D = OperatorMatrix.zeros(self.n, offsets, spans, np.result_type(self.data, other.data))
-        for o, hull, d in zip(offsets, D.spans, D.diagonals):
-            np.subtract(_padded(*mine.get(o, empty), hull),
-                        _padded(*theirs.get(o, empty), hull), out=d)
-        return D
-
-    def distance(self, other):
-        """Largest entry of |self - other|, without densifying.
-
-        Exact: every entry off the stored diagonals is zero in both matrices.
-        """
-        return float(np.abs((self - other).data).max(initial=0.0))
 
     def __mul__(self, scalar):
         return OperatorMatrix(self.n, self.offsets, self.spans, scalar * self.data)

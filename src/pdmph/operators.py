@@ -6,8 +6,8 @@ Conventions:
   D^     = -d/dx U + conj(phi)          (formal adjoint, built from its own
                                          differential expression, never by
                                          transposing a matrix)
-  eta~   = -U^2 d2 - 2 K d1 + L         (metric; also available as the
-                                         literal product D~^ D~)
+  eta~   = -U^2 d2 - 2 K d1 + L         (metric; its dual construction is
+                                         the composition D~^ (D~ v))
   H'     = -U^2 d2 - 2 M1 d1 + N1 + V
   H'^    = -U^2 d2 - 2 M1 d1 + N1 + conj(V)
            (a is real, so the adjoint's own first- and zeroth-order
@@ -33,9 +33,9 @@ each diagonal over its span of rows only, and assembled entry by entry from
 the cached stencils: a row-scaled stencil plus diagonal terms added in a
 fixed order, each entry rounded as in a dense assembly.  An assembled
 second-order operator stores about 5n entries; the main diagonal, which
-takes the diagonal terms, is the only one that spans all n rows.  The
-product form of eta~ is a banded product (9 central diagonals).  Only
-eigensolves take a dense copy.
+takes the diagonal terms, is the only one that spans all n rows.
+Operators are only ever applied to vectors and blocks, never multiplied
+with one another.  Only eigensolves take a dense copy.
 """
 
 from __future__ import annotations
@@ -45,8 +45,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDomainError
-from .grid import WEIGHTS, Grid, OperatorMatrix, _hull, _padded, diff_matrix
+from .grid import WEIGHTS, Grid, OperatorMatrix, diff_matrix
 from .profiles import ProfileBundle
+
+
+def _hull(spans):
+    """Smallest row range covering the nonempty spans; (0, 0) if there are none."""
+    spans = [(lo, hi) for lo, hi in spans if lo < hi]
+    return (min(lo for lo, _ in spans), max(hi for _, hi in spans)) if spans else (0, 0)
+
+
+def _padded(span, d, hull):
+    """Diagonal d, stored over `span`, over the rows of `hull` with zeros elsewhere."""
+    if span == hull:
+        return d
+    (lo, hi), (first, end) = span, hull
+    out = np.zeros(end - first, d.dtype)
+    out[lo - first:hi - first] = d
+    return out
 
 
 def _row_scaled_sum(terms, diagonal_terms):
@@ -142,23 +158,17 @@ def build_d_tilde_dagger(phi, a, bundle: ProfileBundle, grid: Grid) -> OperatorM
     return _first_order(bundle.U, -1.0, (-bundle.Up, np.conj(phi), 1j * np.conj(a)), grid)
 
 
-def build_eta_tilde(coeffs: CoefficientSet, bundle: ProfileBundle, grid: Grid,
-                    mode="direct", phi=None, a=None) -> OperatorMatrix:
-    """Metric operator, either assembled from K and L or as the product D~^ D~.
+def build_eta_tilde(coeffs: CoefficientSet, bundle: ProfileBundle,
+                    grid: Grid) -> OperatorMatrix:
+    """Metric operator -U^2 d2 - 2 K d1 + L, assembled from K and L.
 
-    The two constructions agree on smooth vectors over the interior window
-    at the stencil order; entrywise they differ (the product has the wider
-    stencil), so agreement is always measured through probe actions.
+    Its dual construction, the composition D~^ (D~ v), agrees with it on
+    smooth vectors over the interior window at the stencil order; entrywise
+    the composition has the wider stencil, so agreement is always measured
+    through probe actions.
     """
-    if mode == "direct":
-        return _second_order(bundle.U**2, coeffs.K, (coeffs.L,),
-                             diff_matrix(grid, 1), diff_matrix(grid, 2))
-    if mode == "product":
-        if phi is None or a is None:
-            raise InvalidDomainError("product mode needs phi and a")
-        return (build_d_tilde_dagger(phi, a, bundle, grid)
-                @ build_d_tilde(phi, a, bundle, grid))
-    raise InvalidDomainError(f"unknown eta_tilde mode {mode!r}")
+    return _second_order(bundle.U**2, coeffs.K, (coeffs.L,),
+                         diff_matrix(grid, 1), diff_matrix(grid, 2))
 
 
 def build_h_prime(V, a, ap, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:

@@ -38,9 +38,9 @@ from .errors import BudgetExceededError, ConfigError, EigensolverError, InvalidD
 from .grid import (EPS, STENCIL_ABS_D1, FLOOR_SAFETY, Grid, amplification, blocks,
                    cumint, diff_matrix, fd_floor, make_grid, observed_order)
 from .operators import (PROBES, CoefficientSet, OperatorMatrix, build_d,
-                        build_d_tilde, build_eta_tilde, build_eta_tilde_block,
-                        build_h_prime, build_h_prime_block, build_h_prime_dagger,
-                        default_probes, tau_similarity_actions)
+                        build_d_tilde, build_d_tilde_dagger, build_eta_tilde,
+                        build_eta_tilde_block, build_h_prime, build_h_prime_block,
+                        build_h_prime_dagger, default_probes, tau_similarity_actions)
 from .pipeline import (CATALOG, DressedSystem, GeneratingSpec,
                        assemble_potential, make_family, _write_columns)
 from .profiles import MassProfile
@@ -431,16 +431,17 @@ def check_tau(builder: SystemBuilder, ns, trace_dir=None):
 def _eta(inp, xm):
     grid, b = inp.grid, inp.bundle
     coeffs = _coefficients(inp)
-    eta = build_eta_tilde(coeffs, b, grid, mode="direct")
-    eta_p = build_eta_tilde(coeffs, b, grid, mode="product", phi=inp.phi, a=inp.a)
+    eta = build_eta_tilde(coeffs, b, grid)
     etaH = eta.H
+    dt = build_d_tilde(inp.phi, inp.a, b, grid)
+    dtd = build_d_tilde_dagger(inp.phi, inp.a, b, grid)
     w = _window(grid, xm)
     r_h = r_d = act = 0.0
     for v in default_probes(grid):
         ev = eta @ v
         act = np.maximum(act, np.abs(ev))
         r_h = np.maximum(r_h, np.abs(ev - etaH @ v))
-        r_d = np.maximum(r_d, np.abs(ev - eta_p @ v))
+        r_d = np.maximum(r_d, np.abs(ev - dtd @ (dt @ v)))
     scale = max(act[w].max(), 1e-300)
     fl = fd_floor(grid.h, c2max=np.abs(b.U[w]**2).max(),
                   c1max=2.0 * np.abs(coeffs.K[w]).max(),
@@ -517,7 +518,7 @@ def _symbol_summary(syms):
 def _intertwining(inp, xm):
     grid, b = inp.grid, inp.bundle
     coeffs = _coefficients(inp)
-    eta = build_eta_tilde(coeffs, b, grid, mode="direct")
+    eta = build_eta_tilde(coeffs, b, grid)
     hp = build_h_prime(inp.V, inp.a, inp.ap, b, grid)
     hpd = build_h_prime_dagger(inp.V, inp.a, inp.ap, b, grid)
     w = _window(grid, xm)
@@ -665,10 +666,10 @@ def eigendecompose(block: OperatorMatrix, grid: Grid) -> SpectralResult:
     Hermitian blocks (within rounding) go through the symmetric solver,
     which also guarantees exactly real eigenvalues; everything else through
     the general dense solver.  Solver failures and contract violations
-    surface as explicit errors.  The Hermiticity test, the scale and the
-    realness test read the stored diagonals (exact: every other entry is
-    zero in the block and in its adjoint); the block is densified only
-    after the budget check.  During the solve the working set is about four
+    surface as explicit errors.  The scale and the realness test read the
+    stored diagonals (exact: every other entry of the block is zero); the
+    block is densified only after the budget check, and Hermiticity is
+    tested on that dense copy.  During the solve the working set is about four
     complex m x m arrays (16 m^2 bytes each): the dense block, the solver's
     copy of it, its eigenvector buffer and the returned eigenvectors.  The
     backward-error residual is formed after the block is freed, so after
@@ -681,8 +682,8 @@ def eigendecompose(block: OperatorMatrix, grid: Grid) -> SpectralResult:
             f"dense eigensolve at n = {grid.n} exceeds the budget ({EIG_BUDGET} grid points)")
     m = block.shape[0]
     scale = np.abs(block.data).max()
-    hermitian = block.distance(block.H) <= 1e-12 * scale
     mat = block.mat
+    hermitian = np.abs(mat - mat.conj().T).max() <= 1e-12 * scale
     hfro = np.linalg.norm(mat, "fro")
     try:
         if hermitian:
@@ -773,8 +774,8 @@ def check_eq29(builder: SystemBuilder, n):
     place for the product and restored bit for bit, so with them the
     working set peaks at three complex m x m arrays while G is formed (the
     eigenvectors, the metric action and G);
-    the reductions over G, the pairing gaps and C V run in blocks of rows
-    or columns.
+    the reductions over G, the pairing gaps and the defect run in blocks of
+    rows or columns.
     """
     tol = TOLERANCES
     sp = builder.spectral(n)
@@ -818,11 +819,12 @@ def check_eq29(builder: SystemBuilder, n):
     del G
     gram_herm = float(max(herm) / max(max(gmax), 1e-300))
 
-    # defect of the weighted intertwining on the eigenvectors; the exact
-    # identity (conj(E_j) - E_k) G_jk = v_j^H C v_k makes |C v_k|/gscale the
-    # quantity that bounds relative Gram structure violations
-    C = hb.H @ weta - weta @ hb
-    num = np.concatenate([np.linalg.norm(C @ V[:, c], axis=0) for c in blocks(m)])
+    # defect C v = H'^H (W eta v) - W eta (H' v) of the weighted intertwining
+    # on the eigenvectors, per run of columns; the exact identity (conj(E_j) -
+    # E_k) G_jk = v_j^H C v_k makes |C v_k|/gscale bound relative Gram violations
+    hbH = hb.H
+    num = np.concatenate([np.linalg.norm(hbH @ (weta @ V[:, c]) - weta @ (hb @ V[:, c]),
+                                         axis=0) for c in blocks(m)])
     defect = float(np.max(num / (gscale * scale_e)))
 
     # property (i): nonreal eigenvalues have vanishing metric norm

@@ -120,21 +120,14 @@ def test_k_formula():
 def test_free_eta_is_minus_second_derivative():
     g, b, z = free_setup()
     c = CoefficientSet.build(z, z, z, z, z, z, b)
-    eta_d = build_eta_tilde(c, b, g, mode="direct")
-    eta_p = build_eta_tilde(c, b, g, mode="product", phi=z + 0j, a=z)
+    eta = build_eta_tilde(c, b, g)
+    dt = build_d_tilde(z + 0j, z, b, g)
+    dtd = build_d_tilde_dagger(z + 0j, z, b, g)
     v = np.sin(g.x)
     w = g.interior_mask(8)
-    assert np.abs((eta_d.mat @ v - np.sin(g.x)))[w].max() < 1e-6
-    assert np.abs((eta_p.mat @ v - np.sin(g.x)))[w].max() < 1e-6
-
-
-def test_eta_modes_need_phi_for_product():
-    g, b, z = free_setup()
-    c = CoefficientSet.build(z, z, z, z, z, z, b)
-    with pytest.raises(InvalidDomainError):
-        build_eta_tilde(c, b, g, mode="product")
-    with pytest.raises(InvalidDomainError):
-        build_eta_tilde(c, b, g, mode="nope")
+    assert np.abs((eta.mat @ v - np.sin(g.x)))[w].max() < 1e-6
+    # the dual construction, applied as the composition D~^ (D~ v)
+    assert np.abs((dtd @ (dt @ v) - np.sin(g.x)))[w].max() < 1e-6
 
 
 def test_free_particle_identities_exact():
@@ -142,7 +135,7 @@ def test_free_particle_identities_exact():
     # defect is exactly zero, boundary rows included
     g, b, z = free_setup(n=201)
     c = CoefficientSet.build(z, z, z, z, z, z, b)
-    eta = build_eta_tilde(c, b, g, mode="direct")
+    eta = build_eta_tilde(c, b, g)
     hp = build_h_prime(np.zeros(g.n, complex), z, z, b, g)
     hpd = build_h_prime_dagger(np.zeros(g.n, complex), z, z, b, g)
     assert np.abs(eta.mat - hp.mat).max() == 0.0

@@ -2,8 +2,8 @@
 
 * Every full-grid builder's dense view equals a local copy of the dense
   assembly (dense stencil, row scaling, diagonal terms) entry for entry;
-  the product-form metric, whose sparse product sums in another order,
-  agrees to 1e-13 of its largest entry.
+  the dual metric, applied as the composition D~^ (D~ v), agrees with the
+  dense product D~^ D~ on the probes to 1e-13 of |D~^| (|D~| |v|).
 * Every check's per-level residuals and verdicts agree with those the
   dense route recorded in ``tests/data/dense_route_checks.json``: verdicts
   exactly, residuals within the level's reported floor (see
@@ -30,8 +30,8 @@ from pdmph import (CATALOG, FAMILIES, CoefficientSet, GeneratingSpec,
                    MassProfile, SystemBuilder, build_d, build_d_tilde,
                    build_d_tilde_dagger, build_eta_tilde, build_eta_tilde_block,
                    build_h_prime, build_h_prime_block, build_h_prime_dagger,
-                   check_parity_eta, cumint, diff_matrix, make_family, make_grid,
-                   run_suite)
+                   check_parity_eta, cumint, default_probes, diff_matrix, make_family,
+                   make_grid, run_suite)
 from pdmph import grid as grid_module
 from pdmph.verify import CHECK_NAMES
 
@@ -157,7 +157,7 @@ def sparse_builders(ds, c):
         "D": build_d(ds.phi, b, grid),
         "D_tilde": build_d_tilde(ds.phi, ds.a, b, grid),
         "D_tilde_dagger": build_d_tilde_dagger(ds.phi, ds.a, b, grid),
-        "eta_tilde": build_eta_tilde(c, b, grid, mode="direct"),
+        "eta_tilde": build_eta_tilde(c, b, grid),
         "H_prime": build_h_prime(ds.V, ds.a, ds.ap, b, grid),
         "H_prime_dagger": build_h_prime_dagger(ds.V, ds.a, ds.ap, b, grid),
         "H_prime_block": build_h_prime_block(ds.V, ds.a, ds.ap, b, grid),
@@ -173,11 +173,16 @@ def test_builders_match_dense_assembly(name):
     spec = GeneratingSpec(fam, gauge_a=("scaled-g", 0.5))
     ds = make_family(spec, _profile(kind), make_grid(*CATALOG[fam][1], 401))
     dense, c = dense_builders(ds)
-    for key, op in sparse_builders(ds, c).items():
+    sparse = sparse_builders(ds, c)
+    for key, op in sparse.items():
         assert np.array_equal(op.mat, dense[key]), key
-    prod = build_eta_tilde(c, ds.bundle, ds.grid, mode="product", phi=ds.phi, a=ds.a)
+    # the dual metric is applied as the composition D~^ (D~ v); the dense
+    # product D~^ D~ sums each entry in another order
+    dt, dtd = sparse["D_tilde"], sparse["D_tilde_dagger"]
     ref = dense["D_tilde_dagger"] @ dense["D_tilde"]
-    assert np.abs(prod.mat - ref).max() <= 1e-13 * np.abs(ref).max()
+    for v in default_probes(ds.grid):
+        bound = np.abs(dense["D_tilde_dagger"]) @ (np.abs(dense["D_tilde"]) @ np.abs(v))
+        assert np.all(np.abs(dtd @ (dt @ v) - ref @ v) <= 1e-13 * bound)
 
 
 def test_parity_eta_matches_dense_assembly():

@@ -381,9 +381,9 @@ def test_eigendecompose_budget():
 @pytest.mark.parametrize("family,mass", [(f, k) for f in ("free",) + FAMILIES
                                          for k in ("constant", "rational")])
 def test_block_hermiticity_scale_and_realness_from_diagonals(family, mass):
-    # eigendecompose reads these from the stored diagonals instead of the
-    # dense block; every entry off the diagonals is zero in the block and
-    # its adjoint, so the values must be exactly the dense ones
+    # eigendecompose reads the scale and the realness from the stored
+    # diagonals instead of the dense block; every entry off the diagonals is
+    # zero, so the values must be exactly the dense ones
     profile = getattr(MassProfile, mass)()
     if family == "free":
         b = SystemBuilder("free", profile, -8.0, 8.0)
@@ -392,7 +392,6 @@ def test_block_hermiticity_scale_and_realness_from_diagonals(family, mass):
     inp = b.inputs(101)
     A = build_h_prime_block(inp.V, inp.a, inp.ap, inp.bundle, inp.grid)
     M = A.mat
-    assert A.distance(A.H) == np.abs(M - M.conj().T).max()
     assert np.abs(A.data).max() == np.abs(M).max()
     assert A.data.imag.any() == (np.abs(M.imag).max() != 0.0)
 
