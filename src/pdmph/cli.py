@@ -19,8 +19,8 @@ from . import __version__
 from .errors import CheckFailureError, ConfigError, IOFormatError, PdmphError
 from .pipeline import GeneratingSpec, catalog_rows, load_xy_table, to_csv
 from .profiles import MassProfile
-from .report import (GAUGE_PARAMS, MASS_PARAMS, SYSTEM_PRESETS, _set_keys, build_report,
-                     emit_json, payload_config, resolve_config, write_report)
+from .report import (SETTINGS, SYSTEM_PRESETS, build_report, emit_json, payload_config,
+                     resolve_config, write_report)
 from .verify import PROBES, TOLERANCES, SystemBuilder, run_suite, spectral_payload
 
 
@@ -32,29 +32,37 @@ def _use_color():
     return sys.stdout.isatty() and not os.environ.get("PDMPH_NO_COLOR")
 
 
-def _parse_kv(spec, what, kinds):
-    """Parse 'kind:k=v,k=v' option syntax for --mass and --gauge.
+def _parse_flag(text, setting):
+    """A flag's text as the value of `setting`; ConfigError if it does not parse."""
+    try:
+        if isinstance(setting.default, list):
+            return [setting.type(item) for item in text.split(",")]
+        return setting.type(text)
+    except ValueError:
+        raise ConfigError(f"{setting.flag or setting.key} must be {setting.what()}, "
+                          f"got {text!r}") from None
 
-    Each k must be a parameter the kind reads (`kinds[kind]`) and appear
-    once, so a misspelt or unread parameter is refused, not ignored.
-    """
+
+def _parse_kv(spec, setting):
+    """The values --mass/--gauge 'KIND[:k=v,...]' sets: the kind `setting`
+    and the section's other values, each named once by its last key part
+    (mass `beta` is an alias of `scale`); which a kind reads is the config's rule."""
+    section = setting.key.rpartition(".")[0]
+    names = {k.rpartition(".")[2]: k for k in SETTINGS
+             if k.startswith(f"{section}.") and k != setting.key}
+    if section == "mass":
+        names["beta"] = "mass.scale"
     kind, _, rest = spec.partition(":")
-    if kind not in kinds:
-        raise ConfigError(f"unknown {what} kind {kind!r} (known: {', '.join(kinds)})")
-    keys = kinds[kind]
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            k, eq, v = item.partition("=")
-            if not eq:
-                raise ConfigError(f"bad {what} parameter {item!r} (expected k=v)")
-            if k not in keys:
-                raise ConfigError(f"{what} {kind} takes no parameter {k!r} "
-                                  f"(allowed: {', '.join(keys) or 'none'})")
-            if k in params:
-                raise ConfigError(f"{what} parameter {k!r} given twice")
-            params[k] = v
-    return kind, params
+    values = {setting.key: kind}
+    for item in rest.split(",") if rest else ():
+        k, eq, v = item.partition("=")
+        if not eq or k not in names:
+            raise ConfigError(f"bad {setting.flag} parameter {item!r} "
+                              f"(expected k=v with k in {', '.join(names)})")
+        if names[k] in values:
+            raise ConfigError(f"{setting.flag} parameter {item!r} sets {names[k]} twice")
+        values[names[k]] = _parse_flag(v, SETTINGS[names[k]])
+    return values
 
 
 def _profile_from(cfg):
@@ -132,59 +140,25 @@ def cmd_catalog(args):
     return 0
 
 
-def _parse_number(text, what, kind=float):
-    """One number from a command-line option; ConfigError if it does not parse."""
-    try:
-        return kind(text)
-    except ValueError:
-        raise ConfigError(f"{what} must be a number, got {text!r}") from None
-
-
 def _load_config(args):
     given = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 given = json.load(fh)
         except (OSError, ValueError) as exc:
             raise IOFormatError(f"could not read config file {args.config}: {exc}") from None
-    overrides = {
-        "family": getattr(args, "family", None),
-        "alpha": getattr(args, "alpha", None),
-        "delta": getattr(args, "delta", None),
-        "grid.xmin": getattr(args, "xmin", None),
-        "grid.xmax": getattr(args, "xmax", None),
-        "grid.n": getattr(args, "n", None),
-        "out": getattr(args, "out", None),
-        "g_const": getattr(args, "g_const", None),
-        "g_table": getattr(args, "g_table", None),
-        "detune": getattr(args, "detune", None),
-    }
-    if getattr(args, "refine", None):
-        overrides["refine"] = [_parse_number(v, "--refine", int)
-                               for v in args.refine.split(",")]
-    if getattr(args, "checks", None):
-        overrides["checks"] = args.checks.split(",")
-    if getattr(args, "mass", None):
-        kind, params = _parse_kv(args.mass, "mass", MASS_PARAMS)
-        if "scale" in params and "beta" in params:
-            raise ConfigError("mass takes scale or its alias beta, not both")
-        overrides["mass"] = {"kind": kind,
-                             "scale": _parse_number(params.get("scale", params.get("beta", 1.0)),
-                                                    "mass scale"),
-                             "path": params.get("path")}
-    if getattr(args, "gauge", None):
-        mode, params = _parse_kv(args.gauge, "gauge", GAUGE_PARAMS)
-        overrides["gauge"] = {"mode": mode,
-                              "scale": _parse_number(params.get("scale", 1.0), "gauge scale"),
-                              "path": params.get("path")}
-    # verify reads its refine levels, not grid.n; generate and spectrum read no check
-    setby = _set_keys(given if isinstance(given, dict) else {}, overrides)
-    unread = [k for k in (("grid.n",) if args.command == "verify" else
-                          ("refine", "checks", "eig_levels", "detune")) if k in setby]
-    if unread:
-        raise ConfigError(f"{', '.join(unread)}: not read by {args.command}")
-    cfg = resolve_config(given, overrides)
+    overrides = {}
+    for key, setting in SETTINGS.items():
+        text, section = getattr(args, key, None), key.rpartition(".")[0]
+        if text is not None and setting.flag == f"--{section}":
+            # a flag named after its section sets all of it, replacing the file's
+            overrides.update(_parse_kv(text, setting))
+            if isinstance(given, dict):
+                given.pop(section, None)
+        elif text is not None:
+            overrides[key] = _parse_flag(text, setting)
+    cfg = resolve_config(given, overrides, args.command)
     # an output that cannot be written is refused before anything is built
     folder, trace_dir = os.path.dirname(cfg["out"] or ""), getattr(args, "trace_dir", None)
     if folder and not os.path.isdir(folder):
@@ -246,8 +220,6 @@ def cmd_verify(args):
 
 def cmd_spectrum(args):
     cfg = _load_config(args)
-    if args.list_cap < 1:
-        raise ConfigError(f"--list-cap must be at least 1, got {args.list_cap}")
     n = cfg["grid"]["n"]
     builder = _builder_from(cfg)
     sp = builder.spectral(n)
@@ -255,7 +227,7 @@ def cmd_spectrum(args):
         "toolkit": {"name": "pdmph", "version": __version__},
         "config": payload_config(cfg),
         "mu_anchor": _mu_anchor(builder, n),
-        "spectral": spectral_payload(sp, cap=args.list_cap),
+        "spectral": spectral_payload(sp),
     }
     out = cfg["out"]
     doc = emit_json(payload)
@@ -286,20 +258,10 @@ def make_parser():
 
     def common(sp):
         sp.add_argument("--config", default=None, help="JSON config file (strict schema)")
-        sp.add_argument("--family", default=None)
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--delta", type=float, default=None)
-        sp.add_argument("--mass", default=None, help="KIND[:k=v,...], e.g. rational:beta=1")
-        sp.add_argument("--gauge", default=None, help="MODE[:scale=c|path=p]")
-        sp.add_argument("--xmin", type=float, default=None)
-        sp.add_argument("--xmax", type=float, default=None)
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--refine", default=None, help="comma-separated point counts")
-        sp.add_argument("--checks", default=None, help="comma-separated check names")
-        sp.add_argument("--g-const", dest="g_const", type=float, default=None)
-        sp.add_argument("--g-table", dest="g_table", default=None)
-        sp.add_argument("--detune", type=float, default=None)
-        sp.add_argument("--out", default=None)
+        for key, setting in SETTINGS.items():
+            if setting.flag:
+                sp.add_argument(setting.flag, dest=key, default=None,
+                                help=f"{key}: {setting.what()}")
 
     gen = sub.add_parser("generate", help="sample a dressed system to CSV")
     common(gen)
@@ -313,7 +275,6 @@ def make_parser():
 
     spec = sub.add_parser("spectrum", help="dense eigendecomposition report")
     common(spec)
-    spec.add_argument("--list-cap", type=int, default=64)
     spec.set_defaults(func=cmd_spectrum)
     return p
 

@@ -1,4 +1,9 @@
-"""Run configuration (strict schema) and deterministic report emission.
+"""Run configuration (one settings table) and deterministic report emission.
+
+Every settable value is one row of `SETTINGS`: its default, its type, its
+command-line flag and what reads it.  The nested defaults, the CLI's shared
+flags, the type checks and the refusal of a value the run never reads all
+come from that table.
 
 Reports must be byte-identical across runs with the same configuration and
 toolkit version, so the JSON text is produced by a small deterministic
@@ -10,9 +15,12 @@ exclude via :func:`payload_bytes`.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import sys
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,187 +30,187 @@ from .pipeline import CATALOG, FAMILIES
 from .verify import CHECKS, CORRUPTION_TARGETS, EIG_LEVELS, validate_levels
 
 SYSTEM_PRESETS = ("hermitian-limit", "free")
+SYSTEMS = (*FAMILIES, "custom-table", *SYSTEM_PRESETS)
+# the systems built from a generating function: all but the free particle
+DRESSED = tuple(s for s in SYSTEMS if s != "free")
+VERIFY = ("verify",)
 
 # largest grid of any level (refine, eig_levels, grid.n): a verify level
 # costs about 2 kB and 5 us per point, so a mistyped level that asks for
 # millions of points is refused before anything is allocated
 MAX_POINTS = 200_001
-# the parameters each mass kind and gauge mode reads (beta is an alias of scale)
-MASS_PARAMS = {"constant": ("scale", "beta"), "rational": ("scale", "beta"),
-               "table": ("path",)}
-GAUGE_PARAMS = {"zero": (), "scaled-g": ("scale",), "table": ("path",)}
-
-CONFIG_DEFAULTS = {
-    "family": "morse",
-    "alpha": 1.0,
-    "delta": 0.0,
-    "g_const": 1.0,
-    "g_table": None,
-    "gauge": {"mode": "zero", "scale": 1.0, "path": None},
-    "mass": {"kind": "constant", "scale": 1.0, "path": None},
-    "grid": {"xmin": None, "xmax": None, "n": 2001},
-    "refine": [1001, 2001, 4001],
-    "eig_levels": list(EIG_LEVELS),
-    "checks": ["eq25", "eq26", "groundstate", "gauge", "tau", "eta-hermiticity",
-               "intertwining", "eq28"],
-    "detune": None,
-    "corruption": None,
-    "out": None,
-}
 
 
-def _merge_strict(defaults, given, path=""):
-    if not isinstance(given, dict):
-        raise ConfigError(f"config section {path or '<root>'} must be an object")
-    unknown = set(given) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown config key(s) {sorted(unknown)} in {path or '<root>'}")
+def _finite(value):
+    # nan, inf and an int too large for a float all fail the comparison
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+class Setting(NamedTuple):
+    """One settable value.  `type` is float (a finite number), int, str
+    (from `choices`, if any) or dict; a list default makes it a list of them
+    (distinct, for int), and a None default lets it be null.  `readers` maps
+    `command` or the config key family, mass.kind, gauge.mode or checks to
+    the values of it that read the setting (`CHECKS`: the rows whose levels
+    or options name the key); a selector it does not name reads it always."""
+
+    key: str
+    default: object
+    type: type
+    flag: str = None
+    choices: tuple = ()
+    readers: dict = {}
+    needed: bool = False
+
+    def what(self):
+        """What a value must be, for a refusal."""
+        what = {float: "a finite number", int: "an integer", str: "a string",
+                dict: "an object"}[self.type]
+        what += f" in {list(self.choices)}" if self.choices else ""
+        if isinstance(self.default, list):
+            what = f"a list of {'distinct ' if self.type is int else ''}values, each {what}"
+        return what + (", or null" if self.default is None else "")
+
+    def holds(self, value):
+        """Whether `value` has the setting's type (a boolean is no number)."""
+        if value is None or not isinstance(self.default, list):
+            return self.default is None if value is None else self._holds_one(value)
+        return (isinstance(value, list) and all(map(self._holds_one, value))
+                and (self.type is not int or len(set(value)) == len(value)))
+
+    def _holds_one(self, value):
+        if self.type is float:
+            return _finite(value)
+        return (isinstance(value, self.type) and not isinstance(value, bool)
+                and (not self.choices or value in self.choices))
+
+
+# every settable value, in the order payloads echo them
+SETTINGS = {s.key: s for s in (
+    Setting("family", "morse", str, "--family", SYSTEMS),
+    Setting("alpha", 1.0, float, "--alpha", readers={"family": FAMILIES}),
+    Setting("delta", 0.0, float, "--delta", readers={"family": DRESSED}),
+    Setting("g_const", 1.0, float, "--g-const", readers={"family": ("hermitian-limit",)}),
+    Setting("g_table", None, str, "--g-table", readers={"family": ("custom-table",)},
+            needed=True),
+    # the flag of a section's kind sets its other values too: --gauge MODE[:k=v,...]
+    Setting("gauge.mode", "zero", str, "--gauge", ("zero", "scaled-g", "table"),
+            {"family": DRESSED}),
+    Setting("gauge.scale", 1.0, float, readers={"family": DRESSED, "gauge.mode": ("scaled-g",)}),
+    Setting("gauge.path", None, str, readers={"family": DRESSED, "gauge.mode": ("table",)},
+            needed=True),
+    Setting("mass.kind", "constant", str, "--mass", ("constant", "rational", "table")),
+    Setting("mass.scale", 1.0, float, readers={"mass.kind": ("constant", "rational")}),
+    Setting("mass.path", None, str, readers={"mass.kind": ("table",)}, needed=True),
+    # null: the bound of the family's default domain
+    Setting("grid.xmin", None, float, "--xmin"),
+    Setting("grid.xmax", None, float, "--xmax"),
+    Setting("grid.n", 2001, int, "--n", readers={"command": ("generate", "spectrum")}),
+    # levels are sorted before use, so that no verdict depends on their order
+    Setting("refine", [1001, 2001, 4001], int, "--refine", readers={"command": VERIFY}),
+    Setting("eig_levels", list(EIG_LEVELS), int, readers={"command": VERIFY, "checks": CHECKS}),
+    Setting("checks", ["eq25", "eq26", "groundstate", "gauge", "tau", "eta-hermiticity",
+                       "intertwining", "eq28"], str, "--checks", CHECKS, {"command": VERIFY}),
+    Setting("detune", None, float, "--detune", readers={"command": VERIFY, "checks": CHECKS}),
+    Setting("corruption", None, dict, readers={"family": DRESSED}),
+    Setting("out", None, str, "--out"),
+)}
+
+
+def _nested(flat):
+    """{dotted key: value} as nested sections, in the given order."""
     out = {}
-    for key, dval in defaults.items():
-        if key in given and isinstance(dval, dict) and dval is not None:
-            out[key] = _merge_strict(dval, given[key], f"{path}{key}.")
-        elif key in given:
-            out[key] = given[key]
-        else:
-            out[key] = json.loads(json.dumps(dval)) if isinstance(dval, (dict, list)) else dval
+    for key, value in flat.items():
+        section, _, leaf = key.rpartition(".")
+        (out.setdefault(section, {}) if section else out)[leaf] = value
     return out
 
 
-def resolve_config(given=None, overrides=None):
-    """Merge a config dict and CLI overrides onto the defaults, strictly.
-
-    Unknown keys are rejected at every nesting level; the fully resolved
-    configuration (see :func:`payload_config`) is echoed into every report
-    so runs are self-describing.
-    """
-    cfg = _merge_strict(CONFIG_DEFAULTS, given or {})
-    setby = _set_keys(given or {}, overrides or {})
-    for key, val in (overrides or {}).items():
-        if val is None:
-            continue
-        node = cfg
-        parts = key.split(".")
-        for p in parts[:-1]:
-            node = node[p]
-        if parts[-1] not in node:
-            raise ConfigError(f"unknown override {key!r}")
-        node[parts[-1]] = val
-    _validate(cfg, setby)
-    return cfg
+CONFIG_DEFAULTS = _nested({key: s.default for key, s in SETTINGS.items()})
 
 
-def _set_keys(given, overrides):
-    """Dotted names of the non-null values a run sets, as against defaults filled
-    in; a flag that sets a whole section (--mass, --gauge) replaces the file's."""
-    keys = {k for k, v in overrides.items() if v is not None}
-    for key, val in given.items():
-        if isinstance(val, dict) and key not in keys:
-            keys |= {f"{key}.{k}" for k, v in val.items() if v is not None}
-        if val not in (None, {}):
-            keys.add(key)
-    return keys
+def _flatten(given, path=""):
+    """A config dict's values by dotted key; ConfigError for an unknown key or
+    a section that is not an object."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"config section {path or '<root>'} must be an object")
+    flat = {}
+    for key, value in given.items():
+        if "." not in key and path + key in SETTINGS:
+            flat[path + key] = value
+        elif any(k.startswith(f"{path}{key}.") for k in SETTINGS):
+            flat.update(_flatten(value, f"{path}{key}."))
+        else:
+            raise ConfigError(f"unknown config key {key!r} in {path or '<root>'}")
+    return flat
 
 
-_NUMBERS = ("alpha", "delta", "g_const", "mass.scale", "gauge.scale")
-_NUMBERS_OR_NULL = ("grid.xmin", "grid.xmax", "detune")
-_INTEGERS = ("grid.n",)
-_PATHS = ("g_table", "mass.path", "gauge.path")
+def resolve_config(given=None, overrides=None, command=None):
+    """Merge a config dict and CLI overrides (dotted key: value, None: not
+    set) onto the defaults, strictly: unknown keys are rejected at every
+    level, and so is a value the run (of `command`; None: any) never reads.
+    The resolved configuration (see :func:`payload_config`) is echoed into
+    every report so runs are self-describing."""
+    overrides = overrides or {}
+    if set(overrides) - set(SETTINGS):
+        raise ConfigError(f"unknown override(s) {sorted(set(overrides) - set(SETTINGS))}")
+    flat = {**_flatten(given or {}), **{k: v for k, v in overrides.items() if v is not None}}
+    setby = {key for key, value in flat.items() if value is not None}
+    cfg = {key: flat.get(key, copy.copy(s.default)) for key, s in SETTINGS.items()}
+    _validate(cfg, setby, command)
+    return _nested(cfg)
 
 
-def _field(cfg, key):
-    for part in key.split("."):
-        cfg = cfg[part]
-    return cfg
+def _refuse_unread(cfg, setby, command):
+    """Refuse a set value a selector of the run does not read (`<key>: not
+    read by <reader>`), and a `needed` one it reads but lacks."""
+    for key, s in SETTINGS.items():
+        run, unread = {}, []
+        for sel, readers in s.readers.items():
+            run[sel] = value = command if sel == "command" else cfg[sel]
+            if readers is CHECKS:   # looked up per run, so a row added to CHECKS counts
+                readers = [k for k, row in CHECKS.items() if key in (row.levels, *row.options)]
+            if value is not None and not set(value if isinstance(value, list)
+                                             else [value]) & set(readers):
+                unread.append(f"{sel} {value!r}")
+        if key in setby and unread:
+            raise ConfigError(f"{key}: not read by {unread[0]}")
+        if s.needed and not unread and not cfg[key]:
+            raise ConfigError(f"{key}: needed by "
+                              + ", ".join(f"{sel} {v!r}" for sel, v in run.items()))
 
 
-def _is_number(value, kind=(int, float)):
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _validate_types(cfg):
-    """Reject wrongly typed values (booleans count as wrong) before anything uses them.
-
-    Refinement and eigensolve levels are sorted, so that no verdict depends
-    on the order they were given in; a repeated level is rejected.
-    """
-    for key in _NUMBERS + _NUMBERS_OR_NULL:
-        value = _field(cfg, key)
-        if not (_is_number(value) or (value is None and key in _NUMBERS_OR_NULL)):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
-    for key in _INTEGERS:
-        if not _is_number(_field(cfg, key), int):
-            raise ConfigError(f"{key} must be an integer, got {_field(cfg, key)!r}")
-    for key in _PATHS:
-        value = _field(cfg, key)
-        if not (value is None or isinstance(value, str)):
-            raise ConfigError(f"{key} must be a path (string) or null, got {value!r}")
-    for key in ("refine", "eig_levels"):
-        levels = cfg[key]
-        if not isinstance(levels, list) or not all(_is_number(n, int) for n in levels):
-            raise ConfigError(f"{key} must be a list of integers, got {levels!r}")
-        if len(set(levels)) != len(levels):
-            raise ConfigError(f"{key} repeats a level: {levels}")
-        cfg[key] = sorted(levels)
-    if not isinstance(cfg["checks"], list) or not all(isinstance(c, str) for c in cfg["checks"]):
-        raise ConfigError(f"checks must be a list of check names, got {cfg['checks']!r}")
-
-
-def _validate(cfg, setby):
-    _validate_types(cfg)
-    fam = cfg["family"]
-    if fam not in FAMILIES and fam not in ("custom-table",) + SYSTEM_PRESETS:
-        raise ConfigError(f"unknown family {fam!r}")
-    if fam == "custom-table" and not cfg["g_table"]:
-        raise ConfigError("family custom-table needs g_table (CSV path)")
-    # a value the configured family never reads is refused, not ignored
-    unread = {"g_table": fam != "custom-table", "g_const": fam != "hermitian-limit",
-              "alpha": fam not in FAMILIES, "delta": fam == "free", "gauge": fam == "free",
-              "corruption": fam == "free"}
-    refused = sorted(k for k in setby if unread.get(k))
-    if refused:
-        raise ConfigError(f"{', '.join(refused)}: not read by family {fam!r}")
-    for key, kind, params in (("mass", "kind", MASS_PARAMS), ("gauge", "mode", GAUGE_PARAMS)):
-        value = cfg[key][kind]
-        if value not in params:
-            raise ConfigError(f"unknown {key} {kind} {value!r}")
-        if "path" in params[value] and not cfg[key]["path"]:
-            raise ConfigError(f"{key} {kind} {value!r} needs a path (CSV table)")
-        if "path" not in params[value] and cfg[key]["path"] is not None:
-            raise ConfigError(f"{key} {kind} {value!r} reads no path")
-        if "scale" not in params[value] and f"{key}.scale" in setby:
-            raise ConfigError(f"{key} {kind} {value!r} reads no scale")
-    unknown = set(cfg["checks"]) - set(CHECKS)
-    if unknown:
-        raise ConfigError(f"unknown checks {sorted(unknown)}")
+def _validate(cfg, setby, command):
+    for key, s in SETTINGS.items():
+        if not s.holds(cfg[key]):
+            raise ConfigError(f"{key} must be {s.what()}, got {cfg[key]!r}")
+    cfg["refine"], cfg["eig_levels"] = sorted(cfg["refine"]), sorted(cfg["eig_levels"])
     if len(cfg["refine"]) < 3:
         raise ConfigError("refine needs at least three levels for order fits")
     for key, levels in (("refine", cfg["refine"]), ("eig_levels", cfg["eig_levels"]),
-                        ("grid.n", [cfg["grid"]["n"]])):
+                        ("grid.n", [cfg["grid.n"]])):
         if levels and levels[-1] > MAX_POINTS:
             raise ConfigError(f"{key} asks for {levels[-1]} grid points; "
                               f"the maximum is {MAX_POINTS}")
-    # a run option or level list that no requested check reads is refused
-    for key in ("detune", "eig_levels"):
-        readers = [k for k, row in CHECKS.items() if key in (row.levels, *row.options)]
-        if key in setby and not set(readers) & set(cfg["checks"]):
-            raise ConfigError(f"{key}: read by {', '.join(readers)}, not by checks {cfg['checks']}")
+    _refuse_unread(cfg, setby, command)
     if "spectrum" in cfg["checks"] and len(cfg["eig_levels"]) < 2:
         raise ConfigError("the spectrum check compares two eig_levels")
     validate_levels(cfg["checks"], cfg["refine"], cfg["eig_levels"])
-    if cfg["grid"]["xmin"] is None or cfg["grid"]["xmax"] is None:
-        domain = CATALOG.get(fam, (None, (-8.0, 8.0), None))[1]
-        cfg["grid"]["xmin"], cfg["grid"]["xmax"] = domain
-    if "parity-eta" in cfg["checks"] and not (cfg["grid"]["xmin"] == -cfg["grid"]["xmax"]
+    domain = CATALOG.get(cfg["family"], (None, (-8.0, 8.0), None))[1]
+    for key, bound in zip(("grid.xmin", "grid.xmax"), domain):
+        if cfg[key] is None:
+            cfg[key] = bound
+    if "parity-eta" in cfg["checks"] and not (cfg["grid.xmin"] == -cfg["grid.xmax"]
                                               and cfg["refine"][0] % 2 == 1):
         raise ConfigError("parity-eta needs a grid symmetric about 0: xmin = -xmax "
                           "and an odd coarsest refine level")
-    if cfg["corruption"] is not None:
-        cor = cfg["corruption"]
-        if (not isinstance(cor, dict) or set(cor) - {"target", "amount"}
-                or cor.get("target") not in CORRUPTION_TARGETS
-                or not _is_number(cor.get("amount", 0.1))):
-            raise ConfigError(f"corruption must be {{target, amount}} with a target in "
-                              f"{list(CORRUPTION_TARGETS)} and a numeric amount, got {cor!r}")
+    cor = cfg["corruption"]
+    if cor is not None and (set(cor) - {"target", "amount"}
+                            or cor.get("target") not in CORRUPTION_TARGETS
+                            or not _finite(cor.get("amount", 0.1))):
+        raise ConfigError(f"corruption must be {{target, amount}} with a target in "
+                          f"{list(CORRUPTION_TARGETS)} and a finite amount, got {cor!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -968,8 +968,9 @@ def _solver_failure(name, exc):
     return res
 
 
-def spectral_payload(sp: SpectralResult, cap=64):
-    E = sp.eigenvalues[np.argsort(sp.eigenvalues.real, kind="stable")][:cap]
+def spectral_payload(sp: SpectralResult):
+    """The report's spectral summary: counts, and the 64 eigenvalues of lowest real part."""
+    E = sp.eigenvalues[np.argsort(sp.eigenvalues.real, kind="stable")][:64]
     return {
         "solver": sp.solver,
         "backward_error": sp.backward_error,

@@ -85,6 +85,8 @@ def test_config_strict_nested():
         resolve_config({"checks": ["eq25", "nope"]})
     with pytest.raises(ConfigError):
         resolve_config({"refine": [101, 201]})
+    with pytest.raises(ConfigError):
+        resolve_config({"mass.kind": "rational"})
 
 
 def test_config_defaults_written_back():
@@ -94,6 +96,82 @@ def test_config_defaults_written_back():
     # the thresholds are constants of the verify layer, not config values
     assert TOLERANCES["residual"] == 1e-6
     assert "tolerances" not in cfg
+
+
+def _at(tree, key):
+    for part in key.split("."):
+        tree = tree[part]
+    return tree
+
+
+def test_settings_table_is_the_config(tmp_path):
+    # one row per settable value, in the order a default verify payload echoes
+    # them (`out` says where a run writes, so payloads leave it out)
+    from pdmph.report import SETTINGS
+    assert list(SETTINGS) == [
+        "family", "alpha", "delta", "g_const", "g_table", "gauge.mode", "gauge.scale",
+        "gauge.path", "mass.kind", "mass.scale", "mass.path", "grid.xmin", "grid.xmax",
+        "grid.n", "refine", "eig_levels", "checks", "detune", "corruption", "out"]
+    out = tmp_path / "rep.json"
+    assert run(["verify", "--out", str(out)]) == 0
+    echoed = []
+    for key, value in json.loads(out.read_text())["payload"]["config"].items():
+        echoed += [f"{key}.{leaf}" for leaf in value] if isinstance(value, dict) else [key]
+    assert echoed == [k for k in SETTINGS if k != "out"]
+
+
+# each flag with the value its run resolves it to
+FLAG_RUNS = [
+    (["verify", "--family", "scarf2", "--alpha", "0.5", "--delta", "0.25", "--gauge",
+      "scaled-g:scale=0.75", "--mass", "rational:beta=2", "--xmin", "-5", "--xmax", "6",
+      "--refine", "401,101,201", "--checks", "intertwining,eq25", "--detune", "0.3",
+      "--out", "r.json"],
+     {"family": "scarf2", "alpha": 0.5, "delta": 0.25, "gauge.mode": "scaled-g",
+      "gauge.scale": 0.75, "mass.kind": "rational", "mass.scale": 2.0, "grid.xmin": -5.0,
+      "grid.xmax": 6.0, "refine": [101, 201, 401], "checks": ["intertwining", "eq25"],
+      "detune": 0.3, "out": "r.json"}),
+    (["verify", "--family", "hermitian-limit", "--g-const", "1.5", "--refine", "101,201,401"],
+     {"family": "hermitian-limit", "g_const": 1.5}),
+    (["spectrum", "--family", "custom-table", "--g-table", "g.csv", "--gauge", "table:path=a.csv",
+      "--mass", "table:path=m.csv", "--n", "301"],
+     {"g_table": "g.csv", "gauge.mode": "table", "gauge.path": "a.csv", "mass.kind": "table",
+      "mass.path": "m.csv", "grid.n": 301}),
+]
+
+
+def test_every_flag_reaches_the_payload():
+    from pdmph.cli import _load_config
+    from pdmph.report import SETTINGS, payload_config
+    for argv, want in FLAG_RUNS:
+        cfg = _load_config(make_parser().parse_args(argv))
+        for key, value in want.items():
+            assert _at(cfg if key == "out" else payload_config(cfg), key) == value, key
+    assert {k for k, s in SETTINGS.items() if s.flag} <= set().union(*(w for _, w in FLAG_RUNS))
+
+
+# one refusal of an unread value per kind of reader
+@pytest.mark.parametrize("given,command,message", [
+    ({"grid": {"n": 999}}, "verify", "grid.n: not read by command 'verify'"),
+    ({"g_const": 2.0}, None, "g_const: not read by family 'morse'"),
+    ({"mass": {"kind": "table", "path": "m.csv", "scale": 2.0}}, None,
+     "mass.scale: not read by mass.kind 'table'"),
+    ({"gauge": {"mode": "zero", "scale": 2.0}}, None, "gauge.scale: not read by gauge.mode 'zero'"),
+    ({"checks": ["eq25"], "detune": 0.5}, None, "detune: not read by checks ['eq25']"),
+], ids=["command", "family", "mass-kind", "gauge-mode", "check"])
+def test_unread_value_names_its_reader(given, command, message):
+    with pytest.raises(ConfigError) as err:
+        resolve_config(given, command=command)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bound,want", [(["--xmin", "-1"], [-1.0, 10.0]),
+                                        (["--xmax", "9"], [-2.0, 9.0])], ids=["xmin", "xmax"])
+def test_lone_grid_bound_keeps_the_other_default(tmp_path, bound, want):
+    out = tmp_path / "rep.json"
+    assert run(["verify", "--family", "morse", *bound, "--checks", "eq25",
+                "--refine", "101,201,401", "--out", str(out)]) == 0
+    grid = json.loads(out.read_text())["payload"]["config"]["grid"]
+    assert [grid["xmin"], grid["xmax"]] == want
 
 
 def test_verify_small_run_and_determinism(tmp_path):
@@ -420,8 +498,17 @@ def _failing_eig(mat):
     (["verify"], {"gauge": {"mode": "table", "path": "a.csv", "scale": 2.0}}, 2),
     (["verify"], {"corruption": {"amount": 0.1}}, 2),
     (["verify"], {"corruption": {"target": "v-imag-flp"}}, 2),
-    (["spectrum", "--family", "morse", "--n", "201", "--list-cap", "-3"], None, 2),
-    (["spectrum", "--family", "morse", "--n", "201", "--list-cap", "0"], None, 2),
+    (["verify", "--family", "morse", "--gauge", "scaled-g:scale=nan", "--checks", "eq25",
+      "--refine", "101,201,401"], None, 2),
+    (["verify", "--delta", "nan", "--checks", "eq25", "--refine", "101,201,401"], None, 2),
+    (["verify", "--detune", "inf", "--checks", "intertwining", "--refine", "101,201,401"],
+     None, 2),
+    (["verify", "--checks", "eq25", "--refine", "101,201,401"], {"alpha": float("nan")}, 2),
+    (["verify", "--family", "hermitian-limit", "--g-const", "nan", "--checks", "eq25",
+      "--refine", "101,201,401"], None, 2),
+    (["verify", "--checks", "eq25", "--refine", "101,201,401"], '{"mass": {"scale": 1e400}}', 2),
+    (["verify", "--checks", "eq25", "--refine", "101,201,401"],
+     {"grid": {"xmax": float("inf")}}, 2),
     (["generate", "--n", "5"], None, 3),
     (["generate", "--mass", "constant:scale=-1", "--n", "101"], None, 4),
     (["verify", "--family", "hermitian-limit", "--g-const", "0",
@@ -463,7 +550,9 @@ def _failing_eig(mat):
         "2-gauge-on-free", "2-corruption-on-free", "2-mass-scale-config-on-table",
         "2-gauge-scale-config-on-zero", "2-gauge-scale-config-on-table",
         "2-corruption-without-target",
-        "2-unknown-corruption-target", "2-negative-list-cap", "2-zero-list-cap",
+        "2-unknown-corruption-target", "2-nan-gauge-scale-flag", "2-nan-delta-flag",
+        "2-inf-detune-flag", "2-nan-alpha-config", "2-nan-g-const-flag",
+        "2-overflowing-mass-scale-config", "2-infinite-xmax-config",
         "3-grid-too-small", "4-negative-mass",
         "5-vanishing-g", "6-singularity", "7-check-fails", "8-budget", "8-budget-eig-level",
         "9-eigensolver-fails", "10-unreadable-config", "10-trace-dir-is-a-file",
@@ -476,7 +565,8 @@ def test_exit_codes(tmp_path, monkeypatch, capsys, argv, config, code):
     elif config == "existing-file":
         (tmp_path / "F").write_text("")
     elif config is not None:
-        (tmp_path / "c.json").write_text(json.dumps(config))
+        # a string is the config file's text (1e400 has no other JSON spelling)
+        (tmp_path / "c.json").write_text(config if isinstance(config, str) else json.dumps(config))
         argv = argv + ["--config", "c.json"]
     if "--out" not in argv:
         argv = argv + ["--out", str(tmp_path / "out")]
