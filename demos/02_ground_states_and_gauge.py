@@ -11,14 +11,13 @@ two routes D~(Lambda psi) and Lambda (D psi) stay equal.
 
 import numpy as np
 
-from pdmph import (GeneratingSpec, MassProfile, SystemBuilder,
-                   check_gauge_equivalence, check_groundstate)
+from pdmph import GeneratingSpec, MassProfile, SystemBuilder, run_suite
 
 builder = SystemBuilder("family", MassProfile.rational(), -3.0, 4.0,
                         spec=GeneratingSpec("morse", alpha=1.0))
 
 levels = [501, 1001, 2001]
-r_ann, r_eig = check_groundstate(builder, levels)
+(r_ann, r_eig), _, _ = run_suite(builder, ["groundstate"], levels)
 
 print("first-order annihilation residuals (max |D~ xi| / max |xi|):")
 for lv in r_ann.levels:
@@ -36,7 +35,7 @@ print("observed order:", "at rounding floor" if order is None else f"{order:.2f}
 gauged = SystemBuilder("family", MassProfile.rational(), -3.0, 4.0,
                        spec=GeneratingSpec("morse", alpha=1.0,
                                            gauge_a=("scaled-g", 1.0)))
-rg = check_gauge_equivalence(gauged, levels)
+(rg,), _, _ = run_suite(gauged, ["gauge"], levels)
 print("\ngauge equivalence D~(Lambda psi) = Lambda (D psi), a = g:")
 for lv in rg.levels:
     print(f"  n = {lv.n:5d}   residual = {lv.residual:.3e}")

@@ -18,14 +18,14 @@ Three measurements:
    corrected one describes the measured defect once f f' != 0.
 """
 
-from pdmph import (GeneratingSpec, MassProfile, SystemBuilder, check_eta,
-                   check_intertwining)
+from pdmph import (GeneratingSpec, MassProfile, SystemBuilder, check_intertwining,
+                   run_suite)
 
 levels = [501, 1001, 2001]
 builder = SystemBuilder("family", MassProfile.constant(), -2.0, 10.0,
                         spec=GeneratingSpec("morse", alpha=1.0))
 
-rh, rd = check_eta(builder, levels)
+(rh, rd), _, _ = run_suite(builder, ["eta-hermiticity"], levels)
 print("metric checks (probe actions, relative to the metric action scale):")
 print(f"  hermiticity     residuals {['%.1e' % v for v in rh.residuals]}"
       f"  order {rh.observed_order:.2f}")

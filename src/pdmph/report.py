@@ -27,7 +27,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 from .pipeline import CATALOG, FAMILIES
-from .verify import CHECKS, CORRUPTION_TARGETS, EIG_LEVELS, validate_levels
+from .verify import (CHECKS, CORRUPTION_TARGETS, EIG_LEVELS, JUDGED_NOTES, CheckLevel,
+                     CheckResult, judge, validate_levels)
 
 SYSTEM_PRESETS = ("hermitian-limit", "free")
 SYSTEMS = (*FAMILIES, "custom-table", *SYSTEM_PRESETS)
@@ -49,8 +50,8 @@ def _finite(value):
 
 class Setting(NamedTuple):
     """One settable value.  `type` is float (a finite number), int, str
-    (from `choices`, if any) or dict; a list default makes it a list of them
-    (distinct, for int), and a None default lets it be null.  `readers` maps
+    (from `choices`, if any) or dict; a list default makes it a list of
+    distinct ones, and a None default lets it be null.  `readers` maps
     `command` or the config key family, mass.kind, gauge.mode or checks to
     the values of it that read the setting (`CHECKS`: the rows whose levels
     or options name the key); a selector it does not name reads it always."""
@@ -69,7 +70,7 @@ class Setting(NamedTuple):
                 dict: "an object"}[self.type]
         what += f" in {list(self.choices)}" if self.choices else ""
         if isinstance(self.default, list):
-            what = f"a list of {'distinct ' if self.type is int else ''}values, each {what}"
+            what = f"a list of distinct values, each {what}"
         return what + (", or null" if self.default is None else "")
 
     def holds(self, value):
@@ -77,7 +78,7 @@ class Setting(NamedTuple):
         if value is None or not isinstance(self.default, list):
             return self.default is None if value is None else self._holds_one(value)
         return (isinstance(value, list) and all(map(self._holds_one, value))
-                and (self.type is not int or len(set(value)) == len(value)))
+                and len(set(value)) == len(value))
 
     def _holds_one(self, value):
         if self.type is float:
@@ -256,11 +257,13 @@ def payload_config(config):
     return {k: v for k, v in config.items() if k != "out"}
 
 
+def summary(results):
+    """The number of results of each verdict."""
+    return {v: sum(r.verdict == v for r in results) for v in ("pass", "fail", "reported-only")}
+
+
 def build_report(config, conventions, results, spectral, findings):
     """Assemble the verification report payload."""
-    summary = {"pass": 0, "fail": 0, "reported-only": 0}
-    for r in results:
-        summary[r.verdict] += 1
     return {
         "toolkit": {"name": "pdmph", "version": __version__},
         "config": payload_config(config),
@@ -268,8 +271,30 @@ def build_report(config, conventions, results, spectral, findings):
         "checks": [r.to_dict() for r in results],
         "spectral": spectral,
         "findings": findings,
-        "summary": summary,
+        "summary": summary(results),
     }
+
+
+def _number(value):
+    """A parsed payload value with null read back as NaN and "inf" as inf, as
+    `_fmt` writes them, in lists and objects too."""
+    if isinstance(value, list):
+        return [_number(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _number(v) for k, v in value.items()}
+    return {None: math.nan, "inf": math.inf, "-inf": -math.inf}.get(value, value)
+
+
+def rejudge(payload):
+    """A parsed verify payload with every check's verdict, threshold, observed
+    order and derived notes (`JUDGED_NOTES`), and the summary, re-derived by
+    `verify.judge` from the levels and notes it records; present or not."""
+    results = [judge(CheckResult(c["name"], c["law"],
+                                 [CheckLevel(**_number(lv)) for lv in c["levels"]],
+                                 notes={k: _number(v) for k, v in c["notes"].items()
+                                        if k not in JUDGED_NOTES}))
+               for c in payload["checks"]]
+    return {**payload, "checks": [r.to_dict() for r in results], "summary": summary(results)}
 
 
 def write_report(payload, path):

@@ -6,7 +6,8 @@ window, at several grid resolutions, and reports
   * the residual per level together with a conservative roundoff ceiling,
   * the observed convergence order (least-squares slope of log residual vs
     log h, excluding floor-dominated levels),
-  * a deterministic verdict: pass, fail, or reported-only.
+  * a deterministic verdict: pass, fail, or reported-only, set by `judge`
+    alone from the recorded numbers, by the rule the check's row names.
 
 An identity is its pointwise-residual function of one level's input plus
 one `CHECKS` row that declares its result names and laws; `run_suite` and
@@ -81,7 +82,7 @@ class CheckResult:
     levels: list
     observed_order: float = None
     threshold: float = None
-    verdict: str = "reported-only"
+    verdict: str = None          # set by `judge`
     notes: dict = field(default_factory=dict)
 
     @property
@@ -92,23 +93,102 @@ class CheckResult:
         return asdict(self)
 
 
-def _finish(result: CheckResult, threshold=TOLERANCES["residual"]):
-    """Deterministic verdict from the recorded numbers (levels coarsest first)."""
-    hs = [lv.h for lv in result.levels]
-    rs = [lv.residual for lv in result.levels]
-    fls = [lv.floor for lv in result.levels]
-    order = observed_order(hs, rs, fls)
-    result.observed_order = order
-    result.threshold = threshold
-    floor_dominated = all(r <= 10.0 * f for r, f in zip(rs, fls))
-    if rs[-1] <= threshold and (order is None or order >= TOLERANCES["order_min"]):
-        result.verdict = "pass"
-        if order is None:
-            result.notes["order"] = ("unobservable: residuals at or below the "
-                                     "rounding floor" if floor_dominated else
-                                     "unobservable: fewer than two floor-free levels")
-    else:
-        result.verdict = "fail"
+# ---------------------------------------------------------------------------
+# verdicts: a rule maps a result's levels (coarsest first) and measured notes
+# to (verdict, threshold, observed order, the notes with those it derives,
+# placed as payloads carry them)
+# ---------------------------------------------------------------------------
+
+def _by_order(levels, notes, threshold=TOLERANCES["residual"]):
+    """Pass when the finest residual is within `threshold` and the observed
+    order, where the levels show one, is at least order_min."""
+    rs, fls = [lv.residual for lv in levels], [lv.floor for lv in levels]
+    order = observed_order([lv.h for lv in levels], rs, fls)
+    ok = rs[-1] <= threshold and (order is None or order >= TOLERANCES["order_min"])
+    if ok and order is None:
+        why = ("residuals at or below the rounding floor" if all(
+            r <= 10.0 * f for r, f in zip(rs, fls)) else "fewer than two floor-free levels")
+        notes = {"order": f"unobservable: {why}", **notes}
+    return "pass" if ok else "fail", threshold, order, notes
+
+
+def _intertwined(levels, notes):
+    """A genuine multiplication-operator defect is h-independent: over 10x
+    its finest floor and falling less than 2x over the levels.  It passes
+    when the probes agree on one symbol, fitted by the printed form with a
+    stable constant.  Any other residual is judged by order, within
+    max(residual, 20 x finest floor)."""
+    tol, last = TOLERANCES, levels[-1]
+    ratio = float(levels[0].residual / max(last.residual, 1e-300))
+    genuine = last.residual > 10.0 * last.floor and ratio < 2.0
+    notes = {**notes, "defect_regime": "genuine" if genuine else "vanishing",
+             "residual_decay_ratio": ratio}
+    if not genuine:
+        verdict, threshold, order, derived = _by_order(
+            levels, {}, max(tol["residual"], 20.0 * last.floor))
+        return verdict, threshold, order, {**notes, **derived}
+    ok = (notes["probe_symbol_deviation_rel"][-1] <= tol["symbol_dev_rel"]
+          and notes.get("c_printed_stability", 1.0) <= tol["c_stability"]
+          and notes["fit_residual_printed"][-1] <= 10.0 * tol["c_stability"])
+    return "pass" if ok else "fail", tol["symbol_dev_rel"], None, notes
+
+
+def _gram(levels, notes):
+    """Below exact_regime_defect of eigenvector defect the Gram violations must
+    be within gram_rel; above it they are reported only, against 10x the
+    defect over the smallest constrained pairing gap."""
+    tol, defect = TOLERANCES, notes["defect_on_eigenvectors"]
+    exact = defect < tol["exact_regime_defect"]
+    scaled = max(tol["exact_regime_defect"],
+                 10.0 * defect / max(notes["min_constrained_gap"], 1e-300))
+    # each derived note follows the measured one it is derived from
+    after = {"defect_on_eigenvectors": {"exact_regime": exact},
+             "min_constrained_gap": {"defect_scaled_tolerance": scaled}}
+    placed = {}
+    for key, value in notes.items():
+        placed[key] = value
+        placed.update(after.get(key, {}))
+    placed["order"] = "not applicable to Gram structure"
+    if not exact:
+        return "reported-only", scaled, None, placed
+    ok = levels[-1].residual <= tol["gram_rel"]
+    return "pass" if ok else "fail", tol["gram_rel"], None, placed
+
+
+def _counts_stable(levels, notes, bound=TOLERANCES["eig_backward"]):
+    """Pass when every eigensolve meets the backward-error contract and the
+    window's pairing counts move by at most 2 per class between the levels."""
+    coarse, fine = notes["counts"]
+    ok = (all(abs(coarse[k] - fine[k]) <= 2 for k in coarse)
+          and all(lv.residual <= bound for lv in levels))
+    return ("pass" if ok else "fail", bound, None,
+            {**notes, "order": "not applicable to spectral bookkeeping"})
+
+
+def _bounded(levels, notes, bound=TOLERANCES["parity_hermiticity"]):
+    """Pass when the residual is within a fixed bound."""
+    return "pass" if levels[-1].residual <= bound else "fail", bound, None, notes
+
+
+# the rules the CHECKS rows name; a failed eigensolve fails explicitly, never
+# silently, and never aborts the rest of the suite
+RULES = {"order": _by_order, "intertwining": _intertwined, "gram": _gram,
+         "counts": _counts_stable, "bound": _bounded,
+         "reported": lambda levels, notes: ("reported-only", None, None, notes),
+         "solver-failure": lambda levels, notes: ("fail", None, None, notes)}
+# the notes the rules derive
+JUDGED_NOTES = ("order", "defect_regime", "residual_decay_ratio", "exact_regime",
+                "defect_scaled_tolerance")
+
+
+def judge(result: CheckResult):
+    """Set the verdict, threshold, observed order and derived notes of `result`
+    by the rule of its CHECKS row ("solver-failure" for a result with an
+    `error` note), from its levels and measured notes alone."""
+    rule = "solver-failure" if "error" in result.notes else next(
+        row.rule for row in CHECKS.values() if result.name in dict(row.results))
+    result.verdict, result.threshold, result.observed_order, result.notes = RULES[rule](
+        result.levels, result.notes)
     return result
 
 
@@ -258,13 +338,15 @@ def _write_trace(trace_dir, key, grid, outputs):
 def _identity(key, builder: SystemBuilder, ns, trace_dir=None):
     """Refine row `key` of CHECKS over the builder's levels; judge each result.
 
-    Returns the results, in the row's order, and the per-level extras.
+    A residual's extra, if any, is a dict of notes, each recorded at its
+    largest over the levels.  Returns the results, in the row's order.
     """
     ns = sorted(ns)
     level = builder.dressed if CHECKS[key].dressed else builder.inputs
     per_result, extras = _refine(key, map(level, ns), _xmargin(builder, ns), trace_dir)
-    return tuple(_finish(CheckResult(name, law, levels))
-                 for (name, law), levels in zip(CHECKS[key].results, per_result)), extras
+    notes = {k: max(extra[k] for extra in extras) for k in extras[0] or ()}
+    return tuple(judge(CheckResult(name, law, levels, notes=dict(notes)))
+                 for (name, law), levels in zip(CHECKS[key].results, per_result))
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +354,12 @@ def _identity(key, builder: SystemBuilder, ns, trace_dir=None):
 # ---------------------------------------------------------------------------
 
 def _eq25(ds, xm):
+    """Potential-conjugation balance: V - conj(V) + 4i U g' must vanish.
+
+    g' is taken by finite differences, independently of the analytic
+    derivative used to assemble V, so the residual converges at the stencil
+    order rather than cancelling identically.
+    """
     grid, U = ds.grid, ds.bundle.U
     w = _window(grid, xm)
     gp_fd = diff_matrix(grid, 1) @ ds.g
@@ -281,18 +369,9 @@ def _eq25(ds, xm):
     return grid, w, [(res, scale, floor)], None
 
 
-def check_eq25(builder: SystemBuilder, ns, trace_dir=None):
-    """Potential-conjugation balance: V - conj(V) + 4i U g' must vanish.
-
-    g' is taken by finite differences, independently of the analytic
-    derivative used to assemble V, so the residual converges at the stencil
-    order rather than cancelling identically.
-    """
-    (res,), _ = _identity("eq25", builder, ns, trace_dir)
-    return res
-
-
 def _eq26(ds, xm):
+    """Potential-gradient balance:
+    conj(V)' = 2 f f' - 2 g g' - (U f)'' + 2i (U g')', all derivatives FD."""
     grid, U = ds.grid, ds.bundle.U
     w = _window(grid, xm)
     D1 = diff_matrix(grid, 1)
@@ -303,13 +382,6 @@ def _eq26(ds, xm):
     floor = fd_floor(grid.h, c2max=np.abs(U[w]).max(),
                      c1max=1.0 + np.abs(ds.V[w]).max()) / scale
     return grid, w, [(np.abs(lhs - rhs), scale, floor)], None
-
-
-def check_eq26(builder: SystemBuilder, ns, trace_dir=None):
-    """Potential-gradient balance:
-    conj(V)' = 2 f f' - 2 g g' - (U f)'' + 2i (U g')', all derivatives FD."""
-    (res,), _ = _identity("eq26", builder, ns, trace_dir)
-    return res
 
 
 def residual_eq28(inputs, xmargin=0.0):
@@ -348,9 +420,8 @@ def _check_eq28(builder: SystemBuilder, ns, trace_dir=None):
     """The printed zeroth-order balance at the finest level; reported only."""
     (levels,), (r,) = _refine("eq28", [builder.inputs(max(ns))], _xmargin(builder, ns),
                               trace_dir)
-    res = CheckResult(*CHECKS["eq28"].results[0], levels)
-    res.notes.update(max_printed=r["max_printed"], max_corrected=r["max_corrected"])
-    return res
+    return judge(CheckResult(*CHECKS["eq28"].results[0], levels, notes={
+        "max_printed": r["max_printed"], "max_corrected": r["max_corrected"]}))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +429,8 @@ def _check_eq28(builder: SystemBuilder, ns, trace_dir=None):
 # ---------------------------------------------------------------------------
 
 def _groundstate(ds, xm):
+    """Annihilation and eigen-residuals of the constructed ground state:
+    max |D~ xi| / max |xi| and max |(H' - delta) xi| / max |xi| over the window."""
     grid, b, xi = ds.grid, ds.bundle, ds.xi
     dt = build_d_tilde(ds.phi, ds.a, b, grid)
     hp = build_h_prime(ds.V, ds.a, ds.ap, b, grid)
@@ -373,16 +446,9 @@ def _groundstate(ds, xm):
                      (np.abs(hp @ xi - ds.energy * xi), nrm, fl_eig)], None
 
 
-def check_groundstate(builder: SystemBuilder, ns, trace_dir=None):
-    """Annihilation and eigen-residuals of the constructed ground state.
-
-    Returns two results: max |D~ xi| / max |xi| and max |(H' - delta) xi|
-    / max |xi| over the common window.
-    """
-    return _identity("groundstate", builder, ns, trace_dir)[0]
-
-
 def _gauge(ds, xm):
+    """Gauge identity: D~(Lambda psi) = Lambda (D psi), measured on the window,
+    with the largest | |Lambda| - 1 | as a note."""
     grid, b = ds.grid, ds.bundle
     d = build_d(ds.phi, b, grid)
     dt = build_d_tilde(ds.phi, ds.a, b, grid)
@@ -395,17 +461,11 @@ def _gauge(ds, xm):
                      c0max=np.abs(ds.phi[w]).max() + np.abs(ds.a[w]).max(),
                      amp=amax)
     unit_mod = float(np.abs(np.abs(ds.Lambda) - 1.0).max())
-    return grid, w, [(np.abs(lhs - rhs), nrm, floor)], unit_mod
-
-
-def check_gauge_equivalence(builder: SystemBuilder, ns, trace_dir=None):
-    """Gauge identity: D~(Lambda psi) = Lambda (D psi), measured on the window."""
-    (res,), unit_mods = _identity("gauge", builder, ns, trace_dir)
-    res.notes["max_unit_modulus_defect"] = max(unit_mods)
-    return res
+    return grid, w, [(np.abs(lhs - rhs), nrm, floor)], {"max_unit_modulus_defect": unit_mod}
 
 
 def _tau(ds, xm):
+    """Antilinear similarity between H' and its adjoint through the tau phase."""
     grid, b = ds.grid, ds.bundle
     hp = build_h_prime(ds.V, ds.a, ds.ap, b, grid)
     hpd = build_h_prime_dagger(ds.V, ds.a, ds.ap, b, grid)
@@ -418,17 +478,19 @@ def _tau(ds, xm):
     return grid, w, [(res, max(act[w].max(), 1e-300), floor)], None
 
 
-def check_tau(builder: SystemBuilder, ns, trace_dir=None):
-    """Antilinear similarity between H' and its adjoint through the tau phase."""
-    (res,), _ = _identity("tau", builder, ns, trace_dir)
-    return res
-
-
 # ---------------------------------------------------------------------------
 # metric operator checks
 # ---------------------------------------------------------------------------
 
 def _eta(inp, xm):
+    """Metric Hermiticity and the dual construction, by probe actions.
+
+    Both residuals are relative to the metric action scale.  Entrywise
+    matrix comparisons are meaningless here: the conjugate transpose of a
+    discretized operator differs entrywise from the discretization of the
+    formal adjoint at O(1/h) while their actions on smooth vectors agree at
+    the stencil order.
+    """
     grid, b = inp.grid, inp.bundle
     coeffs = _coefficients(inp)
     eta = build_eta_tilde(coeffs, b, grid)
@@ -449,18 +511,6 @@ def _eta(inp, xm):
     return grid, w, [(r_h, scale, fl), (r_d, scale, fl)], None
 
 
-def check_eta(builder: SystemBuilder, ns, trace_dir=None):
-    """Metric Hermiticity and the dual construction, by probe actions.
-
-    Both residuals are relative to the metric action scale.  Entrywise
-    matrix comparisons are meaningless here: the conjugate transpose of a
-    discretized operator differs entrywise from the discretization of the
-    formal adjoint at O(1/h) while their actions on smooth vectors agree at
-    the stencil order.
-    """
-    return _identity("eta-hermiticity", builder, ns, trace_dir)[0]
-
-
 def check_parity_eta(builder: SystemBuilder, n):
     """Parity-based metric on a symmetric grid: Hermiticity.
 
@@ -476,11 +526,8 @@ def check_parity_eta(builder: SystemBuilder, n):
             "parity operator needs xmin = -xmax and odd n (a node exactly at 0)")
     e = np.exp(1j * (2.0 * cumint(ds.a / ds.bundle.U, grid, grid.index_nearest(0.0))))
     herm = float(np.abs(e - np.conj(e)[::-1]).max())
-    res = CheckResult(*CHECKS["parity-eta"].results[0],
-                      [CheckLevel(n, grid.h, herm, 64.0 * EPS)])
-    res.threshold = TOLERANCES["parity_hermiticity"]
-    res.verdict = "pass" if herm <= res.threshold else "fail"
-    return res
+    return judge(CheckResult(*CHECKS["parity-eta"].results[0],
+                             [CheckLevel(n, grid.h, herm, 64.0 * EPS)]))
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +616,6 @@ def check_intertwining(builder: SystemBuilder, ns, detune=None, trace_dir=None):
     only the convergence of the residual toward the rounding floor is
     asserted.
     """
-    tol = TOLERANCES
     ns = sorted(ns)
     inputs = (builder.inputs(n) if detune is None else detuned(builder.dressed(n), detune)
               for n in ns)
@@ -606,25 +652,7 @@ def check_intertwining(builder: SystemBuilder, ns, detune=None, trace_dir=None):
         if len(cs[form]) == 2 and abs(cs[form][1]) > 0:
             res.notes[f"c_{form}_stability"] = (abs(cs[form][0] - cs[form][1])
                                                 / abs(cs[form][1]))
-
-    # regime: a genuine multiplication-operator defect is h-independent, so
-    # its residual does not decay under refinement; truncation or rounding
-    # residuals either decay or sit below the floor ceiling
-    ratio = levels[0].residual / max(levels[-1].residual, 1e-300)
-    defect_is_genuine = (levels[-1].residual > 10.0 * levels[-1].floor
-                         and ratio < 2.0)
-    res.notes["defect_regime"] = "genuine" if defect_is_genuine else "vanishing"
-    res.notes["residual_decay_ratio"] = float(ratio)
-    if defect_is_genuine:
-        ok = (devs[-1] <= tol["symbol_dev_rel"]
-              and res.notes.get("c_printed_stability", 1.0) <= tol["c_stability"]
-              and fits["printed"][-1] <= 10.0 * tol["c_stability"])
-        res.observed_order = None
-        res.threshold = tol["symbol_dev_rel"]
-        res.verdict = "pass" if ok else "fail"
-    else:
-        _finish(res, threshold=max(tol["residual"], 20.0 * levels[-1].floor))
-    return res
+    return judge(res)
 
 
 # ---------------------------------------------------------------------------
@@ -743,17 +771,8 @@ def check_spectrum(builder: SystemBuilder, eig_levels):
         counts.append(_spectral_window_counts(sp, cap))
         solvers.append(sp.solver)
         del sp   # builder.spectral frees the coarser decomposition before the finer solve
-    res = CheckResult("spectrum", "dense spectrum bookkeeping", levels)
-    res.notes["window_cap"] = float(cap)
-    res.notes["counts"] = counts
-    res.notes["solver"] = solvers
-    stable = all(abs(counts[0][k] - counts[1][k]) <= 2 for k in counts[0])
-    ok = stable and all(lv.residual <= TOLERANCES["eig_backward"] for lv in levels)
-    res.threshold = TOLERANCES["eig_backward"]
-    res.verdict = "pass" if ok else "fail"
-    res.observed_order = None
-    res.notes["order"] = "not applicable to spectral bookkeeping"
-    return res
+    return judge(CheckResult("spectrum", "dense spectrum bookkeeping", levels, notes={
+        "window_cap": float(cap), "counts": counts, "solver": solvers}))
 
 
 def check_eq29(builder: SystemBuilder, n):
@@ -764,9 +783,7 @@ def check_eq29(builder: SystemBuilder, n):
     between conjugate pairs) holds exactly as far as the intertwining holds
     *on the eigenvectors*, wall effects included, so the governing defect is
     measured as max_k |(H'^H W eta - W eta H') v_k| relative to the metric
-    action on v_k.  Below the exact-regime threshold the structure is
-    asserted at the relative tolerance; above it the same numbers are
-    emitted reported-only with defect-scaled tolerances.
+    action on v_k, which selects the `gram` rule's regime.
 
     The decomposition comes from `builder.spectral(n)`, so one the spectrum
     check solved at n is not repeated.
@@ -832,31 +849,17 @@ def check_eq29(builder: SystemBuilder, n):
     # property (ii): off-structure entries vanish unless conjugate-paired
     viol_ii = float(max(viol)) if viol else 0.0
     gap = float(min(gaps)) if gaps else 1.0
-    tol_scaled = max(tol["exact_regime_defect"], 10.0 * defect / max(gap, 1e-300))
-
-    res = CheckResult("eq29", "metric Gram structure",
-                      [CheckLevel(n, grid.h, max(viol_i, viol_ii), EPS)])
-    res.notes.update({
+    return judge(CheckResult("eq29", "metric Gram structure",
+                             [CheckLevel(n, grid.h, max(viol_i, viol_ii), EPS)], notes={
         "defect_on_eigenvectors": defect,
-        "exact_regime": defect < tol["exact_regime_defect"],
         "gram_scale": gscale,
         "violation_i_rel": viol_i,
         "violation_ii_rel": viol_ii,
         "min_constrained_gap": gap,
-        "defect_scaled_tolerance": tol_scaled,
         "gram_hermiticity_rel": gram_herm,
         "counts": sp.counts,
         "solver": sp.solver,
-    })
-    res.observed_order = None
-    res.notes["order"] = "not applicable to Gram structure"
-    if defect < tol["exact_regime_defect"]:
-        res.threshold = tol["gram_rel"]
-        res.verdict = "pass" if max(viol_i, viol_ii) <= tol["gram_rel"] else "fail"
-    else:
-        res.threshold = tol_scaled
-        res.verdict = "reported-only"
-    return res
+    }))
 
 
 # ---------------------------------------------------------------------------
@@ -866,10 +869,11 @@ def check_eq29(builder: SystemBuilder, n):
 @dataclass(frozen=True)
 class Check:
     """A check declared once: the name of the module function `run_suite`
-    calls, one (name, law) pair per result in payload order, the
-    pointwise-residual function (None: no trace), whether it needs a
-    dressed system, the run options it reads, and the levels it takes: the
-    `levels` list ("refine" or "eig_levels"), whole or only its entry `pick`."""
+    calls (None: `_identity` refines the row), one (name, law) pair per
+    result in payload order, the pointwise-residual function (None: no
+    trace), whether it needs a dressed system, the run options it reads, the
+    levels it takes: the `levels` list ("refine" or "eig_levels"), whole or
+    only its entry `pick`, and the `RULES` entry that judges its results."""
 
     run: str
     results: tuple
@@ -878,30 +882,31 @@ class Check:
     options: tuple = ("trace_dir",)
     levels: str = "refine"
     pick: int = None
+    rule: str = "order"
 
 
 # every check, in canonical payload order
 CHECKS = {
-    "eq25": Check("check_eq25", (("eq25", "conjugation balance"),), _eq25),
-    "eq26": Check("check_eq26", (("eq26", "gradient balance"),), _eq26),
+    "eq25": Check(None, (("eq25", "conjugation balance"),), _eq25),
+    "eq26": Check(None, (("eq26", "gradient balance"),), _eq26),
     "eq28": Check("_check_eq28", (("eq28", "zeroth-order balance (sampled)"),), _eq28,
-                  dressed=False),
+                  dressed=False, rule="reported"),
     "intertwining": Check("check_intertwining", (("intertwining", "metric intertwining"),),
-                          _intertwining, dressed=False, options=("detune", "trace_dir")),
-    "groundstate": Check("check_groundstate", (("groundstate", "first-order annihilation"),
-                                               ("groundstate-eigen", "eigen-residual")),
-                         _groundstate),
-    "gauge": Check("check_gauge_equivalence", (("gauge", "gauge equivalence"),), _gauge),
-    "tau": Check("check_tau", (("tau", "antilinear similarity"),), _tau),
-    "eta-hermiticity": Check("check_eta", (("eta-hermiticity", "metric Hermiticity"),
-                                           ("eta-dual", "metric dual construction")),
+                          _intertwining, dressed=False, options=("detune", "trace_dir"),
+                          rule="intertwining"),
+    "groundstate": Check(None, (("groundstate", "first-order annihilation"),
+                                ("groundstate-eigen", "eigen-residual")), _groundstate),
+    "gauge": Check(None, (("gauge", "gauge equivalence"),), _gauge),
+    "tau": Check(None, (("tau", "antilinear similarity"),), _tau),
+    "eta-hermiticity": Check(None, (("eta-hermiticity", "metric Hermiticity"),
+                                    ("eta-dual", "metric dual construction")),
                              _eta, dressed=False),
     "parity-eta": Check("check_parity_eta", (("parity-eta", "parity metric Hermiticity"),),
-                        options=(), pick=0),
+                        options=(), pick=0, rule="bound"),
     "spectrum": Check("check_spectrum", (("spectrum", "dense spectrum bookkeeping"),),
-                      dressed=False, options=(), levels="eig_levels"),
+                      dressed=False, options=(), levels="eig_levels", rule="counts"),
     "eq29": Check("check_eq29", (("eq29", "metric Gram structure"),), dressed=False,
-                  options=(), levels="eig_levels", pick=-1),
+                  options=(), levels="eig_levels", pick=-1, rule="gram"),
 }
 CHECK_NAMES = tuple(CHECKS)
 
@@ -946,26 +951,20 @@ def run_suite(builder: SystemBuilder, checks, ns, eig_levels=EIG_LEVELS, detune=
         if key not in checks or (row.dressed and builder.kind != "family"):
             continue
         levels = given[row.levels] if row.pick is None else given[row.levels][row.pick]
+        options = {k: given[k] for k in row.options}
         try:
-            # looked up per call, so wrappers rebound here see it
-            out = globals()[row.run](builder, levels, **{k: given[k] for k in row.options})
+            # a run function is looked up per call, so wrappers rebound here see it
+            out = (globals()[row.run](builder, levels, **options) if row.run
+                   else _identity(key, builder, levels, **options))
         except EigensolverError as exc:
-            out = _solver_failure(key, exc)
+            out = judge(CheckResult(key, "dense eigendecomposition", [],
+                                    notes={"error": str(exc)}))
         results += [out] if isinstance(out, CheckResult) else out
 
     findings = _standing_findings(builder, ns)
     finest = builder._spectral.pop((max(eig_levels, default=None), builder.corruption), None)
     builder._spectral.clear()
     return results, spectral_payload(finest) if finest else None, findings
-
-
-def _solver_failure(name, exc):
-    """Eigensolver failures surface as explicit failed checks, never silently,
-    and never abort the rest of the suite."""
-    res = CheckResult(name, "dense eigendecomposition", [])
-    res.verdict = "fail"
-    res.notes["error"] = str(exc)
-    return res
 
 
 def spectral_payload(sp: SpectralResult):

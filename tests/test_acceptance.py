@@ -17,13 +17,11 @@ import numpy as np
 import pytest
 
 from pdmph import (FAMILIES, GeneratingSpec, MassProfile, SystemBuilder,
-                   build_h_prime_block, check_eq25, check_eq26, check_eq29,
-                   check_eta, check_gauge_equivalence, check_groundstate,
-                   check_intertwining, check_tau, eigendecompose, make_family,
-                   make_grid)
+                   build_h_prime_block, check_eq29, check_intertwining,
+                   eigendecompose, make_family, make_grid)
 from pdmph.cli import main
 from pdmph.report import payload_bytes
-from pdmph.verify import PROBES
+from pdmph.verify import PROBES, _identity
 
 # family -> {profile kind -> domain}
 DOMAINS = {
@@ -102,7 +100,7 @@ def groundstate_studies():
     for family in FAMILIES:
         for kind in ("constant", "rational"):
             t0 = time.perf_counter()
-            r_ann, r_eig = check_groundstate(sys_builder(family, kind), NS)
+            r_ann, r_eig = _identity("groundstate", sys_builder(family, kind), NS)
             out[(family, kind)] = (r_ann, r_eig, time.perf_counter() - t0)
     return out
 
@@ -137,7 +135,8 @@ def test_criterion_04_eta_dual_construction():
     ok, detail = True, []
     for family, kind, gauge in cases:
         t0 = time.perf_counter()
-        rh, rd = check_eta(sys_builder(family, kind, gauge_a=gauge), NS_OPERATOR)
+        rh, rd = _identity("eta-hermiticity", sys_builder(family, kind, gauge_a=gauge),
+                           NS_OPERATOR)
         dt = time.perf_counter() - t0
         ok &= level_ok(rh) and level_ok(rd) and dt < 10.0
         detail.append(f"{family}/{kind}: dual {rd.residuals[-1]:.1e}, "
@@ -150,18 +149,17 @@ def test_criterion_05_coefficient_matching_laws():
     for family in FAMILIES:
         for kind in ("constant", "rational"):
             b = sys_builder(family, kind)
-            r25 = check_eq25(b, NS)
-            r26 = check_eq26(b, NS)
+            (r25,), (r26,) = _identity("eq25", b, NS), _identity("eq26", b, NS)
             ok &= r25.verdict == "pass" and r26.verdict == "pass"
             if r25.verdict != "pass" or r26.verdict != "pass":
                 detail.append(f"{family}/{kind} FAILED")
     # negative controls: corrupted inputs must fail with residual >= 1e-2
     bneg = sys_builder("scarf2", "constant")
     bneg.corruption = ("v-imag-flip", 0.0)
-    n25 = check_eq25(bneg, NS_OPERATOR)
+    (n25,) = _identity("eq25", bneg, NS_OPERATOR)
     bneg2 = sys_builder("scarf2", "constant")
     bneg2.corruption = ("v-add-linear", 0.1)
-    n26 = check_eq26(bneg2, NS_OPERATOR)
+    (n26,) = _identity("eq26", bneg2, NS_OPERATOR)
     controls = (n25.verdict == "fail" and n25.residuals[-1] >= 1e-2
                 and n26.verdict == "fail" and n26.residuals[-1] >= 1e-2)
     ok &= controls
@@ -253,8 +251,7 @@ def test_criterion_09_gauge_and_tau():
     for family, kind in (("morse", "constant"), ("scarf2", "rational")):
         for gauge in (("zero",), ("scaled-g", 1.0)):
             b = sys_builder(family, kind, gauge_a=gauge)
-            rg = check_gauge_equivalence(b, NS)
-            rt = check_tau(b, NS)
+            (rg,), (rt,) = _identity("gauge", b, NS), _identity("tau", b, NS)
             ok &= level_ok(rg) and level_ok(rt)
             tag = "a=0" if gauge[0] == "zero" else "a=g"
             og = "exact" if rg.residuals[-1] == 0.0 else (

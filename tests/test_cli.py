@@ -450,6 +450,8 @@ def _failing_eig(mat):
       "--xmax", "4", "--refine", "101,201,401"], {"eig_levels": []}, 2),
     (["verify", "--family", "morse", "--checks", "eq25", "--refine", "15,31,61"], None, 2),
     (["verify", "--refine", "401,401,401"], None, 2),
+    (["verify", "--checks", "eq25,eq25", "--refine", "101,201,401"], None, 2),
+    (["verify", "--refine", "101,201,401"], {"checks": ["eq25", "eq25"]}, 2),
     (["verify", "--refine", "201,x,801"], None, 2),
     (["verify", "--mass", "constant:scale=heavy"], None, 2),
     (["verify", "--mass", "rational:bta=4", "--refine", "101,201,401"], None, 2),
@@ -530,7 +532,8 @@ def _failing_eig(mat):
 ], ids=["0-success", "2-string-n", "2-removed-jobs-key",
         "2-removed-neg-control-key", "2-removed-tolerances-key", "2-removed-probes-key",
         "2-repeated-eig-level", "2-one-eig-level-for-spectrum", "2-no-eig-level-for-eq29",
-        "2-coarsest-refine-level-without-window", "2-repeated-refine-level", "2-refine-not-int",
+        "2-coarsest-refine-level-without-window", "2-repeated-refine-level",
+        "2-repeated-check-flag", "2-repeated-check-config", "2-refine-not-int",
         "2-mass-scale-not-number", "2-misspelt-mass-beta", "2-misspelt-mass-scale",
         "2-misspelt-gauge-scale", "2-mass-beta-and-scale", "2-repeated-gauge-parameter",
         "2-scale-on-mass-table", "2-path-on-constant-mass", "2-scale-on-zero-gauge",

@@ -4,10 +4,11 @@ import pytest
 from pdmph import (CoefficientSet, GeneratingSpec, InvalidDomainError,
                    MassProfile, SystemBuilder, build_d, build_d_tilde,
                    build_d_tilde_dagger, build_eta_tilde, build_h_prime,
-                   build_h_prime_dagger, check_parity_eta, check_tau,
-                   default_probes, make_family, make_grid, observed_order, run_suite)
+                   build_h_prime_dagger, check_parity_eta, default_probes, make_family,
+                   make_grid, observed_order, run_suite)
 from pdmph.grid import cumint
 from pdmph.operators import _dirichlet_stencil
+from pdmph.verify import _identity
 
 
 def free_setup(n=401, domain=(-8.0, 8.0)):
@@ -212,13 +213,13 @@ def test_tau_residual_exact_for_zero_phase():
     assert np.abs(np.conj(hp.mat) - hpd.mat).max() == 0.0
     b = SystemBuilder("family", MassProfile.constant(), -8.0, 8.0,
                       spec=GeneratingSpec("scarf2"))
-    assert check_tau(b, [201, 401, 801]).residuals == [0.0, 0.0, 0.0]
+    assert _identity("tau", b, [201, 401, 801])[0].residuals == [0.0, 0.0, 0.0]
 
 
 def test_tau_residual_converges_for_gauged_system():
     b = SystemBuilder("family", MassProfile.constant(), -2.0, 10.0,
                       spec=GeneratingSpec("morse", gauge_a=("scaled-g", 1.0)))
-    assert check_tau(b, [201, 401, 801]).observed_order >= 3.5
+    assert _identity("tau", b, [201, 401, 801])[0].observed_order >= 3.5
 
 
 def test_tau_phase_definition():

@@ -1,3 +1,4 @@
+import functools
 import json
 import tracemalloc
 import weakref
@@ -9,16 +10,15 @@ import pdmph.verify as verify_module
 
 from pdmph import (CATALOG, FAMILIES, BudgetExceededError, GeneratingSpec,
                    MassProfile, SystemBuilder, apply_corruption, build_d,
-                   build_d_tilde, build_h_prime_block, check_eq25, check_eq26,
-                   check_eq29, check_eta, check_gauge_equivalence,
-                   check_groundstate, check_intertwining, check_parity_eta,
-                   check_spectrum, check_tau, diff_matrix, eigendecompose, make_grid,
-                   residual_eq28, run_suite)
+                   build_d_tilde, build_h_prime_block, check_eq29, check_intertwining,
+                   check_parity_eta, check_spectrum, diff_matrix, eigendecompose,
+                   make_grid, residual_eq28, run_suite)
 from pdmph.cli import main
 from pdmph.errors import ConfigError, InvalidDomainError
 from pdmph.operators import OperatorMatrix
 from pdmph.pipeline import assemble_potential
-from pdmph.verify import CHECK_NAMES, CHECKS, Check, CheckLevel, CheckResult, detuned
+from pdmph.verify import (CHECK_NAMES, CHECKS, Check, CheckLevel, CheckResult, _identity,
+                          detuned)
 
 NS = [301, 501, 1001]
 NS_FINE = [501, 1001, 2001]
@@ -45,15 +45,14 @@ def hermitian_builder(c=1.3, domain=(-2.0, 10.0), profile=None):
                                            ("scarf2", (-8.0, 8.0))])
 def test_eq25_eq26_pass(family, domain):
     b = builder(family, domain=domain)
-    r25 = check_eq25(b, NS)
-    r26 = check_eq26(b, NS)
+    (r25,), (r26,) = _identity("eq25", b, NS), _identity("eq26", b, NS)
     for r in (r25, r26):
         assert r.verdict == "pass"
         assert r.observed_order is None or r.observed_order >= 3.5
 
 
 def test_eq25_hermitian_limit_exact():
-    r = check_eq25(hermitian_builder(), NS)
+    (r,) = _identity("eq25", hermitian_builder(), NS)
     assert r.verdict == "pass"
     assert r.residuals[-1] < 1e-13
 
@@ -61,7 +60,7 @@ def test_eq25_hermitian_limit_exact():
 def test_eq25_negative_control():
     b = builder("scarf2", domain=(-8.0, 8.0))
     b.corruption = ("v-imag-flip", 0.0)
-    r = check_eq25(b, NS)
+    (r,) = _identity("eq25", b, NS)
     assert r.verdict == "fail"
     assert r.residuals[-1] >= 1e-2
 
@@ -69,7 +68,7 @@ def test_eq25_negative_control():
 def test_eq26_negative_control():
     b = builder("scarf2", domain=(-8.0, 8.0))
     b.corruption = ("v-add-linear", 0.1)
-    r = check_eq26(b, NS)
+    (r,) = _identity("eq26", b, NS)
     assert r.verdict == "fail"
     assert r.residuals[-1] >= 1e-2
 
@@ -252,7 +251,9 @@ def _bits(levels):
 
 
 def _check_levels(b, key, **options):
-    out = getattr(verify_module, CHECKS[key].run)(b, NS, **options)
+    run = CHECKS[key].run
+    out = (getattr(verify_module, run)(b, NS, **options) if run
+           else _identity(key, b, NS, **options))
     return [r.levels for r in ((out,) if isinstance(out, CheckResult) else out)]
 
 
@@ -287,7 +288,7 @@ def test_refine_on_detuned_copies_is_check_intertwining_detuned():
 # ---------------------------------------------------------------------------
 
 def test_groundstate_small_levels():
-    r1, r2 = check_groundstate(builder(), NS)
+    r1, r2 = _identity("groundstate", builder(), NS)
     assert r1.observed_order >= 3.5 and r2.observed_order >= 3.5
     assert r1.residuals[-1] < 1e-4 and r2.residuals[-1] < 1e-3
 
@@ -304,9 +305,9 @@ def test_groundstate_printed_state_does_not_annihilate():
 
 
 def test_gauge_equivalence_trivial_and_gauged():
-    r0 = check_gauge_equivalence(builder(), NS)
+    (r0,) = _identity("gauge", builder(), NS)
     assert r0.verdict == "pass" and r0.residuals[-1] == 0.0
-    rg = check_gauge_equivalence(builder(gauge_a=("scaled-g", 1.0)), NS_FINE)
+    (rg,) = _identity("gauge", builder(gauge_a=("scaled-g", 1.0)), NS_FINE)
     assert rg.verdict == "pass" and rg.observed_order >= 3.5
     assert rg.notes["max_unit_modulus_defect"] < 1e-12
 
@@ -323,9 +324,9 @@ def test_gauge_identity_holds_for_arbitrary_smooth_state():
 
 
 def test_tau_check_passes():
-    r0 = check_tau(builder(), NS)
+    (r0,) = _identity("tau", builder(), NS)
     assert r0.verdict == "pass" and r0.residuals[-1] == 0.0
-    rg = check_tau(builder(gauge_a=("scaled-g", 1.0)), NS)
+    (rg,) = _identity("tau", builder(gauge_a=("scaled-g", 1.0)), NS)
     assert rg.observed_order >= 3.5
 
 
@@ -339,7 +340,7 @@ def test_tau_check_passes():
 ])
 def test_eta_hermiticity_and_dual(profile, domain):
     b = builder("morse", profile=profile, domain=domain)
-    rh, rd = check_eta(b, NS)
+    rh, rd = _identity("eta-hermiticity", b, NS)
     assert rh.verdict == "pass"
     assert rd.verdict == "pass"
 
@@ -444,8 +445,10 @@ def test_eq29_leaves_the_eigenvectors_unchanged(family, profile, solver):
     assert b.spectral(501) is sp and sp.eigenvectors.tobytes() == before
 
 
-@pytest.mark.parametrize("check,bound_mb", [(check_intertwining, 3.0), (check_tau, 2.0),
-                                            (check_eta, 2.5)])
+@pytest.mark.parametrize("check,bound_mb", [
+    pytest.param(check_intertwining, 3.0, id="check_intertwining-3.0"),
+    pytest.param(functools.partial(_identity, "tau"), 2.0, id="check_tau-2.0"),
+    pytest.param(functools.partial(_identity, "eta-hermiticity"), 2.5, id="check_eta-2.5")])
 def test_probe_check_working_set(check, bound_mb):
     # morse/rational at 1001/2001/4001, with the dressed systems and the
     # stencils made first, so that the traced peak is the check's own
@@ -620,13 +623,40 @@ def test_corrupted_builder_fails_on_every_call():
     # v-imag-flip undone by a second application would pass eq25: the
     # corrupted system is cached once, never corrupted again
     b = builder("scarf2", domain=(-8.0, 8.0))
-    clean = check_eq25(b, NS)
+    (clean,) = _identity("eq25", b, NS)
     b.corruption = ("v-imag-flip", 0.0)
     for _ in range(2):
-        r = check_eq25(b, NS)
+        (r,) = _identity("eq25", b, NS)
         assert r.verdict == "fail" and r.residuals[-1] >= 1e-2
     b.corruption = None
-    assert check_eq25(b, NS).residuals == clean.residuals
+    assert _identity("eq25", b, NS)[0].residuals == clean.residuals
+
+
+def _failing_eig(mat):
+    raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+
+def test_judge_is_the_only_place_a_verdict_is_set(monkeypatch):
+    # a judge that stamps each result it judges: every result of every
+    # CHECKS row, the detuned intertwining and a failed eigensolve carry the
+    # stamp, so each went through verify.judge and nothing set its verdict after
+    real = verify_module.judge
+
+    def stamping(result):
+        real(result).verdict = "stamped"
+        return result
+    monkeypatch.setattr(verify_module, "judge", stamping)
+    ns, eig = [101, 201, 401], [101, 201]
+    b = builder("scarf2", domain=(-8.0, 8.0), gauge_a=("scaled-g", 1.0))
+    results = run_suite(b, list(CHECKS), ns, eig_levels=eig)[0]
+    results += run_suite(b, ["intertwining"], ns, detune=0.3)[0]
+    monkeypatch.setattr(np.linalg, "eig", _failing_eig)
+    failed = run_suite(builder(profile=MassProfile.rational(), domain=(-3.0, 4.0)),
+                       ["spectrum", "eq29"], ns, eig_levels=eig)[0]
+    assert [r.name for r in results] == [
+        name for row in CHECKS.values() for name, _ in row.results] + ["intertwining"]
+    assert ["error" in r.notes for r in failed] == [True, True]
+    assert [r.verdict for r in results + failed] == ["stamped"] * (len(results) + 2)
 
 
 def test_run_suite_order_of_checks_changes_nothing():
@@ -705,8 +735,8 @@ def test_detuned_intertwining_leaves_the_cached_system_alone():
     b = builder()
     check_intertwining(b, NS, detune=0.7)
     fresh = builder()
-    assert check_eq25(b, NS).residuals == check_eq25(fresh, NS).residuals
-    assert check_eq26(b, NS).residuals == check_eq26(fresh, NS).residuals
+    for key in ("eq25", "eq26"):
+        assert _identity(key, b, NS)[0].residuals == _identity(key, fresh, NS)[0].residuals
 
 
 def test_eq29_reuses_the_spectrum_decomposition(monkeypatch):

@@ -2,6 +2,7 @@
 
     python tools/samediff.py run SRC_DIR OUT_DIR
     python tools/samediff.py compare A_DIR B_DIR [--identical]
+    python tools/samediff.py rejudge OUT_DIR
 
 `run` imports pdmph from SRC_DIR/src (a checkout) and runs 66 CLI
 invocations in this one process, through `pdmph.cli.main`, with OUT_DIR as
@@ -16,15 +17,25 @@ printed output.
   * a different set of runs, a changed exit code, a changed set of
     checks or levels, or a changed verdict;
   * a level residual r that moves by more than 0.01 x the level's floor,
-    or, for a level whose floor is 0, by more than 1e-12 x max(|r|, 1).
+    or, for a level whose floor is 0, by more than 1e-12 x max(|r|, 1);
+  * a changed set of CSV columns, or a CSV value v that moves by more than
+    the same rule allows: in a trace column, 0.01 x the floor of the finest
+    level of that result in the run's report; in the `x` column, a generate
+    column, or a trace column whose floor is 0, 1e-12 x max(|v|, 1).
 
 Every other difference is printed without failing: notes, orders,
-thresholds, the rest of the payload (`spectral` included), trace and
-generate CSV columns (largest absolute change per column) and the printed
+thresholds, the rest of the payload (`spectral` included), the largest
+change of each CSV column that moves within the rule, and the printed
 output.  Each run is also reported byte-identical or not: its report
 payload (the report minus the timestamped sidecar), traces and CSVs.  With
 `--identical`, any byte difference fails too; two runs of one checkout
 must pass that, since reports promise byte identity across runs.
+
+`rejudge` strips from every verify report of a `run` directory the fields
+`pdmph.verify.judge` writes (each check's verdict, threshold, observed
+order and derived notes) and the summary, re-derives them with
+`pdmph.report.rejudge` of this checkout, and exits 1 if any payload's bytes
+change: every verdict is a function of the numbers the payload records.
 """
 
 from __future__ import annotations
@@ -223,17 +234,24 @@ def _columns(path):
     return header, data
 
 
-def _compare_csv(pa, pb, name, infos):
+def _compare_csv(pa, pb, name, floors, fails, infos):
+    """Gate each column of two CSVs; `floors` maps a trace column to its floor."""
     ha, da = _columns(pa)
     hb, db = _columns(pb)
     if ha != hb or da.shape != db.shape:
-        infos.append(f"{name}: columns {ha} {da.shape} -> {hb} {db.shape}")
+        fails.append(f"{name}: columns {ha} {da.shape} -> {hb} {db.shape}")
         return
     for k, col in enumerate(ha):
         a, b = da[:, k], db[:, k]
         if not np.array_equal(a, b, equal_nan=True):
-            infos.append(f"{name} column {col}: largest change {np.nanmax(np.abs(a - b)):.3g} "
-                         f"(largest value {np.nanmax(np.abs(a)):.3g})")
+            floor = floors.get(col, 0.0)
+            allowed = (FLOOR_FRACTION * floor if floor > 0
+                       else ZERO_FLOOR_REL * np.maximum(np.abs(a), 1.0))
+            with np.errstate(invalid="ignore"):
+                moved = ~((a == b) | (np.abs(a - b) <= allowed) | (np.isnan(a) & np.isnan(b)))
+            (fails if moved.any() else infos).append(
+                f"{name} column {col}: largest change {np.nanmax(np.abs(a - b)):.3g} "
+                f"(largest value {np.nanmax(np.abs(a)):.3g})")
 
 
 def _same_bytes(pa, pb):
@@ -261,16 +279,19 @@ def compare(a, b, identical=False):
         same = fa == fb and x["printed"] == y["printed"]
         if x["printed"] != y["printed"]:
             infos.append("printed output differs")
+        floors = {}   # of the run's results, at their finest level: its traces' gate
         for f in (f for f in fa if f in fb):
             pa, pb = os.path.join(a, f), os.path.join(b, f)
             if f.endswith(".json"):
                 (raw_a, ja), (raw_b, jb) = _payload(pa), _payload(pb)
+                floors = {c["name"]: c["levels"][-1]["floor"]
+                          for c in ja.get("checks", []) if c["levels"]}
                 same &= raw_a == raw_b
                 if raw_a != raw_b:
                     _compare_reports(ja, jb, fails, infos)
             elif not _same_bytes(pa, pb):
                 same = False
-                _compare_csv(pa, pb, f, infos)
+                _compare_csv(pa, pb, f, floors, fails, infos)
         failed += bool(fails) or (identical and not same)
         differing += not same
         if fails or infos or not same:
@@ -286,6 +307,42 @@ def compare(a, b, identical=False):
     return 1 if failed else 0
 
 
+def stripped(payload, judged_notes):
+    """A verify payload without its summary and without each check's verdict,
+    threshold, observed order and the notes named in `judged_notes`."""
+    checks = []
+    for check in payload["checks"]:
+        check = {k: v for k, v in check.items()
+                 if k not in ("verdict", "threshold", "observed_order")}
+        check["notes"] = {k: v for k, v in check["notes"].items() if k not in judged_notes}
+        checks.append(check)
+    return {**{k: v for k, v in payload.items() if k != "summary"}, "checks": checks}
+
+
+def rejudge(out):
+    """Rejudge every verify report of the run directory `out` from its stripped
+    payload; print each that changes; 1 if any does, else 0."""
+    _import_cli(ROOT)
+    from pdmph import report, verify
+    with open(os.path.join(out, "runs.json")) as fh:
+        records = json.load(fh)
+    total = changed = 0
+    for rec in records:
+        for f in _files(out, rec):
+            if not f.endswith(".json"):
+                continue
+            raw, payload = _payload(os.path.join(out, f))
+            if "checks" not in payload:
+                continue
+            total += 1
+            again = report.emit_json(report.rejudge(stripped(payload, verify.JUDGED_NOTES)))
+            if again != raw:
+                changed += 1
+                print(f"{rec['id']}: {f} changes when rejudged")
+    print(f"{total} reports rejudged, {changed} change")
+    return 1 if changed else 0
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -297,7 +354,11 @@ def main(argv=None):
     c.add_argument("b")
     c.add_argument("--identical", action="store_true",
                    help="also fail on any byte difference of payloads, traces or CSVs")
+    j = sub.add_parser("rejudge", help="re-derive every verdict of a run directory's reports")
+    j.add_argument("out", help="a directory written by `run`")
     args = p.parse_args(argv)
+    if args.command == "rejudge":
+        return rejudge(args.out)
     if args.command == "run":
         records = run(args.src, args.out)
         print(f"{len(records)} runs, exit codes {sorted({r['code'] for r in records})}")
