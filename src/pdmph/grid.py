@@ -99,12 +99,12 @@ class OperatorMatrix:
 
     Diagonal k has offset offsets[k] and covers the row range spans[k] =
     (lo, hi): A[i, i + offsets[k]] = diagonals[k][i - lo] for lo <= i < hi,
-    and the diagonal holds no other entry (an empty one has span (0, 0)).
-    Offsets ascend.  The diagonals are consecutive views of one 1-D array,
-    `data`, so the diagonals that only the one-sided edge rows reach store
-    a few entries, not n.  `op @ v` (`apply`) multiplies a vector of n
-    entries or an n x k block, never another operator.  `mat` is a dense
-    copy that allocates all n^2 entries, for dense eigensolves and tests.
+    and no other entry (an empty one has span (0, 0)).  Offsets ascend; the
+    diagonals are consecutive views of one 1-D array, `data`.  Each layout
+    is summed from its parts (`from_parts`), so the diagonals that only the
+    edge rows reach store a few entries, not n.  `op @ v` (`apply`) applies
+    it to a vector of n entries or an n x k block, never another operator;
+    `mat` is a dense copy of all n^2 entries, for eigensolves and tests.
 
     The benchmark's span tracer (perfbench/tracer.py) wraps `apply` and its
     alias `__matmul__` on this class by name and reads `mat` of the operator
@@ -134,9 +134,25 @@ class OperatorMatrix:
                            in zip(self.offsets, self.spans, self.diagonals) if lo < hi]
 
     @classmethod
-    def zeros(cls, n, offsets, spans, dtype=float):
-        """All-zero matrix with the given diagonals, to be filled through `diagonals`."""
-        return cls(n, offsets, spans, np.zeros(sum(max(hi - lo, 0) for lo, hi in spans), dtype))
+    def from_parts(cls, n, parts, dtype=float):
+        """The matrix summed from `parts`, each (offset, first row lo, values):
+        values[j] adds to the entry of row lo + j on that offset's diagonal.
+
+        Each diagonal spans the rows its parts cover ((0, 0) if every part is
+        empty), and each entry is the sum of its parts in the order given,
+        added to zero one after another.
+        """
+        spans = {}
+        for o, lo, d in parts:
+            first, end = spans.get(o, (n, 0))
+            spans[o] = (min(first, lo), max(end, lo + len(d))) if len(d) else (first, end)
+        offsets = sorted(spans)
+        spans = [spans[o] for o in offsets]
+        A = cls(n, offsets, spans, np.zeros(sum(max(hi - lo, 0) for lo, hi in spans), dtype))
+        for o, lo, d in parts:
+            k = offsets.index(o)
+            A.diagonals[k][lo - A.spans[k][0]:][:len(d)] += d
+        return A
 
     @property
     def shape(self):
@@ -176,12 +192,9 @@ class OperatorMatrix:
         Diagonal -o of A^H holds the conjugates of diagonal o in the same
         order, over the span shifted by o.
         """
-        rev = list(zip(self.offsets, self.spans, self.diagonals))[::-1]
-        A = OperatorMatrix.zeros(self.n, [-o for o, _, _ in rev],
-                                 [(lo + o, hi + o) for o, (lo, hi), _ in rev], self.data.dtype)
-        for (_, _, d), out in zip(rev, A.diagonals):
-            np.conjugate(d, out=out)
-        return A
+        return OperatorMatrix.from_parts(
+            self.n, [(-o, lo + o, np.conj(d)) for o, (lo, _), d
+                     in zip(self.offsets, self.spans, self.diagonals)], self.data.dtype)
 
     def row_values(self, x):
         """x at the row of every stored entry, laid out as `data`."""
@@ -230,36 +243,21 @@ def _build_stencil(n: int, h: float, order: int) -> OperatorMatrix:
 
     Interior rows hold the 5-point central stencil on offsets -2..2; the
     two rows at each edge hold one-sided stencils of nb points (6 for the
-    second derivative, 5 for the first), which reach offsets up to nb - 1.
-    Each diagonal is stored from its first to its last nonzero row, so the
-    offsets beyond 2 hold two entries each.  Only n and h enter, so they
-    (with the order) are the cache key.
+    second derivative, 5 for the first), which reach offsets up to nb - 1,
+    so the offsets beyond 2 hold two entries each.  Only n and h enter, so
+    they (with the order) are the cache key.
     """
-    weights = {o: np.array(row) / 12.0 for o, row in WEIGHTS[order].items()}
+    weights = {o: np.array(row) / 12.0 / h**order for o, row in WEIGHTS[order].items()}
     nb = len(weights[0])
-    central = weights[-2]
-    # (row, column of its first weight, weights)
-    edges = [(i, c0, weights[c0 - i])
-             for i, c0 in ((0, 0), (1, 0), (n - 2, n - nb), (n - 1, n - nb))]
-    hp = h**order
-    offsets = range(1 - nb, nb)
-    spans, diagonals = [], []
-    for o in offsets:
-        entries = [(i, w[i + o - c0]) for i, c0, w in edges if 0 <= i + o - c0 < nb]
-        rows = [i for i, _ in entries] + ([2, n - 3] if abs(o) <= 2 else [])
-        lo = min(rows)
-        d = np.zeros(max(rows) + 1 - lo)
-        if abs(o) <= 2:
-            d[2 - lo:n - 2 - lo] = central[o + 2]
-        for i, w in entries:
-            d[i - lo] = w
-        nz = np.flatnonzero(d)
-        first, end = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
-        spans.append((lo + first, lo + end))
-        diagonals.append(d[first:end] / hp)
-    data = np.concatenate(diagonals)
-    data.flags.writeable = False
-    return OperatorMatrix(n, offsets, spans, data)
+    parts = [(o, 2, np.full(n - 4, w)) for o, w in zip(range(-2, 3), weights[-2])]
+    # each edge row i, its first weight in column c0
+    for i, c0 in ((0, 0), (1, 0), (n - 2, n - nb), (n - 1, n - nb)):
+        w = weights[c0 - i]
+        parts += [(c0 + k - i, i, w[k:k + 1]) for k in range(nb)]
+    A = OperatorMatrix.from_parts(n, parts)
+    A.data.flags.writeable = False
+    # the diagonals are views, made again so that they are read-only too
+    return OperatorMatrix(n, A.offsets, A.spans, A.data)
 
 
 def diff_matrix(grid: Grid, order: int) -> OperatorMatrix:

@@ -29,9 +29,9 @@ measured eigenvalue order is about 2 (2.0 for free/rational, 2.0-2.5 for
 scarf2/rational).
 
 Every operator is banded, so each is stored by diagonals (grid.OperatorMatrix),
-each diagonal over its span of rows only, and assembled entry by entry from
-the cached stencils: a row-scaled stencil plus diagonal terms added in a
-fixed order, each entry rounded as in a dense assembly.  An assembled
+each diagonal over its span of rows only, and summed by `from_parts` from one
+part per stencil diagonal times its row scaling, then one per diagonal term:
+each entry is the written sum in its written order.  An assembled
 second-order operator stores about 5n entries; the main diagonal, which
 takes the diagonal terms, is the only one that spans all n rows.
 Operators are only ever applied to vectors and blocks, never multiplied
@@ -49,63 +49,27 @@ from .grid import WEIGHTS, Grid, OperatorMatrix, diff_matrix
 from .profiles import ProfileBundle
 
 
-def _hull(spans):
-    """Smallest row range covering the nonempty spans; (0, 0) if there are none."""
-    spans = [(lo, hi) for lo, hi in spans if lo < hi]
-    return (min(lo for lo, _ in spans), max(hi for _, hi in spans)) if spans else (0, 0)
-
-
-def _padded(span, d, hull):
-    """Diagonal d, stored over `span`, over the rows of `hull` with zeros elsewhere."""
-    if span == hull:
-        return d
-    (lo, hi), (first, end) = span, hull
-    out = np.zeros(end - first, d.dtype)
-    out[lo - first:hi - first] = d
-    return out
-
-
 def _row_scaled_sum(terms, diagonal_terms):
     """Banded matrix sum_j s_j (c_j D_j), then the diagonal terms added in turn.
 
     `terms` holds (s, c, D) with a scalar s, a row scaling c and an
-    OperatorMatrix D.  Each output diagonal is built over the hull of its parts'
-    spans only; the main diagonal spans every row when there are diagonal
-    terms.  Every entry is rounded as in a dense assembly of the written
-    sum (row-scaled matrices combined left to right, then one diagonal term
-    after another), so each caller keeps the rounding of its own formula.
+    OperatorMatrix D.  Each stored diagonal d of D over rows lo..hi is one
+    part s (c[lo:hi] d) of `OperatorMatrix.from_parts`, and each diagonal
+    term one part of the main diagonal, so every entry is the written sum
+    rounded in its written order: row-scaled matrices left to right, then
+    one diagonal term after another, as in a dense assembly.
     """
-    n = terms[0][2].n
-    parts = {}
-    for s, c, D in terms:
-        for o, span, d in zip(D.offsets, D.spans, D.diagonals):
-            parts.setdefault(o, []).append((s, c, span, d))
-    offsets = sorted(parts)
-    hulls = [_hull([span for *_, span, _ in parts[o]]) for o in offsets]
-    k = offsets.index(0)
-    spans = list(hulls)
-    if diagonal_terms:
-        spans[k] = (0, n)
-    A = OperatorMatrix.zeros(n, offsets, spans, complex)
-    for o, (first, _), (lo, hi), out in zip(offsets, A.spans, hulls, A.diagonals):
-        seg = out[lo - first:hi - first]
-        for j, (s, c, span, d) in enumerate(parts[o]):
-            t = s * ((c[lo:hi] + 0j) * _padded(span, d, (lo, hi)))
-            if j == 0:
-                seg[...] = t
-            else:
-                seg += t
-    for term in diagonal_terms:
-        A.diagonals[k] += term
-    return A
+    parts = [(o, lo, s * (c[lo:hi] * d)) for s, c, D in terms
+             for o, (lo, hi), d in zip(D.offsets, D.spans, D.diagonals)]
+    return OperatorMatrix.from_parts(terms[0][2].n, parts + [(0, 0, t) for t in diagonal_terms],
+                                     complex)
 
 
-def _second_order(c2, c1, c0, D1, D2):
-    """Banded matrix of -c2 d2 - 2 c1 d1 + c0 from derivative matrices D1 and D2.
-
-    c0 is a sequence of diagonal terms.
-    """
-    return _row_scaled_sum([(-1.0, c2, D2), (-2.0, c1, D1)], c0)
+def _second_order(c2, c1, c0, grid, block=False):
+    """Banded matrix of -c2 d2 - 2 c1 d1 + c0 (c0 a sequence of diagonal terms) on the
+    grid, or with `block` on its Dirichlet interior block."""
+    stencil = _dirichlet_stencil if block else diff_matrix
+    return _row_scaled_sum([(-1.0, c2, stencil(grid, 2)), (-2.0, c1, stencil(grid, 1))], c0)
 
 
 def _first_order(U, sign, terms, grid):
@@ -167,21 +131,19 @@ def build_eta_tilde(coeffs: CoefficientSet, bundle: ProfileBundle,
     the composition has the wider stencil, so agreement is always measured
     through probe actions.
     """
-    return _second_order(bundle.U**2, coeffs.K, (coeffs.L,),
-                         diff_matrix(grid, 1), diff_matrix(grid, 2))
+    return _second_order(bundle.U**2, coeffs.K, (coeffs.L,), grid)
 
 
 def build_h_prime(V, a, ap, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     """Gauged Hamiltonian -U^2 d2 - 2 M1 d1 + N1 + V."""
     M1, N1 = _gauge_coefficients(a, ap, bundle.U, bundle.Up)
-    return _second_order(bundle.U**2, M1, (N1, V), diff_matrix(grid, 1), diff_matrix(grid, 2))
+    return _second_order(bundle.U**2, M1, (N1, V), grid)
 
 
 def build_h_prime_dagger(V, a, ap, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
-    """Adjoint Hamiltonian -U^2 d2 - 2 M1 d1 + N1 + conj(V) (the gauge is real)."""
-    M1, N1 = _gauge_coefficients(a, ap, bundle.U, bundle.Up)
-    return _second_order(bundle.U**2, M1, (N1, np.conj(V)),
-                         diff_matrix(grid, 1), diff_matrix(grid, 2))
+    """Adjoint Hamiltonian -U^2 d2 - 2 M1 d1 + N1 + conj(V): H' of conj(V), the gauge
+    being real."""
+    return build_h_prime(np.conj(V), a, ap, bundle, grid)
 
 
 def _dirichlet_stencil(grid: Grid, order: int):
@@ -198,28 +160,24 @@ def _dirichlet_stencil(grid: Grid, order: int):
     if order not in denominator:
         raise InvalidDomainError(f"derivative order must be 1 or 2, got {order}")
     c = np.array(WEIGHTS[order][-2]) / denominator[order]
-    spans = [(max(0, -o), min(m, m - o)) for o in range(-2, 3)]
-    diagonals = [np.full(hi - lo, ck) for (lo, hi), ck in zip(spans, c)]
     # odd images: node -1 mirrors interior node 0, node n mirrors node m-1
-    diagonals[2][0] -= c[0]
-    diagonals[2][m - 1] -= c[4]
-    return OperatorMatrix(m, range(-2, 3), spans, np.concatenate(diagonals))
+    return OperatorMatrix.from_parts(m, [(o, max(0, -o), np.full(m - abs(o), ck))
+                                         for o, ck in zip(range(-2, 3), c)]
+                                     + [(0, 0, -c[:1]), (0, m - 1, -c[4:])])
 
 
 def build_h_prime_block(V, a, ap, bundle: ProfileBundle, grid: Grid) -> OperatorMatrix:
     """Dirichlet interior-block Hamiltonian for dense eigendecomposition."""
     s = slice(1, grid.n - 1)
     M1, N1 = _gauge_coefficients(a[s], ap[s], bundle.U[s], bundle.Up[s])
-    return _second_order(bundle.U[s]**2, M1, (N1, V[s]),
-                         _dirichlet_stencil(grid, 1), _dirichlet_stencil(grid, 2))
+    return _second_order(bundle.U[s]**2, M1, (N1, V[s]), grid, block=True)
 
 
 def build_eta_tilde_block(coeffs: CoefficientSet, bundle: ProfileBundle,
                           grid: Grid) -> OperatorMatrix:
     """Dirichlet interior-block metric, for eta-weighted inner products."""
     s = slice(1, grid.n - 1)
-    return _second_order(bundle.U[s]**2, coeffs.K[s], (coeffs.L[s],),
-                         _dirichlet_stencil(grid, 1), _dirichlet_stencil(grid, 2))
+    return _second_order(bundle.U[s]**2, coeffs.K[s], (coeffs.L[s],), grid, block=True)
 
 
 PROBES = 8   # probe vectors of the probe-action checks (intertwining, tau, eta)

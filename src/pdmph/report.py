@@ -113,7 +113,8 @@ SETTINGS = {s.key: s for s in (
     Setting("eig_levels", list(EIG_LEVELS), int, readers={"command": VERIFY, "checks": CHECKS}),
     Setting("checks", ["eq25", "eq26", "groundstate", "gauge", "tau", "eta-hermiticity",
                        "intertwining", "eq28"], str, "--checks", CHECKS, {"command": VERIFY}),
-    Setting("detune", None, float, "--detune", readers={"command": VERIFY, "checks": CHECKS}),
+    Setting("detune", None, float, "--detune",
+            readers={"command": VERIFY, "family": DRESSED, "checks": CHECKS}),
     Setting("corruption", None, dict, readers={"family": DRESSED}),
     Setting("out", None, str, "--out"),
 )}
@@ -206,6 +207,9 @@ def _validate(cfg, setby, command):
                                               and cfg["refine"][0] % 2 == 1):
         raise ConfigError("parity-eta needs a grid symmetric about 0: xmin = -xmax "
                           "and an odd coarsest refine level")
+    dressed = [k for k in cfg["checks"] if CHECKS[k].dressed]
+    if "checks" in setby and dressed and cfg["family"] == "free":
+        raise ConfigError(f"checks: {dressed} not run by family 'free' (no dressed system)")
     cor = cfg["corruption"]
     if cor is not None and (set(cor) - {"target", "amount"}
                             or cor.get("target") not in CORRUPTION_TARGETS

@@ -237,7 +237,7 @@ def test_empty_and_one_entry_diagonals():
     assert A.H.spans == [(2, 4), (3, 4), (0, 0)]
     assert same(A.column_values(v), np.array([4.0, 3.0, 4.0]))
     assert same((2.0 * A).mat, 2.0 * M)
-    empty = OperatorMatrix.zeros(4, [], [])
+    empty = OperatorMatrix.from_parts(4, [])
     assert same(empty @ v, np.zeros(4)) and empty.mat.shape == (4, 4)
     assert same(empty.H.data, np.zeros(0))
     one = OperatorMatrix(1, [0], [(0, 1)], np.array([3.0 + 1j]))
@@ -271,3 +271,39 @@ def test_block_product_working_set():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 16 * 501 ** 2
+
+
+@st.composite
+def parts_of(draw, dtype):
+    """n and a list of (offset, first row, values) parts: overlapping, at the
+    first and last rows, empty and one entry long, real or complex."""
+    n = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for _ in range(draw(st.integers(0, 12))):
+        o = draw(st.integers(-(n - 1), n - 1))
+        first, end = max(0, -o), min(n, n - o)
+        lo = draw(st.sampled_from([first, end - 1, draw(st.integers(first, end - 1))]))
+        size = draw(st.sampled_from([0, 1, end - lo, draw(st.integers(0, end - lo))]))
+        d = rng.standard_normal(size)
+        parts.append((o, lo, d + 1j * rng.standard_normal(size) if dtype is complex else d))
+    return n, parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([float, complex]).flatmap(
+    lambda dtype: st.tuples(st.just(dtype), parts_of(dtype))))
+def test_from_parts_is_the_dense_sum_in_part_order(case):
+    dtype, (n, parts) = case
+    A = OperatorMatrix.from_parts(n, parts, dtype)
+    M = np.zeros((n, n), dtype)
+    for o, lo, d in parts:
+        rows = np.arange(lo, lo + len(d))
+        M[rows, rows + o] += d
+    assert A.mat.dtype == dtype and A.mat.tobytes() == M.tobytes()
+    assert list(A.offsets) == sorted({o for o, _, _ in parts})
+    for o, span in zip(A.offsets, A.spans):
+        covered = [(lo, lo + len(d)) for p, lo, d in parts if p == o and len(d)]
+        assert span == ((min(lo for lo, _ in covered), max(hi for _, hi in covered))
+                        if covered else (0, 0))
+    assert A.data.size == sum(hi - lo for lo, hi in A.spans)

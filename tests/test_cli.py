@@ -495,6 +495,10 @@ def _failing_eig(mat):
     (["verify", "--family", "free", "--alpha", "3"], None, 2),
     (["verify", "--family", "free", "--gauge", "scaled-g:scale=2"], None, 2),
     (["verify"], {"family": "free", "corruption": {"target": "v-imag-flip"}}, 2),
+    (["verify", "--family", "free", "--detune", "0.3", "--checks", "intertwining"], None, 2),
+    (["verify", "--family", "free", "--checks", "eq25,groundstate", "--refine", "101,201,401"],
+     None, 2),
+    (["verify", "--family", "free", "--refine", "101,201,401"], {"checks": ["gauge", "eq28"]}, 2),
     (["verify"], {"mass": {"kind": "table", "path": "m.csv", "scale": 2.0}}, 2),
     (["verify"], {"gauge": {"mode": "zero", "scale": 2.0}}, 2),
     (["verify"], {"gauge": {"mode": "table", "path": "a.csv", "scale": 2.0}}, 2),
@@ -550,7 +554,9 @@ def _failing_eig(mat):
         "2-parity-eta-on-even-coarsest-level",
         "2-g-const-on-catalog-family", "2-alpha-on-hermitian-limit",
         "2-alpha-config-on-custom-table", "2-delta-on-free", "2-alpha-on-free",
-        "2-gauge-on-free", "2-corruption-on-free", "2-mass-scale-config-on-table",
+        "2-gauge-on-free", "2-corruption-on-free",
+        "2-detune-on-free", "2-dressed-check-flag-on-free", "2-dressed-check-config-on-free",
+        "2-mass-scale-config-on-table",
         "2-gauge-scale-config-on-zero", "2-gauge-scale-config-on-table",
         "2-corruption-without-target",
         "2-unknown-corruption-target", "2-nan-gauge-scale-flag", "2-nan-delta-flag",
@@ -575,6 +581,8 @@ def test_exit_codes(tmp_path, monkeypatch, capsys, argv, config, code):
         argv = argv + ["--out", str(tmp_path / "out")]
     assert run(argv) == code
     assert "Traceback" not in capsys.readouterr().err
+    if code == 2:
+        assert not (tmp_path / "out").exists()
 
 
 def test_max_points_is_the_largest_accepted_level():
@@ -653,14 +661,14 @@ def test_trace_window_max_is_payload_residual(tmp_path):
     for system, domain in ((["--family", "morse", "--gauge", "scaled-g:scale=0.5"], (-2.0, 10.0)),
                            (["--family", "free"], (-8.0, 8.0))):
         out, traces = tmp_path / f"{system[1]}.json", tmp_path / system[1]
+        # the free preset refuses the checks that need a dressed system
+        traced = [k for k in TRACEABLE if system[1] != "free" or not CHECKS[k].dressed]
         assert run(["verify", *system, "--refine", "201,401,801",
-                    "--checks", ",".join(TRACEABLE), "--out", str(out),
+                    "--checks", ",".join(traced), "--out", str(out),
                     "--trace-dir", str(traces)]) in (0, 7)
         checks = {c["name"]: c for c in json.loads(out.read_text())["payload"]["checks"]}
         grid = make_grid(*domain, 801)
         window = grid.interior_mask(PAD, PAD * (domain[1] - domain[0]) / 200)
-        # the free preset skips (and traces none of) the checks that need a dressed system
-        traced = [k for k in TRACEABLE if system[1] != "free" or not CHECKS[k].dressed]
         assert sorted(p.stem for p in traces.iterdir()) == sorted(traced)
         for name in traced:
             with open(traces / f"{name}.csv") as fh:

@@ -6,8 +6,8 @@ from pdmph import (CoefficientSet, GeneratingSpec, InvalidDomainError,
                    build_d_tilde_dagger, build_eta_tilde, build_h_prime,
                    build_h_prime_dagger, check_parity_eta, default_probes, make_family,
                    make_grid, observed_order, run_suite)
-from pdmph.grid import cumint
-from pdmph.operators import _dirichlet_stencil
+from pdmph.grid import WEIGHTS, cumint, diff_matrix
+from pdmph.operators import _dirichlet_stencil, build_eta_tilde_block, build_h_prime_block
 from pdmph.verify import _identity
 
 
@@ -241,3 +241,72 @@ def test_dirichlet_block_symmetric():
 def test_dirichlet_block_derivative_orders():
     with pytest.raises(InvalidDomainError):
         _dirichlet_stencil(make_grid(-6, 6, 301), 3).mat
+
+
+# ---------------------------------------------------------------------------
+# every builder against the dense written sum of its formula
+# ---------------------------------------------------------------------------
+
+def _dense_stencil(grid, order):
+    """diff_matrix written out: central rows, then each edge row's one-sided
+    weights, every weight rounded as (k / 12.0) / h**order."""
+    n, w = grid.n, WEIGHTS[order]
+    nb = len(w[0])
+    D = np.zeros((n, n))
+    for i in range(n):
+        c0 = 0 if i < 2 else n - nb if i >= n - 2 else i - 2
+        key = c0 - i if i < 2 or i >= n - 2 else -2
+        D[i, c0:c0 + len(w[key])] = np.array(w[key]) / 12.0 / grid.h**order
+    return D
+
+
+def _dense_dirichlet(grid, order):
+    """The interior-block stencil written out, with its two odd images."""
+    m = grid.n - 2
+    c = np.array(WEIGHTS[order][-2]) / (12.0 * grid.h if order == 1 else 12.0 * grid.h * grid.h)
+    D = sum(np.diag(np.full(m - abs(o), ck), o) for o, ck in zip(range(-2, 3), c))
+    D[0, 0] -= c[0]
+    D[m - 1, m - 1] -= c[4]
+    return D
+
+
+def _written(terms, diagonal_terms):
+    """sum_j s_j (c_j D_j) left to right, then each diagonal term, densely."""
+    M = sum(s * (c[:, None] * D) for s, c, D in terms)
+    for t in diagonal_terms:
+        M = M + np.diag(t)
+    return M
+
+
+@pytest.mark.parametrize("system", ["morse/rational", "free/constant"])
+def test_every_builder_is_the_dense_written_sum(system):
+    if system == "free/constant":
+        inp = SystemBuilder("free", MassProfile.constant(), -8.0, 8.0).inputs(101)
+    else:
+        inp = make_family(GeneratingSpec("morse", gauge_a=("scaled-g", 0.5)),
+                          MassProfile.rational(), make_grid(-2.0, 10.0, 101))
+        assert np.abs(inp.a).max() > 0.0
+    g, b, U, V, a = inp.grid, inp.bundle, inp.bundle.U, inp.V, inp.a
+    c = CoefficientSet.build(inp.f, inp.fp, inp.g, inp.gp, a, inp.ap, b)
+    D1, D2 = _dense_stencil(g, 1), _dense_stencil(g, 2)
+    s = slice(1, g.n - 1)
+    B1, B2 = _dense_dirichlet(g, 1), _dense_dirichlet(g, 2)
+    cases = [
+        (diff_matrix(g, 1), D1), (diff_matrix(g, 2), D2),
+        (build_d(inp.phi, b, g), _written([(1.0, U, D1)], [inp.phi])),
+        (build_d_tilde(inp.phi, a, b, g), _written([(1.0, U, D1)], [inp.phi, -1j * a])),
+        (build_d_tilde_dagger(inp.phi, a, b, g),
+         _written([(-1.0, U, D1)], [-b.Up, np.conj(inp.phi), 1j * np.conj(a)])),
+        (build_eta_tilde(c, b, g), _written([(-1.0, U**2, D2), (-2.0, c.K, D1)], [c.L])),
+        (build_h_prime(V, a, inp.ap, b, g),
+         _written([(-1.0, U**2, D2), (-2.0, c.M1, D1)], [c.N1, V])),
+        (build_h_prime_dagger(V, a, inp.ap, b, g),
+         _written([(-1.0, U**2, D2), (-2.0, c.M1, D1)], [c.N1, np.conj(V)])),
+        (build_h_prime_block(V, a, inp.ap, b, g),
+         _written([(-1.0, U[s]**2, B2), (-2.0, c.M1[s], B1)], [c.N1[s], V[s]])),
+        (build_eta_tilde_block(c, b, g),
+         _written([(-1.0, U[s]**2, B2), (-2.0, c.K[s], B1)], [c.L[s]])),
+    ]
+    for k, (op, dense) in enumerate(cases):
+        assert np.array_equal(op.mat, dense), k
+        assert np.array_equal(op.H.mat, dense.conj().T), k

@@ -374,7 +374,7 @@ def test_box_spectrum_oracle():
 
 def test_eigendecompose_budget():
     g = make_grid(-1, 1, 5001)
-    fake = OperatorMatrix.zeros(4999, [], [])
+    fake = OperatorMatrix.from_parts(4999, [])
     with pytest.raises(BudgetExceededError):
         eigendecompose(fake, g)
 
