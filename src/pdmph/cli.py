@@ -177,8 +177,8 @@ def cmd_generate(args):
     out = cfg["out"] or f"{cfg['family']}.csv"
     to_csv(ds, out)
     delta_ref = None
-    if ds.printed_reference is not None:
-        w = ds.grid.interior_mask(8)
+    w = ds.grid.interior_mask(8)   # empty for n <= 16: the value is then null
+    if ds.printed_reference is not None and w.any():
         delta_ref = float((np.abs(ds.V_eff - (ds.printed_reference + cfg["delta"]))
                            / (1.0 + np.abs(ds.printed_reference)))[w].max())
     summary = {

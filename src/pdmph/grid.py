@@ -196,15 +196,6 @@ class OperatorMatrix:
             self.n, [(-o, lo + o, np.conj(d)) for o, (lo, _), d
                      in zip(self.offsets, self.spans, self.diagonals)], self.data.dtype)
 
-    def row_values(self, x):
-        """x at the row of every stored entry, laid out as `data`."""
-        return np.concatenate([x[:0]] + [x[lo:hi] for lo, hi in self.spans])
-
-    def column_values(self, x):
-        """x at the column of every stored entry, laid out as `data`."""
-        return np.concatenate([x[:0]] + [x[lo + o:hi + o]
-                                         for o, (lo, hi) in zip(self.offsets, self.spans)])
-
     @property
     def mat(self):
         """Dense copy of the operator (n^2 entries)."""

@@ -201,18 +201,18 @@ def tau_similarity_actions(h_prime: OperatorMatrix, h_prime_dagger: OperatorMatr
 
     The antilinear map T e^{i alpha} conjugates matrix entries inside the
     phase sandwich, so the similarity image of H' is conj(E H' E^{-1}) with
-    E = diag(e^{i alpha}), built on the diagonals of H'; for a vanishing
-    phase the image and the adjoint matrix coincide entrywise and the first
-    array is exactly zero.
+    E = diag(e^{i alpha}), summed from one part per diagonal of H'; for a
+    vanishing phase the image and the adjoint matrix coincide entrywise and
+    the first array is exactly zero.
     """
     E = np.exp(1j * tau_phase)
-    image = OperatorMatrix(h_prime.n, h_prime.offsets, h_prime.spans,
-                           np.conj(h_prime.row_values(E) * h_prime.data
-                                   * h_prime.column_values(1.0 / E)))
+    Einv = 1.0 / E
+    image = OperatorMatrix.from_parts(h_prime.n, [
+        (o, lo, np.conj(E[lo:hi] * d * Einv[lo + o:hi + o]))
+        for o, (lo, hi), d in zip(h_prime.offsets, h_prime.spans, h_prime.diagonals)], complex)
     res = act = 0.0
     for v in vectors:
         hv = h_prime_dagger @ v
         res = np.maximum(res, np.abs(image @ v - hv))
         act = np.maximum(act, np.abs(hv))
     return res, act
-

@@ -296,8 +296,8 @@ def _window(grid: Grid, xmargin):
     return grid.interior_mask(PAD, xmargin)
 
 
-def _xmargin(builder: SystemBuilder, ns):
-    return PAD * (builder.xmax - builder.xmin) / (min(ns) - 1)
+def _xmargin(domain, ns):   # domain: a builder or a grid
+    return PAD * (domain.xmax - domain.xmin) / (min(ns) - 1)
 
 
 def _refine(key, inputs, xmargin, trace_dir=None):
@@ -336,17 +336,19 @@ def _write_trace(trace_dir, key, grid, outputs):
 
 
 def _identity(key, builder: SystemBuilder, ns, trace_dir=None):
-    """Refine row `key` of CHECKS over the builder's levels; judge each result.
+    """Refine row `key` of CHECKS over the builder's levels `ns` (only over
+    its `pick`, if set, in the window of all); judge each result.
 
     A residual's extra, if any, is a dict of notes, each recorded at its
     largest over the levels.  Returns the results, in the row's order.
     """
-    ns = sorted(ns)
-    level = builder.dressed if CHECKS[key].dressed else builder.inputs
-    per_result, extras = _refine(key, map(level, ns), _xmargin(builder, ns), trace_dir)
+    row, ns = CHECKS[key], sorted(ns)
+    level = builder.dressed if row.dressed else builder.inputs
+    picked = ns if row.pick is None else [ns[row.pick]]
+    per_result, extras = _refine(key, map(level, picked), _xmargin(builder, ns), trace_dir)
     notes = {k: max(extra[k] for extra in extras) for k in extras[0] or ()}
     return tuple(judge(CheckResult(name, law, levels, notes=dict(notes)))
-                 for (name, law), levels in zip(CHECKS[key].results, per_result))
+                 for (name, law), levels in zip(row.results, per_result))
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +415,8 @@ def residual_eq28(inputs, xmargin=0.0):
 
 def _eq28(inp, xm):
     r = residual_eq28(inp, xm)
-    return inp.grid, r["window"], [(np.abs(r["printed"]), 1.0, 0.0)], r
-
-
-def _check_eq28(builder: SystemBuilder, ns, trace_dir=None):
-    """The printed zeroth-order balance at the finest level; reported only."""
-    (levels,), (r,) = _refine("eq28", [builder.inputs(max(ns))], _xmargin(builder, ns),
-                              trace_dir)
-    return judge(CheckResult(*CHECKS["eq28"].results[0], levels, notes={
-        "max_printed": r["max_printed"], "max_corrected": r["max_corrected"]}))
+    return inp.grid, r["window"], [(np.abs(r["printed"]), 1.0, 0.0)], {
+        k: r[k] for k in ("max_printed", "max_corrected")}
 
 
 # ---------------------------------------------------------------------------
@@ -511,23 +506,20 @@ def _eta(inp, xm):
     return grid, w, [(r_h, scale, fl), (r_d, scale, fl)], None
 
 
-def check_parity_eta(builder: SystemBuilder, n):
-    """Parity-based metric on a symmetric grid: Hermiticity.
+def _parity(ds, xm):
+    """Hermiticity of the parity metric diag(e) P on a grid symmetric about 0.
 
-    The metric diag(e) P, with P the index reversal and e = exp(2i int a/U)
-    anchored at the center node, holds e[i] in column n-1-i of row i and its
-    adjoint holds conj(e[n-1-i]) there, so the defect is read from e.  It is
+    With P the index reversal and e = exp(2i int a/U) anchored at the center
+    node, row i holds e[i] in column n-1-i and the adjoint holds
+    conj(e[n-1-i]) there, so the defect is read from e at every node.  It is
     Hermitian exactly when the gauge function and U are even.
     """
-    ds = builder.dressed(n)
     grid = ds.grid
     if not grid.parity_capable:
         raise InvalidDomainError(
             "parity operator needs xmin = -xmax and odd n (a node exactly at 0)")
     e = np.exp(1j * (2.0 * cumint(ds.a / ds.bundle.U, grid, grid.index_nearest(0.0))))
-    herm = float(np.abs(e - np.conj(e)[::-1]).max())
-    return judge(CheckResult(*CHECKS["parity-eta"].results[0],
-                             [CheckLevel(n, grid.h, herm, 64.0 * EPS)]))
+    return grid, np.ones(grid.n, bool), [(np.abs(e - np.conj(e)[::-1]), 1.0, 64.0 * EPS)], None
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +676,13 @@ class SpectralResult:
             d[i] = np.inf
             labels[i] = "paired" if d.min() <= tol_rel * scale[i] else "unpaired"
         self.pairing = list(labels)
-        self.counts = {k: int(np.sum(labels == k)) for k in ("real", "paired", "unpaired")}
+        self.counts = self.counts_up_to(np.inf)
         return self.counts
+
+    def counts_up_to(self, cap):
+        """Pairing counts of the eigenvalues whose real part is at most `cap`."""
+        labels = np.array(self.pairing, dtype=object)[self.eigenvalues.real <= cap]
+        return {k: int(np.sum(labels == k)) for k in ("real", "paired", "unpaired")}
 
 
 def eigendecompose(block: OperatorMatrix, grid: Grid) -> SpectralResult:
@@ -704,6 +701,7 @@ def eigendecompose(block: OperatorMatrix, grid: Grid) -> SpectralResult:
     the solve no step holds more than three, the eigenvectors included.
     The real eigenvectors of a real symmetric block are made complex once,
     the cast numpy would otherwise repeat in every product with them.
+    Either route returns the eigenvalues sorted by real part.
     """
     if grid.n > EIG_BUDGET:
         raise BudgetExceededError(
@@ -743,13 +741,6 @@ def eigendecompose(block: OperatorMatrix, grid: Grid) -> SpectralResult:
     return sr
 
 
-def _spectral_window_counts(spectral: SpectralResult, cap):
-    E = spectral.eigenvalues
-    sel = E.real <= cap
-    labels = np.array(spectral.pairing, dtype=object)[sel]
-    return {k: int(np.sum(labels == k)) for k in ("real", "paired", "unpaired")}
-
-
 def check_spectrum(builder: SystemBuilder, eig_levels):
     """Dense spectra at the two finest eig levels with pairing bookkeeping.
 
@@ -768,7 +759,7 @@ def check_spectrum(builder: SystemBuilder, eig_levels):
             # resolves with sub-percent dispersion (phase per step <= 0.8 rad)
             cap = sp.eigenvalues.real.min() + 0.64 / sp.grid.h**2
         levels.append(CheckLevel(n, sp.grid.h, sp.backward_error, EPS))
-        counts.append(_spectral_window_counts(sp, cap))
+        counts.append(sp.counts_up_to(cap))
         solvers.append(sp.solver)
         del sp   # builder.spectral frees the coarser decomposition before the finer solve
     return judge(CheckResult("spectrum", "dense spectrum bookkeeping", levels, notes={
@@ -816,7 +807,7 @@ def check_eq29(builder: SystemBuilder, n):
     del etaV
 
     scale_e = np.maximum(1.0, np.abs(E))
-    nonreal = np.abs(E.imag) > tol["eig_rel"] * scale_e
+    nonreal = np.array(sp.pairing) != "real"
     gd = np.abs(np.diag(G))
     gscale = float(np.median(gd)) or 1.0
     # per run of rows j: Hermiticity of G, |G_jk|, and for property (ii) the
@@ -872,8 +863,9 @@ class Check:
     calls (None: `_identity` refines the row), one (name, law) pair per
     result in payload order, the pointwise-residual function (None: no
     trace), whether it needs a dressed system, the run options it reads, the
-    levels it takes: the `levels` list ("refine" or "eig_levels"), whole or
-    only its entry `pick`, and the `RULES` entry that judges its results."""
+    levels it takes ("refine" or "eig_levels"), the one of them it evaluates
+    (`pick`; None: all, and an identity row's window comes from all), and
+    the `RULES` entry that judges its results."""
 
     run: str
     results: tuple
@@ -889,8 +881,8 @@ class Check:
 CHECKS = {
     "eq25": Check(None, (("eq25", "conjugation balance"),), _eq25),
     "eq26": Check(None, (("eq26", "gradient balance"),), _eq26),
-    "eq28": Check("_check_eq28", (("eq28", "zeroth-order balance (sampled)"),), _eq28,
-                  dressed=False, rule="reported"),
+    "eq28": Check(None, (("eq28", "zeroth-order balance (sampled)"),), _eq28,
+                  dressed=False, pick=-1, rule="reported"),
     "intertwining": Check("check_intertwining", (("intertwining", "metric intertwining"),),
                           _intertwining, dressed=False, options=("detune", "trace_dir"),
                           rule="intertwining"),
@@ -901,8 +893,8 @@ CHECKS = {
     "eta-hermiticity": Check(None, (("eta-hermiticity", "metric Hermiticity"),
                                     ("eta-dual", "metric dual construction")),
                              _eta, dressed=False),
-    "parity-eta": Check("check_parity_eta", (("parity-eta", "parity metric Hermiticity"),),
-                        options=(), pick=0, rule="bound"),
+    "parity-eta": Check(None, (("parity-eta", "parity metric Hermiticity"),), _parity,
+                        pick=0, rule="bound"),
     "spectrum": Check("check_spectrum", (("spectrum", "dense spectrum bookkeeping"),),
                       dressed=False, options=(), levels="eig_levels", rule="counts"),
     "eq29": Check("check_eq29", (("eq29", "metric Gram structure"),), dressed=False,
@@ -911,10 +903,11 @@ CHECKS = {
 CHECK_NAMES = tuple(CHECKS)
 
 
-def validate_levels(checks, ns, eig_levels):
-    """Refuse, before anything is built, ascending levels that the known
-    `checks` cannot run on: a coarsest refine level that leaves no check
-    window, and, if a check reads eig_levels, none or one over the budget."""
+def validate_levels(checks, ns, eig_levels, xmin, xmax):
+    """Refuse, before any system is built, ascending levels on [xmin, xmax]
+    that the known `checks` cannot run on: a refine level whose check window
+    (`_window` of its grid, as the checks take it) is empty, and, if a check
+    reads eig_levels, none or one over the budget."""
     if ns[0] < 2 * PAD + 1:
         raise ConfigError(f"coarsest refine level {ns[0]}: a check window "
                           f"needs at least {2 * PAD + 1} points")
@@ -924,6 +917,11 @@ def validate_levels(checks, ns, eig_levels):
         if eig_levels[-1] > EIG_BUDGET:
             raise BudgetExceededError(f"dense eigensolve at n = {eig_levels[-1]} "
                                       f"(eig_levels) exceeds the budget ({EIG_BUDGET} grid points)")
+    grids = [make_grid(xmin, xmax, n) for n in ns]
+    empty = [g.n for g in grids if not _window(g, _xmargin(grids[0], ns)).any()]
+    if empty:
+        raise ConfigError(f"refine levels {empty}: no node in the check window ({PAD} "
+                          f"points and {PAD} steps of level {ns[0]} in from each edge)")
 
 
 def run_suite(builder: SystemBuilder, checks, ns, eig_levels=EIG_LEVELS, detune=None,
@@ -943,14 +941,16 @@ def run_suite(builder: SystemBuilder, checks, ns, eig_levels=EIG_LEVELS, detune=
     if unknown:
         raise InvalidDomainError(f"unknown checks: {sorted(unknown)}")
     ns, eig_levels = sorted(ns), sorted(eig_levels)
-    validate_levels(checks, ns, eig_levels)
+    validate_levels(checks, ns, eig_levels, builder.xmin, builder.xmax)
     given = {"refine": ns, "eig_levels": eig_levels, "detune": detune,
              "trace_dir": trace_dir}
     results = []
     for key, row in CHECKS.items():
         if key not in checks or (row.dressed and builder.kind != "family"):
             continue
-        levels = given[row.levels] if row.pick is None else given[row.levels][row.pick]
+        levels = given[row.levels]
+        if row.run and row.pick is not None:   # `_identity` applies pick itself
+            levels = levels[row.pick]
         options = {k: given[k] for k in row.options}
         try:
             # a run function is looked up per call, so wrappers rebound here see it
@@ -969,7 +969,7 @@ def run_suite(builder: SystemBuilder, checks, ns, eig_levels=EIG_LEVELS, detune=
 
 def spectral_payload(sp: SpectralResult):
     """The report's spectral summary: counts, and the 64 eigenvalues of lowest real part."""
-    E = sp.eigenvalues[np.argsort(sp.eigenvalues.real, kind="stable")][:64]
+    E = sp.eigenvalues[:64]   # eigendecompose sorts them by real part
     return {
         "solver": sp.solver,
         "backward_error": sp.backward_error,

@@ -45,6 +45,18 @@ def test_generate_morse_csv(tmp_path, capsys):
     assert summary["printed_form_max_rel_delta"] < 1e-10
 
 
+@pytest.mark.parametrize("n", [9, 16])
+def test_generate_without_window_reports_null(tmp_path, capsys, n):
+    # below 17 points the pad-8 window of printed_form_max_rel_delta holds
+    # no node: the CSV is written and the value is null
+    out = tmp_path / "m.csv"
+    assert run(["generate", "--family", "morse", "--n", str(n), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["printed_form_max_rel_delta"] is None
+    assert np.loadtxt(out, delimiter=",", skiprows=1).shape == (n, 16)
+
+
 def test_generate_domain_violation_exit(capsys):
     code = run(["generate", "--family", "harmonic3d", "--xmin", "-8",
                 "--xmax", "8", "--n", "201"])
@@ -344,16 +356,19 @@ def test_trace_dir_evaluates_no_level_twice(tmp_path, monkeypatch):
     calls, real = [], SystemBuilder.dressed
     monkeypatch.setattr(SystemBuilder, "dressed", lambda self, n: calls.append(n) or real(self, n))
     traceable = [k for k, row in CHECKS.items() if row.residual is not None]
-    argv = ["verify", "--family", "morse", "--mass", "rational", "--refine", "201,401,801",
-            "--checks", ",".join(traceable)]
-    counts, codes = [], []
-    for name, extra in (("plain", []), ("traced", ["--trace-dir", str(tmp_path / "tr")])):
-        calls.clear()
-        codes.append(run(argv + extra + ["--out", str(tmp_path / f"{name}.json")]))
-        counts.append(len(calls))
-    assert codes[0] == codes[1] and counts[0] == counts[1] > 0
-    assert payload_bytes(tmp_path / "plain.json") == payload_bytes(tmp_path / "traced.json")
-    assert sorted(p.stem for p in (tmp_path / "tr").iterdir()) == sorted(traceable)
+    # parity-eta needs a grid symmetric about 0
+    for system, traced in ((["--family", "morse", "--mass", "rational"],
+                            [k for k in traceable if k != "parity-eta"]),
+                           (["--family", "scarf2", "--xmin", "-8", "--xmax", "8"], traceable)):
+        argv = ["verify", *system, "--refine", "201,401,801", "--checks", ",".join(traced)]
+        counts, codes, tr = [], [], tmp_path / system[1]
+        for name, extra in (("plain", []), ("traced", ["--trace-dir", str(tr)])):
+            calls.clear()
+            codes.append(run(argv + extra + ["--out", str(tmp_path / f"{name}.json")]))
+            counts.append(len(calls))
+        assert codes[0] == codes[1] and counts[0] == counts[1] > 0
+        assert payload_bytes(tmp_path / "plain.json") == payload_bytes(tmp_path / "traced.json")
+        assert sorted(p.stem for p in tr.iterdir()) == sorted(traced)
 
 
 @pytest.mark.parametrize("option", [["--detune", "0.3"], ["--trace-dir", "traces"]])
@@ -615,6 +630,36 @@ def test_mistyped_level_exits_2_before_building(tmp_path, monkeypatch, argv, con
     assert run(argv + ["--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("family,checks", [("morse", "intertwining"),
+                                           ("scarf2", "parity-eta")])
+def test_refine_level_without_window_exits_2_before_building(tmp_path, monkeypatch, capsys,
+                                                             family, checks):
+    # at 17 points the window is the center node, which 18 points do not have
+    from pdmph import pipeline, verify
+
+    def never(*args, **kwargs):
+        raise AssertionError("a system was built for a refine level without a window")
+    monkeypatch.setattr(verify, "make_family", never)
+    monkeypatch.setattr(pipeline, "make_family", never)
+    monkeypatch.chdir(tmp_path)
+    assert run(["verify", "--family", family, "--checks", checks, "--refine", "17,18,19",
+                "--out", "out.json"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "refine levels [18]" in err
+    assert not (tmp_path / "out.json").exists()
+    builder = verify.SystemBuilder("free", verify.MassProfile.constant(), -8.0, 8.0)
+    with pytest.raises(ConfigError, match=r"refine levels \[18\]"):
+        verify.run_suite(builder, ["intertwining"], [17, 18, 19])
+
+
+def test_refine_levels_sharing_a_one_node_window_run(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["verify", "--family", "scarf2", "--checks", "eq25,intertwining,parity-eta",
+                "--refine", "17,33,65", "--out", str(out)]) in (0, 7)
+    checks = json.loads(out.read_text())["payload"]["checks"]
+    assert [[lv["n"] for lv in c["levels"]] for c in checks] == [[17, 33, 65]] * 2 + [[17]]
+
+
 @pytest.mark.parametrize("checks", ["eq25,spectrum", "eq25,eq29"])
 def test_over_budget_eig_level_exits_8_before_building(tmp_path, monkeypatch, checks):
     from pdmph import pipeline, verify
@@ -655,22 +700,34 @@ def test_unwritable_output_exits_10_before_building(tmp_path, monkeypatch, capsy
 
 
 def test_trace_window_max_is_payload_residual(tmp_path):
+    # each trace is the one level its check evaluates last: the finest, over
+    # the window of the coarsest level (eq28 evaluates the finest only), or
+    # for parity-eta the coarsest, its only level, over every node
     from pdmph import make_grid
     from pdmph.verify import CHECKS, PAD
     TRACEABLE = [k for k, row in CHECKS.items() if row.residual is not None]
     for system, domain in ((["--family", "morse", "--gauge", "scaled-g:scale=0.5"], (-2.0, 10.0)),
-                           (["--family", "free"], (-8.0, 8.0))):
+                           (["--family", "free"], (-8.0, 8.0)),
+                           (["--family", "scarf2", "--gauge", "scaled-g:scale=0.5",
+                             "--xmin", "-8", "--xmax", "8"], (-8.0, 8.0))):
         out, traces = tmp_path / f"{system[1]}.json", tmp_path / system[1]
-        # the free preset refuses the checks that need a dressed system
-        traced = [k for k in TRACEABLE if system[1] != "free" or not CHECKS[k].dressed]
+        # the free preset refuses the checks that need a dressed system, and
+        # every system parity-eta unless its grid is symmetric about 0
+        traced = [k for k in TRACEABLE if (system[1] != "free" or not CHECKS[k].dressed)
+                  and (k != "parity-eta" or system[1] == "scarf2")]
         assert run(["verify", *system, "--refine", "201,401,801",
                     "--checks", ",".join(traced), "--out", str(out),
                     "--trace-dir", str(traces)]) in (0, 7)
         checks = {c["name"]: c for c in json.loads(out.read_text())["payload"]["checks"]}
-        grid = make_grid(*domain, 801)
-        window = grid.interior_mask(PAD, PAD * (domain[1] - domain[0]) / 200)
         assert sorted(p.stem for p in traces.iterdir()) == sorted(traced)
+        assert [lv["n"] for lv in checks["eq28"]["levels"]] == [801]
+        if "parity-eta" in traced:
+            assert [lv["n"] for lv in checks["parity-eta"]["levels"]] == [201]
         for name in traced:
+            n = checks[CHECKS[name].results[0][0]]["levels"][-1]["n"]
+            grid = make_grid(*domain, n)
+            window = (np.ones(n, bool) if name == "parity-eta"
+                      else grid.interior_mask(PAD, PAD * (domain[1] - domain[0]) / 200))
             with open(traces / f"{name}.csv") as fh:
                 header = fh.readline().strip().split(",")
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)

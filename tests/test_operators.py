@@ -4,7 +4,7 @@ import pytest
 from pdmph import (CoefficientSet, GeneratingSpec, InvalidDomainError,
                    MassProfile, SystemBuilder, build_d, build_d_tilde,
                    build_d_tilde_dagger, build_eta_tilde, build_h_prime,
-                   build_h_prime_dagger, check_parity_eta, default_probes, make_family,
+                   build_h_prime_dagger, default_probes, make_family,
                    make_grid, observed_order, run_suite)
 from pdmph.grid import WEIGHTS, cumint, diff_matrix
 from pdmph.operators import _dirichlet_stencil, build_eta_tilde_block, build_h_prime_block
@@ -168,9 +168,9 @@ def parity_builder(domain=(-6.0, 6.0), profile=None, gauge=("zero",)):
 
 def test_parity_needs_symmetric_grid():
     with pytest.raises(InvalidDomainError):
-        check_parity_eta(parity_builder((0.1, 6.0)), 301)
+        _identity("parity-eta", parity_builder((0.1, 6.0)), [301])
     with pytest.raises(InvalidDomainError):
-        check_parity_eta(parity_builder(), 300)
+        _identity("parity-eta", parity_builder(), [300])
 
 
 def test_suite_refuses_parity_eta_on_an_asymmetric_grid():
@@ -181,21 +181,21 @@ def test_suite_refuses_parity_eta_on_an_asymmetric_grid():
 
 
 def test_eta_parity_trivial_gauge_is_parity():
-    r = check_parity_eta(parity_builder(), 301)
+    (r,) = _identity("parity-eta", parity_builder(), [301])
     assert r.residuals == [0.0]
     assert r.verdict == "pass"
 
 
 def test_eta_parity_hermitian_for_even_gauge():
-    r = check_parity_eta(parity_builder((-8.0, 8.0), MassProfile.rational(),
-                                        ("scaled-g", 1.0)), 801)
+    (r,) = _identity("parity-eta", parity_builder((-8.0, 8.0), MassProfile.rational(),
+                                                  ("scaled-g", 1.0)), [801])
     assert r.residuals[0] < 1e-12
     assert r.verdict == "pass"
 
 
 def test_eta_parity_broken_by_odd_gauge():
     xs = np.linspace(-9.0, 9.0, 181)
-    r = check_parity_eta(parity_builder((-8.0, 8.0), gauge=("table", xs, xs)), 801)
+    (r,) = _identity("parity-eta", parity_builder((-8.0, 8.0), gauge=("table", xs, xs)), [801])
     assert r.residuals[0] > 0.1   # an odd gauge violates evenness
     assert r.verdict == "fail"
 

@@ -30,10 +30,9 @@ from pdmph import (CATALOG, FAMILIES, CoefficientSet, GeneratingSpec,
                    MassProfile, SystemBuilder, build_d, build_d_tilde,
                    build_d_tilde_dagger, build_eta_tilde, build_eta_tilde_block,
                    build_h_prime, build_h_prime_block, build_h_prime_dagger,
-                   check_parity_eta, cumint, default_probes, diff_matrix, make_family,
-                   make_grid, run_suite)
+                   cumint, default_probes, diff_matrix, make_family, make_grid, run_suite)
 from pdmph import grid as grid_module
-from pdmph.verify import CHECK_NAMES
+from pdmph.verify import CHECK_NAMES, _identity
 
 RECORDING = os.path.join(os.path.dirname(__file__), "data", "dense_route_checks.json")
 REFINE = [101, 201, 401]
@@ -199,7 +198,7 @@ def test_parity_eta_matches_dense_assembly():
         P = np.eye(g.n)[::-1]
         phase = 2.0 * cumint(ds.a / ds.bundle.U, g, g.index_nearest(0.0))
         E = np.exp(1j * phase)[:, None] * P
-        r = check_parity_eta(b, 401)
+        (r,) = _identity("parity-eta", b, [401])
         assert r.residuals == [np.abs(E - E.conj().T).max()], gauge[0]
         assert r.verdict == ("fail" if gauge[0] == "table" else "pass")
 

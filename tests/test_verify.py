@@ -11,7 +11,7 @@ import pdmph.verify as verify_module
 from pdmph import (CATALOG, FAMILIES, BudgetExceededError, GeneratingSpec,
                    MassProfile, SystemBuilder, apply_corruption, build_d,
                    build_d_tilde, build_h_prime_block, check_eq29, check_intertwining,
-                   check_parity_eta, check_spectrum, diff_matrix, eigendecompose,
+                   check_spectrum, diff_matrix, eigendecompose,
                    make_grid, residual_eq28, run_suite)
 from pdmph.cli import main
 from pdmph.errors import ConfigError, InvalidDomainError
@@ -262,8 +262,12 @@ def _check_levels(b, key, **options):
                             if row.residual and not row.dressed])
 def test_refine_evaluates_the_level_inputs_it_is_fed(key, kind):
     # fed the builder's levels, the driver gives each check's levels bit for
-    # bit (eq28 reports its finest level only)
-    if kind == "family":
+    # bit (a row with `pick` reports that level only: eq28 its finest,
+    # parity-eta, on a grid symmetric about 0, its coarsest)
+    if key == "parity-eta":
+        b = builder("scarf2", domain=(-8.0, 8.0), gauge_a=("scaled-g", 1.0))
+        inputs = [b.dressed(n) for n in NS]
+    elif kind == "family":
         b = builder("morse", gauge_a=("scaled-g", 1.0))
         inputs = [b.dressed(n) for n in NS]
     else:
@@ -271,8 +275,9 @@ def test_refine_evaluates_the_level_inputs_it_is_fed(key, kind):
         inputs = [b.inputs(n) for n in NS]
     got, _ = verify_module._refine(key, inputs, verify_module._xmargin(b, NS))
     want = _check_levels(b, key)
+    pick = CHECKS[key].pick
     assert len(got) == len(want) == len(CHECKS[key].results)
-    assert [_bits(g[-len(w):]) for g, w in zip(got, want)] == [_bits(w) for w in want]
+    assert [_bits(g if pick is None else [g[pick]]) for g in got] == [_bits(w) for w in want]
 
 
 def test_refine_on_detuned_copies_is_check_intertwining_detuned():
@@ -347,8 +352,10 @@ def test_eta_hermiticity_and_dual(profile, domain):
 
 def test_parity_eta_check():
     b = builder("scarf2", domain=(-8.0, 8.0), gauge_a=("scaled-g", 1.0))
-    r = check_parity_eta(b, 801)
+    (r,) = _identity("parity-eta", b, [801])
     assert r.verdict == "pass"
+    # its window is every node, whatever the margin
+    assert verify_module._parity(b.dressed(801), 4.0)[1].all()
 
 
 # ---------------------------------------------------------------------------
