@@ -16,6 +16,7 @@ import numpy as np
 from .errors import IOFormatError, InvalidDomainError
 
 EPS = float(np.finfo(float).eps)
+MIN_POINTS = 9   # the fewest points a grid may have
 
 # Every stencil and quadrature weight, exactly, as integers over a common
 # denominator (Fornberg, Math. Comp. 51, 699 (1988)); each reader rounds a
@@ -216,8 +217,8 @@ def make_grid(xmin, xmax, n) -> Grid:
     if not (xmax > xmin):
         raise InvalidDomainError(f"need xmax > xmin, got [{xmin}, {xmax}]")
     n = int(n)
-    if n < 9:
-        raise InvalidDomainError(f"need n >= 9 grid points, got {n}")
+    if n < MIN_POINTS:
+        raise InvalidDomainError(f"need n >= {MIN_POINTS} grid points, got {n}")
     h = (xmax - xmin) / (n - 1)
     if xmin == -xmax and n % 2 == 1:
         k = (n - 1) // 2

@@ -36,8 +36,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError, EigensolverError, InvalidDomainError
-from .grid import (EPS, STENCIL_ABS_D1, FLOOR_SAFETY, Grid, amplification, blocks,
-                   cumint, diff_matrix, fd_floor, make_grid, observed_order)
+from .grid import (EPS, MIN_POINTS, STENCIL_ABS_D1, FLOOR_SAFETY, Grid, amplification,
+                   blocks, cumint, diff_matrix, fd_floor, make_grid, observed_order)
 from .operators import (PROBES, CoefficientSet, OperatorMatrix, build_d,
                         build_d_tilde, build_d_tilde_dagger, build_eta_tilde,
                         build_eta_tilde_block, build_h_prime, build_h_prime_block,
@@ -199,7 +199,8 @@ class SystemBuilder:
     The dressed system of each resolution (and corruption) is built once and
     kept with read-only arrays; `dressed` hands out shallow copies, so a
     caller may rebind attributes but not edit the arrays.  `spectral` keeps
-    one eigendecomposition, the last one solved, under the same key.
+    one eigendecomposition, the last one solved, under the same key, with
+    read-only eigenvalues and eigenvectors: every spectral check only reads it.
     """
 
     kind: str                      # "family", "free"
@@ -247,8 +248,10 @@ class SystemBuilder:
         if key not in self._spectral:
             self._spectral.clear()
             inp = self.inputs(n)
-            self._spectral[key] = eigendecompose(
+            sp = eigendecompose(
                 build_h_prime_block(inp.V, inp.a, inp.ap, inp.bundle, inp.grid), inp.grid)
+            sp.eigenvalues.flags.writeable = sp.eigenvectors.flags.writeable = False
+            self._spectral[key] = sp
         return self._spectral[key]
 
 
@@ -653,17 +656,18 @@ def check_intertwining(builder: SystemBuilder, ns, detune=None, trace_dir=None):
 
 @dataclass
 class SpectralResult:
-    """Dense eigendecomposition of the interior-block Hamiltonian."""
+    """Dense eigendecomposition of the interior-block Hamiltonian, each
+    eigenvalue labelled once when built: real, paired or unpaired."""
 
     grid: Grid
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray = field(repr=False)
     backward_error: float = 0.0
     solver: str = "eig"
-    pairing: list = None
-    counts: dict = None
+    pairing: list = field(init=False)
+    counts: dict = field(init=False)
 
-    def classify(self):
+    def __post_init__(self):
         tol_rel = TOLERANCES["eig_rel"]
         E = self.eigenvalues
         labels = np.empty(len(E), dtype=object)
@@ -677,12 +681,19 @@ class SpectralResult:
             labels[i] = "paired" if d.min() <= tol_rel * scale[i] else "unpaired"
         self.pairing = list(labels)
         self.counts = self.counts_up_to(np.inf)
-        return self.counts
 
     def counts_up_to(self, cap):
         """Pairing counts of the eigenvalues whose real part is at most `cap`."""
         labels = np.array(self.pairing, dtype=object)[self.eigenvalues.real <= cap]
         return {k: int(np.sum(labels == k)) for k in ("real", "paired", "unpaired")}
+
+
+def _flush_subnormals(v):
+    """Set the real and imaginary parts of `v` below the smallest normal
+    float to 0, in place: products with subnormal operands run several times
+    slower, and no number a check reports resolves parts that small."""
+    for part in (v.real, v.imag):
+        part[np.abs(part) < np.finfo(float).tiny] = 0.0
 
 
 def eigendecompose(block: OperatorMatrix, grid: Grid) -> SpectralResult:
@@ -700,7 +711,8 @@ def eigendecompose(block: OperatorMatrix, grid: Grid) -> SpectralResult:
     backward-error residual is formed after the block is freed, so after
     the solve no step holds more than three, the eigenvectors included.
     The real eigenvectors of a real symmetric block are made complex once,
-    the cast numpy would otherwise repeat in every product with them.
+    the cast numpy would otherwise repeat in every product with them, and on
+    either route their subnormal parts are set to 0 (`_flush_subnormals`).
     Either route returns the eigenvalues sorted by real part.
     """
     if grid.n > EIG_BUDGET:
@@ -729,6 +741,7 @@ def eigendecompose(block: OperatorMatrix, grid: Grid) -> SpectralResult:
         raise EigensolverError(f"dense eigensolver failed: {exc}") from None
     if not np.all(np.isfinite(w)):
         raise EigensolverError("eigensolver returned non-finite eigenvalues")
+    _flush_subnormals(v)
     r = mat @ v
     del mat
     r -= v * w[None, :]
@@ -736,9 +749,7 @@ def eigendecompose(block: OperatorMatrix, grid: Grid) -> SpectralResult:
     if resid > TOLERANCES["eig_backward"]:
         raise EigensolverError(f"eigensolver backward error {resid:.3e} exceeds "
                                f"contract {TOLERANCES['eig_backward']:.1e}")
-    sr = SpectralResult(grid, w, v, float(resid), solver)
-    sr.classify()
-    return sr
+    return SpectralResult(grid, w, v, float(resid), solver)
 
 
 def check_spectrum(builder: SystemBuilder, eig_levels):
@@ -777,13 +788,12 @@ def check_eq29(builder: SystemBuilder, n):
     action on v_k, which selects the `gram` rule's regime.
 
     The decomposition comes from `builder.spectral(n)`, so one the spectrum
-    check solved at n is not repeated.
-    The eigenvectors (complex on either solver route) are conjugated in
-    place for the product and restored bit for bit, so with them the
-    working set peaks at three complex m x m arrays while G is formed (the
-    eigenvectors, the metric action and G);
-    the reductions over G, the pairing gaps and the defect run in blocks of
-    rows or columns.
+    check solved at n is not repeated; its arrays are only read.  The
+    metric action W eta V is formed once: the defect reads it first, then it
+    is conjugated in place for G, so with the eigenvectors the working set
+    peaks at three complex m x m arrays (the eigenvectors, the metric action
+    and G); the reductions over G, the pairing gaps and the defect run in
+    blocks of rows or columns.
     """
     tol = TOLERANCES
     sp = builder.spectral(n)
@@ -795,16 +805,18 @@ def check_eq29(builder: SystemBuilder, n):
     V = sp.eigenvectors
     E = sp.eigenvalues
     m = len(E)
-    weta = grid.h * eb
+    hbH, weta = hb.H, grid.h * eb
     etaV = weta @ V
-    # G = V^H (W eta V), with V conjugated in place for the product and
-    # conjugated back (exactly) however the product ends
-    np.conjugate(V, out=V)
-    try:
-        G = V.T @ etaV
-    finally:
-        np.conjugate(V, out=V)
+    # defect C v = H'^H (W eta v) - W eta (H' v) of the weighted intertwining
+    # on the eigenvectors, per run of columns; the exact identity (conj(E_j) -
+    # E_k) G_jk = v_j^H C v_k makes |C v_k|/gscale bound relative Gram violations
+    num = np.concatenate([np.linalg.norm(hbH @ etaV[:, c] - weta @ (hb @ V[:, c]), axis=0)
+                          for c in blocks(m)])
+    # G = V^H (W eta V) = conj(V^T conj(W eta V)); sign flips are exact
+    np.conjugate(etaV, out=etaV)
+    G = V.T @ etaV
     del etaV
+    np.conjugate(G, out=G)
 
     scale_e = np.maximum(1.0, np.abs(E))
     nonreal = np.array(sp.pairing) != "real"
@@ -826,13 +838,6 @@ def check_eq29(builder: SystemBuilder, n):
             gaps.append(conj_gap[offstruct].min())
     del G
     gram_herm = float(max(herm) / max(max(gmax), 1e-300))
-
-    # defect C v = H'^H (W eta v) - W eta (H' v) of the weighted intertwining
-    # on the eigenvectors, per run of columns; the exact identity (conj(E_j) -
-    # E_k) G_jk = v_j^H C v_k makes |C v_k|/gscale bound relative Gram violations
-    hbH = hb.H
-    num = np.concatenate([np.linalg.norm(hbH @ (weta @ V[:, c]) - weta @ (hb @ V[:, c]),
-                                         axis=0) for c in blocks(m)])
     defect = float(np.max(num / (gscale * scale_e)))
 
     # property (i): nonreal eigenvalues have vanishing metric norm
@@ -907,13 +912,16 @@ def validate_levels(checks, ns, eig_levels, xmin, xmax):
     """Refuse, before any system is built, ascending levels on [xmin, xmax]
     that the known `checks` cannot run on: a refine level whose check window
     (`_window` of its grid, as the checks take it) is empty, and, if a check
-    reads eig_levels, none or one over the budget."""
+    reads eig_levels, none, one below a grid's MIN_POINTS or one over the budget."""
     if ns[0] < 2 * PAD + 1:
         raise ConfigError(f"coarsest refine level {ns[0]}: a check window "
                           f"needs at least {2 * PAD + 1} points")
     if any(CHECKS[k].levels == "eig_levels" for k in checks):
         if not eig_levels:
             raise ConfigError(f"checks {checks} read eig_levels, which is empty")
+        if eig_levels[0] < MIN_POINTS:
+            raise ConfigError(f"eig level {eig_levels[0]}: a grid needs at least "
+                              f"{MIN_POINTS} points")
         if eig_levels[-1] > EIG_BUDGET:
             raise BudgetExceededError(f"dense eigensolve at n = {eig_levels[-1]} "
                                       f"(eig_levels) exceeds the budget ({EIG_BUDGET} grid points)")

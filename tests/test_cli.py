@@ -676,6 +676,27 @@ def test_over_budget_eig_level_exits_8_before_building(tmp_path, monkeypatch, ch
     assert not (tmp_path / "T").exists()
 
 
+@pytest.mark.parametrize("checks,levels", [("eq25,spectrum", [5, 7]), ("eq29", [-3, 11])])
+def test_eig_level_below_a_grid_exits_2_before_building(tmp_path, monkeypatch, capsys,
+                                                       checks, levels):
+    # an eig level too small for a grid is refused with the config, whichever
+    # eig level the check evaluates (eq29 reads only the finest)
+    from pdmph import pipeline, verify
+
+    def never(*args, **kwargs):
+        raise AssertionError("a system was built for a run with an eig level below 9")
+    monkeypatch.setattr(verify, "make_family", never)
+    monkeypatch.setattr(pipeline, "make_family", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"eig_levels": levels}))
+    assert run(["verify", "--family", "morse", "--mass", "rational", "--xmin", "-3",
+                "--xmax", "4", "--refine", "101,201,401", "--checks", checks,
+                "--config", "c.json", "--out", "out.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"eig level {levels[0]}" in err and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--refine", "101,201,401", "--checks", "eq25", "--trace-dir", "T",
      "--out", "nodir/r.json"],

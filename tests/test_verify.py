@@ -419,9 +419,10 @@ def _peak_in_units(run, m):
                                                    ("free", "constant", "eigh")])
 def test_spectral_working_set(family, profile, solver):
     # the dense block, the solver's output and the residual of the
-    # backward-error test (formed after the block is freed); then eq29 on
-    # the given eigenvectors, conjugated in place: the metric action and G
-    # (measured 2.04; 3.04 with a conjugated copy of the eigenvectors and
+    # backward-error test (formed after the block is freed; measured 3.05
+    # and 3.06); then eq29, reading the cached eigenvectors: the metric
+    # action, formed once and conjugated in place for it, and G (measured
+    # 2.05 and 2.06; 3.04 with a conjugated copy of the eigenvectors and
     # m x m pairing arrays), with the reductions over G and C V in blocks.
     # The real eigenvectors of the eigh route are made complex once (3.50
     # and 3.05 with numpy casting them again for each product)
@@ -438,18 +439,80 @@ def test_spectral_working_set(family, profile, solver):
 
 @pytest.mark.parametrize("family,profile,solver", [("morse", "rational", "eig"),
                                                    ("free", "constant", "eigh")])
-def test_eq29_leaves_the_eigenvectors_unchanged(family, profile, solver):
-    # eq29 conjugates the given eigenvectors in place and back
+def test_eq29_leaves_the_eigenvectors_unchanged(monkeypatch, family, profile, solver):
+    # the builder caches each decomposition read-only, so no check writes the
+    # eigenpairs another check reads, not even in place and back; spectrum
+    # and eq29 leave the decomposition they read bit-identical
+    solved, real = [], verify_module.eigendecompose
+
+    def recording(block, grid):
+        sp = real(block, grid)
+        solved.append((sp, sp.eigenvalues.copy(), sp.eigenvectors.copy()))
+        return sp
+
+    monkeypatch.setattr(verify_module, "eigendecompose", recording)
     profile = getattr(MassProfile, profile)()
     if family == "free":
         b = SystemBuilder("free", profile, -3.0, 4.0)
     else:
         b = builder(family, profile=profile, domain=(-3.0, 4.0))
-    sp = b.spectral(501)
-    assert sp.solver == solver
-    before = sp.eigenvectors.tobytes()
+    check_spectrum(b, [301, 501])
     check_eq29(b, 501)
-    assert b.spectral(501) is sp and sp.eigenvectors.tobytes() == before
+    sp, w, v = solved[-1]
+    assert len(solved) == 2 and b.spectral(501) is sp and sp.solver == solver
+    for stored, copied in ((sp.eigenvalues, w), (sp.eigenvectors, v)):
+        assert not stored.flags.writeable
+        assert stored.tobytes() == copied.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        b.spectral(501).eigenvectors[0, 0] = 0.0
+
+
+def _spectral_checks(family, profile):
+    """Spectrum at 301/501 and eq29 at 501 on [-3, 4], as exact reprs, and
+    the number of subnormal parts of the eigenvectors at 501."""
+    profile = getattr(MassProfile, profile)()
+    if family == "free":
+        b = SystemBuilder("free", profile, -3.0, 4.0)
+    else:
+        b = builder(family, profile=profile, domain=(-3.0, 4.0))
+    results = [check_spectrum(b, [301, 501]).to_dict(), check_eq29(b, 501).to_dict()]
+    V = b.spectral(501).eigenvectors
+    parts = np.concatenate([V.real.ravel(), V.imag.ravel()])
+    return repr(results), int(np.count_nonzero((parts != 0)
+                                               & (np.abs(parts) < np.finfo(float).tiny)))
+
+
+@pytest.mark.parametrize("family,profile,subnormal", [("morse", "rational", True),
+                                                      ("free", "constant", False)])
+def test_flushing_subnormal_eigenvector_parts_changes_no_bit(monkeypatch, family, profile,
+                                                            subnormal):
+    # eigendecompose sets the eigenvectors' subnormal parts to 0; against the
+    # unflushed route every spectrum and eq29 residual and note is the same
+    # to the bit (morse/rational has over a thousand such parts at 501)
+    flushed, none_left = _spectral_checks(family, profile)
+    monkeypatch.setattr(verify_module, "_flush_subnormals", lambda v: None)
+    unflushed, found = _spectral_checks(family, profile)
+    assert none_left == 0 and (found > 1000 if subnormal else found == 0)
+    assert flushed == unflushed
+
+
+def test_eq29_applies_each_operator_to_the_eigenbasis_once(monkeypatch):
+    # W eta V is formed once and read by the defect and by G: the metric
+    # block, H' and H'^H together apply to 4m eigenbasis columns per call
+    # (5m when the defect formed W eta V again)
+    columns, real = [], OperatorMatrix.apply
+
+    def counting(op, operand):
+        columns.append(1 if np.ndim(operand) == 1 else np.shape(operand)[1])
+        return real(op, operand)
+
+    b = builder("morse", profile=MassProfile.rational(), domain=(-3.0, 4.0))
+    m = len(b.spectral(201).eigenvalues)
+    monkeypatch.setattr(OperatorMatrix, "apply", counting)
+    monkeypatch.setattr(OperatorMatrix, "__matmul__", counting)
+    for calls in (1, 2):
+        check_eq29(b, 201)
+        assert sum(columns) == 4 * m * calls
 
 
 @pytest.mark.parametrize("check,bound_mb", [
@@ -807,11 +870,14 @@ def test_run_suite_default_eig_levels_are_the_config_default(monkeypatch):
 
 
 def test_run_suite_refuses_levels_the_config_refuses():
-    # the library applies the config's level rules: no eig level for eq29,
-    # and a coarsest refine level that leaves no check window
+    # the library applies the config's level rules: no eig level for eq29, an
+    # eig level below a grid's 9 points, and a coarsest refine level that
+    # leaves no check window
     free = SystemBuilder("free", MassProfile.constant(), -3.0, 4.0)
     with pytest.raises(ConfigError, match="eig_levels, which is empty"):
         run_suite(free, ["eq29"], [101, 201, 401], eig_levels=[])
+    with pytest.raises(ConfigError, match="eig level 7: a grid needs at least 9 points"):
+        run_suite(free, ["eq29"], [101, 201, 401], eig_levels=[7, 101])
     with pytest.raises(ConfigError, match="coarsest refine level 9"):
         run_suite(free, ["eq28"], [9, 17, 33])
 
