@@ -18,8 +18,7 @@ Three measurements:
    corrected one describes the measured defect once f f' != 0.
 """
 
-from pdmph import (GeneratingSpec, MassProfile, SystemBuilder, check_intertwining,
-                   run_suite)
+from pdmph import GeneratingSpec, MassProfile, SystemBuilder, run_suite
 
 levels = [501, 1001, 2001]
 builder = SystemBuilder("family", MassProfile.constant(), -2.0, 10.0,
@@ -32,14 +31,14 @@ print(f"  hermiticity     residuals {['%.1e' % v for v in rh.residuals]}"
 print(f"  dual construction residuals {['%.1e' % v for v in rd.residuals]}"
       f"  order {rd.observed_order:.2f}")
 
-ri = check_intertwining(builder, levels)
+(ri,), _, _ = run_suite(builder, ["intertwining"], levels)
 print("\nintertwining defect, consistent companion function:")
 print(f"  residuals {['%.2e' % v for v in ri.residuals]} -> regime: "
       f"{ri.notes['defect_regime']}")
 print("  (the defect vanishes identically: the companion function solves the"
       " zeroth-order balance)")
 
-rdet = check_intertwining(builder, levels, detune=0.7)
+(rdet,), _, _ = run_suite(builder, ["intertwining"], levels, detune=0.7)
 c = complex(*rdet.notes["c_printed"][-1])
 print("\ndetuned constant companion f = 0.7:")
 print(f"  defect is h-independent (decay ratio "
@@ -49,7 +48,8 @@ print(f"  probe-to-probe symbol deviation: "
 print(f"  symbol / zeroth-order balance = {c.real:+.2e} {c.imag:+.8f} i "
       f"(stability across grids {rdet.notes['c_printed_stability']:.1e})")
 
-rvar = check_intertwining(builder, levels, detune=lambda x: 0.4 + 0.05 * x)
+(rvar,), _, _ = run_suite(builder, ["intertwining"], levels,
+                           detune=lambda x: 0.4 + 0.05 * x)
 cc = complex(*rvar.notes["c_corrected"][-1])
 print("\ndetuned non-constant companion f = 0.4 + 0.05 x:")
 print(f"  corrected-form fit: c = {cc.real:+.2e} {cc.imag:+.6f} i, "

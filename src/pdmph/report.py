@@ -196,18 +196,12 @@ def _validate(cfg, setby, command):
             raise ConfigError(f"{key} asks for {levels[-1]} grid points; "
                               f"the maximum is {MAX_POINTS}")
     _refuse_unread(cfg, setby, command)
-    if "spectrum" in cfg["checks"] and len(cfg["eig_levels"]) < 2:
-        raise ConfigError("the spectrum check compares two eig_levels")
     domain = CATALOG.get(cfg["family"], (None, (-8.0, 8.0), None))[1]
     for key, bound in zip(("grid.xmin", "grid.xmax"), domain):
         if cfg[key] is None:
             cfg[key] = bound
     validate_levels(cfg["checks"], cfg["refine"], cfg["eig_levels"], cfg["grid.xmin"],
                     cfg["grid.xmax"])
-    if "parity-eta" in cfg["checks"] and not (cfg["grid.xmin"] == -cfg["grid.xmax"]
-                                              and cfg["refine"][0] % 2 == 1):
-        raise ConfigError("parity-eta needs a grid symmetric about 0: xmin = -xmax "
-                          "and an odd coarsest refine level")
     dressed = [k for k in cfg["checks"] if CHECKS[k].dressed]
     if "checks" in setby and dressed and cfg["family"] == "free":
         raise ConfigError(f"checks: {dressed} not run by family 'free' (no dressed system)")

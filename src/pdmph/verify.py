@@ -338,20 +338,34 @@ def _write_trace(trace_dir, key, grid, outputs):
                    [grid.x] + [res / scale for res, scale, _ in outputs])
 
 
-def _identity(key, builder: SystemBuilder, ns, trace_dir=None):
+def _identity(key, builder: SystemBuilder, ns, detune=None, trace_dir=None):
     """Refine row `key` of CHECKS over the builder's levels `ns` (only over
     its `pick`, if set, in the window of all); judge each result.
 
-    A residual's extra, if any, is a dict of notes, each recorded at its
-    largest over the levels.  Returns the results, in the row's order.
+    With `detune`, which only a row whose options name it reads, each level
+    is the builder's dressed system detuned (see `detuned`), and such a row
+    records `detune` as its first note ("callable" for a callable).  The
+    row's `notes` reduces the levels' extras to the other notes.  Returns
+    the results, in the row's order.
     """
     row, ns = CHECKS[key], sorted(ns)
+    if detune is not None and "detune" not in row.options:
+        raise ConfigError(f"detune: not read by check {key!r}")
     level = builder.dressed if row.dressed else builder.inputs
     picked = ns if row.pick is None else [ns[row.pick]]
-    per_result, extras = _refine(key, map(level, picked), _xmargin(builder, ns), trace_dir)
-    notes = {k: max(extra[k] for extra in extras) for k in extras[0] or ()}
+    inputs = (map(level, picked) if detune is None
+              else (detuned(builder.dressed(n), detune) for n in picked))
+    per_result, extras = _refine(key, inputs, _xmargin(builder, ns), trace_dir)
+    notes = row.notes(extras)
+    if "detune" in row.options:
+        notes = {"detune": "callable" if callable(detune) else detune, **notes}
     return tuple(judge(CheckResult(name, law, levels, notes=dict(notes)))
                  for (name, law), levels in zip(row.results, per_result))
+
+
+def _largest(extras):
+    """Each note of the levels' extras (dicts or None) at its largest."""
+    return {k: max(extra[k] for extra in extras) for k in extras[0] or ()}
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +572,21 @@ def _symbol_summary(syms):
 
 
 def _intertwining(inp, xm):
+    """Defect of the metric intertwining relation, with zeroth-order analysis.
+
+    The defect Delta = eta H' - H'^ eta is applied to smooth probes; the
+    residual is max |Delta v| relative to the action scale max |eta (H' v)|
+    on the window.  The extra is the level's zeroth-order analysis: the
+    pointwise ratios (Delta v)/v are compared across probes, and their mean
+    symbol is fitted against the sampled zeroth-order balance in both
+    printed and corrected forms; if the probes agree, the defect is a pure
+    multiplication operator and the fitted constants describe it.  Only
+    these numbers outlive the level.
+
+    Consistently constructed systems have an identically vanishing defect,
+    so the residual only converges toward the rounding floor; a detuned
+    level input (see `detuned`) makes it genuinely nonzero.
+    """
     grid, b = inp.grid, inp.bundle
     coeffs = _coefficients(inp)
     eta = build_eta_tilde(coeffs, b, grid)
@@ -582,6 +611,19 @@ def _intertwining(inp, xm):
     del eta, hp, hpd, hv, ev, ehv, dv
     S, have, dev = _symbol_summary(syms)
     del syms
+    symbol_scale = float(np.abs(S[have]).max()) if have.any() else 0.0
+    zeroth = {"symbol_scale": symbol_scale,
+              "probe_symbol_deviation_rel": dev / max(symbol_scale, 1e-300)}
+    r28 = residual_eq28(inp, 0.0)
+    for form in ("printed", "corrected"):
+        R = r28[form]
+        mfit = have & (np.abs(R) >= 0.05 * np.abs(R[w]).max())
+        if mfit.any() and np.abs(R[mfit]).max() > 0:
+            c = complex(np.sum(S[mfit] * R[mfit]) / np.sum(R[mfit] ** 2))
+            fit = float(np.abs(S[mfit] - c * R[mfit]).max() / max(symbol_scale, 1e-300))
+        else:
+            c, fit = 0j, float("nan")
+        zeroth[f"c_{form}"], zeroth[f"fit_residual_{form}"] = c, fit
     scale = max(act[w].max(), 1e-300)
     # roundoff model: noise of the inner matvec (amplification times its
     # input) is rough, so the outer stencil re-amplifies it fully
@@ -590,64 +632,21 @@ def _intertwining(inp, xm):
     a_h = amplification(grid.h, u2, np.abs(2.0 * coeffs.M1[w]).max(),
                         np.abs((coeffs.N1 + inp.V)[w]).max())
     floor = FLOOR_SAFETY * EPS * (a_eta * a_h + a_eta * hv_max + a_h * ev_max) / scale
-    return grid, w, [(res, scale, floor)], (w, S, have, dev, inp)
+    return grid, w, [(res, scale, floor)], zeroth
 
 
-def check_intertwining(builder: SystemBuilder, ns, detune=None, trace_dir=None):
-    """Defect of the metric intertwining relation, with zeroth-order analysis.
-
-    Per level the defect Delta = eta H' - H'^ eta is applied to smooth
-    probes; the headline residual is max |Delta v| relative to the action
-    scale max |eta (H' v)| on the window.  At the two finest levels the
-    pointwise ratios (Delta v)/v are compared across probes; if they agree,
-    the defect is a pure multiplication operator whose symbol is fitted
-    against the sampled zeroth-order balance in both printed and corrected
-    forms, and the fitted constants are reported with their cross-grid
-    stability.
-
-    With `detune` set, the companion function is replaced (see
-    `detuned`) so the defect is genuinely nonzero; for
-    consistently constructed systems the defect vanishes identically and
-    only the convergence of the residual toward the rounding floor is
-    asserted.
-    """
-    ns = sorted(ns)
-    inputs = (builder.inputs(n) if detune is None else detuned(builder.dressed(n), detune)
-              for n in ns)
-    (levels,), per_level = _refine("intertwining", inputs, _xmargin(builder, ns), trace_dir)
-    res = CheckResult(*CHECKS["intertwining"].results[0], levels)
-    res.notes["detune"] = detune if detune is None or np.isscalar(detune) else "callable"
-
-    # zeroth-order structure at the two finest levels
-    cs = {"printed": [], "corrected": []}
-    devs, fits = [], {"printed": [], "corrected": []}
-    symbol_scales = []
-    for w, S, have, dev, inp in per_level[-2:]:
-        symbol_scale = np.abs(S[have]).max() if have.any() else 0.0
-        symbol_scales.append(float(symbol_scale))
-        devs.append(dev / max(symbol_scale, 1e-300))
-        r28 = residual_eq28(inp, xmargin=0.0)
-        for form in ("printed", "corrected"):
-            R = r28[form]
-            mfit = have & (np.abs(R) >= 0.05 * np.abs(R[w]).max())
-            if mfit.any() and np.abs(R[mfit]).max() > 0:
-                c = complex(np.sum(S[mfit] * R[mfit]) / np.sum(R[mfit] ** 2))
-                fit = float(np.abs(S[mfit] - c * R[mfit]).max()
-                            / max(symbol_scale, 1e-300))
-            else:
-                c, fit = 0j, float("nan")
-            cs[form].append(c)
-            fits[form].append(fit)
-
-    res.notes["symbol_scale"] = symbol_scales
-    res.notes["probe_symbol_deviation_rel"] = devs
+def _zeroth_order_notes(extras):
+    """The zeroth-order analysis of the two finest levels, with the relative
+    change of each form's fitted constant between them."""
+    last = extras[-2:]
+    notes = {k: [x[k] for x in last] for k in ("symbol_scale", "probe_symbol_deviation_rel")}
     for form in ("printed", "corrected"):
-        res.notes[f"c_{form}"] = [[c.real, c.imag] for c in cs[form]]
-        res.notes[f"fit_residual_{form}"] = fits[form]
-        if len(cs[form]) == 2 and abs(cs[form][1]) > 0:
-            res.notes[f"c_{form}_stability"] = (abs(cs[form][0] - cs[form][1])
-                                                / abs(cs[form][1]))
-    return judge(res)
+        cs = [x[f"c_{form}"] for x in last]
+        notes[f"c_{form}"] = [[c.real, c.imag] for c in cs]
+        notes[f"fit_residual_{form}"] = [x[f"fit_residual_{form}"] for x in last]
+        if len(cs) == 2 and abs(cs[1]) > 0:
+            notes[f"c_{form}_stability"] = abs(cs[0] - cs[1]) / abs(cs[1])
+    return notes
 
 
 # ---------------------------------------------------------------------------
@@ -869,8 +868,9 @@ class Check:
     result in payload order, the pointwise-residual function (None: no
     trace), whether it needs a dressed system, the run options it reads, the
     levels it takes ("refine" or "eig_levels"), the one of them it evaluates
-    (`pick`; None: all, and an identity row's window comes from all), and
-    the `RULES` entry that judges its results."""
+    (`pick`; None: all, and an identity row's window comes from all), the
+    function that reduces an identity row's per-level extras to its notes,
+    and the `RULES` entry that judges its results."""
 
     run: str
     results: tuple
@@ -879,6 +879,7 @@ class Check:
     options: tuple = ("trace_dir",)
     levels: str = "refine"
     pick: int = None
+    notes: object = _largest
     rule: str = "order"
 
 
@@ -888,9 +889,9 @@ CHECKS = {
     "eq26": Check(None, (("eq26", "gradient balance"),), _eq26),
     "eq28": Check(None, (("eq28", "zeroth-order balance (sampled)"),), _eq28,
                   dressed=False, pick=-1, rule="reported"),
-    "intertwining": Check("check_intertwining", (("intertwining", "metric intertwining"),),
-                          _intertwining, dressed=False, options=("detune", "trace_dir"),
-                          rule="intertwining"),
+    "intertwining": Check(None, (("intertwining", "metric intertwining"),), _intertwining,
+                          dressed=False, options=("detune", "trace_dir"),
+                          notes=_zeroth_order_notes, rule="intertwining"),
     "groundstate": Check(None, (("groundstate", "first-order annihilation"),
                                 ("groundstate-eigen", "eigen-residual")), _groundstate),
     "gauge": Check(None, (("gauge", "gauge equivalence"),), _gauge),
@@ -911,8 +912,13 @@ CHECK_NAMES = tuple(CHECKS)
 def validate_levels(checks, ns, eig_levels, xmin, xmax):
     """Refuse, before any system is built, ascending levels on [xmin, xmax]
     that the known `checks` cannot run on: a refine level whose check window
-    (`_window` of its grid, as the checks take it) is empty, and, if a check
-    reads eig_levels, none, one below a grid's MIN_POINTS or one over the budget."""
+    (`_window` of its grid, as the checks take it) is empty; if a check
+    reads eig_levels, none, one below a grid's MIN_POINTS or one over the
+    budget; for spectrum, fewer than two distinct eig levels; and for
+    parity-eta, a coarsest grid that is not symmetric about 0 (`_parity`)."""
+    if "spectrum" in checks and len(set(eig_levels)) < 2:
+        raise ConfigError(f"the spectrum check compares two distinct eig_levels, "
+                          f"got {eig_levels}")
     if ns[0] < 2 * PAD + 1:
         raise ConfigError(f"coarsest refine level {ns[0]}: a check window "
                           f"needs at least {2 * PAD + 1} points")
@@ -930,6 +936,9 @@ def validate_levels(checks, ns, eig_levels, xmin, xmax):
     if empty:
         raise ConfigError(f"refine levels {empty}: no node in the check window ({PAD} "
                           f"points and {PAD} steps of level {ns[0]} in from each edge)")
+    if "parity-eta" in checks and not grids[0].parity_capable:
+        raise ConfigError("parity-eta needs a grid symmetric about 0: xmin = -xmax "
+                          "and an odd coarsest refine level")
 
 
 def run_suite(builder: SystemBuilder, checks, ns, eig_levels=EIG_LEVELS, detune=None,

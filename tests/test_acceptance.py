@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from pdmph import (FAMILIES, GeneratingSpec, MassProfile, SystemBuilder,
-                   build_h_prime_block, check_eq29, check_intertwining,
-                   eigendecompose, make_family, make_grid)
+                   build_h_prime_block, check_eq29, eigendecompose, make_family,
+                   make_grid)
 from pdmph.cli import main
 from pdmph.report import payload_bytes
 from pdmph.verify import PROBES, _identity
@@ -177,8 +177,8 @@ def test_criterion_06_intertwining_defect_structure():
     assert PROBES >= 8
     for family in ("morse", "scarf2"):
         t0 = time.perf_counter()
-        r = check_intertwining(sys_builder(family, "constant"), NS_OPERATOR,
-                               detune=0.7)
+        (r,) = _identity("intertwining", sys_builder(family, "constant"), NS_OPERATOR,
+                         detune=0.7)
         dt = time.perf_counter() - t0
         c = complex(*r.notes["c_printed"][-1])
         good = (r.verdict == "pass"
@@ -191,12 +191,12 @@ def test_criterion_06_intertwining_defect_structure():
                       f"c = {c.real:+.2e}{c.imag:+.6f}i, "
                       f"stab {r.notes['c_printed_stability']:.1e}, {dt:.1f} s")
     # Hermitian limit: defect converges to zero
-    rh = check_intertwining(hermitian_builder(), NS_OPERATOR)
+    (rh,) = _identity("intertwining", hermitian_builder(), NS_OPERATOR)
     ok &= rh.verdict == "pass" and rh.notes["defect_regime"] == "vanishing"
     detail.append(f"hermitian limit: residuals -> {rh.residuals[-1]:.1e} (vanishing)")
     # consistently built systems: the defect vanishes as well (the companion
     # function solves the zeroth-order balance identically)
-    rp = check_intertwining(sys_builder("harmonic3d", "constant"), NS_OPERATOR)
+    (rp,) = _identity("intertwining", sys_builder("harmonic3d", "constant"), NS_OPERATOR)
     ok &= rp.verdict == "pass" and rp.notes["defect_regime"] == "vanishing"
     detail.append(f"pipeline: {rp.residuals[-1]:.1e} (vanishing)")
     record("06 intertwining-defect-structure", ok, "; ".join(detail))

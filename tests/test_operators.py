@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdmph import (CoefficientSet, GeneratingSpec, InvalidDomainError,
+from pdmph import (CoefficientSet, ConfigError, GeneratingSpec, InvalidDomainError,
                    MassProfile, SystemBuilder, build_d, build_d_tilde,
                    build_d_tilde_dagger, build_eta_tilde, build_h_prime,
                    build_h_prime_dagger, default_probes, make_family,
@@ -174,9 +174,10 @@ def test_parity_needs_symmetric_grid():
 
 
 def test_suite_refuses_parity_eta_on_an_asymmetric_grid():
-    # no silent skip: a library caller gets the check's own error
+    # no silent skip: a library caller gets the config's refusal, before any
+    # check runs (the check itself refuses a direct caller, above)
     for domain, ns in (((0.1, 6.0), [101, 201, 401]), ((-6.0, 6.0), [100, 201, 401])):
-        with pytest.raises(InvalidDomainError):
+        with pytest.raises(ConfigError, match="parity-eta needs a grid symmetric about 0"):
             run_suite(parity_builder(domain), ["eq25", "parity-eta"], ns)
 
 

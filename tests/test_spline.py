@@ -4,10 +4,10 @@ and the intertwining defect of systems built from such tables."""
 import numpy as np
 import pytest
 
-from pdmph import (GeneratingSpec, IOFormatError, MassProfile, SystemBuilder,
-                   check_intertwining)
+from pdmph import GeneratingSpec, IOFormatError, MassProfile, SystemBuilder
 import pdmph.grid as grid_module
 from pdmph.grid import Spline
+from pdmph.verify import _identity
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -101,7 +101,7 @@ def test_table_route_intertwining_vanishes(rows, am, pm, ag, pg, sign, scale):
     spec = GeneratingSpec("custom-table", g_table=(xs, sign * scale * _smooth(ag, pg, xs)))
     builder = SystemBuilder("family", MassProfile.from_table(xs, 0.5 * _smooth(am, pm, xs)),
                             -4.0, 4.0, spec=spec)
-    result = check_intertwining(builder, [101, 201, 401])
+    (result,) = _identity("intertwining", builder, [101, 201, 401])
     assert result.notes["defect_regime"] == "vanishing"
     above_floor = [lv.residual > 20.0 * lv.floor for lv in result.levels]
     assert above_floor == sorted(above_floor, reverse=True)

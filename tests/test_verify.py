@@ -10,9 +10,8 @@ import pdmph.verify as verify_module
 
 from pdmph import (CATALOG, FAMILIES, BudgetExceededError, GeneratingSpec,
                    MassProfile, SystemBuilder, apply_corruption, build_d,
-                   build_d_tilde, build_h_prime_block, check_eq29, check_intertwining,
-                   check_spectrum, diff_matrix, eigendecompose,
-                   make_grid, residual_eq28, run_suite)
+                   build_d_tilde, build_h_prime_block, check_eq29, check_spectrum,
+                   diff_matrix, eigendecompose, make_grid, residual_eq28, run_suite)
 from pdmph.cli import main
 from pdmph.errors import ConfigError, InvalidDomainError
 from pdmph.operators import OperatorMatrix
@@ -119,14 +118,14 @@ def test_eq28_sensitive_to_f():
 # ---------------------------------------------------------------------------
 
 def test_intertwining_pipeline_defect_vanishes():
-    r = check_intertwining(builder(), NS)
+    (r,) = _identity("intertwining", builder(), NS)
     assert r.verdict == "pass"
     assert r.notes["defect_regime"] == "vanishing"
     assert r.notes["residual_decay_ratio"] > 10
 
 
 def test_intertwining_hermitian_limit():
-    r = check_intertwining(hermitian_builder(), NS)
+    (r,) = _identity("intertwining", hermitian_builder(), NS)
     assert r.verdict == "pass"
     assert r.notes["defect_regime"] == "vanishing"
 
@@ -135,7 +134,7 @@ def test_intertwining_detuned_constant_f():
     # constant detuned f: genuine multiplication-operator defect whose symbol
     # matches the sampled zeroth-order balance with constant i (both forms
     # coincide when f' = 0)
-    r = check_intertwining(builder(), NS_FINE, detune=0.7)
+    (r,) = _identity("intertwining", builder(), NS_FINE, detune=0.7)
     assert r.verdict == "pass"
     assert r.notes["defect_regime"] == "genuine"
     assert r.notes["probe_symbol_deviation_rel"][-1] <= 1e-6
@@ -149,7 +148,7 @@ def test_intertwining_detuned_constant_f():
 def test_intertwining_detuned_zero_f():
     # f = 0 over an exponential g leaves a genuine defect (the surviving
     # zeroth-order terms reduce to the third derivative of g)
-    r = check_intertwining(builder(), NS_FINE, detune=0.0)
+    (r,) = _identity("intertwining", builder(), NS_FINE, detune=0.0)
     assert r.verdict == "pass"
     assert r.notes["defect_regime"] == "genuine"
 
@@ -157,8 +156,8 @@ def test_intertwining_detuned_zero_f():
 def test_intertwining_detuned_zero_f_linear_g_is_exact():
     # over the linear-g family the same detune has identically zero symbol,
     # so the defect still vanishes
-    r = check_intertwining(builder("harmonic3d", domain=(0.25, 10.0)), NS,
-                           detune=0.0)
+    (r,) = _identity("intertwining", builder("harmonic3d", domain=(0.25, 10.0)), NS,
+                     detune=0.0)
     assert r.verdict == "pass"
     assert r.notes["defect_regime"] == "vanishing"
 
@@ -167,8 +166,8 @@ def test_intertwining_nonconstant_detune_exposes_printed_term():
     # with f f' != 0 the corrected zeroth-order form still fits the measured
     # symbol with constant i while the printed form does not fit at all: the
     # two differ exactly by the first term carrying g' instead of g
-    r = check_intertwining(builder("harmonic3d", domain=(0.25, 10.0)), NS,
-                           detune=lambda x: 0.4 + 0.05 * x)
+    (r,) = _identity("intertwining", builder("harmonic3d", domain=(0.25, 10.0)), NS,
+                     detune=lambda x: 0.4 + 0.05 * x)
     assert r.notes["defect_regime"] == "genuine"
     cc = complex(*r.notes["c_corrected"][-1])
     fit_c = r.notes["fit_residual_corrected"][-1]
@@ -180,9 +179,45 @@ def test_intertwining_nonconstant_detune_exposes_printed_term():
 
 def test_intertwining_free_particle_exact():
     b = SystemBuilder("free", MassProfile.constant(), -8.0, 8.0)
-    r = check_intertwining(b, NS)
+    (r,) = _identity("intertwining", b, NS)
     assert r.verdict == "pass"
     assert all(v == 0.0 for v in r.residuals)
+
+
+@pytest.mark.parametrize("detune", [None, 0.7])
+def test_intertwining_extra_is_a_few_numbers_per_level(detune):
+    # each level's extra is its zeroth-order analysis alone: numbers, and no
+    # mean symbol, mask or level input outlives its level
+    b, refs = builder(), []
+
+    def levels():
+        for n in NS:
+            inp = b.inputs(n) if detune is None else detuned(b.dressed(n), detune)
+            refs.append(weakref.ref(inp))
+            yield inp
+    _, extras = verify_module._refine("intertwining", levels(), verify_module._xmargin(b, NS))
+    assert [ref() is None for ref in refs] == [True] * len(NS)
+    for extra in extras:
+        assert list(extra) == ["symbol_scale", "probe_symbol_deviation_rel", "c_printed",
+                               "fit_residual_printed", "c_corrected", "fit_residual_corrected"]
+        assert all(type(v) in (float, complex) for v in extra.values())
+
+
+def test_detune_is_recorded_as_the_first_note():
+    b = builder()
+    for detune, recorded in ((lambda x: 0.4 + 0.05 * x, "callable"), (0.3, 0.3), (None, None)):
+        (r,) = _identity("intertwining", b, NS, detune=detune)
+        assert list(r.notes)[:4] == ["detune", "symbol_scale", "probe_symbol_deviation_rel",
+                                     "c_printed"]
+        assert r.notes["detune"] == recorded
+
+
+def test_a_row_that_reads_no_detune_refuses_one(monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(verify_module, "_refine", lambda *a, **kw: evaluated.append(a))
+    with pytest.raises(ConfigError, match="detune: not read by check 'eq25'"):
+        _identity("eq25", builder(), NS, detune=0.3)
+    assert evaluated == []
 
 
 def _stacked_symbol_summary(syms):
@@ -218,8 +253,8 @@ def test_streamed_symbol_summary_matches_stacked_formula(monkeypatch, mass, detu
         return seen[-1][1]
 
     monkeypatch.setattr(verify_module, "_symbol_summary", spy)
-    r = check_intertwining(builder(profile=getattr(MassProfile, mass)()), [1001, 2001, 4001],
-                           detune=detune)
+    (r,) = _identity("intertwining", builder(profile=getattr(MassProfile, mass)()),
+                     [1001, 2001, 4001], detune=detune)
     assert r.notes["defect_regime"] == regime
     assert len(seen) == 3
     for (S0, have0, dev0, _), (S, have, dev) in seen:
@@ -280,7 +315,7 @@ def test_refine_evaluates_the_level_inputs_it_is_fed(key, kind):
     assert [_bits(g if pick is None else [g[pick]]) for g in got] == [_bits(w) for w in want]
 
 
-def test_refine_on_detuned_copies_is_check_intertwining_detuned():
+def test_refine_on_detuned_copies_is_the_detuned_intertwining_row():
     b = builder()
     (got,), _ = verify_module._refine("intertwining", [detuned(b.dressed(n), 0.3) for n in NS],
                                       verify_module._xmargin(b, NS))
@@ -516,15 +551,16 @@ def test_eq29_applies_each_operator_to_the_eigenbasis_once(monkeypatch):
 
 
 @pytest.mark.parametrize("check,bound_mb", [
-    pytest.param(check_intertwining, 3.0, id="check_intertwining-3.0"),
+    pytest.param(functools.partial(_identity, "intertwining"), 3.0, id="intertwining-3.0"),
     pytest.param(functools.partial(_identity, "tau"), 2.0, id="check_tau-2.0"),
     pytest.param(functools.partial(_identity, "eta-hermiticity"), 2.5, id="check_eta-2.5")])
 def test_probe_check_working_set(check, bound_mb):
     # morse/rational at 1001/2001/4001, with the dressed systems and the
     # stencils made first, so that the traced peak is the check's own
-    # working set: measured 2.58, 1.69 and 2.14 MB (4.07, 3.93 and 3.89 MB
+    # working set: measured 2.53, 1.69 and 2.14 MB (4.07, 3.93 and 3.89 MB
     # with every diagonal padded to n entries and all eight probe symbols
-    # of every level kept to the end)
+    # of every level kept to the end; 2.58 for intertwining with each
+    # level's mean symbol, mask and input kept to the end)
     ns = [1001, 2001, 4001]
     b = builder(profile=MassProfile.rational())
     for n in ns:
@@ -803,7 +839,7 @@ def test_free_input_matches_operator_inputs_free():
 
 def test_detuned_intertwining_leaves_the_cached_system_alone():
     b = builder()
-    check_intertwining(b, NS, detune=0.7)
+    _identity("intertwining", b, NS, detune=0.7)
     fresh = builder()
     for key in ("eq25", "eq26"):
         assert _identity(key, b, NS)[0].residuals == _identity(key, fresh, NS)[0].residuals
@@ -880,6 +916,24 @@ def test_run_suite_refuses_levels_the_config_refuses():
         run_suite(free, ["eq29"], [101, 201, 401], eig_levels=[7, 101])
     with pytest.raises(ConfigError, match="coarsest refine level 9"):
         run_suite(free, ["eq28"], [9, 17, 33])
+
+
+@pytest.mark.parametrize("checks,eig_levels,match", [
+    (["eq25", "parity-eta"], [501, 1001], "parity-eta needs a grid symmetric about 0"),
+    (["eq25", "spectrum"], [501], "spectrum check compares two distinct eig_levels")],
+    ids=["parity-eta", "spectrum"])
+def test_run_suite_refuses_a_bad_request_before_any_check_runs(monkeypatch, checks,
+                                                               eig_levels, match):
+    # scarf2 on [-8, 7] has no grid symmetric about 0 for parity-eta, and one
+    # eig level is none for spectrum to compare with: both requests are
+    # refused before eq25 evaluates a level
+    evaluated, real = [], verify_module._refine
+    monkeypatch.setattr(verify_module, "_refine",
+                        lambda key, *a, **kw: evaluated.append(key) or real(key, *a, **kw))
+    b = builder("scarf2", domain=(-8.0, 7.0))
+    with pytest.raises(ConfigError, match=match):
+        run_suite(b, checks, [201, 401, 801], eig_levels=eig_levels)
+    assert evaluated == []
 
 
 @pytest.mark.parametrize("levels", [[201], [201, 201]])
