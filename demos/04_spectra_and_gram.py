@@ -16,11 +16,19 @@ eigenvalues are conjugate):
 
 import numpy as np
 
-from pdmph import GeneratingSpec, MassProfile, SystemBuilder, check_eq29
+from pdmph import GeneratingSpec, MassProfile, SystemBuilder, run_suite
+
+
+def eq29(builder):
+    """The Gram-structure check on the 801-point grid (the refine levels are
+    the suite's, and eq29 reads none of them)."""
+    (result,), _, _ = run_suite(builder, ["eq29"], [201, 401, 801], eig_levels=[801])
+    return result
+
 
 # free particle: exact regime
 free = SystemBuilder("free", MassProfile.constant(), -8.0, 8.0)
-r = check_eq29(free, 801)
+r = eq29(free)
 print("free particle:")
 print(f"  eigenvector-level defect {r.notes['defect_on_eigenvectors']:.1e} "
       f"-> exact regime: {r.notes['exact_regime']}")
@@ -31,7 +39,7 @@ xs = np.array([-9.0, -8.0, 8.0, 9.0])
 herm = SystemBuilder("family", MassProfile.constant(), -8.0, 8.0,
                      spec=GeneratingSpec("custom-table",
                                          g_table=(xs, np.full(4, 1.3))))
-r = check_eq29(herm, 801)
+r = eq29(herm)
 print("\nhermitian limit (g = 1.3):")
 print(f"  eigenvector-level defect {r.notes['defect_on_eigenvectors']:.1e} "
       f"-> verdict {r.verdict}")

@@ -32,5 +32,5 @@ from .operators import (CoefficientSet, OperatorMatrix, build_d, build_d_tilde,
                         build_eta_tilde_block, build_h_prime,
                         build_h_prime_block, build_h_prime_dagger, default_probes)
 from .verify import (CheckResult, SpectralResult, SystemBuilder, apply_corruption,
-                     check_eq29, check_spectrum, eigendecompose, judge, residual_eq28, run_suite)
+                     eigendecompose, judge, residual_eq28, run_suite)
 from .report import emit_json, payload_bytes, rejudge, resolve_config, write_report

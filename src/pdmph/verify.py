@@ -9,11 +9,11 @@ window, at several grid resolutions, and reports
   * a deterministic verdict: pass, fail, or reported-only, set by `judge`
     alone from the recorded numbers, by the rule the check's row names.
 
-An identity is its pointwise-residual function of one level's input plus
-one `CHECKS` row that declares its result names and laws; `run_suite` and
-the check vocabulary read the row.  One refinement driver, `_refine`,
-evaluates the function once on each level input its caller feeds it,
-coarsest first, and writes the finest as the check's trace.
+A check is its per-level function plus one `CHECKS` row that declares its
+result names and laws; `run_suite` and the check vocabulary read the row.
+`_identity` refines an identity's pointwise residual of one level's input
+(see `_refine`), and `_spectral` feeds a spectral check's function each eig
+level's decomposition; both drivers go coarsest first.
 
 Residuals in a refinement study are always measured over one fixed
 coordinate window derived from the coarsest level (index pad plus
@@ -338,9 +338,15 @@ def _write_trace(trace_dir, key, grid, outputs):
                    [grid.x] + [res / scale for res, scale, _ in outputs])
 
 
+def _judged(row, per_result, notes):
+    """The results of `row`, one per CheckLevel list, each with `notes`, judged."""
+    return tuple(judge(CheckResult(name, law, levels, notes=dict(notes)))
+                 for (name, law), levels in zip(row.results, per_result))
+
+
 def _identity(key, builder: SystemBuilder, ns, detune=None, trace_dir=None):
-    """Refine row `key` of CHECKS over the builder's levels `ns` (only over
-    its `pick`, if set, in the window of all); judge each result.
+    """Refine row `key` of CHECKS over the builder's levels `ns` its `pick`
+    takes, in the window of all; judge each result.
 
     With `detune`, which only a row whose options name it reads, each level
     is the builder's dressed system detuned (see `detuned`), and such a row
@@ -348,19 +354,30 @@ def _identity(key, builder: SystemBuilder, ns, detune=None, trace_dir=None):
     row's `notes` reduces the levels' extras to the other notes.  Returns
     the results, in the row's order.
     """
-    row, ns = CHECKS[key], sorted(ns)
+    row = CHECKS[key]
     if detune is not None and "detune" not in row.options:
         raise ConfigError(f"detune: not read by check {key!r}")
     level = builder.dressed if row.dressed else builder.inputs
-    picked = ns if row.pick is None else [ns[row.pick]]
+    picked = sorted(set(ns))[row.pick or slice(None)]
     inputs = (map(level, picked) if detune is None
               else (detuned(builder.dressed(n), detune) for n in picked))
     per_result, extras = _refine(key, inputs, _xmargin(builder, ns), trace_dir)
     notes = row.notes(extras)
     if "detune" in row.options:
         notes = {"detune": "callable" if callable(detune) else detune, **notes}
-    return tuple(judge(CheckResult(name, law, levels, notes=dict(notes)))
-                 for (name, law), levels in zip(row.results, per_result))
+    return _judged(row, per_result, notes)
+
+
+def _spectral(key, builder: SystemBuilder, eig_levels):
+    """Evaluate the one result of row `key` of CHECKS at the eig levels its
+    `pick` takes, coarsest first, with `residual(builder.spectral(n),
+    builder.inputs(n))`, and judge it.  That returns the level's CheckLevel
+    and an extra of numbers and O(m) arrays, never an m x m one: no level
+    keeps the decomposition `builder.spectral` drops before its next solve."""
+    row = CHECKS[key]
+    levels, extras = zip(*(row.residual(builder.spectral(n), builder.inputs(n))
+                           for n in sorted(set(eig_levels))[row.pick or slice(None)]))
+    return _judged(row, [list(levels)], row.notes(extras))
 
 
 def _largest(extras):
@@ -679,12 +696,13 @@ class SpectralResult:
             d[i] = np.inf
             labels[i] = "paired" if d.min() <= tol_rel * scale[i] else "unpaired"
         self.pairing = list(labels)
-        self.counts = self.counts_up_to(np.inf)
+        self.counts = _pairing_counts(self.pairing, E.real)
 
-    def counts_up_to(self, cap):
-        """Pairing counts of the eigenvalues whose real part is at most `cap`."""
-        labels = np.array(self.pairing, dtype=object)[self.eigenvalues.real <= cap]
-        return {k: int(np.sum(labels == k)) for k in ("real", "paired", "unpaired")}
+
+def _pairing_counts(pairing, real, cap=np.inf):
+    """Pairing counts of the eigenvalues whose real part is at most `cap`."""
+    labels = np.array(pairing, dtype=object)[real <= cap]
+    return {k: int(np.sum(labels == k)) for k in ("real", "paired", "unpaired")}
 
 
 def _flush_subnormals(v):
@@ -751,32 +769,25 @@ def eigendecompose(block: OperatorMatrix, grid: Grid) -> SpectralResult:
     return SpectralResult(grid, w, v, float(resid), solver)
 
 
-def check_spectrum(builder: SystemBuilder, eig_levels):
-    """Dense spectra at the two finest eig levels with pairing bookkeeping.
-
-    The pairing counts are compared inside a fixed spectral window where the
-    coarser grid resolves modes with sub-percent dispersion; counts may shift
-    by at most 2 per class near the truncation edge.
-    """
-    eig_levels = sorted(set(eig_levels))[-2:]
-    if len(eig_levels) < 2:
-        raise InvalidDomainError(f"spectrum needs two distinct eig levels, got {eig_levels}")
-    levels, counts, solvers = [], [], []
-    for n in eig_levels:
-        sp = builder.spectral(n)
-        if not levels:
-            # compare counts only over the part of the spectrum the coarser grid
-            # resolves with sub-percent dispersion (phase per step <= 0.8 rad)
-            cap = sp.eigenvalues.real.min() + 0.64 / sp.grid.h**2
-        levels.append(CheckLevel(n, sp.grid.h, sp.backward_error, EPS))
-        counts.append(sp.counts_up_to(cap))
-        solvers.append(sp.solver)
-        del sp   # builder.spectral frees the coarser decomposition before the finer solve
-    return judge(CheckResult("spectrum", "dense spectrum bookkeeping", levels, notes={
-        "window_cap": float(cap), "counts": counts, "solver": solvers}))
+def _spectrum(sp, inp):
+    """One eig level of the spectrum bookkeeping: its backward error, and the
+    eigenvalues' real parts, pairing labels, solver and the cap of the window
+    the level resolves with sub-percent dispersion (phase per step <= 0.8 rad)."""
+    re, h = sp.eigenvalues.real, sp.grid.h
+    return CheckLevel(sp.grid.n, h, sp.backward_error, EPS), {
+        "real": re, "pairing": sp.pairing, "solver": sp.solver, "cap": re.min() + 0.64 / h**2}
 
 
-def check_eq29(builder: SystemBuilder, n):
+def _spectrum_notes(extras):
+    """The pairing counts of each level inside the coarser level's window,
+    where they may shift by at most 2 per class near the truncation edge."""
+    cap = extras[0]["cap"]
+    return {"window_cap": float(cap),
+            "counts": [_pairing_counts(x["pairing"], x["real"], cap) for x in extras],
+            "solver": [x["solver"] for x in extras]}
+
+
+def _eq29(sp, inp):
     """Spectral structure of the metric-weighted Gram matrix.
 
     G_jk = <v_j | w eta | v_k> over the computed eigenbasis.  The exact
@@ -786,17 +797,14 @@ def check_eq29(builder: SystemBuilder, n):
     measured as max_k |(H'^H W eta - W eta H') v_k| relative to the metric
     action on v_k, which selects the `gram` rule's regime.
 
-    The decomposition comes from `builder.spectral(n)`, so one the spectrum
-    check solved at n is not repeated; its arrays are only read.  The
-    metric action W eta V is formed once: the defect reads it first, then it
+    The decomposition comes from `SystemBuilder.spectral`, so one the
+    spectrum check solved at n is not repeated; its arrays are only read.
+    The metric action W eta V is formed once: the defect reads it first, then it
     is conjugated in place for G, so with the eigenvectors the working set
     peaks at three complex m x m arrays (the eigenvectors, the metric action
     and G); the reductions over G, the pairing gaps and the defect run in
     blocks of rows or columns.
     """
-    tol = TOLERANCES
-    sp = builder.spectral(n)
-    inp = builder.inputs(n)
     grid, b = inp.grid, inp.bundle
     coeffs = _coefficients(inp)
     hb = build_h_prime_block(inp.V, inp.a, inp.ap, b, grid)
@@ -830,7 +838,7 @@ def check_eq29(builder: SystemBuilder, n):
         herm.append(np.abs(G[r] - G[:, r].conj().T).max())
         gmax.append(absg.max())
         conj_gap = np.abs(E[r].conj()[:, None] - E[None, :])
-        offstruct = conj_gap > tol["eig_rel"] * scale_e[None, :]
+        offstruct = conj_gap > TOLERANCES["eig_rel"] * scale_e[None, :]
         np.fill_diagonal(offstruct[:, r], False)
         if offstruct.any():
             viol.append((absg[offstruct] / gscale).max())
@@ -844,8 +852,7 @@ def check_eq29(builder: SystemBuilder, n):
     # property (ii): off-structure entries vanish unless conjugate-paired
     viol_ii = float(max(viol)) if viol else 0.0
     gap = float(min(gaps)) if gaps else 1.0
-    return judge(CheckResult("eq29", "metric Gram structure",
-                             [CheckLevel(n, grid.h, max(viol_i, viol_ii), EPS)], notes={
+    return CheckLevel(grid.n, grid.h, max(viol_i, viol_ii), EPS), {
         "defect_on_eigenvectors": defect,
         "gram_scale": gscale,
         "violation_i_rel": viol_i,
@@ -854,7 +861,7 @@ def check_eq29(builder: SystemBuilder, n):
         "gram_hermiticity_rel": gram_herm,
         "counts": sp.counts,
         "solver": sp.solver,
-    }))
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -863,48 +870,46 @@ def check_eq29(builder: SystemBuilder, n):
 
 @dataclass(frozen=True)
 class Check:
-    """A check declared once: the name of the module function `run_suite`
-    calls (None: `_identity` refines the row), one (name, law) pair per
-    result in payload order, the pointwise-residual function (None: no
-    trace), whether it needs a dressed system, the run options it reads, the
-    levels it takes ("refine" or "eig_levels"), the one of them it evaluates
-    (`pick`; None: all, and an identity row's window comes from all), the
-    function that reduces an identity row's per-level extras to its notes,
-    and the `RULES` entry that judges its results."""
+    """A check declared once: one (name, law) pair per result in payload
+    order, its per-level function, whether it needs a dressed system, the
+    run options it reads, the levels its driver takes ("refine": `_identity`;
+    "eig_levels": `_spectral`), the slice of their sorted distinct values it
+    evaluates (`pick`; None: all, and an identity row's window comes from
+    all), the function that reduces its per-level extras to its notes, and
+    the `RULES` entry that judges its results."""
 
-    run: str
     results: tuple
-    residual: object = None
+    residual: object
     dressed: bool = True
     options: tuple = ("trace_dir",)
     levels: str = "refine"
-    pick: int = None
+    pick: slice = None
     notes: object = _largest
     rule: str = "order"
 
 
 # every check, in canonical payload order
 CHECKS = {
-    "eq25": Check(None, (("eq25", "conjugation balance"),), _eq25),
-    "eq26": Check(None, (("eq26", "gradient balance"),), _eq26),
-    "eq28": Check(None, (("eq28", "zeroth-order balance (sampled)"),), _eq28,
-                  dressed=False, pick=-1, rule="reported"),
-    "intertwining": Check(None, (("intertwining", "metric intertwining"),), _intertwining,
+    "eq25": Check((("eq25", "conjugation balance"),), _eq25),
+    "eq26": Check((("eq26", "gradient balance"),), _eq26),
+    "eq28": Check((("eq28", "zeroth-order balance (sampled)"),), _eq28,
+                  dressed=False, pick=slice(-1, None), rule="reported"),
+    "intertwining": Check((("intertwining", "metric intertwining"),), _intertwining,
                           dressed=False, options=("detune", "trace_dir"),
                           notes=_zeroth_order_notes, rule="intertwining"),
-    "groundstate": Check(None, (("groundstate", "first-order annihilation"),
-                                ("groundstate-eigen", "eigen-residual")), _groundstate),
-    "gauge": Check(None, (("gauge", "gauge equivalence"),), _gauge),
-    "tau": Check(None, (("tau", "antilinear similarity"),), _tau),
-    "eta-hermiticity": Check(None, (("eta-hermiticity", "metric Hermiticity"),
-                                    ("eta-dual", "metric dual construction")),
-                             _eta, dressed=False),
-    "parity-eta": Check(None, (("parity-eta", "parity metric Hermiticity"),), _parity,
-                        pick=0, rule="bound"),
-    "spectrum": Check("check_spectrum", (("spectrum", "dense spectrum bookkeeping"),),
-                      dressed=False, options=(), levels="eig_levels", rule="counts"),
-    "eq29": Check("check_eq29", (("eq29", "metric Gram structure"),), dressed=False,
-                  options=(), levels="eig_levels", pick=-1, rule="gram"),
+    "groundstate": Check((("groundstate", "first-order annihilation"),
+                          ("groundstate-eigen", "eigen-residual")), _groundstate),
+    "gauge": Check((("gauge", "gauge equivalence"),), _gauge),
+    "tau": Check((("tau", "antilinear similarity"),), _tau),
+    "eta-hermiticity": Check((("eta-hermiticity", "metric Hermiticity"),
+                              ("eta-dual", "metric dual construction")), _eta, dressed=False),
+    "parity-eta": Check((("parity-eta", "parity metric Hermiticity"),), _parity,
+                        pick=slice(0, 1), rule="bound"),
+    "spectrum": Check((("spectrum", "dense spectrum bookkeeping"),), _spectrum, dressed=False,
+                      options=(), levels="eig_levels", pick=slice(-2, None),
+                      notes=_spectrum_notes, rule="counts"),
+    "eq29": Check((("eq29", "metric Gram structure"),), _eq29, dressed=False,
+                  options=(), levels="eig_levels", pick=slice(-1, None), rule="gram"),
 }
 CHECK_NAMES = tuple(CHECKS)
 
@@ -961,22 +966,17 @@ def run_suite(builder: SystemBuilder, checks, ns, eig_levels=EIG_LEVELS, detune=
     validate_levels(checks, ns, eig_levels, builder.xmin, builder.xmax)
     given = {"refine": ns, "eig_levels": eig_levels, "detune": detune,
              "trace_dir": trace_dir}
+    drivers = {"refine": _identity, "eig_levels": _spectral}
     results = []
     for key, row in CHECKS.items():
         if key not in checks or (row.dressed and builder.kind != "family"):
             continue
-        levels = given[row.levels]
-        if row.run and row.pick is not None:   # `_identity` applies pick itself
-            levels = levels[row.pick]
         options = {k: given[k] for k in row.options}
         try:
-            # a run function is looked up per call, so wrappers rebound here see it
-            out = (globals()[row.run](builder, levels, **options) if row.run
-                   else _identity(key, builder, levels, **options))
+            results += drivers[row.levels](key, builder, given[row.levels], **options)
         except EigensolverError as exc:
-            out = judge(CheckResult(key, "dense eigendecomposition", [],
-                                    notes={"error": str(exc)}))
-        results += [out] if isinstance(out, CheckResult) else out
+            results.append(judge(CheckResult(key, "dense eigendecomposition", [],
+                                             notes={"error": str(exc)})))
 
     findings = _standing_findings(builder, ns)
     finest = builder._spectral.pop((max(eig_levels, default=None), builder.corruption), None)

@@ -17,11 +17,10 @@ import numpy as np
 import pytest
 
 from pdmph import (FAMILIES, GeneratingSpec, MassProfile, SystemBuilder,
-                   build_h_prime_block, check_eq29, eigendecompose, make_family,
-                   make_grid)
+                   build_h_prime_block, eigendecompose, make_family, make_grid)
 from pdmph.cli import main
 from pdmph.report import payload_bytes
-from pdmph.verify import PROBES, _identity
+from pdmph.verify import PROBES, _identity, _spectral
 
 # family -> {profile kind -> domain}
 DOMAINS = {
@@ -223,7 +222,8 @@ def test_criterion_08_eta_gram_structure():
     ok = True
     detail = []
     # exact regime: measured defect < 1e-8 must imply the Gram structure
-    r_free = check_eq29(SystemBuilder("free", MassProfile.constant(), -8.0, 8.0), 1001)
+    (r_free,) = _spectral("eq29", SystemBuilder("free", MassProfile.constant(), -8.0, 8.0),
+                          [1001])
     exact_ok = (r_free.notes["exact_regime"]
                 and r_free.verdict == "pass"
                 and max(r_free.notes["violation_i_rel"],
@@ -236,7 +236,7 @@ def test_criterion_08_eta_gram_structure():
     # intertwining even in the Hermitian limit for nonvanishing g)
     for name, b in (("hermitian", hermitian_builder(domain=(-8.0, 8.0))),
                     ("scarf2", sys_builder("scarf2", "constant"))):
-        r = check_eq29(b, 801)
+        (r,) = _spectral("eq29", b, [801])
         good = (r.verdict == "reported-only"
                 and not r.notes["exact_regime"]
                 and r.notes["defect_scaled_tolerance"] >= 1e-8)

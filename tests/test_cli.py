@@ -355,7 +355,7 @@ def test_trace_dir_evaluates_no_level_twice(tmp_path, monkeypatch):
     from pdmph.verify import CHECKS, SystemBuilder
     calls, real = [], SystemBuilder.dressed
     monkeypatch.setattr(SystemBuilder, "dressed", lambda self, n: calls.append(n) or real(self, n))
-    traceable = [k for k, row in CHECKS.items() if row.residual is not None]
+    traceable = [k for k, row in CHECKS.items() if "trace_dir" in row.options]
     # parity-eta needs a grid symmetric about 0
     for system, traced in ((["--family", "morse", "--mass", "rational"],
                             [k for k in traceable if k != "parity-eta"]),
@@ -726,7 +726,7 @@ def test_trace_window_max_is_payload_residual(tmp_path):
     # for parity-eta the coarsest, its only level, over every node
     from pdmph import make_grid
     from pdmph.verify import CHECKS, PAD
-    TRACEABLE = [k for k, row in CHECKS.items() if row.residual is not None]
+    TRACEABLE = [k for k, row in CHECKS.items() if "trace_dir" in row.options]
     for system, domain in ((["--family", "morse", "--gauge", "scaled-g:scale=0.5"], (-2.0, 10.0)),
                            (["--family", "free"], (-8.0, 8.0)),
                            (["--family", "scarf2", "--gauge", "scaled-g:scale=0.5",

@@ -10,13 +10,13 @@ import pdmph.verify as verify_module
 
 from pdmph import (CATALOG, FAMILIES, BudgetExceededError, GeneratingSpec,
                    MassProfile, SystemBuilder, apply_corruption, build_d,
-                   build_d_tilde, build_h_prime_block, check_eq29, check_spectrum,
-                   diff_matrix, eigendecompose, make_grid, residual_eq28, run_suite)
+                   build_d_tilde, build_h_prime_block, diff_matrix, eigendecompose,
+                   make_grid, residual_eq28, run_suite)
 from pdmph.cli import main
 from pdmph.errors import ConfigError, InvalidDomainError
 from pdmph.operators import OperatorMatrix
 from pdmph.pipeline import assemble_potential
-from pdmph.verify import (CHECK_NAMES, CHECKS, Check, CheckLevel, CheckResult, _identity,
+from pdmph.verify import (CHECK_NAMES, CHECKS, Check, CheckLevel, _identity, _spectral,
                           detuned)
 
 NS = [301, 501, 1001]
@@ -27,6 +27,12 @@ def builder(family="morse", profile=None, domain=(-2.0, 10.0), **kw):
     return SystemBuilder("family", profile or MassProfile.constant(),
                          domain[0], domain[1],
                          spec=GeneratingSpec(family, **kw))
+
+
+def eig_row(b, key, eig_levels):
+    """The one result of eig-level row `key` at `eig_levels`, through its driver."""
+    (result,) = _spectral(key, b, eig_levels)
+    return result
 
 
 def hermitian_builder(c=1.3, domain=(-2.0, 10.0), profile=None):
@@ -286,15 +292,14 @@ def _bits(levels):
 
 
 def _check_levels(b, key, **options):
-    run = CHECKS[key].run
-    out = (getattr(verify_module, run)(b, NS, **options) if run
-           else _identity(key, b, NS, **options))
-    return [r.levels for r in ((out,) if isinstance(out, CheckResult) else out)]
+    return [r.levels for r in _identity(key, b, NS, **options)]
 
 
-@pytest.mark.parametrize("key,kind", [(k, "family") for k, row in CHECKS.items() if row.residual]
-                         + [(k, "free") for k, row in CHECKS.items()
-                            if row.residual and not row.dressed])
+REFINE_ROWS = [k for k, row in CHECKS.items() if row.levels == "refine"]
+
+
+@pytest.mark.parametrize("key,kind", [(k, "family") for k in REFINE_ROWS]
+                         + [(k, "free") for k in REFINE_ROWS if not CHECKS[k].dressed])
 def test_refine_evaluates_the_level_inputs_it_is_fed(key, kind):
     # fed the builder's levels, the driver gives each check's levels bit for
     # bit (a row with `pick` reports that level only: eq28 its finest,
@@ -310,9 +315,9 @@ def test_refine_evaluates_the_level_inputs_it_is_fed(key, kind):
         inputs = [b.inputs(n) for n in NS]
     got, _ = verify_module._refine(key, inputs, verify_module._xmargin(b, NS))
     want = _check_levels(b, key)
-    pick = CHECKS[key].pick
+    pick = CHECKS[key].pick or slice(None)
     assert len(got) == len(want) == len(CHECKS[key].results)
-    assert [_bits(g if pick is None else [g[pick]]) for g in got] == [_bits(w) for w in want]
+    assert [_bits(g[pick]) for g in got] == [_bits(w) for w in want]
 
 
 def test_refine_on_detuned_copies_is_the_detuned_intertwining_row():
@@ -469,7 +474,7 @@ def test_spectral_working_set(family, profile, solver):
     b.inputs(501)   # the dressed system is built before the traced solve
     assert _peak_in_units(lambda: b.spectral(501), 499) <= 3.25
     assert b.spectral(501).solver == solver
-    assert _peak_in_units(lambda: check_eq29(b, 501), 499) <= 2.25
+    assert _peak_in_units(lambda: eig_row(b, "eq29", [501]), 499) <= 2.25
 
 
 @pytest.mark.parametrize("family,profile,solver", [("morse", "rational", "eig"),
@@ -491,8 +496,8 @@ def test_eq29_leaves_the_eigenvectors_unchanged(monkeypatch, family, profile, so
         b = SystemBuilder("free", profile, -3.0, 4.0)
     else:
         b = builder(family, profile=profile, domain=(-3.0, 4.0))
-    check_spectrum(b, [301, 501])
-    check_eq29(b, 501)
+    eig_row(b, "spectrum", [301, 501])
+    eig_row(b, "eq29", [501])
     sp, w, v = solved[-1]
     assert len(solved) == 2 and b.spectral(501) is sp and sp.solver == solver
     for stored, copied in ((sp.eigenvalues, w), (sp.eigenvectors, v)):
@@ -510,7 +515,8 @@ def _spectral_checks(family, profile):
         b = SystemBuilder("free", profile, -3.0, 4.0)
     else:
         b = builder(family, profile=profile, domain=(-3.0, 4.0))
-    results = [check_spectrum(b, [301, 501]).to_dict(), check_eq29(b, 501).to_dict()]
+    results = [eig_row(b, "spectrum", [301, 501]).to_dict(),
+               eig_row(b, "eq29", [501]).to_dict()]
     V = b.spectral(501).eigenvectors
     parts = np.concatenate([V.real.ravel(), V.imag.ravel()])
     return repr(results), int(np.count_nonzero((parts != 0)
@@ -546,7 +552,7 @@ def test_eq29_applies_each_operator_to_the_eigenbasis_once(monkeypatch):
     monkeypatch.setattr(OperatorMatrix, "apply", counting)
     monkeypatch.setattr(OperatorMatrix, "__matmul__", counting)
     for calls in (1, 2):
-        check_eq29(b, 201)
+        eig_row(b, "eq29", [201])
         assert sum(columns) == 4 * m * calls
 
 
@@ -604,7 +610,7 @@ def test_spectrum_holds_no_coarse_eigenvectors_in_the_fine_solve(monkeypatch):
 
     monkeypatch.setattr(verify_module, "eigendecompose", watching)
     b = builder("morse", profile=MassProfile.rational(), domain=(-3.0, 4.0))
-    check_spectrum(b, [101, 201])
+    eig_row(b, "spectrum", [101, 201])
     assert alive_at_start == [[], [False]]
     assert b.spectral(201).eigenvectors.shape == (199, 199) and len(solved) == 2
 
@@ -623,7 +629,7 @@ def test_run_suite_leaves_no_decomposition(monkeypatch):
 
 def test_eq29_free_particle_exact_regime():
     b = SystemBuilder("free", MassProfile.constant(), -8.0, 8.0)
-    r = check_eq29(b, 801)
+    r = eig_row(b, "eq29", [801])
     sp = b.spectral(801)
     assert r.verdict == "pass"
     assert r.notes["exact_regime"]
@@ -636,7 +642,7 @@ def test_eq29_hermitian_limit_reported_only():
     # wall truncation breaks the eigenvector-level intertwining for a
     # nonvanishing constant g, so the Gram structure is defect-limited and
     # the check reports rather than asserts
-    r = check_eq29(hermitian_builder(domain=(-8.0, 8.0)), 801)
+    r = eig_row(hermitian_builder(domain=(-8.0, 8.0)), "eq29", [801])
     assert r.verdict == "reported-only"
     assert not r.notes["exact_regime"]
     assert r.notes["defect_on_eigenvectors"] > 1e-8
@@ -644,13 +650,13 @@ def test_eq29_hermitian_limit_reported_only():
 
 
 def test_eq29_family_reported_only():
-    r = check_eq29(builder("scarf2", domain=(-8.0, 8.0)), 801)
+    r = eig_row(builder("scarf2", domain=(-8.0, 8.0)), "eq29", [801])
     assert r.verdict == "reported-only"
 
 
 def test_spectrum_stability_counts():
     b = hermitian_builder(domain=(-8.0, 8.0))
-    r = check_spectrum(b, [301, 501])
+    r = eig_row(b, "spectrum", [301, 501])
     assert r.verdict == "pass"
     counts = r.notes["counts"]
     assert all(abs(counts[0][k] - counts[1][k]) <= 2 for k in counts[0])
@@ -846,6 +852,8 @@ def test_detuned_intertwining_leaves_the_cached_system_alone():
 
 
 def test_eq29_reuses_the_spectrum_decomposition(monkeypatch):
+    # spectrum takes the two finest eig levels and eq29 the finest, whose
+    # decomposition spectrum solved last
     sizes = []
     real = verify_module.eigendecompose
 
@@ -854,31 +862,31 @@ def test_eq29_reuses_the_spectrum_decomposition(monkeypatch):
         return real(block, *args, **kwargs)
 
     b = builder("morse", profile=MassProfile.rational(), domain=(-3.0, 4.0))
-    alone = check_eq29(b, 201)
+    alone = eig_row(b, "eq29", [201])
     monkeypatch.setattr(verify_module, "eigendecompose", counting)
-    results, _, _ = run_suite(b, ["spectrum", "eq29"], NS, eig_levels=[101, 201])
-    assert sizes == [99, 199]
-    assert results[-1].to_dict() == alone.to_dict()
+    for eig_levels, solved in (([101, 201], [99, 199]), ([101, 151, 201], [149, 199])):
+        sizes.clear()
+        results, _, _ = run_suite(b, ["spectrum", "eq29"], NS, eig_levels=eig_levels)
+        assert sizes == solved
+        assert [[lv.n for lv in r.levels] for r in results] == [eig_levels[-2:], [201]]
+        assert results[-1].to_dict() == alone.to_dict()
 
 
 def test_a_row_added_to_checks_is_run_judged_and_reported(monkeypatch, tmp_path):
     # one registry: an eig-level row added to CHECKS, and nothing else, is
     # run on the spectrum check's finest decomposition, judged and reported
-    # in row order
-    def check_eigenpairs(b, n):
-        sp = b.spectral(n)
-        res = CheckResult("eigenpairs", "one eigenpair per interior node",
-                          [CheckLevel(n, sp.grid.h, sp.backward_error, 0.0)])
-        res.verdict = "pass" if len(sp.eigenvalues) == n - 2 else "fail"
-        return res
+    # in row order; its residual is the count of eigenpairs off one per
+    # interior node
+    def eigenpairs(sp, inp):
+        return CheckLevel(sp.grid.n, sp.grid.h, abs(len(sp.eigenvalues) - inp.grid.n + 2),
+                          0.0), None
 
     sizes, real = [], verify_module.eigendecompose
     monkeypatch.setattr(verify_module, "eigendecompose",
                         lambda block, grid: sizes.append(block.shape[0]) or real(block, grid))
-    monkeypatch.setattr(verify_module, "check_eigenpairs", check_eigenpairs, raising=False)
     monkeypatch.setitem(CHECKS, "eigenpairs", Check(
-        "check_eigenpairs", (("eigenpairs", "one eigenpair per interior node"),),
-        dressed=False, options=(), levels="eig_levels", pick=-1))
+        (("eigenpairs", "one eigenpair per interior node"),), eigenpairs, dressed=False,
+        options=(), levels="eig_levels", pick=slice(-1, None), rule="bound"))
     (tmp_path / "c.json").write_text('{"eig_levels": [101, 201]}')
     out = tmp_path / "r.json"
     assert main(["verify", "--family", "morse", "--mass", "rational", "--xmin", "-3",
@@ -939,5 +947,5 @@ def test_run_suite_refuses_a_bad_request_before_any_check_runs(monkeypatch, chec
 @pytest.mark.parametrize("levels", [[201], [201, 201]])
 def test_spectrum_needs_two_distinct_levels(levels):
     free = SystemBuilder("free", MassProfile.constant(), -8.0, 8.0)
-    with pytest.raises(InvalidDomainError, match="two distinct eig levels"):
-        check_spectrum(free, levels)
+    with pytest.raises(ConfigError, match="spectrum check compares two distinct eig_levels"):
+        run_suite(free, ["spectrum"], [101, 201, 401], eig_levels=levels)
