@@ -13,7 +13,7 @@ import numpy as np
 
 from pdmph import GeneratingSpec, MassProfile, SystemBuilder, run_suite
 
-builder = SystemBuilder("family", MassProfile.rational(), -3.0, 4.0,
+builder = SystemBuilder(MassProfile.rational(), -3.0, 4.0,
                         spec=GeneratingSpec("morse", alpha=1.0))
 
 levels = [501, 1001, 2001]
@@ -32,7 +32,7 @@ order = r_eig.observed_order
 print("observed order:", "at rounding floor" if order is None else f"{order:.2f}")
 
 # gauge the same system with a = g and watch the equivalence identity
-gauged = SystemBuilder("family", MassProfile.rational(), -3.0, 4.0,
+gauged = SystemBuilder(MassProfile.rational(), -3.0, 4.0,
                        spec=GeneratingSpec("morse", alpha=1.0,
                                            gauge_a=("scaled-g", 1.0)))
 (rg,), _, _ = run_suite(gauged, ["gauge"], levels)

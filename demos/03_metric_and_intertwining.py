@@ -21,7 +21,7 @@ Three measurements:
 from pdmph import GeneratingSpec, MassProfile, SystemBuilder, run_suite
 
 levels = [501, 1001, 2001]
-builder = SystemBuilder("family", MassProfile.constant(), -2.0, 10.0,
+builder = SystemBuilder(MassProfile.constant(), -2.0, 10.0,
                         spec=GeneratingSpec("morse", alpha=1.0))
 
 (rh, rd), _, _ = run_suite(builder, ["eta-hermiticity"], levels)

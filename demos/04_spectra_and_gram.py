@@ -27,7 +27,7 @@ def eq29(builder):
 
 
 # free particle: exact regime
-free = SystemBuilder("free", MassProfile.constant(), -8.0, 8.0)
+free = SystemBuilder(MassProfile.constant(), -8.0, 8.0)
 r = eq29(free)
 print("free particle:")
 print(f"  eigenvector-level defect {r.notes['defect_on_eigenvectors']:.1e} "
@@ -36,7 +36,7 @@ print(f"  off-structure Gram entries: {r.notes['violation_ii_rel']:.1e} relative
 
 # Hermitian limit, g = const: wall effects dominate the Gram structure
 xs = np.array([-9.0, -8.0, 8.0, 9.0])
-herm = SystemBuilder("family", MassProfile.constant(), -8.0, 8.0,
+herm = SystemBuilder(MassProfile.constant(), -8.0, 8.0,
                      spec=GeneratingSpec("custom-table",
                                          g_table=(xs, np.full(4, 1.3))))
 r = eq29(herm)
@@ -47,7 +47,7 @@ print(f"  measured off-structure magnitude {r.notes['violation_ii_rel']:.2e} "
       f"vs defect-scaled tolerance {r.notes['defect_scaled_tolerance']:.2e}")
 
 # Scarf-type family: real bound spectrum with the constructed zero mode
-scarf = SystemBuilder("family", MassProfile.constant(), -25.0, 25.0,
+scarf = SystemBuilder(MassProfile.constant(), -25.0, 25.0,
                       spec=GeneratingSpec("scarf2", alpha=0.8))
 sp = scarf.spectral(1201)
 E = sp.eigenvalues

@@ -21,7 +21,8 @@ from .pipeline import GeneratingSpec, catalog_rows, load_xy_table, to_csv
 from .profiles import MassProfile
 from .report import (SETTINGS, SYSTEM_PRESETS, build_report, emit_json, payload_config,
                      resolve_config, write_report)
-from .verify import PROBES, TOLERANCES, SystemBuilder, run_suite, spectral_payload
+from .verify import (CORRUPTION_AMOUNT, PAD, PROBES, TOLERANCES, SystemBuilder, run_suite,
+                     spectral_payload)
 
 
 def _color(text, code, enabled):
@@ -88,7 +89,7 @@ def _builder_from(cfg) -> SystemBuilder:
     grid = cfg["grid"]
     fam = cfg["family"]
     if fam == "free":
-        return SystemBuilder("free", profile, grid["xmin"], grid["xmax"])
+        return SystemBuilder(profile, grid["xmin"], grid["xmax"])
     if fam == "hermitian-limit":
         xs = np.array([grid["xmin"] - 1.0, grid["xmin"], grid["xmax"], grid["xmax"] + 1.0])
         vals = np.full(4, float(cfg["g_const"]))
@@ -104,9 +105,8 @@ def _builder_from(cfg) -> SystemBuilder:
     corruption = None
     if cfg["corruption"]:
         corruption = (cfg["corruption"]["target"],
-                      float(cfg["corruption"].get("amount", 0.1)))
-    return SystemBuilder("family", profile, grid["xmin"], grid["xmax"],
-                         spec=spec, corruption=corruption)
+                      float(cfg["corruption"].get("amount", CORRUPTION_AMOUNT)))
+    return SystemBuilder(profile, grid["xmin"], grid["xmax"], spec=spec, corruption=corruption)
 
 
 def _mu_anchor(builder, n):
@@ -120,7 +120,7 @@ def _conventions(builder, cfg):
         "boundary_policy": ("one-sided 4th-order closures on the full grid; "
                            "Dirichlet interior block with odd-reflection closure "
                            "for eigenproblems"),
-        "interior_window": ("index pad 8 plus a fixed margin of 8 coarse spacings "
+        "interior_window": (f"index pad {PAD} plus a fixed margin of {PAD} coarse spacings "
                             "from each edge for refinement studies"),
         "groundstate_normalization": "value 1 at the quadrature anchor node",
         "tolerances": dict(TOLERANCES),
@@ -177,7 +177,7 @@ def cmd_generate(args):
     out = cfg["out"] or f"{cfg['family']}.csv"
     to_csv(ds, out)
     delta_ref = None
-    w = ds.grid.interior_mask(8)   # empty for n <= 16: the value is then null
+    w = ds.grid.interior_mask(PAD)   # empty for n <= 2 PAD: the value is then null
     if ds.printed_reference is not None and w.any():
         delta_ref = float((np.abs(ds.V_eff - (ds.printed_reference + cfg["delta"]))
                            / (1.0 + np.abs(ds.printed_reference)))[w].max())
@@ -187,8 +187,7 @@ def cmd_generate(args):
         "n": cfg["grid"]["n"],
         "mu_anchor": ds.bundle.mu_anchor,
         "printed_form_max_rel_delta": delta_ref,
-        "mass_gradient_printed_form_max_abs_delta":
-            float(np.abs(ds.V_mu - ds.printed_vmu).max()) if ds.printed_vmu is not None else None,
+        "mass_gradient_printed_form_max_abs_delta": float(np.abs(ds.V_mu - ds.printed_vmu).max()),
     }
     print(emit_json(summary))
     return 0

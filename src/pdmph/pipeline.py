@@ -74,7 +74,7 @@ class GeneratingSpec:
         return Spline(*self.gauge_a[1:])
 
 
-@dataclass
+@dataclass(frozen=True)
 class DressedSystem:
     """Everything derived from one (g, a, delta, profile) choice on a grid.
 
@@ -102,9 +102,9 @@ class DressedSystem:
     tau_phase: np.ndarray
     energy: complex
     anchor: int
+    printed_vmu: np.ndarray
     analytic: bool = True
     printed_reference: np.ndarray = None
-    printed_vmu: np.ndarray = None
 
     @property
     def phi(self):
@@ -326,8 +326,7 @@ def make_family(spec: GeneratingSpec, profile: MassProfile, grid: Grid) -> Dress
         g=g, gp=gp, f=f, fp=fp, a=a, ap=ap,
         V=V, V_eff=V_eff, V_mu=V_mu, psi=psi, xi=xi, Lambda=Lambda,
         tau_phase=tau_phase, energy=complex(spec.delta), anchor=anchor,
-        analytic=analytic, printed_reference=reference,
-        printed_vmu=printed_vmu(bundle))
+        printed_vmu=printed_vmu(bundle), analytic=analytic, printed_reference=reference)
 
 
 def catalog_rows(family=None):

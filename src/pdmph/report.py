@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 from .pipeline import CATALOG, FAMILIES
-from .verify import (CHECKS, CORRUPTION_TARGETS, EIG_LEVELS, JUDGED_NOTES, CheckLevel,
-                     CheckResult, judge, validate_levels)
+from .verify import (CHECKS, CORRUPTION_AMOUNT, CORRUPTION_TARGETS, EIG_LEVELS, JUDGED_NOTES,
+                     CheckLevel, CheckResult, judge, validate_levels)
 
 SYSTEM_PRESETS = ("hermitian-limit", "free")
 SYSTEMS = (*FAMILIES, "custom-table", *SYSTEM_PRESETS)
@@ -208,7 +208,7 @@ def _validate(cfg, setby, command):
     cor = cfg["corruption"]
     if cor is not None and (set(cor) - {"target", "amount"}
                             or cor.get("target") not in CORRUPTION_TARGETS
-                            or not _finite(cor.get("amount", 0.1))):
+                            or not _finite(cor.get("amount", CORRUPTION_AMOUNT))):
         raise ConfigError(f"corruption must be {{target, amount}} with a target in "
                           f"{list(CORRUPTION_TARGETS)} and a finite amount, got {cor!r}")
 

@@ -28,9 +28,8 @@ alone, with the floor recorded.
 
 from __future__ import annotations
 
-import copy
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -194,52 +193,52 @@ def judge(result: CheckResult):
 
 @dataclass
 class SystemBuilder:
-    """Builds one configured system at any resolution (for refinement studies).
+    """Builds one configured system at any resolution (for refinement studies):
+    a family from its generating `spec`, or the free preset (`spec` None).
 
-    The dressed system of each resolution (and corruption) is built once and
-    kept with read-only arrays; `dressed` hands out shallow copies, so a
-    caller may rebind attributes but not edit the arrays.  `spectral` keeps
+    `inputs` is the one level store: each level (and corruption) is built
+    once, kept with read-only arrays and handed out as is; a variant of a
+    level is a `dataclasses.replace` copy (see `detuned`).  `spectral` keeps
     one eigendecomposition, the last one solved, under the same key, with
     read-only eigenvalues and eigenvectors: every spectral check only reads it.
     """
 
-    kind: str                      # "family", "free"
     profile: MassProfile
     xmin: float
     xmax: float
     spec: GeneratingSpec = None
     corruption: tuple = None       # (target, amount) or None
-    _dressed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _spectral: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def grid(self, n):
         return make_grid(self.xmin, self.xmax, n)
 
     def dressed(self, n) -> DressedSystem:
-        if self.kind != "family":
+        if self.spec is None:
             raise InvalidDomainError("the free preset has no dressed system")
-        key = (n, self.corruption)
-        ds = self._dressed.get(key)
-        if ds is None:
-            ds = make_family(self.spec, self.profile, self.grid(n))
-            if self.corruption is not None:
-                apply_corruption(ds, *self.corruption)
-            for part in (ds, ds.bundle, ds.grid):
-                for value in vars(part).values():
-                    if isinstance(value, np.ndarray):
-                        value.flags.writeable = False
-            self._dressed[key] = ds
-        return copy.copy(ds)
+        return self.inputs(n)
 
     def inputs(self, n):
         """Operator-check input at n: the dressed system of a family, or for
         the free preset the sampled mass with every coefficient function zero."""
-        if self.kind != "free":
-            return self.dressed(n)
-        grid = self.grid(n)
-        z, zc = np.zeros(grid.n), np.zeros(grid.n, complex)
-        return SimpleNamespace(grid=grid, bundle=self.profile.sample(grid), f=z, fp=z,
-                               g=z, gp=z, a=z, ap=z, V=zc, phi=zc)
+        key = (n, self.corruption)
+        if key not in self._levels:
+            grid = self.grid(n)
+            if self.spec is None:
+                z, zc = np.zeros(grid.n), np.zeros(grid.n, complex)
+                inp = SimpleNamespace(grid=grid, bundle=self.profile.sample(grid), f=z, fp=z,
+                                      g=z, gp=z, a=z, ap=z, V=zc, phi=zc)
+            else:
+                inp = make_family(self.spec, self.profile, grid)
+                if self.corruption is not None:
+                    inp = apply_corruption(inp, *self.corruption)
+            for part in (inp, inp.bundle, inp.grid):
+                for value in vars(part).values():
+                    if isinstance(value, np.ndarray):
+                        value.flags.writeable = False
+            self._levels[key] = inp
+        return self._levels[key]
 
     def spectral(self, n) -> SpectralResult:
         """Eigendecomposition of the Dirichlet block at n, from a one-slot
@@ -261,38 +260,35 @@ def _coefficients(inp):
 
 
 def detuned(ds: DressedSystem, f0):
-    """Replace f in a dressed copy by a function that does not solve the first-order balance.
+    """A copy of `ds` whose f does not solve the first-order balance.
 
     f0 is a constant or a callable of the coordinate array; the potential
     is re-assembled from the detuned f so that all balances except the
     zeroth-order one still hold, which isolates a genuine
-    multiplication-operator defect.  `ds` is a copy handed out by
-    `SystemBuilder.dressed`; only its attributes are rebound.
+    multiplication-operator defect.
     """
     if callable(f0):
-        ds.f = np.asarray(f0(ds.grid.x), dtype=float)
-        ds.fp = diff_matrix(ds.grid, 1) @ ds.f
+        f = np.asarray(f0(ds.grid.x), dtype=float)
+        fp = diff_matrix(ds.grid, 1) @ f
     else:
-        ds.f = np.full(ds.grid.n, float(f0))
-        ds.fp = np.zeros(ds.grid.n)
-    ds.V = assemble_potential(ds.f, ds.fp, ds.g, ds.gp, ds.bundle, ds.spec.delta)
-    return ds
+        f, fp = np.full(ds.grid.n, float(f0)), np.zeros(ds.grid.n)
+    return replace(ds, f=f, fp=fp,
+                   V=assemble_potential(f, fp, ds.g, ds.gp, ds.bundle, ds.spec.delta))
 
 
 CORRUPTION_TARGETS = ("v-imag-flip", "v-add-linear", "f-perturb")
+CORRUPTION_AMOUNT = 0.1        # the amount of a corruption that names none
 
 
-def apply_corruption(ds: DressedSystem, target, amount=0.1):
-    """Deliberately damage a dressed system (negative-control fixtures)."""
+def apply_corruption(ds: DressedSystem, target, amount=CORRUPTION_AMOUNT):
+    """A deliberately damaged copy of a dressed system (negative-control fixtures)."""
     if target == "v-imag-flip":
-        ds.V = ds.V.real - 1j * ds.V.imag
-    elif target == "v-add-linear":
-        ds.V = ds.V + amount * ds.grid.x
-    elif target == "f-perturb":
-        ds.f = ds.f * (1.0 + amount)
-    else:
-        raise InvalidDomainError(f"unknown corruption target {target!r}")
-    return ds
+        return replace(ds, V=ds.V.real - 1j * ds.V.imag)
+    if target == "v-add-linear":
+        return replace(ds, V=ds.V + amount * ds.grid.x)
+    if target == "f-perturb":
+        return replace(ds, f=ds.f * (1.0 + amount))
+    raise InvalidDomainError(f"unknown corruption target {target!r}")
 
 
 def _window(grid: Grid, xmargin):
@@ -911,7 +907,6 @@ CHECKS = {
     "eq29": Check((("eq29", "metric Gram structure"),), _eq29, dressed=False,
                   options=(), levels="eig_levels", pick=slice(-1, None), rule="gram"),
 }
-CHECK_NAMES = tuple(CHECKS)
 
 
 def validate_levels(checks, ns, eig_levels, xmin, xmax):
@@ -969,7 +964,7 @@ def run_suite(builder: SystemBuilder, checks, ns, eig_levels=EIG_LEVELS, detune=
     drivers = {"refine": _identity, "eig_levels": _spectral}
     results = []
     for key, row in CHECKS.items():
-        if key not in checks or (row.dressed and builder.kind != "family"):
+        if key not in checks or (row.dressed and builder.spec is None):
             continue
         options = {k: given[k] for k in row.options}
         try:
@@ -1000,26 +995,19 @@ def spectral_payload(sp: SpectralResult):
 
 def _standing_findings(builder: SystemBuilder, ns):
     """Structured notes on printed-form discrepancies, measured per run."""
-    findings = []
-    if builder.kind != "family":
-        return findings
+    if builder.spec is None:
+        return []
     ds = builder.dressed(ns[0])
-    if ds.printed_vmu is not None:
-        gap = float(np.abs(ds.V_mu - ds.printed_vmu).max())
-        findings.append({
-            "id": "mass-gradient-term-form",
-            "detail": ("sampled mass-gradient term uses the closure-consistent form "
-                       "(5 mu''^2 - 2 mu' mu''')/(4 mu'^4); the catalog-printed form "
-                       "mu'''/mu'^3 - (5/4) mu''^2/mu'^4 differs on this grid by"),
-            "max_abs_difference": gap,
-        })
+    findings = [{
+        "id": "mass-gradient-term-form",
+        "detail": ("sampled mass-gradient term uses the closure-consistent form "
+                   "(5 mu''^2 - 2 mu' mu''')/(4 mu'^4); the catalog-printed form "
+                   "mu'''/mu'^3 - (5/4) mu''^2/mu'^4 differs on this grid by"),
+        "max_abs_difference": float(np.abs(ds.V_mu - ds.printed_vmu).max()),
+    }]
     if ds.analytic and ds.spec.family in CATALOG:
-        def printed(n):
-            level = builder.dressed(n)
-            level.xi = printed_state(level)
-            return level
-        (annihilation, _), _ = _refine("groundstate", map(printed, ns[:2]),
-                                       _xmargin(builder, ns))
+        printed = (replace(lv, xi=printed_state(lv)) for lv in map(builder.dressed, ns[:2]))
+        (annihilation, _), _ = _refine("groundstate", printed, _xmargin(builder, ns))
         findings.append({
             "id": "printed-ground-state",
             "detail": ("catalog-printed wavefunction fed through the first-order "

@@ -46,13 +46,13 @@ def record(criterion, ok, detail):
 
 def sys_builder(family, kind, alpha=1.0, **kw):
     dom = DOMAINS[family][kind]
-    return SystemBuilder("family", PROFILES[kind](), dom[0], dom[1],
+    return SystemBuilder(PROFILES[kind](), dom[0], dom[1],
                          spec=GeneratingSpec(family, alpha=alpha, **kw))
 
 
 def hermitian_builder(c=1.3, domain=(-2.0, 10.0), delta=0.0):
     xs = np.array([domain[0] - 1, domain[0], domain[1], domain[1] + 1])
-    return SystemBuilder("family", MassProfile.constant(), domain[0], domain[1],
+    return SystemBuilder(MassProfile.constant(), domain[0], domain[1],
                          spec=GeneratingSpec("custom-table", delta=delta,
                                              g_table=(xs, np.full(4, c))))
 
@@ -222,7 +222,7 @@ def test_criterion_08_eta_gram_structure():
     ok = True
     detail = []
     # exact regime: measured defect < 1e-8 must imply the Gram structure
-    (r_free,) = _spectral("eq29", SystemBuilder("free", MassProfile.constant(), -8.0, 8.0),
+    (r_free,) = _spectral("eq29", SystemBuilder(MassProfile.constant(), -8.0, 8.0),
                           [1001])
     exact_ok = (r_free.notes["exact_regime"]
                 and r_free.verdict == "pass"

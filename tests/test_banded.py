@@ -267,7 +267,7 @@ def test_stored_entries_cover_the_spans_only(n):
     g = make_grid(-2.0, 10.0, n)
     assert diff_matrix(g, 1).data.size <= 5 * n
     assert diff_matrix(g, 2).data.size <= 5 * n + 4
-    ds = SystemBuilder("family", MassProfile.rational(), -2.0, 10.0,
+    ds = SystemBuilder(MassProfile.rational(), -2.0, 10.0,
                        GeneratingSpec("morse")).dressed(n)
     assert build_h_prime(ds.V, ds.a, ds.ap, ds.bundle, g).data.size <= 5 * n + 4
 

@@ -647,7 +647,7 @@ def test_refine_level_without_window_exits_2_before_building(tmp_path, monkeypat
     err = capsys.readouterr().err
     assert "Traceback" not in err and "refine levels [18]" in err
     assert not (tmp_path / "out.json").exists()
-    builder = verify.SystemBuilder("free", verify.MassProfile.constant(), -8.0, 8.0)
+    builder = verify.SystemBuilder(verify.MassProfile.constant(), -8.0, 8.0)
     with pytest.raises(ConfigError, match=r"refine levels \[18\]"):
         verify.run_suite(builder, ["intertwining"], [17, 18, 19])
 

@@ -162,7 +162,7 @@ def test_hermitian_limit_adjoint_is_entrywise_equal():
 # ---------------------------------------------------------------------------
 
 def parity_builder(domain=(-6.0, 6.0), profile=None, gauge=("zero",)):
-    return SystemBuilder("family", profile or MassProfile.constant(), *domain,
+    return SystemBuilder(profile or MassProfile.constant(), *domain,
                          spec=GeneratingSpec("scarf2", gauge_a=gauge))
 
 
@@ -212,13 +212,13 @@ def test_tau_residual_exact_for_zero_phase():
     hp = build_h_prime(ds.V, ds.a, ds.ap, ds.bundle, ds.grid)
     hpd = build_h_prime_dagger(ds.V, ds.a, ds.ap, ds.bundle, ds.grid)
     assert np.abs(np.conj(hp.mat) - hpd.mat).max() == 0.0
-    b = SystemBuilder("family", MassProfile.constant(), -8.0, 8.0,
+    b = SystemBuilder(MassProfile.constant(), -8.0, 8.0,
                       spec=GeneratingSpec("scarf2"))
     assert _identity("tau", b, [201, 401, 801])[0].residuals == [0.0, 0.0, 0.0]
 
 
 def test_tau_residual_converges_for_gauged_system():
-    b = SystemBuilder("family", MassProfile.constant(), -2.0, 10.0,
+    b = SystemBuilder(MassProfile.constant(), -2.0, 10.0,
                       spec=GeneratingSpec("morse", gauge_a=("scaled-g", 1.0)))
     assert _identity("tau", b, [201, 401, 801])[0].observed_order >= 3.5
 
@@ -282,7 +282,7 @@ def _written(terms, diagonal_terms):
 @pytest.mark.parametrize("system", ["morse/rational", "free/constant"])
 def test_every_builder_is_the_dense_written_sum(system):
     if system == "free/constant":
-        inp = SystemBuilder("free", MassProfile.constant(), -8.0, 8.0).inputs(101)
+        inp = SystemBuilder(MassProfile.constant(), -8.0, 8.0).inputs(101)
     else:
         inp = make_family(GeneratingSpec("morse", gauge_a=("scaled-g", 0.5)),
                           MassProfile.rational(), make_grid(-2.0, 10.0, 101))

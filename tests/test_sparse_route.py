@@ -32,7 +32,7 @@ from pdmph import (CATALOG, FAMILIES, CoefficientSet, GeneratingSpec,
                    build_h_prime, build_h_prime_block, build_h_prime_dagger,
                    cumint, default_probes, diff_matrix, make_family, make_grid, run_suite)
 from pdmph import grid as grid_module
-from pdmph.verify import CHECK_NAMES, _identity
+from pdmph.verify import CHECKS, _identity
 
 RECORDING = os.path.join(os.path.dirname(__file__), "data", "dense_route_checks.json")
 REFINE = [101, 201, 401]
@@ -56,7 +56,7 @@ def _profile(kind):
 
 def _builder(name):
     fam, kind = CONFIGS[name]
-    return SystemBuilder("family", _profile(kind), *CATALOG[fam][1],
+    return SystemBuilder(_profile(kind), *CATALOG[fam][1],
                          spec=GeneratingSpec(fam))
 
 
@@ -191,7 +191,7 @@ def test_parity_eta_matches_dense_assembly():
     xs = np.linspace(-9.0, 9.0, 181)
     for family, gauge in (("scarf2", ("zero",)), ("scarf2", ("scaled-g", 0.5)),
                           ("morse", ("table", xs, np.sin(xs)))):
-        b = SystemBuilder("family", MassProfile.rational(), -8.0, 8.0,
+        b = SystemBuilder(MassProfile.rational(), -8.0, 8.0,
                           spec=GeneratingSpec(family, gauge_a=gauge))
         ds = b.dressed(401)
         g = ds.grid
@@ -242,7 +242,7 @@ def collect():
     for name in sorted(CONFIGS):
         b = _builder(name)
         # parity-eta runs on grids symmetric about 0 only
-        checks = [c for c in CHECK_NAMES if c != "parity-eta" or b.grid(REFINE[0]).parity_capable]
+        checks = [c for c in CHECKS if c != "parity-eta" or b.grid(REFINE[0]).parity_capable]
         results, _, _ = run_suite(b, checks, REFINE, eig_levels=EIG_LEVELS)
         out[name] = {r.name: {"verdict": r.verdict,
                               "levels": [[lv.n, lv.residual, lv.floor] for lv in r.levels]}

@@ -99,7 +99,7 @@ def test_table_route_intertwining_vanishes(rows, am, pm, ag, pg, sign, scale):
     # coarser tables they show (order 3.5 at 650 rows, no convergence at 201)
     xs = np.linspace(-5.0, 5.0, rows)
     spec = GeneratingSpec("custom-table", g_table=(xs, sign * scale * _smooth(ag, pg, xs)))
-    builder = SystemBuilder("family", MassProfile.from_table(xs, 0.5 * _smooth(am, pm, xs)),
+    builder = SystemBuilder(MassProfile.from_table(xs, 0.5 * _smooth(am, pm, xs)),
                             -4.0, 4.0, spec=spec)
     (result,) = _identity("intertwining", builder, [101, 201, 401])
     assert result.notes["defect_regime"] == "vanishing"
@@ -114,7 +114,7 @@ def _table_builder(rows=2201):
     gs = _smooth([0.2, 0.1, -0.1], [0.5, 1.5, 0.3], xs)
     gauge = ("table", xs, 0.3 * np.sin(0.4 * xs))
     spec = GeneratingSpec("custom-table", g_table=(xs, gs), gauge_a=gauge)
-    return SystemBuilder("family", MassProfile.from_table(xs, ms), -8.0, 12.0, spec=spec)
+    return SystemBuilder(MassProfile.from_table(xs, ms), -8.0, 12.0, spec=spec)
 
 
 def test_each_table_is_solved_once_across_levels(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import tracemalloc
@@ -16,15 +17,14 @@ from pdmph.cli import main
 from pdmph.errors import ConfigError, InvalidDomainError
 from pdmph.operators import OperatorMatrix
 from pdmph.pipeline import assemble_potential
-from pdmph.verify import (CHECK_NAMES, CHECKS, Check, CheckLevel, _identity, _spectral,
-                          detuned)
+from pdmph.verify import CHECKS, Check, CheckLevel, _identity, _spectral, detuned
 
 NS = [301, 501, 1001]
 NS_FINE = [501, 1001, 2001]
 
 
 def builder(family="morse", profile=None, domain=(-2.0, 10.0), **kw):
-    return SystemBuilder("family", profile or MassProfile.constant(),
+    return SystemBuilder(profile or MassProfile.constant(),
                          domain[0], domain[1],
                          spec=GeneratingSpec(family, **kw))
 
@@ -37,7 +37,7 @@ def eig_row(b, key, eig_levels):
 
 def hermitian_builder(c=1.3, domain=(-2.0, 10.0), profile=None):
     xs = np.array([domain[0] - 1, domain[0], domain[1], domain[1] + 1])
-    return SystemBuilder("family", profile or MassProfile.constant(),
+    return SystemBuilder(profile or MassProfile.constant(),
                          domain[0], domain[1],
                          spec=GeneratingSpec("custom-table", g_table=(xs, np.full(4, c))))
 
@@ -113,8 +113,7 @@ def test_eq28_sensitive_to_f():
     b = builder("harmonic3d", domain=(0.1, 10.0))
     ds = b.dressed(801)
     base = residual_eq28(ds)
-    apply_corruption(ds, "f-perturb", 0.1)
-    pert = residual_eq28(ds)
+    pert = residual_eq28(apply_corruption(ds, "f-perturb", 0.1))
     w = base["window"]
     assert np.abs(base["printed"][w] - pert["printed"][w]).max() > 1e-3
 
@@ -184,7 +183,7 @@ def test_intertwining_nonconstant_detune_exposes_printed_term():
 
 
 def test_intertwining_free_particle_exact():
-    b = SystemBuilder("free", MassProfile.constant(), -8.0, 8.0)
+    b = SystemBuilder(MassProfile.constant(), -8.0, 8.0)
     (r,) = _identity("intertwining", b, NS)
     assert r.verdict == "pass"
     assert all(v == 0.0 for v in r.residuals)
@@ -193,12 +192,14 @@ def test_intertwining_free_particle_exact():
 @pytest.mark.parametrize("detune", [None, 0.7])
 def test_intertwining_extra_is_a_few_numbers_per_level(detune):
     # each level's extra is its zeroth-order analysis alone: numbers, and no
-    # mean symbol, mask or level input outlives its level
+    # mean symbol, mask or level input outlives its level (the builder keeps
+    # its stored level, so the driver is fed copies)
     b, refs = builder(), []
 
     def levels():
         for n in NS:
-            inp = b.inputs(n) if detune is None else detuned(b.dressed(n), detune)
+            inp = (dataclasses.replace(b.inputs(n)) if detune is None
+                   else detuned(b.dressed(n), detune))
             refs.append(weakref.ref(inp))
             yield inp
     _, extras = verify_module._refine("intertwining", levels(), verify_module._xmargin(b, NS))
@@ -311,7 +312,7 @@ def test_refine_evaluates_the_level_inputs_it_is_fed(key, kind):
         b = builder("morse", gauge_a=("scaled-g", 1.0))
         inputs = [b.dressed(n) for n in NS]
     else:
-        b = SystemBuilder("free", MassProfile.rational(), -4.0, 4.0)
+        b = SystemBuilder(MassProfile.rational(), -4.0, 4.0)
         inputs = [b.inputs(n) for n in NS]
     got, _ = verify_module._refine(key, inputs, verify_module._xmargin(b, NS))
     want = _check_levels(b, key)
@@ -406,7 +407,7 @@ def test_box_spectrum_oracle():
     # Hermitian limit: E_k = (k pi / L)^2 - c^2 + delta
     c, delta, L = 1.3, 0.25, 12.0
     xs = np.array([-3.0, -2.0, 10.0, 11.0])
-    b = SystemBuilder("family", MassProfile.constant(), -2.0, 10.0,
+    b = SystemBuilder(MassProfile.constant(), -2.0, 10.0,
                       spec=GeneratingSpec("custom-table", delta=delta,
                                           g_table=(xs, np.full(4, c))))
     inp = b.inputs(1001)
@@ -434,7 +435,7 @@ def test_block_hermiticity_scale_and_realness_from_diagonals(family, mass):
     # zero, so the values must be exactly the dense ones
     profile = getattr(MassProfile, mass)()
     if family == "free":
-        b = SystemBuilder("free", profile, -8.0, 8.0)
+        b = SystemBuilder(profile, -8.0, 8.0)
     else:
         b = builder(family, profile=profile, domain=CATALOG[family][1])
     inp = b.inputs(101)
@@ -468,7 +469,7 @@ def test_spectral_working_set(family, profile, solver):
     # and 3.05 with numpy casting them again for each product)
     profile = getattr(MassProfile, profile)()
     if family == "free":
-        b = SystemBuilder("free", profile, -3.0, 4.0)
+        b = SystemBuilder(profile, -3.0, 4.0)
     else:
         b = builder(family, profile=profile, domain=(-3.0, 4.0))
     b.inputs(501)   # the dressed system is built before the traced solve
@@ -493,7 +494,7 @@ def test_eq29_leaves_the_eigenvectors_unchanged(monkeypatch, family, profile, so
     monkeypatch.setattr(verify_module, "eigendecompose", recording)
     profile = getattr(MassProfile, profile)()
     if family == "free":
-        b = SystemBuilder("free", profile, -3.0, 4.0)
+        b = SystemBuilder(profile, -3.0, 4.0)
     else:
         b = builder(family, profile=profile, domain=(-3.0, 4.0))
     eig_row(b, "spectrum", [301, 501])
@@ -512,7 +513,7 @@ def _spectral_checks(family, profile):
     the number of subnormal parts of the eigenvectors at 501."""
     profile = getattr(MassProfile, profile)()
     if family == "free":
-        b = SystemBuilder("free", profile, -3.0, 4.0)
+        b = SystemBuilder(profile, -3.0, 4.0)
     else:
         b = builder(family, profile=profile, domain=(-3.0, 4.0))
     results = [eig_row(b, "spectrum", [301, 501]).to_dict(),
@@ -628,7 +629,7 @@ def test_run_suite_leaves_no_decomposition(monkeypatch):
 
 
 def test_eq29_free_particle_exact_regime():
-    b = SystemBuilder("free", MassProfile.constant(), -8.0, 8.0)
+    b = SystemBuilder(MassProfile.constant(), -8.0, 8.0)
     r = eig_row(b, "eq29", [801])
     sp = b.spectral(801)
     assert r.verdict == "pass"
@@ -731,6 +732,45 @@ def test_dressed_built_once_per_level_and_read_only(family_builds):
     assert sorted(calls) == NS
 
 
+def test_a_handed_out_level_is_frozen():
+    ds = builder().dressed(301)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds.V = ds.V.conj()
+
+
+def _level_bytes(level):
+    return {name: value.tobytes() for part in (level, level.bundle)
+            for name, value in vars(part).items() if isinstance(value, np.ndarray)}
+
+
+def test_derived_levels_leave_the_stored_level_bit_identical():
+    # each variant of a level is a copy: corrupting, detuning and feeding the
+    # printed ground state change neither the handed-out level nor the store
+    b = builder(profile=MassProfile.rational(), domain=(-3.0, 4.0))
+    ns = [201, 401, 801]
+    stored = [b.dressed(n) for n in ns[:2]]
+    before = [_level_bytes(level) for level in stored]
+    level = stored[0]
+    variants = [apply_corruption(level, target, 0.5)
+                for target in verify_module.CORRUPTION_TARGETS]
+    variants += [detuned(level, 0.3), detuned(level, lambda x: 0.4 + 0.05 * x)]
+    findings = verify_module._standing_findings(b, ns)
+    assert [f["id"] for f in findings] == ["mass-gradient-term-form", "printed-ground-state"]
+    assert all(_level_bytes(v) != before[0] for v in variants)
+    assert [_level_bytes(level) for level in stored] == before
+    assert all(b.dressed(n) is level for n, level in zip(ns, stored))
+
+
+def test_free_suite_samples_the_mass_once_per_distinct_level(monkeypatch):
+    profile = MassProfile.rational()
+    sampled, sample = [], profile.sample
+    monkeypatch.setattr(profile, "sample", lambda grid: sampled.append(grid.n) or sample(grid))
+    run_suite(SystemBuilder(profile, -8.0, 8.0),
+              ["eq28", "intertwining", "eta-hermiticity", "spectrum", "eq29"],
+              [101, 201, 401], eig_levels=[251, 501])
+    assert sorted(sampled) == [101, 201, 251, 401, 501]
+
+
 def test_corrupted_builder_fails_on_every_call():
     # v-imag-flip undone by a second application would pass eq25: the
     # corrupted system is cached once, never corrupted again
@@ -775,7 +815,7 @@ def test_run_suite_order_of_checks_changes_nothing():
     # results come back in CHECKS order, with the same bits and verdicts,
     # whatever the order of the requested checks
     b = builder("scarf2", domain=(-8.0, 8.0), gauge_a=("scaled-g", 1.0))
-    names = list(CHECK_NAMES)
+    names = list(CHECKS)
     runs = []
     for k in range(len(names)):
         results, _, _ = run_suite(b, names[k:] + names[:k], [101, 201, 401],
@@ -822,7 +862,7 @@ def test_detuned_matches_operator_inputs_detuned(make, f0):
 
 def test_free_input_matches_operator_inputs_free():
     profile = MassProfile.rational()
-    inp = SystemBuilder("free", profile, -8.0, 8.0).inputs(301)
+    inp = SystemBuilder(profile, -8.0, 8.0).inputs(301)
     grid = make_grid(-8.0, 8.0, 301)
     z = np.zeros(grid.n)
     want = {"f": z, "fp": z, "g": z, "gp": z, "a": z, "ap": z,
@@ -907,7 +947,7 @@ def test_run_suite_default_eig_levels_are_the_config_default(monkeypatch):
     sizes, real = [], verify_module.eigendecompose
     monkeypatch.setattr(verify_module, "eigendecompose",
                         lambda block, grid: sizes.append(grid.n) or real(block, grid))
-    free = SystemBuilder("free", MassProfile.constant(), -8.0, 8.0)
+    free = SystemBuilder(MassProfile.constant(), -8.0, 8.0)
     results, _, _ = run_suite(free, ["spectrum"], [201, 401, 801])
     assert sizes == [501, 1001]
     assert [lv.n for lv in results[0].levels] == [501, 1001]
@@ -917,7 +957,7 @@ def test_run_suite_refuses_levels_the_config_refuses():
     # the library applies the config's level rules: no eig level for eq29, an
     # eig level below a grid's 9 points, and a coarsest refine level that
     # leaves no check window
-    free = SystemBuilder("free", MassProfile.constant(), -3.0, 4.0)
+    free = SystemBuilder(MassProfile.constant(), -3.0, 4.0)
     with pytest.raises(ConfigError, match="eig_levels, which is empty"):
         run_suite(free, ["eq29"], [101, 201, 401], eig_levels=[])
     with pytest.raises(ConfigError, match="eig level 7: a grid needs at least 9 points"):
@@ -946,6 +986,6 @@ def test_run_suite_refuses_a_bad_request_before_any_check_runs(monkeypatch, chec
 
 @pytest.mark.parametrize("levels", [[201], [201, 201]])
 def test_spectrum_needs_two_distinct_levels(levels):
-    free = SystemBuilder("free", MassProfile.constant(), -8.0, 8.0)
+    free = SystemBuilder(MassProfile.constant(), -8.0, 8.0)
     with pytest.raises(ConfigError, match="spectrum check compares two distinct eig_levels"):
         run_suite(free, ["spectrum"], [101, 201, 401], eig_levels=levels)

@@ -4,11 +4,11 @@
     python tools/samediff.py compare A_DIR B_DIR [--identical]
     python tools/samediff.py rejudge OUT_DIR
 
-`run` imports pdmph from SRC_DIR/src (a checkout) and runs 67 CLI
+`run` imports pdmph from SRC_DIR/src (a checkout) and runs 68 CLI
 invocations in this one process, through `pdmph.cli.main`, with OUT_DIR as
 the working directory: every operation of both benchmark workloads
 (`perfbench/workloads.py` of this checkout, seed 0, every sweep variant)
-and ten more (`EXTRAS`).  Every verify writes a trace directory next to
+and eleven more (`EXTRAS`).  Every verify writes a trace directory next to
 its report.  OUT_DIR/runs.json records each run's id, argv, exit code and
 printed output.
 
@@ -59,6 +59,7 @@ ZERO_FLOOR_REL = 1e-12
 
 EIG_CONFIG = "extra/eig_levels.json"
 EIG3_CONFIG = "extra/eig_levels3.json"   # three eig levels: spectrum picks two, eq29 one
+CORRUPT_CONFIG = "extra/corrupt.json"    # a corrupted f, under the detuned control too
 # (id, argv without --out) of the runs beyond the benchmark workloads
 EXTRAS = [
     ("eq29", ["verify", "--family", "morse", "--mass", "rational", "--checks", "eq29",
@@ -81,6 +82,9 @@ EXTRAS = [
     ("morse/rational/three-eig-levels", ["verify", "--family", "morse", "--mass", "rational",
                                          "--checks", "spectrum,eq29", "--xmin", "-3",
                                          "--xmax", "4", "--config", EIG3_CONFIG]),
+    ("scarf2/rational/corrupt-detune", ["verify", "--family", "scarf2", "--mass", "rational",
+                                        "--refine", "201,401,801", "--config", CORRUPT_CONFIG,
+                                        "--detune", "0.3"]),
 ]
 
 
@@ -100,9 +104,12 @@ def plan():
         for child in workloads.build(w, 0, w, all_variants=True):
             runs += [(f"{w}/{op.id}", op.argv) for op in child]
     os.makedirs("extra", exist_ok=True)
-    for path, levels in ((EIG_CONFIG, [251, 501]), (EIG3_CONFIG, [201, 301, 501])):
+    for path, config in ((EIG_CONFIG, {"eig_levels": [251, 501]}),
+                         (EIG3_CONFIG, {"eig_levels": [201, 301, 501]}),
+                         (CORRUPT_CONFIG, {"corruption": {"target": "f-perturb",
+                                                          "amount": 0.001}})):
         with open(path, "w") as fh:
-            json.dump({"eig_levels": levels}, fh)
+            json.dump(config, fh)
     runs += [(f"extra/{rid}", argv + ["--out", f"extra/op{k}.json"])
              for k, (rid, argv) in enumerate(EXTRAS)]
     return runs
