@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from .operators import (PROBES, CoefficientSet, OperatorMatrix, build_d,
                         build_h_prime_dagger, default_probes, tau_similarity_actions)
 from .pipeline import (CATALOG, DressedSystem, GeneratingSpec,
                        assemble_potential, make_family, _write_columns)
-from .profiles import MassProfile
+from .profiles import MassProfile, ProfileBundle
 
 PAD = 8                 # index pad for identity-check windows
 EIG_BUDGET = 4001
@@ -191,14 +190,30 @@ def judge(result: CheckResult):
     return result
 
 
+@dataclass(frozen=True)
+class FreeLevel:
+    """A level of the free preset: the sampled mass, every coefficient function zero."""
+
+    grid: Grid
+    bundle: ProfileBundle
+    f: np.ndarray
+    fp: np.ndarray
+    g: np.ndarray
+    gp: np.ndarray
+    a: np.ndarray
+    ap: np.ndarray
+    V: np.ndarray
+    phi: np.ndarray
+
+
 @dataclass
 class SystemBuilder:
     """Builds one configured system at any resolution (for refinement studies):
     a family from its generating `spec`, or the free preset (`spec` None).
 
     `inputs` is the one level store: each level (and corruption) is built
-    once, kept with read-only arrays and handed out as is; a variant of a
-    level is a `dataclasses.replace` copy (see `detuned`).  `spectral` keeps
+    once, kept frozen with read-only arrays and handed out as is; a variant
+    of a level is a `dataclasses.replace` copy (see `detuned`).  `spectral` keeps
     one eigendecomposition, the last one solved, under the same key, with
     read-only eigenvalues and eigenvectors: every spectral check only reads it.
     """
@@ -227,8 +242,7 @@ class SystemBuilder:
             grid = self.grid(n)
             if self.spec is None:
                 z, zc = np.zeros(grid.n), np.zeros(grid.n, complex)
-                inp = SimpleNamespace(grid=grid, bundle=self.profile.sample(grid), f=z, fp=z,
-                                      g=z, gp=z, a=z, ap=z, V=zc, phi=zc)
+                inp = FreeLevel(grid, self.profile.sample(grid), z, z, z, z, z, z, zc, zc)
             else:
                 inp = make_family(self.spec, self.profile, grid)
                 if self.corruption is not None:

@@ -351,10 +351,10 @@ def test_trace_dir(tmp_path):
 
 def test_trace_dir_evaluates_no_level_twice(tmp_path, monkeypatch):
     # each check writes the finest level it evaluated itself, so a traced
-    # run builds no more dressed systems than the same run without traces
+    # run fetches no more levels than the same run without traces
     from pdmph.verify import CHECKS, SystemBuilder
-    calls, real = [], SystemBuilder.dressed
-    monkeypatch.setattr(SystemBuilder, "dressed", lambda self, n: calls.append(n) or real(self, n))
+    calls, real = [], SystemBuilder.inputs
+    monkeypatch.setattr(SystemBuilder, "inputs", lambda self, n: calls.append(n) or real(self, n))
     traceable = [k for k, row in CHECKS.items() if "trace_dir" in row.options]
     # parity-eta needs a grid symmetric about 0
     for system, traced in ((["--family", "morse", "--mass", "rational"],

@@ -724,18 +724,20 @@ def test_dressed_built_once_per_level_and_read_only(family_builds):
         first.V[0] = 0.0
     with pytest.raises(ValueError):
         first.bundle.U[0] = 1.0
-    # rebinding an attribute of a handed-out copy leaves the cache alone
-    apply_corruption(first, "v-imag-flip")
+    # a corruption is a copy: the stored level keeps its V
+    assert not np.array_equal(apply_corruption(first, "v-imag-flip").V, second.V)
     assert np.array_equal(b.dressed(301).V, second.V)
     assert calls == [301]
     run_suite(b, ["eq25", "eq26", "groundstate", "gauge", "tau"], NS)
     assert sorted(calls) == NS
 
 
-def test_a_handed_out_level_is_frozen():
-    ds = builder().dressed(301)
+@pytest.mark.parametrize("free", [False, True])
+def test_a_handed_out_level_is_frozen(free):
+    b = SystemBuilder(MassProfile.constant(), -8.0, 8.0) if free else builder()
+    level = b.inputs(301)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        ds.V = ds.V.conj()
+        level.V = level.V.conj()
 
 
 def _level_bytes(level):
