@@ -11,7 +11,7 @@ profile and writes plot-ready CSV datasets.
 import numpy as np
 
 from pdmph import (CATALOG, FAMILIES, GeneratingSpec, MassProfile, make_family,
-                   make_grid, to_csv)
+                   make_grid, printed_potential, to_csv)
 
 for kind, profile in (("constant", MassProfile.constant()),
                       ("rational", MassProfile.rational())):
@@ -24,8 +24,8 @@ for kind, profile in (("constant", MassProfile.constant()),
         # the pipeline's effective potential must coincide with the catalog's
         # closed form evaluated at the sampled mass integral
         w = grid.interior_mask(8)
-        rel = (np.abs(ds.V_eff - ds.printed_reference)
-               / (1.0 + np.abs(ds.printed_reference)))[w].max()
+        printed = printed_potential(family, 1.0, ds.bundle.mu)
+        rel = (np.abs(ds.V_eff - printed) / (1.0 + np.abs(printed)))[w].max()
 
         # the complex potential differs from the effective one by the
         # mass-gradient term, which vanishes for constant mass

@@ -24,9 +24,9 @@ from .errors import (BudgetExceededError, CheckFailureError, ConfigError,
                      InvalidDomainError, NonpositiveMassError, PdmphError)
 from .grid import Grid, cumint, diff_matrix, make_grid, observed_order
 from .profiles import MassProfile, ProfileBundle
-from .pipeline import (CATALOG, FAMILIES, DressedSystem, GeneratingSpec,
-                       assemble_potential, catalog_rows, effective_potential,
-                       ground_state, make_family, printed_potential, to_csv)
+from .pipeline import (CATALOG, FAMILIES, DressedSystem, GeneratingSpec, assemble_potential,
+                       catalog_rows, effective_potential, ground_state, make_family,
+                       printed_potential, printed_state, printed_vmu, to_csv)
 from .operators import (CoefficientSet, OperatorMatrix, build_d, build_d_tilde,
                         build_d_tilde_dagger, build_eta_tilde,
                         build_eta_tilde_block, build_h_prime,

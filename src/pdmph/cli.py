@@ -17,7 +17,8 @@ import numpy as np
 
 from . import __version__
 from .errors import CheckFailureError, ConfigError, IOFormatError, PdmphError
-from .pipeline import GeneratingSpec, catalog_rows, load_xy_table, to_csv
+from .pipeline import (CATALOG, GeneratingSpec, catalog_rows, load_xy_table,
+                       printed_potential, printed_vmu, to_csv)
 from .profiles import MassProfile
 from .report import (SETTINGS, SYSTEM_PRESETS, build_report, emit_json, payload_config,
                      resolve_config, write_report)
@@ -172,22 +173,22 @@ def cmd_generate(args):
     cfg = _load_config(args)
     if cfg["family"] in SYSTEM_PRESETS:
         raise ConfigError("generate needs a catalog or custom-table family")
-    builder = _builder_from(cfg)
-    ds = builder.dressed(cfg["grid"]["n"])
+    ds = _builder_from(cfg).dressed(cfg["grid"]["n"])
+    b = ds.bundle
     out = cfg["out"] or f"{cfg['family']}.csv"
     to_csv(ds, out)
-    delta_ref = None
-    w = ds.grid.interior_mask(PAD)   # empty for n <= 2 PAD: the value is then null
-    if ds.printed_reference is not None and w.any():
-        delta_ref = float((np.abs(ds.V_eff - (ds.printed_reference + cfg["delta"]))
-                           / (1.0 + np.abs(ds.printed_reference)))[w].max())
+    delta_ref, w = None, ds.grid.interior_mask(PAD)   # w empty for n <= 2 PAD: delta_ref null
+    if ds.spec.family in CATALOG and w.any():
+        printed = printed_potential(ds.spec.family, ds.spec.alpha, b.mu)
+        delta_ref = float((np.abs(ds.V_eff - (printed + cfg["delta"]))
+                           / (1.0 + np.abs(printed)))[w].max())
     summary = {
         "family": cfg["family"],
         "csv": out,
         "n": cfg["grid"]["n"],
-        "mu_anchor": ds.bundle.mu_anchor,
+        "mu_anchor": b.mu_anchor,
         "printed_form_max_rel_delta": delta_ref,
-        "mass_gradient_printed_form_max_abs_delta": float(np.abs(ds.V_mu - ds.printed_vmu).max()),
+        "mass_gradient_printed_form_max_abs_delta": float(np.abs(ds.V_mu - printed_vmu(b)).max()),
     }
     print(emit_json(summary))
     return 0

@@ -10,7 +10,8 @@ A real nonvanishing generating function g fixes everything else:
 
 with the gauge pair psi = xi at a = 0 and xi = Lambda psi,
 Lambda = exp[i int a/U].  The five catalog families sample g as a function
-of the mass integral mu, so one shape serves every mass profile.
+of the mass integral mu, so one shape serves every mass profile.  Their
+printed closed forms (`printed_*`) are findings that reports compute.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .profiles import MassProfile, ProfileBundle
 
 G_ZERO_TOL = 1e-12
 
-FAMILIES = ("harmonic3d", "morse", "scarf2", "gen-poschl-teller", "poschl-teller")
-
 #: family name -> (g(mu) formula, default domain, needs mu > 0)
 CATALOG = {
     "harmonic3d":        ("alpha*mu",                 (0.15, 10.0), True),
@@ -37,6 +36,7 @@ CATALOG = {
     "gen-poschl-teller": ("cosech(alpha*mu)",         (0.25, 12.0), True),
     "poschl-teller":     ("sech(alpha*mu)*cosech(alpha*mu)", (0.25, 12.0), True),
 }
+FAMILIES = tuple(CATALOG)
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,7 @@ class DressedSystem:
     """Everything derived from one (g, a, delta, profile) choice on a grid.
 
     Derivative arrays of g are closed-form for catalog families (chain rule
-    through mu) and finite-difference for custom tables; `analytic` records
-    which.  `printed_reference` carries the catalog's closed-form effective
-    potential for cross-checking, None for custom tables.
+    through mu) and finite-difference for custom tables; no printed form is kept.
     """
 
     grid: Grid
@@ -102,9 +100,6 @@ class DressedSystem:
     tau_phase: np.ndarray
     energy: complex
     anchor: int
-    printed_vmu: np.ndarray
-    analytic: bool = True
-    printed_reference: np.ndarray = None
 
     @property
     def phi(self):
@@ -211,6 +206,29 @@ def printed_potential(family, alpha, mu):
     raise InvalidDomainError(f"no printed form for family {family!r}")
 
 
+def printed_state(ds: DressedSystem):
+    """The catalog's printed ground-state expression for the family of `ds`,
+    on its grid and normalized at its anchor (reported-only)."""
+    b = ds.bundle
+    mu, U, alpha, family = b.mu, b.U, ds.spec.alpha, ds.spec.family
+    if family == "harmonic3d":
+        s = np.sqrt(mu) / U * np.exp(-0.5j * alpha * mu**2)
+    elif family == "morse":
+        s = np.exp(-0.5 * alpha * mu) / U * np.exp((2j / alpha) * np.exp(-alpha * mu))
+    elif family == "scarf2":
+        s = (1.0 / (U * np.sqrt(np.cosh(alpha * mu)))
+             * np.exp(-(1j / alpha) * np.arctan(np.tanh(0.5 * alpha * mu))))
+    elif family == "gen-poschl-teller":
+        s = (1.0 / (U * np.sqrt(np.sinh(alpha * mu)))
+             * np.tanh(0.5 * alpha * mu) ** (-2j / alpha))
+    elif family == "poschl-teller":
+        s = (1.0 / (U * np.sqrt(np.sinh(2.0 * alpha * mu)))
+             * np.tanh(alpha * mu) ** (-2j / alpha))
+    else:
+        raise InvalidDomainError(f"no printed state for family {family!r}")
+    return s / s[ds.anchor]
+
+
 def ground_state(f, g, a, bundle: ProfileBundle, anchor=None):
     """Ground-state pair (psi, xi, Lambda) from cumulative quadrature.
 
@@ -282,7 +300,6 @@ def make_family(spec: GeneratingSpec, profile: MassProfile, grid: Grid) -> Dress
         gp = D1 @ g
         gpp = D1 @ gp
         analytic = False
-        reference = None
     else:
         _, _, needs_positive_mu = CATALOG[spec.family]
         if needs_positive_mu and np.any(mu <= 0):
@@ -299,7 +316,6 @@ def make_family(spec: GeneratingSpec, profile: MassProfile, grid: Grid) -> Dress
         gp = G1 * bundle.mup
         gpp = G2 * bundle.mup**2 + G1 * bundle.mupp
         analytic = True
-        reference = printed_potential(spec.family, spec.alpha, mu)
     _check_nonvanishing(g)
 
     mup, mupp, muppp = bundle.mup, bundle.mupp, bundle.muppp
@@ -325,8 +341,7 @@ def make_family(spec: GeneratingSpec, profile: MassProfile, grid: Grid) -> Dress
         grid=grid, bundle=bundle, spec=spec,
         g=g, gp=gp, f=f, fp=fp, a=a, ap=ap,
         V=V, V_eff=V_eff, V_mu=V_mu, psi=psi, xi=xi, Lambda=Lambda,
-        tau_phase=tau_phase, energy=complex(spec.delta), anchor=anchor,
-        printed_vmu=printed_vmu(bundle), analytic=analytic, printed_reference=reference)
+        tau_phase=tau_phase, energy=complex(spec.delta), anchor=anchor)
 
 
 def catalog_rows(family=None):

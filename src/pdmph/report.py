@@ -196,7 +196,7 @@ def _validate(cfg, setby, command):
             raise ConfigError(f"{key} asks for {levels[-1]} grid points; "
                               f"the maximum is {MAX_POINTS}")
     _refuse_unread(cfg, setby, command)
-    domain = CATALOG.get(cfg["family"], (None, (-8.0, 8.0), None))[1]
+    domain = CATALOG[cfg["family"]][1] if cfg["family"] in CATALOG else (-8.0, 8.0)
     for key, bound in zip(("grid.xmin", "grid.xmax"), domain):
         if cfg[key] is None:
             cfg[key] = bound

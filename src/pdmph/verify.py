@@ -35,13 +35,13 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConfigError, EigensolverError, InvalidDomainError
 from .grid import (EPS, MIN_POINTS, STENCIL_ABS_D1, FLOOR_SAFETY, Grid, amplification,
-                   blocks, cumint, diff_matrix, fd_floor, make_grid, observed_order)
+                   blocks, diff_matrix, fd_floor, make_grid, observed_order)
 from .operators import (PROBES, CoefficientSet, OperatorMatrix, build_d,
                         build_d_tilde, build_d_tilde_dagger, build_eta_tilde,
                         build_eta_tilde_block, build_h_prime, build_h_prime_block,
                         build_h_prime_dagger, default_probes, tau_similarity_actions)
-from .pipeline import (CATALOG, DressedSystem, GeneratingSpec,
-                       assemble_potential, make_family, _write_columns)
+from .pipeline import (CATALOG, DressedSystem, GeneratingSpec, assemble_potential,
+                       make_family, printed_state, printed_vmu, _write_columns)
 from .profiles import MassProfile, ProfileBundle
 
 PAD = 8                 # index pad for identity-check windows
@@ -553,16 +553,16 @@ def _eta(inp, xm):
 def _parity(ds, xm):
     """Hermiticity of the parity metric diag(e) P on a grid symmetric about 0.
 
-    With P the index reversal and e = exp(2i int a/U) anchored at the center
-    node, row i holds e[i] in column n-1-i and the adjoint holds
-    conj(e[n-1-i]) there, so the defect is read from e at every node.  It is
-    Hermitian exactly when the gauge function and U are even.
+    With P the index reversal and e = exp(2i int a/U) = exp(-i tau_phase)
+    (anchored at the center node), row i holds e[i] in column n-1-i and the
+    adjoint holds conj(e[n-1-i]) there, so the defect is read from e at every
+    node.  It is Hermitian exactly when the gauge function and U are even.
     """
     grid = ds.grid
     if not grid.parity_capable:
         raise InvalidDomainError(
             "parity operator needs xmin = -xmax and odd n (a node exactly at 0)")
-    e = np.exp(1j * (2.0 * cumint(ds.a / ds.bundle.U, grid, grid.index_nearest(0.0))))
+    e = np.exp(1j * -ds.tau_phase)
     return grid, np.ones(grid.n, bool), [(np.abs(e - np.conj(e)[::-1]), 1.0, 64.0 * EPS)], None
 
 
@@ -1008,7 +1008,7 @@ def spectral_payload(sp: SpectralResult):
 
 
 def _standing_findings(builder: SystemBuilder, ns):
-    """Structured notes on printed-form discrepancies, measured per run."""
+    """Measured gaps to the catalog-printed forms, which `pipeline` computes."""
     if builder.spec is None:
         return []
     ds = builder.dressed(ns[0])
@@ -1017,9 +1017,9 @@ def _standing_findings(builder: SystemBuilder, ns):
         "detail": ("sampled mass-gradient term uses the closure-consistent form "
                    "(5 mu''^2 - 2 mu' mu''')/(4 mu'^4); the catalog-printed form "
                    "mu'''/mu'^3 - (5/4) mu''^2/mu'^4 differs on this grid by"),
-        "max_abs_difference": float(np.abs(ds.V_mu - ds.printed_vmu).max()),
+        "max_abs_difference": float(np.abs(ds.V_mu - printed_vmu(ds.bundle)).max()),
     }]
-    if ds.analytic and ds.spec.family in CATALOG:
+    if ds.spec.family in CATALOG:
         printed = (replace(lv, xi=printed_state(lv)) for lv in map(builder.dressed, ns[:2]))
         (annihilation, _), _ = _refine("groundstate", printed, _xmargin(builder, ns))
         findings.append({
@@ -1030,26 +1030,3 @@ def _standing_findings(builder: SystemBuilder, ns):
             "printed_state_residuals": [lv.residual for lv in annihilation],
         })
     return findings
-
-
-def printed_state(ds: DressedSystem):
-    """The catalog's printed ground-state expression for the family of `ds`,
-    on its grid and normalized at its anchor (reported-only)."""
-    b = ds.bundle
-    mu, U, alpha, family = b.mu, b.U, ds.spec.alpha, ds.spec.family
-    if family == "harmonic3d":
-        s = np.sqrt(mu) / U * np.exp(-0.5j * alpha * mu**2)
-    elif family == "morse":
-        s = np.exp(-0.5 * alpha * mu) / U * np.exp((2j / alpha) * np.exp(-alpha * mu))
-    elif family == "scarf2":
-        s = (1.0 / (U * np.sqrt(np.cosh(alpha * mu)))
-             * np.exp(-(1j / alpha) * np.arctan(np.tanh(0.5 * alpha * mu))))
-    elif family == "gen-poschl-teller":
-        s = (1.0 / (U * np.sqrt(np.sinh(alpha * mu)))
-             * np.tanh(0.5 * alpha * mu) ** (-2j / alpha))
-    elif family == "poschl-teller":
-        s = (1.0 / (U * np.sqrt(np.sinh(2.0 * alpha * mu)))
-             * np.tanh(alpha * mu) ** (-2j / alpha))
-    else:
-        raise InvalidDomainError(f"no printed state for family {family!r}")
-    return s / s[ds.anchor]

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdmph import (CATALOG, FAMILIES, DomainViolationError,
+from pdmph import (CATALOG, FAMILIES, DomainViolationError, DressedSystem,
                    GeneratingFunctionZeroError, GeneratingSpec, MassProfile,
                    assemble_potential, diff_matrix, effective_potential,
-                   make_family, make_grid, printed_potential, to_csv)
+                   make_family, make_grid, printed_potential, printed_vmu, to_csv)
 from pdmph import pipeline
 from pdmph.pipeline import (CSV_COLUMNS, _check_nonvanishing, _decide as decide,
                             _write_columns, ground_state)
@@ -179,26 +180,28 @@ def test_closure_convergence_rational():
 
 def test_printed_vmu_differs_for_position_dependent_mass():
     ds = dressed("morse", profile=MassProfile.rational(), domain=(-3.0, 4.0))
-    assert np.abs(ds.V_mu - ds.printed_vmu).max() > 0.1
+    assert np.abs(ds.V_mu - printed_vmu(ds.bundle)).max() > 0.1
     cs = dressed("morse")
-    assert np.abs(cs.V_mu - cs.printed_vmu).max() == 0.0
+    assert np.abs(cs.V_mu - printed_vmu(cs.bundle)).max() == 0.0
 
 
 # ---------------------------------------------------------------------------
 # printed catalog potentials
 # ---------------------------------------------------------------------------
 
+# each profile with its domain for families that need mu > 0, and for the others
+PROFILE_DOMAINS = [(MassProfile.constant(), (0.25, 10.0), (-6.0, 6.0)),
+                   (MassProfile.rational(), (0.25, 5.0), (-4.0, 4.0))]
+
+
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("profile,domain_pos,domain_sym", [
-    (MassProfile.constant(), (0.25, 10.0), (-6.0, 6.0)),
-    (MassProfile.rational(), (0.25, 5.0), (-4.0, 4.0)),
-])
+@pytest.mark.parametrize("profile,domain_pos,domain_sym", PROFILE_DOMAINS)
 def test_printed_potential_reproduced(family, profile, domain_pos, domain_sym):
     dom = domain_pos if CATALOG[family][2] else domain_sym
     ds = dressed(family, alpha=1.0, profile=profile, domain=dom)
     w = ds.grid.interior_mask(8)
-    rel = (np.abs(ds.V_eff - ds.printed_reference)
-           / (1.0 + np.abs(ds.printed_reference)))[w].max()
+    printed = printed_potential(family, 1.0, ds.bundle.mu)
+    rel = (np.abs(ds.V_eff - printed) / (1.0 + np.abs(printed)))[w].max()
     assert rel < 1e-12
 
 
@@ -206,6 +209,25 @@ def test_printed_potential_unknown_family():
     from pdmph.errors import InvalidDomainError
     with pytest.raises(InvalidDomainError):
         printed_potential("nope", 1.0, np.ones(4))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("profile,domain_pos,domain_sym", PROFILE_DOMAINS)
+def test_make_family_evaluates_no_printed_form(family, profile, domain_pos, domain_sym,
+                                               monkeypatch):
+    # the printed forms are findings a report computes, not part of the construction
+    def refuse(*args):
+        raise AssertionError("make_family evaluated a printed form")
+    for name in ("printed_potential", "printed_vmu", "printed_state"):
+        monkeypatch.setattr(pipeline, name, refuse)
+    dom = domain_pos if CATALOG[family][2] else domain_sym
+    ds = dressed(family, profile=profile, domain=dom, n=201)
+    assert np.all(np.isfinite(ds.V))
+
+
+def test_dressed_system_holds_no_printed_form():
+    names = {f.name for f in dataclasses.fields(DressedSystem)}
+    assert not {n for n in names if "printed" in n or n == "analytic"}, names
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +310,9 @@ def test_custom_table_family():
     ref = dressed("morse", domain=(-4.0, 4.0))
     w = ds.grid.interior_mask(8)
     assert np.abs((ds.V - ref.V))[w].max() < 1e-5
-    assert not ds.analytic and ds.printed_reference is None
+    from pdmph.errors import InvalidDomainError
+    with pytest.raises(InvalidDomainError):
+        printed_potential(spec.family, spec.alpha, ds.bundle.mu)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import importlib.util
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -121,3 +123,28 @@ def test_every_rule_round_trips(tmp_path, monkeypatch):
     assert [c["name"] for c in checks if "error" in c["notes"]] == ["spectrum"]
     gauge, = [c for c in checks if c["name"] == "gauge"]
     assert list(gauge["notes"]) == ["order", "max_unit_modulus_defect"]
+
+
+# run in a fresh interpreter: records the BLAS thread settings numpy loads with
+_SPY = """
+import builtins, json, os, runpy, sys
+seen, real = {}, builtins.__import__
+def spy(name, *args, **kw):
+    if name == "numpy" and "numpy" not in sys.modules and not seen:
+        seen.update({v: os.environ.get(v) for v in sys.argv[2:]})
+    return real(name, *args, **kw)
+builtins.__import__ = spy
+runpy.run_path(sys.argv[1])
+print(json.dumps(seen))
+"""
+
+
+def test_run_pins_one_blas_thread_before_numpy_loads():
+    # the eigensolver's bits depend on the BLAS thread count, so two
+    # checkouts run under different environments must still run alike
+    names = samediff.THREAD_VARS
+    assert set(names) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    env = dict(os.environ, **dict.fromkeys(names, "2"))
+    out = subprocess.run([sys.executable, "-c", _SPY, os.path.join(ROOT, "tools", "samediff.py"),
+                          *names], env=env, capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == dict.fromkeys(names, "1")

@@ -11,7 +11,7 @@ import pdmph.verify as verify_module
 
 from pdmph import (CATALOG, FAMILIES, BudgetExceededError, GeneratingSpec,
                    MassProfile, SystemBuilder, apply_corruption, build_d,
-                   build_d_tilde, build_h_prime_block, diff_matrix, eigendecompose,
+                   build_d_tilde, build_h_prime_block, cumint, diff_matrix, eigendecompose,
                    make_grid, residual_eq28, run_suite)
 from pdmph.cli import main
 from pdmph.errors import ConfigError, InvalidDomainError
@@ -397,6 +397,22 @@ def test_parity_eta_check():
     assert r.verdict == "pass"
     # its window is every node, whatever the margin
     assert verify_module._parity(b.dressed(801), 4.0)[1].all()
+
+
+@pytest.mark.parametrize("n", [201, 801, 4001])
+@pytest.mark.parametrize("kind", ["constant", "rational"])
+def test_parity_eta_phase_is_the_stored_gauge_phase(kind, n):
+    # the parity metric's phase e = exp(-i tau_phase) is, bit for bit, the
+    # gauge integral exp(2i int a/U) taken again from the center node
+    b = builder("scarf2", profile=getattr(MassProfile, kind)(), domain=(-8.0, 8.0),
+                gauge_a=("scaled-g", 0.5))
+    ds = b.dressed(n)
+    grid = ds.grid
+    e = np.exp(1j * (2.0 * cumint(ds.a / ds.bundle.U, grid, grid.index_nearest(0.0))))
+    assert np.abs(e - 1.0).max() > 0.1   # the gauge is not trivial
+    (residual, scale, floor), = verify_module._parity(ds, 0.0)[2]
+    assert np.array_equal(residual, np.abs(e - np.conj(e)[::-1]))
+    assert residual.max() < 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@
     python tools/samediff.py compare A_DIR B_DIR [--identical]
     python tools/samediff.py rejudge OUT_DIR
 
-`run` imports pdmph from SRC_DIR/src (a checkout) and runs 68 CLI
+`run` imports pdmph from SRC_DIR/src (a checkout) and runs 69 CLI
 invocations in this one process, through `pdmph.cli.main`, with OUT_DIR as
 the working directory: every operation of both benchmark workloads
 (`perfbench/workloads.py` of this checkout, seed 0, every sweep variant)
-and eleven more (`EXTRAS`).  Every verify writes a trace directory next to
+and twelve more (`EXTRAS`).  Every verify writes a trace directory next to
 its report.  OUT_DIR/runs.json records each run's id, argv, exit code and
-printed output.
+printed output.  The eigensolver's last bits depend on the BLAS thread
+count, so this module pins one thread (`THREAD_VARS`) before numpy loads.
 
 `compare` exits 1 when the two runs disagree on what they measure:
 
@@ -47,6 +48,10 @@ import json
 import math
 import os
 import sys
+
+# one BLAS thread, as perfbench gives its children, whatever the environment
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
 
 import numpy as np
 
@@ -85,6 +90,9 @@ EXTRAS = [
     ("scarf2/rational/corrupt-detune", ["verify", "--family", "scarf2", "--mass", "rational",
                                         "--refine", "201,401,801", "--config", CORRUPT_CONFIG,
                                         "--detune", "0.3"]),
+    ("scarf2/rational/scaled-g/parity", ["verify", "--family", "scarf2", "--mass", "rational",
+                                         "--gauge", "scaled-g:scale=0.5", "--refine",
+                                         "201,401,801", "--checks", "parity-eta"]),
 ]
 
 
