@@ -7,7 +7,7 @@ The package builds, on uniform grids with 4th-order finite differences:
     integral mu(x) with derivatives (``profiles``),
   * catalog and custom generating-function systems: companion function f,
     complex potential V, mass-free effective potential, ground-state pair
-    (psi, xi) and the unit-modulus gauge factor (``pipeline``),
+    (psi, xi) and the gauge phase of the unit-modulus gauge factor (``pipeline``),
   * banded (numpy-only) realizations of the first-order operators, the
     metric, the Hamiltonian and its adjoint and the antilinear similarity
     (``operators``),

@@ -8,10 +8,11 @@ A real nonvanishing generating function g fixes everything else:
              - g' mu'' / (2 g mu'^3) - 2i g'/mu'    (mass-free shape)
     xi     ~ exp[- int f/U - i int (g - a)/U]       (ground state, energy delta)
 
-with the gauge pair psi = xi at a = 0 and xi = Lambda psi,
-Lambda = exp[i int a/U].  The five catalog families sample g as a function
-of the mass integral mu, so one shape serves every mass profile.  Their
-printed closed forms (`printed_*`) are findings that reports compute.
+with the gauge pair psi = xi at a = 0 and xi = Lambda psi, Lambda = exp(i R)
+for the one stored gauge integral R = int a/U (tau and the parity metric carry
+-2R and 2R).  The five catalog families sample g as a function of the mass
+integral mu, so one shape serves every mass profile.  Their printed closed
+forms (`printed_*`) are findings that reports compute.
 """
 
 from __future__ import annotations
@@ -96,9 +97,7 @@ class DressedSystem:
     V_mu: np.ndarray
     psi: np.ndarray
     xi: np.ndarray
-    Lambda: np.ndarray
-    tau_phase: np.ndarray
-    energy: complex
+    gauge_phase: np.ndarray   # R = int a/U from the anchor: Lambda = exp(i R)
     anchor: int
 
     @property
@@ -230,12 +229,12 @@ def printed_state(ds: DressedSystem):
 
 
 def ground_state(f, g, a, bundle: ProfileBundle, anchor=None):
-    """Ground-state pair (psi, xi, Lambda) from cumulative quadrature.
+    """Ground state and gauge phase (psi, xi, R) from cumulative quadrature.
 
     psi = exp[- int f/U - i int g/U] solves the ungauged first-order
-    annihilation condition; Lambda = exp[i int a/U] is the unit-modulus
-    gauge factor and xi = Lambda psi.  All integrals share one anchor node
-    where the state is normalized to exactly 1.
+    annihilation condition; R = int a/U is the gauge phase, Lambda = exp(i R)
+    the unit-modulus gauge factor and xi = Lambda psi.  All integrals share
+    one anchor node where the state is normalized to exactly 1.
     """
     grid = bundle.grid
     if anchor is None:
@@ -245,15 +244,14 @@ def ground_state(f, g, a, bundle: ProfileBundle, anchor=None):
     Q = cumint(g / U, grid, anchor)
     R = cumint(a / U, grid, anchor)
     psi = np.exp(-P - 1j * Q)
-    Lambda = np.exp(1j * R)
-    xi = Lambda * psi
-    return psi, xi, Lambda
+    return psi, np.exp(1j * R) * psi, R
 
 
 def _gauge_arrays(spec: GeneratingSpec, grid: Grid, g, gp):
     mode = spec.gauge_a[0]
     if mode == "zero":
-        return np.zeros(grid.n), np.zeros(grid.n)
+        z = np.zeros(grid.n)
+        return z, z
     if mode == "scaled-g":
         c = float(spec.gauge_a[1])
         return c * g, c * gp
@@ -295,7 +293,6 @@ def make_family(spec: GeneratingSpec, profile: MassProfile, grid: Grid) -> Dress
         if grid.x[0] < xs[0] or grid.x[-1] > xs[-1]:
             raise InvalidDomainError("generating-function table does not cover the grid")
         g = spec.g_spline(grid.x)
-        _check_nonvanishing(g)
         D1 = diff_matrix(grid, 1)
         gp = D1 @ g
         gpp = D1 @ gp
@@ -334,14 +331,12 @@ def make_family(spec: GeneratingSpec, profile: MassProfile, grid: Grid) -> Dress
     V_eff, V_mu = effective_potential(g, gp, gpp, bundle, spec.delta)
 
     anchor = grid.index_nearest(0.0)
-    psi, xi, Lambda = ground_state(f, g, a, bundle, anchor)
-    tau_phase = -2.0 * cumint(a / bundle.U, grid, anchor)
+    psi, xi, gauge_phase = ground_state(f, g, a, bundle, anchor)
 
     return DressedSystem(
         grid=grid, bundle=bundle, spec=spec,
-        g=g, gp=gp, f=f, fp=fp, a=a, ap=ap,
-        V=V, V_eff=V_eff, V_mu=V_mu, psi=psi, xi=xi, Lambda=Lambda,
-        tau_phase=tau_phase, energy=complex(spec.delta), anchor=anchor)
+        g=g, gp=gp, f=f, fp=fp, a=a, ap=ap, V=V, V_eff=V_eff, V_mu=V_mu,
+        psi=psi, xi=xi, gauge_phase=gauge_phase, anchor=anchor)
 
 
 def catalog_rows(family=None):

@@ -30,12 +30,10 @@ class ProfileBundle:
     m: np.ndarray = field(repr=False)
     U: np.ndarray = field(repr=False)
     Up: np.ndarray = field(repr=False)
-    Upp: np.ndarray = field(repr=False)
     mu: np.ndarray = field(repr=False)
     mup: np.ndarray = field(repr=False)
     mupp: np.ndarray = field(repr=False)
     muppp: np.ndarray = field(repr=False)
-    kind: str = "constant"
     mu_anchor: str = ""
 
 
@@ -134,6 +132,5 @@ class MassProfile:
         mup = 1.0 / U
         mupp = -Up / U**2
         muppp = (2.0 * Up**2 - U * Upp) / U**3
-        return ProfileBundle(grid, m, U, Up, Upp, mu, mup, mupp, muppp,
-                             kind=self.kind, mu_anchor=anchor)
+        return ProfileBundle(grid, m, U, Up, mu, mup, mupp, muppp, mu_anchor=anchor)
 

@@ -482,36 +482,38 @@ def _groundstate(ds, xm):
                       c1max=2.0 * np.abs(_coefficients(ds).M1[w]).max(),
                       c0max=np.abs(ds.V[w]).max(), amp=amax)
     return grid, w, [(np.abs(dt @ xi), nrm, fl_ann),
-                     (np.abs(hp @ xi - ds.energy * xi), nrm, fl_eig)], None
+                     (np.abs(hp @ xi - complex(ds.spec.delta) * xi), nrm, fl_eig)], None
 
 
 def _gauge(ds, xm):
-    """Gauge identity: D~(Lambda psi) = Lambda (D psi), measured on the window,
-    with the largest | |Lambda| - 1 | as a note."""
+    """Gauge identity: D~(Lambda psi) = Lambda (D psi), Lambda = exp(i R),
+    measured on the window, with the largest | |Lambda| - 1 | as a note."""
     grid, b = ds.grid, ds.bundle
     d = build_d(ds.phi, b, grid)
     dt = build_d_tilde(ds.phi, ds.a, b, grid)
-    lhs = dt @ (ds.Lambda * ds.psi)
-    rhs = ds.Lambda * (d @ ds.psi)
+    lam = np.exp(1j * ds.gauge_phase)
+    lhs = dt @ (lam * ds.psi)
+    rhs = lam * (d @ ds.psi)
     w = _window(grid, xm)
-    nrm = np.abs((ds.Lambda * ds.psi)[w]).max()
+    nrm = np.abs((lam * ds.psi)[w]).max()
     amax = np.abs(ds.psi).max() / nrm
     floor = fd_floor(grid.h, c1max=2.0 * np.abs(b.U[w]).max(),
                      c0max=np.abs(ds.phi[w]).max() + np.abs(ds.a[w]).max(),
                      amp=amax)
-    unit_mod = float(np.abs(np.abs(ds.Lambda) - 1.0).max())
+    unit_mod = float(np.abs(np.abs(lam) - 1.0).max())
     return grid, w, [(np.abs(lhs - rhs), nrm, floor)], {"max_unit_modulus_defect": unit_mod}
 
 
 def _tau(ds, xm):
-    """Antilinear similarity between H' and its adjoint through the tau phase."""
+    """Antilinear similarity between H' and its adjoint through the tau phase -2R."""
     grid, b = ds.grid, ds.bundle
+    tau_phase = -2.0 * ds.gauge_phase
     hp = build_h_prime(ds.V, ds.a, ds.ap, b, grid)
     hpd = build_h_prime_dagger(ds.V, ds.a, ds.ap, b, grid)
-    res, act = tau_similarity_actions(hp, hpd, ds.tau_phase, default_probes(grid))
+    res, act = tau_similarity_actions(hp, hpd, tau_phase, default_probes(grid))
     w = _window(grid, xm)
     floor = FLOOR_SAFETY * EPS * (
-        1.0 + np.abs(ds.tau_phase[w]).max()) * (
+        1.0 + np.abs(tau_phase[w]).max()) * (
         1.0 + STENCIL_ABS_D1 * 2.0 * np.abs(_coefficients(ds).M1[w]).max()
         / (grid.h * max(1.0, np.abs(ds.V[w]).max())))
     return grid, w, [(res, max(act[w].max(), 1e-300), floor)], None
@@ -553,16 +555,16 @@ def _eta(inp, xm):
 def _parity(ds, xm):
     """Hermiticity of the parity metric diag(e) P on a grid symmetric about 0.
 
-    With P the index reversal and e = exp(2i int a/U) = exp(-i tau_phase)
-    (anchored at the center node), row i holds e[i] in column n-1-i and the
-    adjoint holds conj(e[n-1-i]) there, so the defect is read from e at every
-    node.  It is Hermitian exactly when the gauge function and U are even.
+    With P the index reversal and e = exp(2i R), R = int a/U the stored gauge
+    phase (anchored at the center node), row i holds e[i] in column n-1-i and
+    the adjoint holds conj(e[n-1-i]) there, so the defect is read from e at
+    every node.  It is Hermitian exactly when the gauge function and U are even.
     """
     grid = ds.grid
     if not grid.parity_capable:
         raise InvalidDomainError(
             "parity operator needs xmin = -xmax and odd n (a node exactly at 0)")
-    e = np.exp(1j * -ds.tau_phase)
+    e = np.exp(2j * ds.gauge_phase)
     return grid, np.ones(grid.n, bool), [(np.abs(e - np.conj(e)[::-1]), 1.0, 64.0 * EPS)], None
 
 

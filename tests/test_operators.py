@@ -226,7 +226,7 @@ def test_tau_residual_converges_for_gauged_system():
 def test_tau_phase_definition():
     ds = dressed("morse", gauge_a=("scaled-g", 1.0))
     ref = -2.0 * cumint(ds.a / ds.bundle.U, ds.grid, ds.anchor)
-    assert np.abs(ds.tau_phase - ref).max() == 0.0
+    assert np.abs(-2.0 * ds.gauge_phase - ref).max() == 0.0
 
 
 # ---------------------------------------------------------------------------

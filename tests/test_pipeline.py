@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pdmph import (CATALOG, FAMILIES, DomainViolationError, DressedSystem,
                    GeneratingFunctionZeroError, GeneratingSpec, MassProfile,
-                   assemble_potential, diff_matrix, effective_potential,
+                   ProfileBundle, assemble_potential, diff_matrix, effective_potential,
                    make_family, make_grid, printed_potential, printed_vmu, to_csv)
 from pdmph import pipeline
 from pdmph.pipeline import (CSV_COLUMNS, _check_nonvanishing, _decide as decide,
@@ -230,13 +230,38 @@ def test_dressed_system_holds_no_printed_form():
     assert not {n for n in names if "printed" in n or n == "analytic"}, names
 
 
+def test_a_stored_level_holds_each_quantity_once():
+    # Lambda, tau's phase and the parity phase are formed from one gauge
+    # phase, the energy is spec.delta, and the zero gauge is one array
+    names = {f.name for f in dataclasses.fields(DressedSystem)}
+    assert "gauge_phase" in names and not names & {"Lambda", "tau_phase", "energy"}, names
+    bundle_names = {f.name for f in dataclasses.fields(ProfileBundle)}
+    assert not bundle_names & {"Upp", "kind"}, bundle_names
+    ds = dressed("morse", n=201)
+    assert ds.a is ds.ap and not ds.a.any()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("gauge", [("zero",), ("scaled-g", 0.5)], ids=["zero", "scaled-g"])
+@pytest.mark.parametrize("profile,domain_pos,domain_sym", PROFILE_DOMAINS)
+def test_make_family_integrates_the_gauge_once(family, gauge, profile, domain_pos, domain_sym,
+                                               monkeypatch):
+    # an analytic mass needs three integrals, f/U and g/U for psi and a/U for
+    # the gauge phase; tau and the parity metric read the stored phase
+    calls, real = [], pipeline.cumint
+    monkeypatch.setattr(pipeline, "cumint", lambda *args: calls.append(args) or real(*args))
+    dom = domain_pos if CATALOG[family][2] else domain_sym
+    dressed(family, profile=profile, domain=dom, n=201, gauge_a=gauge)
+    assert len(calls) == 3
+
+
 # ---------------------------------------------------------------------------
 # ground states and gauge
 # ---------------------------------------------------------------------------
 
 def test_ground_state_trivial_gauge():
     ds = dressed("morse")
-    assert np.abs(ds.Lambda - 1.0).max() == 0.0
+    assert np.abs(ds.gauge_phase).max() == 0.0
     assert np.abs(ds.xi - ds.psi).max() == 0.0
 
 
@@ -247,7 +272,7 @@ def test_ground_state_harmonic_amplitude_and_phase():
     b = MassProfile.constant().sample(g)
     anchor = g.index_nearest(1.0)
     x0 = g.x[anchor]
-    psi, xi, lam = ground_state(-1.0 / (2.0 * g.x), g.x.copy(), np.zeros(g.n), b, anchor)
+    psi, xi, R = ground_state(-1.0 / (2.0 * g.x), g.x.copy(), np.zeros(g.n), b, anchor)
     i4 = g.index_nearest(4.0)
     assert abs(psi[i4] / psi[anchor]) == pytest.approx(np.sqrt(g.x[i4] / x0), rel=1e-9)
     phase = np.unwrap(np.angle(psi))
@@ -268,8 +293,9 @@ def test_ground_state_amplitude_oracle(family):
 
 def test_unit_modulus_gauge():
     ds = dressed("scarf2", gauge_a=("scaled-g", 0.7))
-    assert np.abs(np.abs(ds.Lambda) - 1.0).max() < 1e-12
-    assert np.abs(ds.xi - ds.Lambda * ds.psi).max() == 0.0
+    lam = np.exp(1j * ds.gauge_phase)
+    assert np.abs(np.abs(lam) - 1.0).max() < 1e-12
+    assert np.abs(ds.xi - lam * ds.psi).max() == 0.0
 
 
 def test_phi_definition():
@@ -280,9 +306,9 @@ def test_phi_definition():
 def test_real_fields_carry_no_imaginary_part():
     ds = dressed("scarf2", profile=MassProfile.rational(), gauge_a=("scaled-g", 0.5))
     b = ds.bundle
-    for arr in (b.m, b.U, b.mu, ds.g, ds.f, ds.a):
+    for arr in (b.m, b.U, b.mu, ds.g, ds.f, ds.a, ds.gauge_phase):
         assert not np.iscomplexobj(arr)
-    for arr in (ds.V, ds.V_eff, ds.psi, ds.xi, ds.Lambda):
+    for arr in (ds.V, ds.V_eff, ds.psi, ds.xi):
         assert np.iscomplexobj(arr)
 
 

@@ -125,6 +125,12 @@ def test_every_rule_round_trips(tmp_path, monkeypatch):
     assert list(gauge["notes"]) == ["order", "max_unit_modulus_defect"]
 
 
+def test_plan_runs_every_report_writing_command(tmp_path, monkeypatch):
+    # every command that writes a report or CSV reads what a stored level holds
+    monkeypatch.chdir(tmp_path)
+    assert {argv[0] for _, argv in samediff.plan()} == {"verify", "generate", "spectrum"}
+
+
 # run in a fresh interpreter: records the BLAS thread settings numpy loads with
 _SPY = """
 import builtins, json, os, runpy, sys

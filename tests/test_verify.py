@@ -365,7 +365,8 @@ def test_gauge_identity_holds_for_arbitrary_smooth_state():
     dt = build_d_tilde(ds.phi, ds.a, ds.bundle, ds.grid)
     v = np.exp(-((ds.grid.x - 3.0) / 2.0) ** 2) * (1.0 + 0.3 * np.sin(ds.grid.x))
     w = ds.grid.interior_mask(8)
-    res = np.abs((dt.mat @ (ds.Lambda * v) - ds.Lambda * (d.mat @ v)))[w].max()
+    lam = np.exp(1j * ds.gauge_phase)
+    res = np.abs((dt.mat @ (lam * v) - lam * (d.mat @ v)))[w].max()
     assert res < 1e-6
 
 
@@ -402,7 +403,7 @@ def test_parity_eta_check():
 @pytest.mark.parametrize("n", [201, 801, 4001])
 @pytest.mark.parametrize("kind", ["constant", "rational"])
 def test_parity_eta_phase_is_the_stored_gauge_phase(kind, n):
-    # the parity metric's phase e = exp(-i tau_phase) is, bit for bit, the
+    # the parity metric's phase e = exp(2i gauge_phase) is, bit for bit, the
     # gauge integral exp(2i int a/U) taken again from the center node
     b = builder("scarf2", profile=getattr(MassProfile, kind)(), domain=(-8.0, 8.0),
                 gauge_a=("scaled-g", 0.5))
@@ -601,7 +602,7 @@ def test_probe_check_working_set(check, bound_mb):
 
 def test_default_suite_memory_ceiling():
     # every default check on morse/rational at 5001/10001/20001 from a fresh
-    # builder, dressing included: measured 22.8 MiB, 1.20 kB per finest-level
+    # builder, dressing included: measured 20.72 MiB, 1.09 kB per finest-level
     # point; an operator that kept a dense or duplicate copy would exceed it
     from pdmph.report import CONFIG_DEFAULTS
     b = builder(profile=MassProfile.rational())
@@ -611,7 +612,7 @@ def test_default_suite_memory_ceiling():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 25 * 2**20
+    assert peak <= 23 * 2**20
 
 
 def test_spectrum_holds_no_coarse_eigenvectors_in_the_fine_solve(monkeypatch):
@@ -734,7 +735,7 @@ def test_dressed_built_once_per_level_and_read_only(family_builds):
     b = builder("scarf2", domain=(-8.0, 8.0))
     first, second = b.dressed(301), b.dressed(301)
     assert calls == [301]
-    for name in ("V", "f", "xi", "tau_phase"):
+    for name in ("V", "f", "xi", "gauge_phase"):
         assert np.array_equal(getattr(first, name), getattr(second, name))
     with pytest.raises(ValueError):
         first.V[0] = 0.0
@@ -754,6 +755,27 @@ def test_a_handed_out_level_is_frozen(free):
     level = b.inputs(301)
     with pytest.raises(dataclasses.FrozenInstanceError):
         level.V = level.V.conj()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", ["constant", "rational"])
+@pytest.mark.parametrize("gauge", [("zero",), ("scaled-g", 0.5)], ids=["zero", "scaled-g"])
+def test_a_stored_level_holds_at_most_200_bytes_per_point(family, kind, gauge):
+    # measured at n = 4001: 184.8-185.7 B per point with the zero gauge (a
+    # and ap one array) and 192.8-193.3 with scaled-g 0.5; a complex Lambda
+    # kept beside the gauge phase would exceed the bound
+    n = 4001
+    dom = (0.25, 5.0) if CATALOG[family][2] else (-4.0, 4.0)
+    b = builder(family, getattr(MassProfile, kind)(), dom, gauge_a=gauge)
+    grid = b.grid(n)
+    diff_matrix(grid, 1), diff_matrix(grid, 2)   # the shared stencils are no level's
+    tracemalloc.start()
+    try:
+        b.dressed(n)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 200 * n
 
 
 def _level_bytes(level):

@@ -4,11 +4,11 @@
     python tools/samediff.py compare A_DIR B_DIR [--identical]
     python tools/samediff.py rejudge OUT_DIR
 
-`run` imports pdmph from SRC_DIR/src (a checkout) and runs 69 CLI
+`run` imports pdmph from SRC_DIR/src (a checkout) and runs 70 CLI
 invocations in this one process, through `pdmph.cli.main`, with OUT_DIR as
 the working directory: every operation of both benchmark workloads
 (`perfbench/workloads.py` of this checkout, seed 0, every sweep variant)
-and twelve more (`EXTRAS`).  Every verify writes a trace directory next to
+and thirteen more (`EXTRAS`).  Every verify writes a trace directory next to
 its report.  OUT_DIR/runs.json records each run's id, argv, exit code and
 printed output.  The eigensolver's last bits depend on the BLAS thread
 count, so this module pins one thread (`THREAD_VARS`) before numpy loads.
@@ -93,6 +93,8 @@ EXTRAS = [
     ("scarf2/rational/scaled-g/parity", ["verify", "--family", "scarf2", "--mass", "rational",
                                          "--gauge", "scaled-g:scale=0.5", "--refine",
                                          "201,401,801", "--checks", "parity-eta"]),
+    ("morse/rational/spectrum", ["spectrum", "--family", "morse", "--mass", "rational",
+                                 "--n", "501", "--xmin", "-3", "--xmax", "4"]),
 ]
 
 
